@@ -302,19 +302,11 @@ def _claim_representation_property(config: SuiteConfig, rng):
 
 
 def _claim_specialness(config: SuiteConfig, rng):
-    report = specialness_report(
+    # the working measure and the truncated control share one sample stream
+    report, control = specialness_report(
         default_test_set(),
         config.label,
-        nu_measure(),
-        config.eps_ladder,
-        config.r_max,
-        config.mc_samples,
-        rng,
-    )
-    control = specialness_report(
-        default_test_set(),
-        config.label,
-        truncated_nu(1.0),
+        (nu_measure(), truncated_nu(1.0)),
         config.eps_ladder,
         config.r_max,
         config.mc_samples,

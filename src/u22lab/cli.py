@@ -46,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification battery")
     _common_flags(verify, with_format=True)
+    verify.add_argument("--tol", type=float, default=None, help="override claim tolerances")
     verify.add_argument("--config", help="JSON config file; flags override its fields")
     verify.add_argument("--claims", help="comma-separated claim ids (default: all)")
     verify.add_argument("--timestamp", action="store_true", help="include a timestamp in the report")
@@ -83,7 +84,6 @@ def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
     # sentinel defaults so a config file's values survive unset flags
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples per integral")
-    sub.add_argument("--tol", type=float, default=None, help="override claim tolerances")
     sub.add_argument("--label", default=None, help="orbit label: ++, +-, -+, -- or 1..4")
     if with_format:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -111,6 +111,11 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     else:
         print(text)
+
+
+def _emit_json(doc, out: str | None):
+    # strict JSON: a NaN or infinity raises ValueError (exit 2), never a bare token
+    _emit(json.dumps(doc, indent=2, allow_nan=False), out)
 
 
 def _cmd_verify(args) -> int:
@@ -143,35 +148,29 @@ def _cmd_decompose(args) -> int:
     matrix = matrix_from_json(_read_json(args.input), (4, 4))
     report = is_in_u22(matrix, args.tol)
     if not report.ok:
-        _emit(
-            json.dumps(
-                {
-                    "error": "not a group member",
-                    "residuals": {
-                        "sigma_relation": report.sigma_relation,
-                        "block_unit": report.block_unit,
-                        "block_upper": report.block_upper,
-                        "block_lower": report.block_lower,
-                    },
-                    "tolerance": args.tol,
+        _emit_json(
+            {
+                "error": "not a group member",
+                "residuals": {
+                    "sigma_relation": report.sigma_relation,
+                    "block_unit": report.block_unit,
+                    "block_upper": report.block_upper,
+                    "block_lower": report.block_lower,
                 },
-                indent=2,
-            ),
+                "tolerance": args.tol,
+            },
             args.out,
         )
         return 2
     g = U22Element(matrix, tol=args.tol)
     p, k = iwasawa_decompose(g)
     residual = float(np.linalg.norm(p.matrix() @ k.m - matrix))
-    _emit(
-        json.dumps(
-            {
-                "p": element_to_json(p),
-                "k": element_to_json(k),
-                "reconstruction_residual": residual,
-            },
-            indent=2,
-        ),
+    _emit_json(
+        {
+            "p": element_to_json(p),
+            "k": element_to_json(k),
+            "reconstruction_residual": residual,
+        },
         args.out,
     )
     return 0
@@ -187,22 +186,19 @@ def _cmd_orbit(args) -> int:
     m = _parse_skew(_read_json(args.input))
     label = classify_orbit(m)
     if label is None:
-        _emit(json.dumps({"label": "degenerate"}, indent=2), args.out)
+        _emit_json({"label": "degenerate"}, args.out)
         return 0
     try:
         s = orbit_coordinates(m)
     except DegenerateOrbit:
-        _emit(json.dumps({"label": "degenerate"}, indent=2), args.out)
+        _emit_json({"label": "degenerate"}, args.out)
         return 0
-    _emit(
-        json.dumps(
-            {
-                "label": str(label),
-                "index": label.index,
-                "coordinates": {"r1": s.r1, "r2": s.r2, "r": [s.r.real, s.r.imag]},
-            },
-            indent=2,
-        ),
+    _emit_json(
+        {
+            "label": str(label),
+            "index": label.index,
+            "coordinates": {"r1": s.r1, "r2": s.r2, "r": [s.r.real, s.r.imag]},
+        },
         args.out,
     )
     return 0
@@ -243,7 +239,7 @@ def _cmd_measure_probe(args) -> int:
     }
     if verdict.reason:
         doc["reason"] = verdict.reason
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit_json(doc, args.out)
     return 0
 
 
@@ -264,7 +260,7 @@ def _cmd_gram(args) -> int:
         "gram_real": np.real(gram).tolist(),
         "gram_imag": np.imag(gram).tolist(),
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit_json(doc, args.out)
     return 0
 
 
@@ -278,11 +274,12 @@ def _cmd_unboundedness(args) -> int:
         sampler,
         _or_default(args.samples, DEFAULT_SAMPLES),
         _or_default(args.seed, DEFAULT_SEED),
-        out_path=args.out if args.format == "csv" else None,
     )
-    if args.format == "csv" and args.out:
+    if args.format == "json":
+        _emit_json(rows, args.out)
         return 0
-    _emit(json.dumps(rows, indent=2), args.out)
+    lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
+    _emit("\n".join(lines), args.out)
     return 0
 
 

@@ -14,7 +14,6 @@ general functions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -139,12 +138,11 @@ def unboundedness_experiment(
     sampler: PolarShellSampler,
     samples: int,
     rng,
-    out_path=None,
 ) -> list[dict]:
     """Norm ratios |b(p^)| / |b(p)| along a ladder of diagonal translations.
 
-    Exploratory: emits (|s(p)|, ratio, stderr) rows, optionally as CSV, for
-    the swap-operator growth probe.  No verdict is attached.
+    Exploratory: returns (|s(p)|, ratio, stderr) rows for the swap-operator
+    growth probe.  No verdict is attached.
     """
     rng = as_generator(rng)
     rows = []
@@ -167,9 +165,4 @@ def unboundedness_experiment(
                 "denominator": den.real,
             }
         )
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
     return rows

@@ -64,8 +64,6 @@ __all__ = [
     "structured_p_factor",
     "iwasawa_decompose",
     "sigma_hat",
-    "commutator4",
-    "nested_commutator",
     "q_commutator",
     "nested_q_commutator",
     "is_n_shaped",
@@ -597,22 +595,6 @@ def is_s_shaped(m: np.ndarray, tol: float = PRODUCT_TOL) -> bool:
     except InvariantViolation:
         return False
     return frob(g11 - adjoint(s.inverse().matrix())) <= tol * scale
-
-
-def commutator4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Group commutator a b a^-1 b^-1 of 4x4 matrices."""
-    return a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
-
-
-def nested_commutator(mats: list[np.ndarray]) -> np.ndarray:
-    """Balanced nested commutator of 2^d matrices (depth d)."""
-    n = len(mats)
-    if n == 1:
-        return mats[0]
-    if n % 2 != 0:
-        raise ValueError("need a power-of-two number of matrices")
-    half = n // 2
-    return commutator4(nested_commutator(mats[:half]), nested_commutator(mats[half:]))
 
 
 def q_commutator(q1: QElement, q2: QElement) -> QElement:

@@ -226,4 +226,6 @@ def matrix_from_json(data, shape=None) -> np.ndarray:
     m = np.array(rows, dtype=complex)
     if m.ndim != 2 or (shape is not None and m.shape != shape):
         raise ValueError(f"bad matrix shape {m.shape}, expected {shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix JSON has a non-finite entry")
     return m

@@ -44,6 +44,8 @@ __all__ = [
     "IntegralEstimate",
     "MCAccumulator",
     "BATCH_SIZE",
+    "sample_batches",
+    "require_finite",
     "integrate_mc",
     "DivergenceVerdict",
     "divergence_probe",
@@ -330,11 +332,23 @@ class MCAccumulator:
         return IntegralEstimate(value, math.sqrt(var / n), n)
 
 
-def _contributions(integrand, measure, sampler, pts, mode):
-    values = integrand(pts)
-    g = np.abs(values) ** 2 if mode == "square" else values
-    weights = measure.density(pts) / sampler.density(pts)
-    contrib = g * weights
+def sample_batches(sampler, measures, n: int, rng):
+    """The Monte-Carlo batch loop: yield ``n`` points in batches of at most
+    ``BATCH_SIZE`` as ``(pts, weights)``, each drawn once, with one weight
+    array measure.density / sampler.density per measure in ``measures``.
+    """
+    rng = as_generator(rng)
+    remaining = n
+    while remaining > 0:
+        batch = min(remaining, BATCH_SIZE)
+        pts = sampler.sample(batch, rng)
+        density = sampler.density(pts)
+        yield pts, [measure.density(pts) / density for measure in measures]
+        remaining -= batch
+
+
+def require_finite(contrib: np.ndarray) -> np.ndarray:
+    """Return ``contrib`` unchanged, or raise NonFinite on a NaN or infinity."""
     if not np.all(np.isfinite(contrib.view(float))):
         raise NonFinite("integrand produced a non-finite sample")
     return contrib
@@ -358,14 +372,12 @@ def integrate_mc(
         raise ValueError("need at least 1000 samples")
     if mode not in ("square", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = as_generator(rng)
     acc = MCAccumulator()
-    remaining = n
-    while remaining > 0:
-        batch = min(remaining, BATCH_SIZE)
-        pts = sampler.sample(batch, rng)
-        acc.add(_contributions(integrand, measure, sampler, pts, mode))
-        remaining -= batch
+    for pts, (weights,) in sample_batches(sampler, (measure,), n, rng):
+        values = integrand(pts)
+        if mode == "square":
+            values = np.abs(values) ** 2
+        acc.add(require_finite(values * weights))
     return acc.estimate()
 
 
@@ -408,16 +420,21 @@ def _linear_fit(x: np.ndarray, y: np.ndarray):
 
 def divergence_probe(
     integrand,
-    measure: MeasureSpec,
+    measure,
     eps_sequence,
     r_max: float = DEFAULT_R_MAX,
     samples: int = 200_000,
     rng=0,
-) -> DivergenceVerdict:
+):
     """Classify I(eps) = integral of |F|^2 d(measure) over radius > eps.
 
+    ``integrand`` and ``measure`` may be sequences: every integrand is then
+    probed under every measure on one shared sample stream, giving one row
+    of verdicts (one per measure) per integrand.
+
     One nested sample on [min(eps), r_max] serves every ladder rung, so the
-    increments between rungs are exact nonnegative shell sums.  The rules:
+    increments between rungs are exact nonnegative shell sums (shells by
+    ``searchsorted``, summed by ``bincount``).  The rules:
 
     * the relative tail increment below ``CONVERGED_REL_TAIL`` -> convergent;
     * else a linear fit of I against log(1/eps) with slope above
@@ -427,33 +444,36 @@ def divergence_probe(
       -> power-divergent;
     * otherwise inconclusive (reason reported, never raised).
     """
+    integrands = integrand if isinstance(integrand, (list, tuple)) else (integrand,)
+    measures = measure if isinstance(measure, (list, tuple)) else (measure,)
     eps = np.array(sorted(set(float(e) for e in eps_sequence), reverse=True))
     if len(eps) < 5:
         raise ValueError("need a decreasing ladder of at least 5 cutoffs")
     if eps[0] >= r_max or eps[-1] <= 0:
         raise ValueError("ladder must lie strictly inside (0, r_max)")
-    rng = as_generator(rng)
     sampler = PolarShellSampler(float(eps[-1]), float(r_max))
+    ascending = eps[::-1]
+    shells = len(eps) + 1  # shell k holds radii in [ascending[k-1], ascending[k])
+    sums = np.zeros((len(integrands), len(measures), 2, shells))  # 2: sum, sum of squares
+    for pts, weights in sample_batches(sampler, measures, samples, rng):
+        shell = np.searchsorted(ascending, pts.norms(), side="right")
+        for i, fn in enumerate(integrands):
+            squared = np.abs(fn(pts)) ** 2
+            for j, w in enumerate(weights):
+                contrib = require_finite(squared * w)
+                sums[i, j, 0] += np.bincount(shell, contrib, shells)
+                sums[i, j, 1] += np.bincount(shell, contrib**2, shells)
+    # rung k (cutoff eps[k]) sums shells shells-1-k .. shells-1
+    rungs = np.cumsum(sums[..., ::-1], axis=-1)[..., :-1] / samples
+    verdicts = tuple(tuple(_classify(eps, *rung, samples) for rung in row) for row in rungs)
+    if integrands is integrand or measures is measure:  # called with a sequence
+        return verdicts
+    return verdicts[0][0]
 
-    sums = np.zeros(len(eps))
-    sums_sq = np.zeros(len(eps))
-    total = 0
-    remaining = samples
-    while remaining > 0:
-        batch = min(remaining, BATCH_SIZE)
-        pts = sampler.sample(batch, rng)
-        contrib = np.real(_contributions(integrand, measure, sampler, pts, "square"))
-        radii = pts.norms()
-        for j, cut in enumerate(eps):
-            masked = np.where(radii >= cut, contrib, 0.0)
-            sums[j] += masked.sum()
-            sums_sq[j] += (masked**2).sum()
-        total += batch
-        remaining -= batch
 
-    values = sums / total
-    variances = np.maximum(sums_sq / total - values**2, 0.0)
-    stderrs = np.sqrt(variances / total)
+def _classify(eps: np.ndarray, values: np.ndarray, mean_sq: np.ndarray, n: int) -> DivergenceVerdict:
+    """Verdict from the rung means of |F|^2 and of its square over n samples."""
+    stderrs = np.sqrt(np.maximum(mean_sq - values**2, 0.0) / n)
     estimates = tuple((float(v), float(se)) for v, se in zip(values, stderrs))
 
     x = np.log(1.0 / eps)

@@ -30,8 +30,14 @@ class SPoints:
         return int(self.r1.size)
 
     def norms(self) -> np.ndarray:
-        """Frobenius norms sqrt(r1^2 + r2^2 + |r|^2)."""
-        return np.sqrt(self.r1**2 + self.r2**2 + np.abs(self.r) ** 2)
+        """Frobenius norms sqrt(r1^2 + r2^2 + |r|^2), cached because the
+        sampler, the measures and the integrands of a batch all read them;
+        callers must not write to the result."""
+        cached = self.__dict__.get("_norms")
+        if cached is None:
+            cached = np.sqrt(self.r1**2 + self.r2**2 + np.abs(self.r) ** 2)
+            self.__dict__["_norms"] = cached
+        return cached
 
     def right_translate(self, s0: TriangularS) -> "SPoints":
         """Pointwise s -> s s0 in chart coordinates."""

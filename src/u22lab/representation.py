@@ -21,17 +21,17 @@ from typing import Sequence
 import numpy as np
 
 from . import orbits
-from .groups import PElement, QElement, SkewHermitian2, TriangularS, as_generator, p_to_q, q_to_p
+from .groups import PElement, QElement, SkewHermitian2, TriangularS, p_to_q, q_to_p
 from .measures import (
-    BATCH_SIZE,
     DivergenceVerdict,
     IntegralEstimate,
     MCAccumulator,
     MeasureSpec,
-    NonFinite,
     PolarShellSampler,
     divergence_probe,
     integrate_mc,
+    require_finite,
+    sample_batches,
 )
 from .orbits import OrbitLabel
 from .points import SPoints
@@ -59,6 +59,9 @@ __all__ = [
 
 # Near-duplicate merge cutoff for formal combinations of basis vectors.
 CANONICAL_TOL = 1e-12
+
+_IDENTITY_S = TriangularS.identity()
+_ZERO_N = SkewHermitian2.zero()
 
 
 class GroupFunction:
@@ -110,9 +113,15 @@ def translate(fn: GroupFunction, s0: TriangularS) -> GroupFunction:
 
 def character_factor(label: OrbitLabel, n) -> GroupFunction:
     """The unit-modulus multiplier s -> exp(i tr(m_k s n s*))."""
-    return GroupFunction(
-        lambda pts: np.exp(1j * orbits.character_phase(label, n, pts.r1, pts.r2, pts.r))
-    )
+
+    def evaluate(pts: SPoints) -> np.ndarray:  # cos + i sin: cheaper than a complex exp
+        phase = orbits.character_phase(label, n, pts.r1, pts.r2, pts.r)
+        out = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+        return out
+
+    return GroupFunction(evaluate)
 
 
 def character_product(label: OrbitLabel, n, fn: GroupFunction) -> GroupFunction:
@@ -142,20 +151,15 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     """(T(q) F)(s) = multiplier(s, n) * F(s s0) for q = (s0, n).
 
     The translation part preserves the vacuum family; the multiplier part
-    has unit modulus, so it never changes |F| pointwise.
+    has unit modulus, so it never changes |F| pointwise.  An identity part
+    is skipped: it would multiply by exactly 1 or translate by exactly s.
     """
-    return character_product(label, q.n, translate(fn, q.s))
+    out = fn if q.s == _IDENTITY_S else translate(fn, q.s)
+    return out if q.n == _ZERO_N else character_product(label, q.n, out)
 
 
 # ---------------------------------------------------------------------------
 # cocycle vectors: formal combinations of b(p) with a derived evaluator
-
-
-def _coboundary_values(p: PElement, label: OrbitLabel, pts: SPoints) -> np.ndarray:
-    q = p_to_q(p)
-    translated = pts.right_translate(q.s)
-    phase = orbits.character_phase(label, q.n, pts.r1, pts.r2, pts.r)
-    return np.exp(1j * phase) * np.exp(-translated.norms() / 2.0) - np.exp(-pts.norms() / 2.0)
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,14 @@ class CocycleVector:
         return cls(label, ((1.0 + 0.0j, p),))
 
     def evaluate(self, pts: SPoints) -> np.ndarray:
+        """sum_i c_i (T(p_i) f - f) on the batch, with f evaluated once."""
         out = np.zeros(pts.size, dtype=complex)
+        if not self.terms:
+            return out
+        f = vacuum()
+        base = f(pts)
         for c, p in self.terms:
-            out += c * _coboundary_values(p, self.label, pts)
+            out += c * (apply_T(p_to_q(p), self.label, f)(pts) - base)
         return out
 
     def as_group_function(self) -> GroupFunction:
@@ -286,20 +295,14 @@ def gram_matrix(
         for other in p_list[i + 1 :]:
             if p.distance(other) <= CANONICAL_TOL * max(1.0, p.s.norm()):
                 raise ValueError("basis elements must be pairwise distinct")
-    rng = as_generator(rng)
+    vectors = [CocycleVector.basis(p, label) for p in p_list]
     accs = [[MCAccumulator() for _ in range(k)] for _ in range(k)]
-    remaining = n
-    while remaining > 0:
-        batch = min(remaining, BATCH_SIZE)
-        pts = sampler.sample(batch, rng)
-        weights = measure.density(pts) / sampler.density(pts)
-        values = [_coboundary_values(p, label, pts) for p in p_list]
-        if not all(np.all(np.isfinite(v.view(float))) for v in values):
-            raise NonFinite("coboundary evaluation produced a non-finite sample")
+    for pts, (weights,) in sample_batches(sampler, (measure,), n, rng):
+        values = [require_finite(v.evaluate(pts)) for v in vectors]
         for i in range(k):
+            weighted = weights * values[i]
             for j in range(i, k):
-                accs[i][j].add(weights * values[i] * np.conj(values[j]))
-        remaining -= batch
+                accs[i][j].add(weighted * np.conj(values[j]))
     gram = np.zeros((k, k), dtype=complex)
     stderr = np.zeros((k, k))
     for i in range(k):
@@ -359,19 +362,20 @@ def _describe(q: QElement) -> str:
 def specialness_report(
     test_set: Sequence[QElement],
     label: OrbitLabel,
-    measure: MeasureSpec,
+    measure,
     eps_ladder,
     r_max: float = 30.0,
     samples: int = 200_000,
     rng=0,
-) -> SpecialnessReport:
+):
     """Check that the vacuum escapes the square-integrable space while its
     coboundaries stay inside it.
 
     The verdict is confirmed when the vacuum's norm integral diverges and
     the probe classifies b(q) as convergent for every element of the test
     set.  The set must contain at least one pure translation and one pure
-    character direction.
+    character direction.  A sequence of measures is judged on one shared
+    sample stream, giving one report per measure.
     """
     if not test_set:
         raise ValueError("test set must be nonempty")
@@ -379,15 +383,19 @@ def specialness_report(
         raise ValueError("test set needs at least one pure translation")
     if not any(q.is_character_direction() for q in test_set):
         raise ValueError("test set needs at least one pure character direction")
-    rng = as_generator(rng)
-    vacuum_verdict = divergence_probe(vacuum(), measure, eps_ladder, r_max, samples, rng)
-    element_verdicts = []
-    all_convergent = True
-    for q in test_set:
-        b = coboundary(q, label).as_group_function()
-        verdict = divergence_probe(b, measure, eps_ladder, r_max, samples, rng)
-        element_verdicts.append((_describe(q), verdict))
-        all_convergent &= verdict.classification == "convergent"
+    measures = measure if isinstance(measure, (list, tuple)) else (measure,)
+    functions = [vacuum()] + [coboundary(q, label).as_group_function() for q in test_set]
+    rows = divergence_probe(functions, measures, eps_ladder, r_max, samples, rng)
+    descriptions = [_describe(q) for q in test_set]
+    reports = []
+    for j, m in enumerate(measures):
+        elements = tuple((desc, row[j]) for desc, row in zip(descriptions, rows[1:]))
+        reports.append(_judge(m.name, label, rows[0][j], elements))
+    return tuple(reports) if measures is measure else reports[0]
+
+
+def _judge(measure_name: str, label: OrbitLabel, vacuum_verdict, element_verdicts) -> SpecialnessReport:
+    all_convergent = all(v.classification == "convergent" for _, v in element_verdicts)
     confirmed = vacuum_verdict.is_divergent and all_convergent
     if confirmed:
         verdict = "special witness confirmed"
@@ -395,6 +403,4 @@ def specialness_report(
         verdict = "not special (vacuum square-integrable)"
     else:
         verdict = "not special (a coboundary failed to converge)"
-    return SpecialnessReport(
-        measure.name, label, vacuum_verdict, tuple(element_verdicts), confirmed, verdict
-    )
+    return SpecialnessReport(measure_name, label, vacuum_verdict, element_verdicts, confirmed, verdict)

@@ -5,6 +5,7 @@ full scale (one million Monte-Carlo samples per integral) and prints a
 pass/fail line.  Runtime ceilings are asserted where a criterion pins one.
 """
 
+import pytest
 
 from u22lab.claims import SuiteConfig, run_claims
 
@@ -87,6 +88,18 @@ def test_c09_gram_independence():
     record = run_claim("C09")
     assert record.verdict == "pass", record.detail
     assert record.detail["projected_value"] > 3 * record.detail["projected_stderr"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_verdicts_hold_across_seeds(seed):
+    # the statistical verdicts of C06 and C09 at full scale on seeds other
+    # than the pinned one (test_c06_specialness and test_c09_gram_independence)
+    c06, c09 = run_claims(SuiteConfig(seed=seed), ["C06", "C09"])
+    assert c06.verdict == "pass", c06.detail
+    assert c06.detail["vacuum_classification"] == "log-divergent"
+    assert [c["classification"] for c in c06.detail["coboundaries"]] == ["convergent"] * 8
+    assert c06.detail["control_verdict"] == "not special (vacuum square-integrable)"
+    assert c09.verdict == "pass", c09.detail
 
 
 def test_c10_infinitesimal_generation():

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from u22lab.cli import main
 from u22lab.matrices import SIGMA, matrix_to_json
@@ -49,6 +50,17 @@ class TestDecompose:
 
     def test_unreadable_input(self, tmp_path):
         assert run_cli(["decompose", "--input", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "m", [np.full((4, 4), np.nan), np.diag([np.inf, 1.0, 1.0, 1.0])], ids=["all-nan", "infinity"]
+    )
+    def test_non_finite_input_is_rejected_with_strict_json(self, tmp_path, capsys, m):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(matrix_to_json(m)))  # bare NaN / Infinity tokens
+        assert run_cli(["decompose", "--input", str(src)]) == 2
+        stdout = capsys.readouterr().out
+        if stdout.strip():
+            json.loads(stdout, parse_constant=lambda token: pytest.fail(f"bare {token} on stdout"))
 
 
 class TestOrbit:
@@ -219,6 +231,18 @@ class TestGramCommand:
         assert len(doc["gram_real"]) == 3
 
 
+class TestToleranceFlag:
+    @pytest.mark.parametrize("command", [
+        ["gram", "--size", "2"],
+        ["measure-probe", "--function", "vacuum"],
+        ["unboundedness-experiment"],
+    ])
+    def test_only_verify_offers_tol(self, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--tol", "1e-30"])
+        assert exc.value.code == 2
+
+
 class TestUnboundednessCommand:
     def test_smoke(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -237,6 +261,15 @@ class TestUnboundednessCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].split(",")[:3] == ["s_norm", "ratio", "stderr"]
         assert len(lines) == 6
+
+    def test_csv_on_stdout(self, capsys):
+        code = run_cli(["unboundedness-experiment", "--samples", "20000", "--format", "csv"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "s_norm,ratio,stderr,numerator,denominator"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 5
+        assert all(len(row) == 5 and row[1] > 0 for row in rows)
 
 
 def test_console_entry_point(tmp_path):

@@ -250,6 +250,43 @@ class TestDivergenceProbe:
             divergence_probe(vacuum(), nu_measure(), (0.1, 0.01), 30.0, 10_000, rng)
 
 
+class TestSharedStream:
+    def test_rung_sums_match_masked_passes(self):
+        # one batch, both C06 measures: the searchsorted + bincount reduction
+        # against one masked pass per rung over the same points
+        n = 100_000
+        eps = sorted(LADDER, reverse=True)
+        measures = [nu_measure(), truncated_nu(1.0)]
+        (row,) = divergence_probe([vacuum()], measures, LADDER, 30.0, n, np.random.default_rng(11))
+        sampler = PolarShellSampler(eps[-1], 30.0)
+        pts = sampler.sample(n, np.random.default_rng(11))
+        squared = np.abs(vacuum()(pts)) ** 2
+        for measure, verdict in zip(measures, row):
+            contrib = squared * measure.density(pts) / sampler.density(pts)
+            for cut, (value, stderr) in zip(eps, verdict.estimates):
+                masked = np.where(pts.norms() >= cut, contrib, 0.0)
+                mean = masked.sum() / n
+                assert value == pytest.approx(mean, rel=1e-12, abs=0.0)
+                expected_se = math.sqrt(max((masked**2).sum() / n - mean**2, 0.0) / n)
+                assert stderr == pytest.approx(expected_se, rel=1e-12, abs=0.0)
+
+    def test_joint_probe_equals_separate_probes_on_one_seed(self):
+        # common random numbers: each (integrand, measure) verdict of a joint
+        # probe is the verdict of a single probe on the same seed
+        functions = [vacuum(), inverse_norm()]
+        measures = [nu_measure(), truncated_nu(1.0)]
+        rows = divergence_probe(functions, measures, LADDER, 30.0, 300_000, 5)
+        for fn, row in zip(functions, rows):
+            for measure, verdict in zip(measures, row):
+                assert verdict == divergence_probe(fn, measure, LADDER, 30.0, 300_000, 5)
+        assert [v.classification for v in rows[0]] == ["log-divergent", "convergent"]
+        assert rows[1][0].classification == "power-divergent"
+
+    def test_batch_norms_are_computed_once(self):
+        pts = PolarShellSampler().sample(1000, np.random.default_rng(0))
+        assert pts.norms() is pts.norms()
+
+
 class TestBoxTranslation:
     def test_translated_mass_matches_jacobian(self, rng):
         # Lebesgue mass of the image of a unit box under right translation

@@ -162,6 +162,15 @@ class TestCoboundary:
         via_ops = apply_T(q, LABEL, vacuum())(pts) - vacuum()(pts)
         np.testing.assert_allclose(direct, via_ops, atol=1e-14)
 
+    def test_matches_closed_form(self, pts, rng):
+        # b(q)(s) = exp(i tr(m_k s n s*)) exp(-|s s0|/2) - exp(-|s|/2)
+        from u22lab import orbits
+
+        q = random_q(rng)
+        phase = orbits.character_phase(LABEL, q.n, pts.r1, pts.r2, pts.r)
+        expected = np.exp(1j * phase) * np.exp(-pts.right_translate(q.s).norms() / 2) - np.exp(-pts.norms() / 2)
+        np.testing.assert_allclose(coboundary(q, LABEL).evaluate(pts), expected, rtol=0, atol=1e-15)
+
     def test_type_check(self):
         with pytest.raises(TypeError):
             coboundary(3.0, LABEL)
@@ -295,6 +304,19 @@ class TestSpecialness:
         )
         assert not report.confirmed
         assert report.verdict == "not special (vacuum square-integrable)"
+
+    def test_measures_share_one_stream(self):
+        # a sequence of measures gives one report per measure, each equal to
+        # the single-measure report on the same seed
+        measures = (nu_measure(), truncated_nu(1.0))
+        reports = specialness_report(default_test_set(), LABEL, measures, LADDER, 30.0, 100_000, 9)
+        assert [r.measure_name for r in reports] == ["nu", "nu-truncated-1"]
+        for measure, report in zip(measures, reports):
+            assert report == specialness_report(default_test_set(), LABEL, measure, LADDER, 30.0, 100_000, 9)
+        assert reports[0].verdict == "special witness confirmed"
+        assert reports[1].verdict == "not special (vacuum square-integrable)"
+        classes = [v.classification for _, v in reports[0].element_verdicts]
+        assert classes == ["convergent"] * len(default_test_set())
 
     def test_empty_set_rejected(self, rng):
         with pytest.raises(ValueError):
