@@ -2,7 +2,8 @@
 orbit points, probe measures, and emit machine-readable reports.
 
 Exit codes: 0 all requested work passed, 1 at least one claim failed,
-2 usage or input error.
+2 usage or input error, including input the library rejects (one `error:`
+line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from .claims import SuiteConfig, records_to_csv, records_to_json, run_claims
 from .extension import unboundedness_experiment
 from .groups import (
-    NotInGroup,
+    DecompositionFailed,
     QElement,
     SkewHermitian2,
     TriangularS,
@@ -101,8 +103,10 @@ def _parse_label(text: str) -> OrbitLabel:
 
 
 def _read_json(path: str):
-    raw = sys.stdin.read() if path == "-" else open(path).read()
-    return json.loads(raw)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _emit(text: str, out: str | None):
@@ -177,9 +181,18 @@ def _cmd_decompose(args) -> int:
 
 
 def _parse_skew(doc) -> SkewHermitian2:
-    if isinstance(doc, dict):
-        return SkewHermitian2(doc["a"], doc["b"], complex(doc["z"][0], doc["z"][1]))
-    return SkewHermitian2.from_matrix(matrix_from_json(doc, (2, 2)))
+    if not isinstance(doc, dict):
+        return SkewHermitian2.from_matrix(matrix_from_json(doc, (2, 2)))
+    z = doc.get("z")
+    if not isinstance(z, list) or len(z) != 2:
+        raise ValueError("point 'z' must be a [re, im] pair")
+    try:
+        a, b, re, im = (float(v) for v in (doc["a"], doc["b"], *z))
+    except TypeError as exc:
+        raise ValueError("point entries must be numbers") from exc
+    if not all(math.isfinite(v) for v in (a, b, re, im)):
+        raise ValueError("point has a non-finite entry")
+    return SkewHermitian2(a, b, complex(re, im))
 
 
 def _cmd_orbit(args) -> int:
@@ -300,7 +313,9 @@ def main(argv=None) -> int:
         if args.command == "unboundedness-experiment":
             return _cmd_unboundedness(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, NotInGroup, OSError, json.JSONDecodeError, KeyError) as exc:
+    # library errors are ValueErrors (NotInGroup, NotFactorizable,
+    # InvariantViolation, ...) or DecompositionFailed
+    except (ValueError, DecompositionFailed, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

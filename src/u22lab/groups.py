@@ -15,6 +15,17 @@ where S is the block swap ``matrices.SIGMA``.  Inside it live:
 
 The coordinate change between P and Q is (s, X) -> (s, X s*), inverse
 (s, n) -> (s, n (s*)^-1).  Every ambient element factors uniquely as p k.
+
+Batch-first: the fields of ``TriangularS`` and ``SkewHermitian2`` are
+Python scalars for one element or equal-shape arrays for a batch, and the
+matrices of ``PElement`` and ``U22Element`` are one matrix or a stack
+(..., n, n).  Every method, the coordinate changes and the
+membership test work on both, and a batch is validated member by member at
+the tolerance of the scalar constructor; a failing batch raises the error
+of its first failing member.  The closed forms on chart components
+(``s_product``, ``s_inverse``, ``n_conjugate``) exist once and are shared
+with the batched chart points in ``points``.  The samplers draw a batch in
+one call when given ``size``.
 """
 
 from __future__ import annotations
@@ -46,6 +57,9 @@ __all__ = [
     "DecompositionFailed",
     "NotInGroup",
     "MembershipReport",
+    "s_product",
+    "s_inverse",
+    "n_conjugate",
     "TriangularS",
     "SkewHermitian2",
     "PElement",
@@ -112,7 +126,10 @@ class NotInGroup(ValueError):
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """The four membership residuals, normalized by max(1, |g|_F^2)."""
+    """The four membership residuals, normalized by max(1, |g|_F^2).
+
+    For a stack of matrices every field is an array over the stack axes.
+    """
 
     ok: bool
     sigma_relation: float
@@ -124,14 +141,69 @@ class MembershipReport:
     def residuals(self) -> tuple[float, float, float, float]:
         return (self.sigma_relation, self.block_unit, self.block_upper, self.block_lower)
 
-    def max_residual(self) -> float:
-        return max(self.residuals())
+    def max_residual(self):
+        return np.max(self.residuals(), axis=0)
+
+    def at(self, index) -> "MembershipReport":
+        """The report of one stack member (index () for a single matrix)."""
+        values = (np.asarray(v)[index] for v in (self.ok, *self.residuals()))
+        return MembershipReport(*values, self.tol)
 
     def __str__(self) -> str:
         return (
             f"sigma={self.sigma_relation:.3e} unit={self.block_unit:.3e} "
             f"upper={self.block_upper:.3e} lower={self.block_lower:.3e} (tol={self.tol:.1e})"
         )
+
+
+def _first_failure(ok):
+    """None when the check ``ok`` holds, else the index of the first member
+    where it fails.
+
+    ``ok`` is one bool for a single element or an array for a batch.  The
+    index of a single element is (), so ``np.asarray(v)[index]`` reads the
+    failing value of a single element and of a batch member alike.
+    """
+    if ok is True or ok is np.True_:  # one element: skip the array round trip
+        return None
+    ok = np.asarray(ok)
+    if ok.all():
+        return None
+    return np.unravel_index(int(np.argmin(ok)), ok.shape)
+
+
+def _components(x, y, w):
+    """Two real and one complex field: plain scalars, or broadcast arrays."""
+    if getattr(x, "ndim", 0) == getattr(y, "ndim", 0) == getattr(w, "ndim", 0) == 0:
+        return float(x), float(y), complex(w)
+    return np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(w, dtype=complex)
+    )
+
+
+# ---------------------------------------------------------------------------
+# closed forms on chart components: scalars or arrays (which broadcast) in,
+# the same kind out
+
+
+def s_product(r1, r2, r, p1, p2, p):
+    """[[r1, 0], [r, r2]] [[p1, 0], [p, p2]] = [[r1 p1, 0], [r p1 + r2 p, r2 p2]]."""
+    return r1 * p1, r2 * p2, r * p1 + r2 * p
+
+
+def s_inverse(r1, r2, r):
+    """[[r1, 0], [r, r2]]^-1 = [[1/r1, 0], [-r/(r1 r2), 1/r2]]."""
+    return 1.0 / r1, 1.0 / r2, -r / (r1 * r2)
+
+
+def n_conjugate(a, b, z, r1, r2, r):
+    """s n s* for n = [[i a, z], [-conj(z), i b]]; the image is again of that
+    form, so it stays exactly skew-Hermitian."""
+    return (
+        a * r1 * r1,
+        a * abs(r) ** 2 + b * r2 * r2 + 2.0 * r2 * (r * z).imag,
+        r1 * (1j * a * r.conjugate() + r2 * z),
+    )
 
 
 @dataclass(frozen=True)
@@ -143,11 +215,15 @@ class TriangularS:
     r: complex
 
     def __post_init__(self):
-        if not (self.r1 > 0.0 and self.r2 > 0.0):
-            raise InvariantViolation(f"diagonal must be positive, got {self.r1}, {self.r2}")
-        object.__setattr__(self, "r1", float(self.r1))
-        object.__setattr__(self, "r2", float(self.r2))
-        object.__setattr__(self, "r", complex(self.r))
+        r1, r2, r = _components(self.r1, self.r2, self.r)
+        bad = _first_failure((r1 > 0.0) & (r2 > 0.0))
+        if bad is not None:
+            raise InvariantViolation(
+                f"diagonal must be positive, got {np.asarray(r1)[bad]}, {np.asarray(r2)[bad]}"
+            )
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "r", r)
 
     @classmethod
     def identity(cls) -> "TriangularS":
@@ -156,44 +232,40 @@ class TriangularS:
     @classmethod
     def from_matrix(cls, m: np.ndarray, tol: float = VALIDATION_TOL) -> "TriangularS":
         m = np.asarray(m, dtype=complex)
-        scale = max(1.0, frob(m))
-        if abs(m[0, 1]) > tol * scale:
+        limit = tol * np.maximum(1.0, frob(m))
+        if _first_failure(abs(m[..., 0, 1]) <= limit) is not None:
             raise InvariantViolation("matrix is not lower triangular")
-        if abs(m[0, 0].imag) > tol * scale or abs(m[1, 1].imag) > tol * scale:
+        real_diagonal = (abs(m[..., 0, 0].imag) <= limit) & (abs(m[..., 1, 1].imag) <= limit)
+        if _first_failure(real_diagonal) is not None:
             raise InvariantViolation("diagonal is not real")
-        return cls(m[0, 0].real, m[1, 1].real, m[1, 0])
+        return cls(m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0])
 
     def matrix(self) -> np.ndarray:
-        return np.array([[self.r1, 0.0], [self.r, self.r2]], dtype=complex)
+        out = np.zeros(getattr(self.r, "shape", ()) + (2, 2), dtype=complex)
+        out[..., 0, 0] = self.r1
+        out[..., 1, 0] = self.r
+        out[..., 1, 1] = self.r2
+        return out
 
     def multiply(self, other: "TriangularS") -> "TriangularS":
-        # [[r1, 0], [r, r2]] [[p1, 0], [p, p2]] = [[r1 p1, 0], [r p1 + r2 p, r2 p2]]
-        return TriangularS(
-            self.r1 * other.r1,
-            self.r2 * other.r2,
-            self.r * other.r1 + self.r2 * other.r,
-        )
+        return TriangularS(*s_product(self.r1, self.r2, self.r, other.r1, other.r2, other.r))
 
     def inverse(self) -> "TriangularS":
-        return TriangularS(1.0 / self.r1, 1.0 / self.r2, -self.r / (self.r1 * self.r2))
+        return TriangularS(*s_inverse(self.r1, self.r2, self.r))
 
-    def norm(self) -> float:
+    def norm(self):
         """Frobenius norm sqrt(r1^2 + r2^2 + |r|^2)."""
-        return math.sqrt(self.r1**2 + self.r2**2 + abs(self.r) ** 2)
+        return np.sqrt(self.r1**2 + self.r2**2 + abs(self.r) ** 2)
 
     def scale(self, c: float) -> "TriangularS":
         if c <= 0:
             raise InvariantViolation("scale factor must be positive")
         return TriangularS(c * self.r1, c * self.r2, c * self.r)
 
-    def distance(self, other: "TriangularS") -> float:
-        return math.sqrt(
+    def distance(self, other: "TriangularS"):
+        return np.sqrt(
             (self.r1 - other.r1) ** 2 + (self.r2 - other.r2) ** 2 + abs(self.r - other.r) ** 2
         )
-
-    def is_close(self, other: "TriangularS", tol: float = PRODUCT_TOL) -> bool:
-        scale = max(1.0, self.norm(), other.norm())
-        return self.distance(other) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -208,9 +280,10 @@ class SkewHermitian2:
     z: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "z", complex(self.z))
+        a, b, z = _components(self.a, self.b, self.z)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def zero(cls) -> "SkewHermitian2":
@@ -219,15 +292,18 @@ class SkewHermitian2:
     @classmethod
     def from_matrix(cls, m: np.ndarray, tol: float = VALIDATION_TOL) -> "SkewHermitian2":
         m = np.asarray(m, dtype=complex)
-        scale = max(1.0, frob(m))
-        if frob(m + adjoint(m)) > tol * scale:
+        if _first_failure(frob(m + adjoint(m)) <= tol * np.maximum(1.0, frob(m))) is not None:
             raise InvariantViolation("matrix is not skew-Hermitian at tolerance")
-        return cls(m[0, 0].imag, m[1, 1].imag, (m[0, 1] - np.conj(m[1, 0])) / 2.0)
+        z = (m[..., 0, 1] - np.conj(m[..., 1, 0])) / 2.0
+        return cls(m[..., 0, 0].imag, m[..., 1, 1].imag, z)
 
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [[1j * self.a, self.z], [-np.conj(self.z), 1j * self.b]], dtype=complex
-        )
+        out = np.empty(getattr(self.z, "shape", ()) + (2, 2), dtype=complex)
+        out[..., 0, 0] = 1j * self.a
+        out[..., 0, 1] = self.z
+        out[..., 1, 0] = -np.conj(self.z)
+        out[..., 1, 1] = 1j * self.b
+        return out
 
     def add(self, other: "SkewHermitian2") -> "SkewHermitian2":
         return SkewHermitian2(self.a + other.a, self.b + other.b, self.z + other.z)
@@ -240,16 +316,12 @@ class SkewHermitian2:
 
     def conjugate_by(self, s: TriangularS) -> "SkewHermitian2":
         """Closed form of s n s*, staying exactly skew-Hermitian."""
-        r1, r2, r = s.r1, s.r2, s.r
-        a2 = self.a * r1 * r1
-        b2 = self.a * abs(r) ** 2 + self.b * r2 * r2 + 2.0 * r2 * (r * self.z).imag
-        z2 = r1 * (1j * self.a * np.conj(r) + r2 * self.z)
-        return SkewHermitian2(a2, b2, z2)
+        return SkewHermitian2(*n_conjugate(self.a, self.b, self.z, s.r1, s.r2, s.r))
 
-    def norm(self) -> float:
-        return math.sqrt(self.a**2 + self.b**2 + 2.0 * abs(self.z) ** 2)
+    def norm(self):
+        return np.sqrt(self.a**2 + self.b**2 + 2.0 * abs(self.z) ** 2)
 
-    def distance(self, other: "SkewHermitian2") -> float:
+    def distance(self, other: "SkewHermitian2"):
         return self.add(other.neg()).norm()
 
 
@@ -266,14 +338,17 @@ class PElement:
 
     def __post_init__(self):
         x = freeze(self.x)
-        if x.shape != (2, 2):
+        if x.shape[-2:] != (2, 2):
             raise InvariantViolation(f"X must be 2x2, got {x.shape}")
         object.__setattr__(self, "x", x)
         smat = self.s.matrix()
         residual = frob(smat @ adjoint(x) + x @ adjoint(smat))
-        scale = max(1.0, frob(smat) * frob(x))
-        if residual > VALIDATION_TOL * scale:
-            raise InvariantViolation(f"relative skew-Hermiticity residual {residual:.3e}")
+        scale = np.maximum(1.0, frob(smat) * frob(x))
+        bad = _first_failure(residual <= VALIDATION_TOL * scale)
+        if bad is not None:
+            raise InvariantViolation(
+                f"relative skew-Hermiticity residual {np.asarray(residual)[bad]:.3e}"
+            )
 
     @classmethod
     def identity(cls) -> "PElement":
@@ -295,12 +370,8 @@ class PElement:
         x_inv = -(s_inv.matrix() @ self.x @ adjoint(s_inv.matrix()))
         return PElement(s_inv, x_inv)
 
-    def distance(self, other: "PElement") -> float:
-        return math.sqrt(self.s.distance(other.s) ** 2 + frob(self.x - other.x) ** 2)
-
-    def is_close(self, other: "PElement", tol: float = PRODUCT_TOL) -> bool:
-        scale = max(1.0, self.s.norm() + frob(self.x), other.s.norm() + frob(other.x))
-        return self.distance(other) <= tol * scale
+    def distance(self, other: "PElement"):
+        return np.sqrt(self.s.distance(other.s) ** 2 + frob(self.x - other.x) ** 2)
 
     def is_identity(self, tol: float = 1e-13) -> bool:
         return self.distance(PElement.identity()) <= tol
@@ -327,23 +398,25 @@ class QElement:
 def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
     """Membership test with the four residuals, each normalized by max(1, |g|^2).
 
-    Checks the defining relation g S g* = S together with the three explicit
-    block relations it is equivalent to:
+    One product D = g S g* - S gives all four: |D| is the defining relation
+    g S g* = S, and D's top-right, top-left and bottom-right blocks are the
+    three block relations it is equivalent to:
 
         g12 g21* + g11 g22* = e,   g11 g12* + g12 g11* = 0,
         g22 g21* + g21 g22* = 0.
+
+    ``m`` is one 4x4 matrix or a stack (..., 4, 4); for a stack the report
+    holds one entry per member.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-    g11, g12, g21, g22 = blocks(m)
-    scale = max(1.0, frob(m) ** 2)
-    r_sigma = frob(m @ SIGMA @ adjoint(m) - SIGMA) / scale
-    r_unit = frob(g12 @ adjoint(g21) + g11 @ adjoint(g22) - E2) / scale
-    r_upper = frob(g11 @ adjoint(g12) + g12 @ adjoint(g11)) / scale
-    r_lower = frob(g22 @ adjoint(g21) + g21 @ adjoint(g22)) / scale
-    ok = max(r_sigma, r_unit, r_upper, r_lower) <= tol
-    return MembershipReport(ok, r_sigma, r_unit, r_upper, r_lower, tol)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got {m.shape}")
+    d = m @ SIGMA @ adjoint(m) - SIGMA
+    d11, d12, _, d22 = blocks(d)
+    scale = np.maximum(1.0, frob(m) ** 2)
+    residuals = [frob(block) / scale for block in (d, d12, d11, d22)]
+    ok = np.max(residuals, axis=0) <= tol
+    return MembershipReport(ok, *residuals, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,12 +430,17 @@ class U22Element:
         m = freeze(self.m)
         object.__setattr__(self, "m", m)
         report = is_in_u22(m, self.tol)
-        if not report.ok:
-            raise NotInGroup(report)
+        bad = _first_failure(report.ok)
+        if bad is not None:
+            raise NotInGroup(report.at(bad))
 
     @classmethod
     def identity(cls) -> "U22Element":
         return cls(E4)
+
+    def __getitem__(self, index) -> "U22Element":
+        """Members of a stack, as a smaller stack or a single element."""
+        return U22Element(self.m[index], tol=self.tol)
 
     def multiply(self, other: "U22Element") -> "U22Element":
         return U22Element(self.m @ other.m, tol=max(self.tol, other.tol))
@@ -371,7 +449,7 @@ class U22Element:
         # g^-1 = S g* S follows from the defining relation; no linear solve.
         return U22Element(SIGMA @ adjoint(self.m) @ SIGMA, tol=self.tol)
 
-    def distance(self, other: "U22Element") -> float:
+    def distance(self, other: "U22Element"):
         return frob(self.m - other.m)
 
 
@@ -462,11 +540,11 @@ def p_from_matrix(m: np.ndarray, tol: float = PRODUCT_TOL) -> PElement:
     """Read a PElement off its 4x4 block matrix (validating the shape)."""
     m = np.asarray(m, dtype=complex)
     g11, g12, g21, g22 = blocks(m)
-    scale = max(1.0, frob(m))
-    if frob(g12) > tol * scale:
+    limit = tol * np.maximum(1.0, frob(m))
+    if _first_failure(frob(g12) <= limit) is not None:
         raise InvariantViolation("upper-right block not zero")
     s = TriangularS.from_matrix(g22, tol)
-    if frob(g11 - adjoint(s.inverse().matrix())) > tol * scale:
+    if _first_failure(frob(g11 - adjoint(s.inverse().matrix())) <= limit) is not None:
         raise InvariantViolation("upper-left block is not s*^-1")
     return PElement(s, g21)
 
@@ -623,31 +701,34 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_s(seed) -> TriangularS:
+# ``size`` None draws one element; an integer draws a batch of that many, in
+# one generator call per field.
+
+
+def random_s(seed, size: int | None = None) -> TriangularS:
     """r1, r2 log-uniform on [e^-2, e^2]; r standard complex Gaussian."""
     rng = as_generator(seed)
-    r1 = math.exp(rng.uniform(-2.0, 2.0))
-    r2 = math.exp(rng.uniform(-2.0, 2.0))
-    r = complex(rng.standard_normal(), rng.standard_normal())
+    # -2 + 4 u is rng.uniform(-2, 2) to the bit, without its per-call overhead
+    r1 = np.exp(-2.0 + 4.0 * rng.random(size))
+    r2 = np.exp(-2.0 + 4.0 * rng.random(size))
+    r = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return TriangularS(r1, r2, r)
 
 
-def random_n(seed) -> SkewHermitian2:
+def random_n(seed, size: int | None = None) -> SkewHermitian2:
     rng = as_generator(seed)
-    return SkewHermitian2(
-        rng.standard_normal(),
-        rng.standard_normal(),
-        complex(rng.standard_normal(), rng.standard_normal()),
-    )
+    a = rng.standard_normal(size)
+    b = rng.standard_normal(size)
+    return SkewHermitian2(a, b, rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def random_q(seed) -> QElement:
+def random_q(seed, size: int | None = None) -> QElement:
     rng = as_generator(seed)
-    return QElement(random_s(rng), random_n(rng))
+    return QElement(random_s(rng, size), random_n(rng, size))
 
 
-def random_p(seed) -> PElement:
-    return q_to_p(random_q(as_generator(seed)))
+def random_p(seed, size: int | None = None) -> PElement:
+    return q_to_p(random_q(as_generator(seed), size))
 
 
 def _haar_u2(rng: np.random.Generator) -> np.ndarray:
@@ -667,15 +748,16 @@ def random_k(seed) -> KElement:
     return KElement(assemble(alpha, beta, beta, alpha), tol=PRODUCT_TOL)
 
 
-def random_u22(seed, radius: float = 2.0) -> U22Element:
-    """exp of a random algebra combination, rescaled to norm <= radius."""
+def random_u22(seed, radius: float = 2.0, size: int | None = None) -> U22Element:
+    """exp of a random algebra combination, rescaled to norm <= radius.
+
+    A batch draws its coefficients as one (size, 16) block, the same stream
+    as ``size`` single draws.
+    """
     rng = as_generator(seed)
-    basis = lie.u22_basis()
-    coeffs = rng.standard_normal(len(basis))
-    xi = sum(c * b for c, b in zip(coeffs, basis))
-    norm = frob(xi)
-    if norm > radius:
-        xi = xi * (radius / norm)
+    coeffs = rng.standard_normal(len(lie.U22_BASIS) if size is None else (size, len(lie.U22_BASIS)))
+    xi = np.tensordot(coeffs, lie.U22_BASIS, axes=1)
+    xi = xi * (radius / np.maximum(frob(xi), radius))[..., None, None]
     return U22Element(matrix_exp(xi), tol=CONSTRUCTION_TOL)
 
 

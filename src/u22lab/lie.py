@@ -4,18 +4,19 @@ An algebra element is any 4x4 complex xi with xi sigma + sigma xi* = 0;
 in blocks [[A, B], [C, D]] this forces B and C skew-Hermitian and D = -A*,
 so the real dimension is 16.  The triangular subalgebra consists of
 [[-T*, 0], [Y, T]] with T lower triangular real-diagonal and Y
-skew-Hermitian, real dimension 8.
+skew-Hermitian, real dimension 8.  Both bases are module constants, stacks
+of shape (16, 4, 4) and (8, 4, 4), built once at import and read-only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matrices import SIGMA, adjoint, frob
+from .matrices import SIGMA, adjoint, assemble, freeze, frob
 
 __all__ = [
-    "u22_basis",
-    "p_subalgebra_basis",
+    "U22_BASIS",
+    "P_BASIS",
     "algebra_residual",
     "sigma_conjugate",
     "bracket",
@@ -45,33 +46,31 @@ def _lower_real_diag_basis() -> list[np.ndarray]:
     return [_unit(0, 0), _unit(1, 1), _unit(1, 0), 1j * _unit(1, 0)]
 
 
-def _blk(a, b, c, d) -> np.ndarray:
-    return np.block([[a, b], [c, d]]).astype(complex)
-
-
-def u22_basis() -> list[np.ndarray]:
-    """16 real-basis elements of the ambient algebra."""
+def _u22_basis() -> np.ndarray:
     out = []
     for j in range(2):
         for k in range(2):
             for unit in (1.0, 1j):
                 a = unit * _unit(j, k)
-                out.append(_blk(a, _Z2, _Z2, -adjoint(a)))
+                out.append(assemble(a, _Z2, _Z2, -adjoint(a)))
     for y in _skew_hermitian_basis():
-        out.append(_blk(_Z2, y, _Z2, _Z2))
+        out.append(assemble(_Z2, y, _Z2, _Z2))
     for y in _skew_hermitian_basis():
-        out.append(_blk(_Z2, _Z2, y, _Z2))
-    return out
+        out.append(assemble(_Z2, _Z2, y, _Z2))
+    return freeze(out)
 
 
-def p_subalgebra_basis() -> list[np.ndarray]:
-    """8 real-basis elements of the triangular subalgebra."""
+def _p_basis() -> np.ndarray:
     out = []
     for t in _lower_real_diag_basis():
-        out.append(_blk(-adjoint(t), _Z2, _Z2, t))
+        out.append(assemble(-adjoint(t), _Z2, _Z2, t))
     for y in _skew_hermitian_basis():
-        out.append(_blk(_Z2, _Z2, y, _Z2))
-    return out
+        out.append(assemble(_Z2, _Z2, y, _Z2))
+    return freeze(out)
+
+
+U22_BASIS = _u22_basis()  # 16 real-basis elements of the ambient algebra
+P_BASIS = _p_basis()  # 8 real-basis elements of the triangular subalgebra
 
 
 def algebra_residual(xi: np.ndarray) -> float:
@@ -81,6 +80,7 @@ def algebra_residual(xi: np.ndarray) -> float:
 
 
 def sigma_conjugate(xi: np.ndarray) -> np.ndarray:
+    """sigma xi sigma, for one matrix or a stack."""
     return SIGMA @ np.asarray(xi, dtype=complex) @ SIGMA
 
 

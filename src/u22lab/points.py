@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc, norm
 
-from .groups import TriangularS
+from .groups import TriangularS, s_product
 
 __all__ = ["SPoints", "reference_points"]
 
@@ -41,11 +40,7 @@ class SPoints:
 
     def right_translate(self, s0: TriangularS) -> "SPoints":
         """Pointwise s -> s s0 in chart coordinates."""
-        return SPoints(
-            self.r1 * s0.r1,
-            self.r2 * s0.r2,
-            self.r * s0.r1 + self.r2 * s0.r,
-        )
+        return SPoints(*s_product(self.r1, self.r2, self.r, s0.r1, s0.r2, s0.r))
 
     def element(self, i: int) -> TriangularS:
         return TriangularS(float(self.r1[i]), float(self.r2[i]), complex(self.r[i]))
@@ -63,18 +58,34 @@ class SPoints:
         return cls.from_elements([s])
 
 
+def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput radical inverse: the base-``base`` digits of each index
+    mirrored about the radix point, accumulated most significant first."""
+    out = np.zeros(indices.shape)
+    q = indices.copy()
+    weight = 1.0 / base
+    while q.any():
+        out += (q % base) * weight
+        weight /= base
+        q //= base
+    return out
+
+
 def reference_points(n: int = 100, r_min: float = 1e-3, r_max: float = 10.0) -> SPoints:
     """Deterministic low-discrepancy test points with log-spaced radii.
 
-    Directions come from a Halton sequence pushed through the normal ppf and
-    normalized onto the unit patch (first two coordinates positive), so the
-    set probes both the small-radius and large-radius regimes.
+    Directions come from the unscrambled Halton sequence in bases 2, 3, 5
+    and 7 (radical inverses of 1..n; index 0, the origin, is skipped) pushed
+    through the normal quantile and normalized onto the unit patch (first
+    two coordinates positive), so the set probes both the small-radius and
+    large-radius regimes.
     """
+    from scipy.special import ndtri  # deferred: keeps SciPy off u22lab's import path
+
     radii = np.logspace(np.log10(r_min), np.log10(r_max), n)
-    sampler = qmc.Halton(d=4, scramble=False)
-    sampler.fast_forward(1)  # skip the origin point
-    u = sampler.random(n)
-    x = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    indices = np.arange(1, n + 1)
+    u = np.stack([_radical_inverse(indices, base) for base in (2, 3, 5, 7)], axis=1)
+    x = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     x[:, 0] = np.abs(x[:, 0]) + 1e-9
     x[:, 1] = np.abs(x[:, 1]) + 1e-9
     lengths = np.sqrt(np.sum(x**2, axis=1))

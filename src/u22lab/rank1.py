@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "AffElement",
@@ -106,6 +105,8 @@ class AlmostInvariantReport:
 
 
 def _quad(func, lo: float, hi: float) -> tuple[float, float]:
+    from scipy import integrate  # deferred: keeps SciPy off u22lab's import path
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, err = integrate.quad(func, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=400)

@@ -102,6 +102,15 @@ def test_mc_verdicts_hold_across_seeds(seed):
     assert c09.verdict == "pass", c09.detail
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_group_claims_hold_across_seeds(seed):
+    # C01 and C02 run on stacks; their verdicts at unchanged tolerances on
+    # seeds other than the pinned one
+    c01, c02 = run_claims(SuiteConfig(seed=seed), ["C01", "C02"])
+    assert c01.verdict == "pass" and c01.measured < 1e-9, c01.detail
+    assert c02.verdict == "pass" and c02.measured < 1e-10, c02.detail
+
+
 def test_c10_infinitesimal_generation():
     # Stated expectation: the 16-column real matrix built from the triangular
     # subalgebra basis and its swap conjugate has rank 16.  The measured rank

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import u22lab
 from u22lab.cli import main
-from u22lab.matrices import SIGMA, matrix_to_json
+from u22lab.groups import random_k
+from u22lab.matrices import SIGMA, adjoint, assemble, matrix_to_json
 
 
 def run_cli(args):
@@ -63,6 +67,18 @@ class TestDecompose:
             json.loads(stdout, parse_constant=lambda token: pytest.fail(f"bare {token} on stdout"))
 
 
+    def test_ill_conditioned_member_is_an_input_error(self, tmp_path, capsys):
+        # a valid element p(s) k with s = [[1000, 0], [0.5, 1/1000]]; the
+        # factorization rejects it (DecompositionFailed), which is exit 2
+        s = np.array([[1000.0, 0.0], [0.5, 1e-3]])
+        p = assemble(adjoint(np.linalg.inv(s)), np.zeros((2, 2)), np.zeros((2, 2)), s)
+        src = tmp_path / "ill.json"
+        src.write_text(json.dumps(matrix_to_json(p @ random_k(0).m)))
+        assert run_cli(["decompose", "--input", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestOrbit:
     def test_representative(self, tmp_path):
         src = tmp_path / "m.json"
@@ -89,6 +105,26 @@ class TestOrbit:
         src.write_text(json.dumps({"a": 1.0, "b": 1.0, "z": [1.0, 0.0]}))  # det = 0
         assert run_cli(["orbit", "--input", str(src), "--out", str(out)]) == 0
         assert read_json(out)["label"] == "degenerate"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": 1, "b": 2, "z": [0]}',
+            '{"a": 1, "b": 2}',
+            '{"a": 1, "b": 2, "z": "00"}',
+            '{"a": NaN, "b": 1.0, "z": [0, 0]}',
+            '{"a": 1.0, "b": 1.0, "z": [Infinity, 0]}',
+        ],
+        ids=["short-z", "missing-z", "z-not-a-list", "nan", "infinity"],
+    )
+    def test_malformed_point_is_an_input_error(self, tmp_path, capsys, text):
+        src = tmp_path / "m.json"
+        src.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numerical warning may leak
+            assert run_cli(["orbit", "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: point") and captured.out == ""
 
 
 class TestMeasureProbe:
@@ -282,3 +318,17 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["reconstruction_residual"] == 0.0
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    # scipy.stats and scipy.integrate cost about a second of cold start; the
+    # CLI path must not import them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(u22lab.__file__)))
+    code = (
+        "import sys, u22lab.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

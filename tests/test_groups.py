@@ -24,6 +24,7 @@ from u22lab.groups import (
     is_n_shaped,
     is_s_shaped,
     iwasawa_decompose,
+    n_conjugate,
     nested_q_commutator,
     p_from_matrix,
     p_to_q,
@@ -36,10 +37,12 @@ from u22lab.groups import (
     random_q,
     random_s,
     random_u22,
+    s_inverse,
+    s_product,
     sigma_hat,
     structured_p_factor,
 )
-from u22lab.matrices import E4, SIGMA, adjoint, frob
+from u22lab.matrices import E2, E4, SIGMA, adjoint, blocks, frob
 
 
 class TestMembership:
@@ -59,6 +62,45 @@ class TestMembership:
     def test_u22element_rejects(self):
         with pytest.raises(NotInGroup):
             U22Element(np.diag([2.0, 1.0, 1.0, 1.0]))
+
+    def test_one_product_matches_the_block_relations(self, rng):
+        # the blocks of D = g S g* - S are the three block relations
+        for _ in range(50):
+            m = random_u22(rng).m + 1e-3 * rng.standard_normal((4, 4))
+            g11, g12, g21, g22 = blocks(m)
+            scale = max(1.0, frob(m) ** 2)
+            report = is_in_u22(m)
+            assert abs(report.sigma_relation - frob(m @ SIGMA @ adjoint(m) - SIGMA) / scale) <= 1e-15
+            assert abs(report.block_unit - frob(g12 @ adjoint(g21) + g11 @ adjoint(g22) - E2) / scale) <= 1e-15
+            assert abs(report.block_upper - frob(g11 @ adjoint(g12) + g12 @ adjoint(g11)) / scale) <= 1e-15
+            assert abs(report.block_lower - frob(g22 @ adjoint(g21) + g21 @ adjoint(g22)) / scale) <= 1e-15
+
+    def test_stack_residuals_match_scalar(self, rng):
+        stack = random_u22(rng, size=40).m.copy()
+        stack[::3] += 1e-6 * rng.standard_normal((14, 4, 4))  # some non-members
+        report = is_in_u22(stack)
+        assert report.ok.shape == (40,)
+        for i, m in enumerate(stack):
+            single = is_in_u22(m)
+            assert report.ok[i] == single.ok
+            assert np.max(np.abs(np.subtract(report.at(i).residuals(), single.residuals()))) <= 1e-15
+
+    def test_stack_with_one_perturbed_member_raises(self, rng):
+        stack = random_u22(rng, size=20).m.copy()
+        stack[7, 0, 0] += 1e-6
+        with pytest.raises(NotInGroup) as info:
+            U22Element(stack, tol=1e-12)
+        expected = is_in_u22(stack[7], 1e-12)
+        assert not expected.ok
+        assert info.value.report.residuals() == pytest.approx(expected.residuals(), rel=1e-12)
+        U22Element(np.delete(stack, 7, axis=0), tol=1e-12)  # the others pass
+
+    def test_stack_products_and_inverses(self, rng):
+        g = random_u22(rng, size=10)
+        assert g.m.shape == (10, 4, 4)
+        prod = g[0::2].multiply(g[1::2])
+        assert frob(prod.m[2] - g.m[4] @ g.m[5]) == 0.0
+        assert np.max(frob(g.multiply(g.inverse()).m - E4)) < 1e-13
 
 
 class TestEmbeddings:
@@ -109,6 +151,52 @@ class TestCoordinateChange:
             q = p_to_q(random_p(rng))
             n = q.n.matrix()
             assert np.array_equal(n + adjoint(n), np.zeros((2, 2)))
+
+
+class TestComponentForms:
+    def test_floats_and_length_one_arrays_agree(self, rng):
+        # NumPy's array loops may fuse a multiply-add that Python's complex
+        # arithmetic rounds twice, so agreement is to rounding, not bits
+        for _ in range(20):
+            s, t, n = random_s(rng), random_s(rng), random_n(rng)
+            cases = [
+                (s_product, (s.r1, s.r2, s.r, t.r1, t.r2, t.r)),
+                (s_inverse, (s.r1, s.r2, s.r)),
+                (n_conjugate, (n.a, n.b, n.z, s.r1, s.r2, s.r)),
+            ]
+            for form, args in cases:
+                on_floats = form(*args)
+                on_arrays = form(*(np.array([v]) for v in args))
+                scale = max(1.0, *(abs(v) for v in args)) ** 3
+                for x, y in zip(on_floats, on_arrays):
+                    assert y.shape == (1,)
+                    assert abs(x - y[0]) <= 1e-15 * scale
+
+    def test_batched_elements_match_single_elements(self, rng):
+        q1, q2 = random_q(rng, size=25), random_q(rng, size=25)
+        direct = q_multiply(q1, q2)
+        p1 = q_to_p(q1)
+        via = p_to_q(p_from_matrix(p1.matrix() @ q_to_p(q2).matrix()))
+        assert p1.x.shape == (25, 2, 2)
+        for i in range(25):
+            one1 = QElement(TriangularS(q1.s.r1[i], q1.s.r2[i], q1.s.r[i]),
+                            SkewHermitian2(q1.n.a[i], q1.n.b[i], q1.n.z[i]))
+            one2 = QElement(TriangularS(q2.s.r1[i], q2.s.r2[i], q2.s.r[i]),
+                            SkewHermitian2(q2.n.a[i], q2.n.b[i], q2.n.z[i]))
+            single = q_multiply(one1, one2)
+            scale = max(1.0, single.s.norm() + single.n.norm())
+            assert single.s.distance(TriangularS(direct.s.r1[i], direct.s.r2[i], direct.s.r[i])) <= 1e-15 * scale
+            assert single.n.distance(SkewHermitian2(direct.n.a[i], direct.n.b[i], direct.n.z[i])) <= 1e-15 * scale
+            assert frob(q_to_p(one1).x - p1.x[i]) <= 1e-15 * max(1.0, frob(p1.x[i]))
+            assert via.s.distance(direct.s)[i] <= 1e-12 * max(1.0, direct.s.norm()[i])
+
+    def test_batch_validation_reports_the_first_failing_member(self):
+        with pytest.raises(InvariantViolation, match="got -2.0, 1.0"):
+            TriangularS(np.array([1.0, -2.0, -3.0]), np.ones(3), np.zeros(3))
+        x = np.zeros((3, 2, 2), dtype=complex)
+        x[1] = [[1.0, 0.0], [0.0, 0.0]]  # s X* + X s* != 0 for s = e
+        with pytest.raises(InvariantViolation):
+            PElement(TriangularS(np.ones(3), np.ones(3), np.zeros(3)), x)
 
 
 class TestQMultiply:
@@ -320,6 +408,21 @@ class TestSamplers:
         for _ in range(20):
             assert is_in_u22(random_u22(rng).m, 1e-10).ok
             random_k(rng)  # constructor validates
+
+    def test_batched_u22_is_the_same_stream(self):
+        # one (30, 16) coefficient draw is the stream of 30 single draws; the
+        # elements agree to rounding (a norm at the rescaling radius may round
+        # to the other side of a squaring-count boundary)
+        rng_singles, rng_batch = np.random.default_rng(77), np.random.default_rng(77)
+        singles = np.array([random_u22(rng_singles).m for _ in range(30)])
+        batch = random_u22(rng_batch, size=30)
+        assert rng_singles.standard_normal() == rng_batch.standard_normal()
+        assert np.max(frob(batch.m - singles)) <= 1e-13
+
+    def test_batched_samplers_have_array_fields(self, rng):
+        q = random_q(rng, size=7)
+        assert q.s.r1.shape == q.s.r.shape == q.n.a.shape == q.n.z.shape == (7,)
+        assert random_p(rng, size=7).x.shape == (7, 2, 2)
 
     def test_log_uniform_statistics(self):
         rng = np.random.default_rng(123)

@@ -157,6 +157,24 @@ class TestMatrixExp:
         prod = matrix_exp(m) @ matrix_exp(-m)
         assert frob(prod - np.eye(4)) < 1e-14
 
+    def test_stack_matches_each_slice(self, rng):
+        # norms from 0.1 to 12 need 0 to 6 squarings: one stack mixes them
+        norms = [0.1, 0.2, 0.4, 1.0, 2.0, 3.3, 6.0, 12.0]
+        m = rng.standard_normal((len(norms), 4, 4)) + 1j * rng.standard_normal((len(norms), 4, 4))
+        m *= (np.array(norms) / frob(m))[:, None, None]
+        stacked = matrix_exp(m)
+        assert stacked.shape == m.shape
+        for member, single in zip(stacked, m):
+            expected = matrix_exp(single)
+            assert expected.shape == (4, 4)
+            assert frob(member - expected) <= 1e-14 * frob(expected)
+
+    def test_stack_keeps_leading_axes(self, rng):
+        m = 0.5 * (rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4)))
+        out = matrix_exp(m)
+        assert out.shape == (2, 3, 4, 4)
+        assert frob(out[1, 2] - matrix_exp(m[1, 2])) <= 1e-14 * frob(out[1, 2])
+
 
 class TestMatrixJson:
     def test_identity_encoding(self):
