@@ -3,13 +3,16 @@
 On the span of the basis vectors b(p) the remaining generators act by
 
 * compact elements:   T(k) b(p) = b(p') where k p = p' k';
-* the block swap:     T(sigma) b(p) = b(p^) with p^ p^* = sigma p p* sigma;
+* the block swap:     T(sigma) b(p) = b(p^), p^ the triangular part of
+  sigma p = p^ k^, so that p^ p^* = sigma p p* sigma;
 * triangular factors: T(p0) b(p) = b(p0 p) - b(p0), the pointwise identity.
 
-A general element acts through its unique factorization g = p k, and the
-extended cocycle is b(g) = b(p), constant on right cosets of the compact
-part.  The swap operator exists only on this span; it is never applied to
-general functions.
+p' and p^ are the triangular parts of the products k p and sigma p, read by
+the one factorization kernel behind ``iwasawa_decompose`` (``p_part``); no
+p p* is formed.  A general element acts through its unique factorization
+g = p k, and the extended cocycle is b(g) = b(p), constant on right cosets
+of the compact part.  The swap operator exists only on this span; it is
+never applied to general functions.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .groups import (
     U22Element,
     as_generator,
     iwasawa_decompose,
+    p_part,
     sigma_hat,
 )
 from .measures import MeasureSpec, PolarShellSampler
@@ -47,9 +51,7 @@ __all__ = [
 
 def act_k(k: KElement, p: PElement) -> PElement:
     """The triangular part p' of k p = p' k'."""
-    product = U22Element(k.m @ p.matrix(), tol=max(k.tol, 1e-9))
-    p_prime, _ = iwasawa_decompose(product)
-    return p_prime
+    return p_part(k.m @ p.matrix())
 
 
 def act_sigma_on_basis(p: PElement) -> PElement:

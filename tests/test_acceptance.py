@@ -84,6 +84,21 @@ def test_c08_extension():
     assert record.detail["extended_cocycle_identity"]["residual"] < 1e-8
 
 
+# Suite seeds on which C07 or C08 failed while the factorization went
+# through g g*: C07 on 10, 11 and 104; C08 on the suite seeds that the
+# battery benchmark derives from its seeds 3118, 3128, 3135, 3175 and 3250
+# (SeedSequence([seed, 0])).
+FACTORIZATION_SEEDS = [("C07", 10), ("C07", 11), ("C07", 104)] + [
+    ("C08", seed) for seed in (2436993052, 3026740686, 1384326534, 1313979974, 260290985)
+]
+
+
+@pytest.mark.parametrize("claim_id, seed", FACTORIZATION_SEEDS)
+def test_factorization_claims_hold_on_formerly_failing_seeds(claim_id, seed):
+    (record,) = run_claims(SuiteConfig(seed=seed), [claim_id])
+    assert record.verdict == "pass", (record.measured, record.detail)
+
+
 def test_c09_gram_independence():
     record = run_claim("C09")
     assert record.verdict == "pass", record.detail

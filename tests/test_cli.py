@@ -67,13 +67,26 @@ class TestDecompose:
             json.loads(stdout, parse_constant=lambda token: pytest.fail(f"bare {token} on stdout"))
 
 
-    def test_ill_conditioned_member_is_an_input_error(self, tmp_path, capsys):
-        # a valid element p(s) k with s = [[1000, 0], [0.5, 1/1000]]; the
-        # factorization rejects it (DecompositionFailed), which is exit 2
-        s = np.array([[1000.0, 0.0], [0.5, 1e-3]])
-        p = assemble(adjoint(np.linalg.inv(s)), np.zeros((2, 2)), np.zeros((2, 2)), s)
+    @staticmethod
+    def _ill_conditioned(tmp_path, c):
+        """A valid element p(s) k with s = [[c, 0], [0.5, 1/c]], cond(s) ~ c^2."""
+        s = np.array([[c, 0.0], [0.5, 1.0 / c]])
+        g = assemble(adjoint(np.linalg.inv(s)), np.zeros((2, 2)), np.zeros((2, 2)), s) @ random_k(0).m
         src = tmp_path / "ill.json"
-        src.write_text(json.dumps(matrix_to_json(p @ random_k(0).m)))
+        src.write_text(json.dumps(matrix_to_json(g)))
+        return g, src
+
+    def test_ill_conditioned_member_decomposes(self, tmp_path):
+        # c = 1000 was rejected while the factorization went through g g*
+        g, src = self._ill_conditioned(tmp_path, 1000.0)
+        out = tmp_path / "out.json"
+        assert run_cli(["decompose", "--input", str(src), "--out", str(out)]) == 0
+        assert read_json(out)["reconstruction_residual"] <= 1e-9 * np.linalg.norm(g)
+
+    def test_ill_conditioned_member_is_an_input_error(self, tmp_path, capsys):
+        # c = 1e7 (cond(s) ~ 1e14) is far outside the tested range: the
+        # factorization rejects it (DecompositionFailed), which is exit 2
+        _, src = self._ill_conditioned(tmp_path, 1e7)
         assert run_cli(["decompose", "--input", str(src)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from u22lab.extension import act_k
 from u22lab.groups import (
     CHAIN_TOL,
+    _haar_u2,
+    DecompositionFailed,
     InvariantViolation,
     KElement,
     NotFactorizable,
@@ -27,6 +31,7 @@ from u22lab.groups import (
     n_conjugate,
     nested_q_commutator,
     p_from_matrix,
+    p_part,
     p_to_q,
     q_inverse,
     q_multiply,
@@ -43,6 +48,8 @@ from u22lab.groups import (
     structured_p_factor,
 )
 from u22lab.matrices import E2, E4, SIGMA, adjoint, blocks, frob
+
+EPS = np.finfo(float).eps
 
 
 class TestMembership:
@@ -301,6 +308,85 @@ class TestIwasawa:
             p, k = iwasawa_decompose(g)
             assert p.distance(p0) <= 1e-10 * max(1.0, p0.s.norm() + frob(p0.x))
             assert frob(k.m - k0.m) <= 1e-10
+
+    def test_compact_stack_validates_each_member(self, rng):
+        ks = np.stack([random_k(rng).m for _ in range(3)])
+        assert KElement(ks).alpha.shape == (3, 2, 2)
+        ks[1, 0, 0] += 1e-6
+        with pytest.raises(InvariantViolation):
+            KElement(ks)
+
+
+def ladder_element(seed, log10_cond: float) -> tuple[PElement, KElement]:
+    """p0 and k0 with cond(s) = 10**log10_cond, a skew-Hermitian n with
+    entries of unit size and X = n s*^-1."""
+    rng = np.random.default_rng(seed)
+    sv = 10.0 ** (log10_cond / 2.0)
+    m = _haar_u2(rng) @ np.diag([sv, 1.0 / sv]) @ _haar_u2(rng)
+    _, r = np.linalg.qr(m.conj().T)  # m = r* q*, and r* is lower triangular
+    s = r.conj().T
+    s = s * (np.abs(np.diag(s)) / np.diag(s))[None, :]  # a diagonal phase: same singular values
+    a, b, zr, zi = rng.uniform(-1.0, 1.0, 4)
+    p0 = q_to_p(QElement(TriangularS(s[0, 0].real, s[1, 1].real, s[1, 0]), SkewHermitian2(a, b, complex(zr, zi))))
+    return p0, random_k(rng)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestConditioningLadder:
+    """g = p0 k0 with cond(s) from 10 to 1e6 (the tested range) and beyond."""
+
+    @given(seed=SEEDS, log10_cond=st.floats(1.0, 6.0))
+    def test_accurate_in_the_tested_range(self, seed, log10_cond):
+        p0, k0 = ladder_element(seed, log10_cond)
+        g = U22Element(p0.matrix() @ k0.m)
+        p, k = iwasawa_decompose(g)
+        # the residual grows like the unit roundoff times cond(s)
+        assert frob(p.matrix() @ k.m - g.m) / frob(g.m) <= EPS * 10.0**log10_cond
+        assert frob(k.m @ adjoint(k.m) - E4) <= 1e-14
+
+    def test_every_member_decomposes_at_the_end_of_the_range(self):
+        pairs = [ladder_element(seed, 6.0) for seed in range(500)]
+        g = U22Element(np.stack([p0.matrix() @ k0.m for p0, k0 in pairs]))
+        p, k = iwasawa_decompose(g)  # a stack raises its first failing member's error
+        assert np.max(frob(p.matrix() @ k.m - g.m) / frob(g.m)) <= EPS * 1e6
+
+    @given(seed=SEEDS)
+    def test_stack_matches_its_members(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [ladder_element(rng, c) for c in rng.uniform(1.0, 6.0, 6)]
+        g = U22Element(np.stack([p0.matrix() @ k0.m for p0, k0 in pairs]))
+        p, k = iwasawa_decompose(g)
+        for i in range(len(pairs)):
+            p_i, k_i = iwasawa_decompose(g[i])
+            # stacked and single matrix products may round differently
+            assert frob(k.m[i] - k_i.m) <= 32 * EPS
+            assert abs(p.s.r1[i] - p_i.s.r1) <= 32 * EPS * p_i.s.r1
+            assert abs(p.s.r2[i] - p_i.s.r2) <= 32 * EPS * p_i.s.r2
+            assert abs(p.s.r[i] - p_i.s.r) <= 32 * EPS * p_i.s.norm()
+            assert frob(p.x[i] - p_i.x) <= 32 * EPS * frob(p_i.x)
+
+    @given(seed=SEEDS, log10_cond=st.floats(7.0, 16.0))
+    def test_only_typed_failures_beyond_the_range(self, seed, log10_cond):
+        p0, k0 = ladder_element(seed, log10_cond)
+        g = U22Element(p0.matrix() @ k0.m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: iwasawa_decompose(g), lambda: sigma_hat(p0), lambda: act_k(k0, p0)):
+                try:
+                    call()
+                except DecompositionFailed:
+                    pass
+
+    def test_rejections_are_decomposition_failures(self):
+        p0, k0 = ladder_element(0, 10.0)
+        with pytest.raises(DecompositionFailed):
+            iwasawa_decompose(U22Element(p0.matrix() @ k0.m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecompositionFailed):
+                p_part(np.zeros((4, 4)))
 
 
 class TestSigmaHat:
