@@ -19,7 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from u22lab.claims import SuiteConfig, run_claims  # noqa: E402
+from u22lab.claims import CLAIM_IDS, SuiteConfig, run_claims  # noqa: E402
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -48,7 +48,8 @@ def sweep(claim_ids, seeds):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--claims", nargs="+", required=True, help="claim ids, e.g. C07 C08")
+    parser.add_argument("--claims", nargs="+", required=True, choices=CLAIM_IDS, metavar="CLAIM",
+                        help="claim ids, e.g. C07 C08")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-200 or 10,11,104")
     args = parser.parse_args(argv)
     failed = False

@@ -22,7 +22,7 @@ g11 - g12 = s*^-1 v with u, v unitary, so u and v come from two 2x2 RQ
 factorizations (row Gram-Schmidt, re-orthogonalized once), k from u and v,
 and p = g k*.  Nothing squares the conditioning of s, as a factorization of
 g g* would.  The relative residual |p k - g| / |g| grows like the unit
-roundoff times cond(s); the tests hold it below eps cond(s) on a
+roundoff u times cond(s); the tests hold it below u cond(s) on a
 conditioning ladder from cond(s) = 10 to 1e6 (unit-size n = X s*), where
 every gate passes at the default tolerance 1e-10.  Beyond that range the
 gates start to reject, always with ``DecompositionFailed``.  ``sigma_hat``
@@ -307,6 +307,11 @@ class SkewHermitian2:
         m = np.asarray(m, dtype=complex)
         if _first_failure(frob(m + adjoint(m)) <= tol * np.maximum(1.0, frob(m))) is not None:
             raise InvariantViolation("matrix is not skew-Hermitian at tolerance")
+        return cls.skew_part(m)
+
+    @classmethod
+    def skew_part(cls, m: np.ndarray) -> "SkewHermitian2":
+        """The skew-Hermitian part (m - m*) / 2 of any 2x2 m, unchecked."""
         z = (m[..., 0, 1] - np.conj(m[..., 1, 0])) / 2.0
         return cls(m[..., 0, 0].imag, m[..., 1, 1].imag, z)
 
@@ -648,8 +653,9 @@ def _rq_unitary(m: np.ndarray) -> np.ndarray:
     return np.stack((top / np.linalg.norm(top, axis=-1, keepdims=True), low), axis=-2)
 
 
-def _factor(m: np.ndarray, tol: float) -> tuple[PElement, KElement]:
-    """The p k factorization of 4x4 matrices in U(2,2), one or a stack.
+def _factor(m: np.ndarray, tol: float) -> tuple[PElement, np.ndarray]:
+    """The p k factorization of 4x4 matrices in U(2,2), one or a stack;
+    returns p and the matrix of k.
 
     With p = [[A, 0], [X, s]], A = s*^-1, and k = [[alpha, beta], [beta,
     alpha]], the top blocks of g = p k are g11 = A alpha and g12 = A beta, so
@@ -659,7 +665,8 @@ def _factor(m: np.ndarray, tol: float) -> tuple[PElement, KElement]:
     the triangular factor A, which Gram-Schmidt computes to working accuracy,
     so s is read from there; the bottom-right block must agree with it.  The
     lower-left block enters through n = X s*, whose skew-Hermitian part is
-    kept, so X satisfies s X* + X s* = 0 to rounding at any size.
+    kept, so X satisfies s X* + X s* = 0 to rounding at any size.  k has the
+    compact block shape by construction; its unitarity is left to the caller.
     """
     g11, g12, _, _ = blocks(m)
     # a singular or overflowing input gives non-finite factors, which every
@@ -667,24 +674,20 @@ def _factor(m: np.ndarray, tol: float) -> tuple[PElement, KElement]:
     with np.errstate(all="ignore"):
         u, v = _rq_unitary(np.stack((g11 + g12, g11 - g12)))
     alpha, beta = (u + v) / 2.0, (u - v) / 2.0
+    k = assemble(alpha, beta, beta, alpha)
     scale = np.maximum(1.0, frob(m))  # = max(1, |g k*|), as k is unitary
     try:
-        k = KElement(assemble(alpha, beta, beta, alpha), tol=max(tol, CHAIN_TOL))
-        a, zero, x, b = blocks(m @ adjoint(k.m))
+        a, zero, x, b = blocks(m @ adjoint(k))
         s = TriangularS.from_matrix(adjoint(a), tol).inverse()
         limit = tol * scale
         if _first_failure(frob(zero) <= limit) is not None:
             raise InvariantViolation("upper-right block not zero")
         if _first_failure(frob(b - s.matrix()) <= limit) is not None:
             raise InvariantViolation("lower-right block is not (upper-left block)*^-1")
-        n = x @ adjoint(s.matrix())
-        skew = SkewHermitian2(
-            n[..., 0, 0].imag, n[..., 1, 1].imag, (n[..., 0, 1] - n[..., 1, 0].conj()) / 2.0
-        )
-        p = q_to_p(QElement(s, skew))
+        p = q_to_p(QElement(s, SkewHermitian2.skew_part(x @ adjoint(s.matrix()))))
     except InvariantViolation as exc:
         raise DecompositionFailed(f"factor invalid: {exc}") from exc
-    residual = frob(p.matrix() @ k.m - m) / scale
+    residual = frob(p.matrix() @ k - m) / scale
     bad = _first_failure(residual <= tol)
     if bad is not None:
         raise DecompositionFailed(f"reconstruction residual {np.asarray(residual)[bad]:.3e}")
@@ -699,20 +702,29 @@ def iwasawa_decompose(g: U22Element, tol: float = PRODUCT_TOL) -> tuple[PElement
     RQ factorizations by Gram-Schmidt with one re-orthogonalization, then
     p = g k*.  No g g* is formed, so the conditioning of s is not squared:
     |k k* - e| stays at rounding level and the relative residual
-    |p k - g| / |g| below eps cond(s), tested for cond(s) from 10 to 1e6
-    with unit-size n = X s*.  Gates: the block shape of g k* at ``tol``, the
-    compact part at max(tol, CHAIN_TOL), the P-element constraint, and
-    |p k - g| <= tol max(1, |g|).  A rejection, beyond the tested range or
-    on a singular input, is a ``DecompositionFailed``.
+    |p k - g| / |g| below u cond(s) (u = eps / 2, the unit roundoff),
+    tested for cond(s) from 10 to 1e6 with unit-size n = X s*.  Gates: the
+    block shape of g k* at ``tol``, the P-element constraint,
+    |p k - g| <= tol max(1, |g|), and the compact part at
+    max(tol, CHAIN_TOL).  A rejection, beyond the tested range or on a
+    singular input, is a ``DecompositionFailed``.
     """
-    return _factor(g.m, tol)
+    p, k = _factor(g.m, tol)
+    try:
+        return p, KElement(k, tol=max(tol, CHAIN_TOL))
+    except InvariantViolation as exc:
+        raise DecompositionFailed(f"compact factor invalid: {exc}") from exc
 
 
-def p_part(m: np.ndarray, tol: float = PRODUCT_TOL) -> PElement:
+def p_part(m: np.ndarray) -> PElement:
     """The triangular factor p of m = p k, for m a product of validated group
-    elements (one or a stack), through the same kernel and gates as
-    ``iwasawa_decompose``; raises ``DecompositionFailed``."""
-    return _factor(m, tol)[0]
+    elements (one or a stack); raises ``DecompositionFailed``.
+
+    The kernel and gates of ``iwasawa_decompose``, except that k, which is
+    discarded, is not validated: Gram-Schmidt makes it unitary to rounding,
+    and a non-finite k fails the gates on p.
+    """
+    return _factor(m, PRODUCT_TOL)[0]
 
 
 def sigma_hat(p: PElement) -> PElement:

@@ -47,7 +47,7 @@ from u22lab.groups import (
     sigma_hat,
     structured_p_factor,
 )
-from u22lab.matrices import E2, E4, SIGMA, adjoint, blocks, frob
+from u22lab.matrices import E2, E4, SIGMA, adjoint, assemble, blocks, frob
 
 EPS = np.finfo(float).eps
 
@@ -342,15 +342,28 @@ class TestConditioningLadder:
         p0, k0 = ladder_element(seed, log10_cond)
         g = U22Element(p0.matrix() @ k0.m)
         p, k = iwasawa_decompose(g)
-        # the residual grows like the unit roundoff times cond(s)
-        assert frob(p.matrix() @ k.m - g.m) / frob(g.m) <= EPS * 10.0**log10_cond
+        # the residual grows like the unit roundoff u = eps / 2 times cond(s)
+        # (at most 0.7 u cond(s) measured on 20,000 elements)
+        assert frob(p.matrix() @ k.m - g.m) / frob(g.m) <= 0.5 * EPS * 10.0**log10_cond
         assert frob(k.m @ adjoint(k.m) - E4) <= 1e-14
 
     def test_every_member_decomposes_at_the_end_of_the_range(self):
         pairs = [ladder_element(seed, 6.0) for seed in range(500)]
         g = U22Element(np.stack([p0.matrix() @ k0.m for p0, k0 in pairs]))
         p, k = iwasawa_decompose(g)  # a stack raises its first failing member's error
-        assert np.max(frob(p.matrix() @ k.m - g.m) / frob(g.m)) <= EPS * 1e6
+        assert np.max(frob(p.matrix() @ k.m - g.m) / frob(g.m)) <= 0.5 * EPS * 1e6
+
+    @pytest.mark.parametrize("c", [1e1, 1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_lower_triangular_family(self, c):
+        # s = [[c, 0], [0.5, 1/c]], X = 0: cond(s) ~ c^2, yet the relative
+        # residual grows like u c only (at most 0.66 u c measured, 5.6e-11 at
+        # c = 1e6), and every member passes the gates
+        s = np.array([[c, 0.0], [0.5, 1.0 / c]])
+        p0 = assemble(adjoint(np.linalg.inv(s)), np.zeros((2, 2)), np.zeros((2, 2)), s)
+        g = U22Element(np.stack([p0 @ random_k(seed).m for seed in range(50)]))
+        p, k = iwasawa_decompose(g)
+        assert np.max(frob(p.matrix() @ k.m - g.m) / frob(g.m)) <= 0.5 * EPS * c
+        assert np.max(frob(k.m @ adjoint(k.m) - E4)) <= 1e-14
 
     @given(seed=SEEDS)
     def test_stack_matches_its_members(self, seed):

@@ -20,3 +20,13 @@ def test_sweep_prints_one_line_per_failing_pair():
     assert [(line["claim"], line["seed"], line["verdict"]) for line in lines] == [
         ("C10", 10, "fail"), ("C10", 11, "fail")]
     assert all(line["measured"] == 2.0 and line["tolerance"] == 0.5 for line in lines)
+
+
+def test_unknown_claim_id_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "seed_sweep.py"),
+         "--claims", "C7", "--seeds", "1-200"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "invalid choice: 'C7'" in proc.stderr
