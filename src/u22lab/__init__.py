@@ -8,10 +8,7 @@ the ``u22lab`` command-line tool.
 
 from .matrices import (
     HermitianSignature,
-    SIGNATURES,
-    NotPositiveDefinite,
     WrongOrbit,
-    cholesky_lower,
     signed_triangular_factor,
     matrix_exp,
 )
@@ -23,9 +20,6 @@ from .groups import (
     KElement,
     U22Element,
     is_in_u22,
-    embed_n,
-    embed_s,
-    embed_p,
     p_to_q,
     q_to_p,
     q_multiply,
@@ -33,20 +27,17 @@ from .groups import (
     iwasawa_decompose,
     sigma_hat,
 )
-from .orbits import OrbitLabel, pairing, character_multiplier, classify_orbit, orbit_coordinates
-from .points import SPoints, reference_points
+from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
+from .points import reference_points
 from .measures import (
     MeasureSpec,
     IntegralEstimate,
     DivergenceVerdict,
-    lebesgue_measure,
     haar_measure,
     nu_measure,
     truncated_nu,
-    norm_s,
     modulus_pi,
     rn_derivative_right,
-    polar_decompose_s,
     integrate_mc,
     divergence_probe,
     PolarShellSampler,
@@ -58,11 +49,10 @@ from .representation import (
     apply_T,
     coboundary,
     l2_norm,
-    inner_product,
     gram_matrix,
     specialness_report,
 )
-from .extension import act_k, act_sigma_on_basis, extend_cocycle, apply_extended, ExtendedOperator
+from .extension import act_k, act_sigma_on_basis, extend_cocycle, apply_extended
 from .rank1 import AffElement, LineFunction, apply_U, almost_invariant_check
 from .claims import SuiteConfig, ClaimRecord, run_claims
 

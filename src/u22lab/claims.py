@@ -39,10 +39,10 @@ from .groups import (
     random_q,
     random_s,
     random_u22,
-    s_product,
 )
 from .matrices import E4, frob
 from .measures import (
+    BoxSampler,
     LogNormalSampler,
     PolarShellSampler,
     haar_measure,
@@ -185,36 +185,23 @@ def _claim_orbit_chart(config: SuiteConfig, rng):
 
 
 def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
-    # Unit-volume box in chart coordinates, pushed through s -> s s0.
-    lo, hi = 1.0, 2.0
-    c_lo, c_hi = -0.5, 0.5
-    u1 = sorted((lo * s0.r1, hi * s0.r1))
-    u2 = sorted((lo * s0.r2, hi * s0.r2))
-    re_parts = [c_lo * s0.r1 + s0.r.real * lo, c_lo * s0.r1 + s0.r.real * hi,
-                c_hi * s0.r1 + s0.r.real * lo, c_hi * s0.r1 + s0.r.real * hi]
-    im_parts = [c_lo * s0.r1 + s0.r.imag * lo, c_lo * s0.r1 + s0.r.imag * hi,
-                c_hi * s0.r1 + s0.r.imag * lo, c_hi * s0.r1 + s0.r.imag * hi]
-    bounds = (u1[0], u1[1], u2[0], u2[1], min(re_parts), max(re_parts), min(im_parts), max(im_parts))
-    bbox_vol = (bounds[1] - bounds[0]) * (bounds[3] - bounds[2]) * (bounds[5] - bounds[4]) * (
-        bounds[7] - bounds[6]
+    # The unit box in chart coordinates, pushed through s -> s s0: sample a
+    # bounding box of its image, pull the points back by s0^-1 and count
+    # those that land in the unit box.
+    unit = BoxSampler(1.0, 2.0, 1.0, 2.0, -0.5, 0.5, -0.5, 0.5)
+    corners = [(c, t) for c in (unit.re_lo, unit.re_hi) for t in (unit.r2_lo, unit.r2_hi)]
+    re_parts = [c * s0.r1 + s0.r.real * t for c, t in corners]
+    im_parts = [c * s0.r1 + s0.r.imag * t for c, t in corners]
+    box = BoxSampler(
+        *sorted((unit.r1_lo * s0.r1, unit.r1_hi * s0.r1)),
+        *sorted((unit.r2_lo * s0.r2, unit.r2_hi * s0.r2)),
+        min(re_parts), max(re_parts), min(im_parts), max(im_parts),
     )
-    s0_inv = s0.inverse()
-    samples = rng.uniform(size=(n, 4))
-    u_r1 = bounds[0] + (bounds[1] - bounds[0]) * samples[:, 0]
-    u_r2 = bounds[2] + (bounds[3] - bounds[2]) * samples[:, 1]
-    u_re = bounds[4] + (bounds[5] - bounds[4]) * samples[:, 2]
-    u_im = bounds[6] + (bounds[7] - bounds[6]) * samples[:, 3]
-    # preimage coordinates under right multiplication by s0^-1
-    v_r1, v_r2, v_r = s_product(u_r1, u_r2, u_re + 1j * u_im, s0_inv.r1, s0_inv.r2, s0_inv.r)
-    inside = (
-        (v_r1 >= lo) & (v_r1 <= hi) & (v_r2 >= lo) & (v_r2 <= hi)
-        & (v_r.real >= c_lo) & (v_r.real <= c_hi)
-        & (v_r.imag >= c_lo) & (v_r.imag <= c_hi)
-    )
-    p_hat = float(np.mean(inside))
-    mass = bbox_vol * p_hat
-    sigma = bbox_vol * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
-    expected = modulus_pi(s0)  # original box volume is 1
+    preimages = box.sample(n, rng).multiply(s0.inverse())
+    p_hat = float(np.mean(unit.contains(preimages)))
+    mass = box.volume * p_hat
+    sigma = box.volume * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
+    expected = modulus_pi(s0) * unit.volume
     return {"mass": mass, "expected": expected, "sigma": sigma,
             "deviation_sigmas": abs(mass - expected) / sigma}
 

@@ -122,15 +122,47 @@ def _emit_json(doc, out: str | None):
     _emit(json.dumps(doc, indent=2, allow_nan=False), out)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON value each SuiteConfig field takes in a --config file
+_CONFIG_CHECKS = {
+    "seed": _is_integer,
+    "mc_samples": _is_integer,
+    "sample_points": _is_integer,
+    "eps_ladder": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "r_max": _is_number,
+    "label": lambda v: isinstance(v, str),
+    "tol_override": lambda v: v is None or _is_number(v),
+}
+
+
+def _read_config(path: str) -> dict:
+    """SuiteConfig fields from a JSON config file; a file that is not an
+    object of known fields with values of the right JSON type is a
+    ValueError (exit 2)."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError("config file must hold a JSON object")
+    for name, value in doc.items():
+        if name not in _CONFIG_CHECKS:
+            raise ValueError(f"unknown config field {name!r}")
+        if not _CONFIG_CHECKS[name](value):
+            raise ValueError(f"config field {name!r} has a bad value: {value!r}")
+    if "label" in doc:
+        doc["label"] = _parse_label(doc["label"])
+    if "eps_ladder" in doc:
+        doc["eps_ladder"] = tuple(float(e) for e in doc["eps_ladder"])
+    return doc
+
+
 def _cmd_verify(args) -> int:
-    fields = {}
-    if args.config:
-        with open(args.config) as fh:
-            fields.update(json.load(fh))
-    if "label" in fields:
-        fields["label"] = _parse_label(fields["label"])
-    if "eps_ladder" in fields:
-        fields["eps_ladder"] = tuple(float(e) for e in fields["eps_ladder"])
+    fields = _read_config(args.config) if args.config else {}
     if args.seed is not None:
         fields["seed"] = args.seed
     if args.samples is not None:

@@ -18,7 +18,6 @@ never applied to general functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +42,6 @@ __all__ = [
     "apply_extended",
     "apply_k_on_vector",
     "apply_p_on_vector",
-    "apply_sigma_on_vector",
-    "ExtendedOperator",
     "unboundedness_experiment",
 ]
 
@@ -78,59 +75,10 @@ def apply_p_on_vector(p0: PElement, v: CocycleVector) -> CocycleVector:
     return CocycleVector(v.label, tuple(terms)).canonical()
 
 
-def apply_sigma_on_vector(v: CocycleVector) -> CocycleVector:
-    terms = tuple((c, act_sigma_on_basis(p)) for c, p in v.terms)
-    return CocycleVector(v.label, terms).canonical()
-
-
 def apply_extended(g: U22Element, v: CocycleVector) -> CocycleVector:
     """T(g) = T(p) T(k) through the factorization g = p k."""
     p, k = iwasawa_decompose(g)
     return apply_p_on_vector(p, apply_k_on_vector(k, v))
-
-
-@dataclass(frozen=True)
-class ExtendedOperator:
-    """A word in the extension generators, applied basis-element-wise.
-
-    Each letter is ("p", PElement), ("k", KElement), or ("sigma", None);
-    words act right to left, matching operator composition.
-    """
-
-    word: tuple
-
-    @classmethod
-    def from_p(cls, p: PElement) -> "ExtendedOperator":
-        return cls((("p", p),))
-
-    @classmethod
-    def from_k(cls, k: KElement) -> "ExtendedOperator":
-        return cls((("k", k),))
-
-    @classmethod
-    def swap(cls) -> "ExtendedOperator":
-        return cls((("sigma", None),))
-
-    @classmethod
-    def from_group_element(cls, g: U22Element) -> "ExtendedOperator":
-        p, k = iwasawa_decompose(g)
-        return cls((("p", p), ("k", k)))
-
-    def compose(self, other: "ExtendedOperator") -> "ExtendedOperator":
-        return ExtendedOperator(self.word + other.word)
-
-    def apply(self, v: CocycleVector) -> CocycleVector:
-        out = v
-        for tag, payload in reversed(self.word):
-            if tag == "p":
-                out = apply_p_on_vector(payload, out)
-            elif tag == "k":
-                out = apply_k_on_vector(payload, out)
-            elif tag == "sigma":
-                out = apply_sigma_on_vector(out)
-            else:
-                raise ValueError(f"unknown generator tag {tag!r}")
-        return out
 
 
 def unboundedness_experiment(

@@ -34,10 +34,12 @@ matrices of ``PElement``, ``KElement`` and ``U22Element`` are one matrix or
 a stack (..., n, n).  Every method, the coordinate changes and the
 membership test work on both, and a batch is validated member by member at
 the tolerance of the scalar constructor; a failing batch raises the error
-of its first failing member.  The closed forms on chart components
-(``s_product``, ``s_inverse``, ``n_conjugate``) exist once and are shared
-with the batched chart points in ``points``.  The samplers draw a batch in
-one call when given ``size``.
+of its first failing member.  ``TriangularS`` is the package's only chart
+type: the Monte-Carlo samplers, the test points and the functions of
+``representation`` all use it.  The closed forms on chart components
+(``s_product``, ``s_inverse``, ``n_conjugate``) exist once.  The samplers
+draw a batch in one call when given ``size``.  Elements are written to JSON
+(``element_to_json``, for the CLI); nothing reads them back.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import numpy as np
 
 from . import lie
 from .matrices import (
-    E2,
     E4,
     MINOR_TOL_FACTOR as MINOR_TOL,
     SIGMA,
@@ -59,7 +60,6 @@ from .matrices import (
     freeze,
     frob,
     matrix_exp,
-    matrix_from_json,
     matrix_to_json,
 )
 
@@ -79,9 +79,6 @@ __all__ = [
     "KElement",
     "U22Element",
     "is_in_u22",
-    "embed_n",
-    "embed_s",
-    "embed_p",
     "p_to_q",
     "q_to_p",
     "q_multiply",
@@ -93,8 +90,6 @@ __all__ = [
     "sigma_hat",
     "q_commutator",
     "nested_q_commutator",
-    "is_n_shaped",
-    "is_s_shaped",
     "as_generator",
     "random_s",
     "random_n",
@@ -103,7 +98,6 @@ __all__ = [
     "random_k",
     "random_u22",
     "element_to_json",
-    "element_from_json",
 ]
 
 # Tolerance ladder: construction, one product, long chains.
@@ -186,12 +180,17 @@ def _first_failure(ok):
 
 
 def _components(x, y, w):
-    """Two real and one complex field: plain scalars, or broadcast arrays."""
+    """Two real and one complex field: plain scalars, or broadcast arrays.
+
+    Arrays of the right dtypes and one shape, as every batch in the package
+    is built, are kept as they are: no broadcast views, no copies.
+    """
     if getattr(x, "ndim", 0) == getattr(y, "ndim", 0) == getattr(w, "ndim", 0) == 0:
         return float(x), float(y), complex(w)
-    return np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(w, dtype=complex)
-    )
+    x, y, w = np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(w, dtype=complex)
+    if x.shape == y.shape == w.shape:
+        return x, y, w
+    return np.broadcast_arrays(x, y, w)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +220,12 @@ def n_conjugate(a, b, z, r1, r2, r):
 
 @dataclass(frozen=True)
 class TriangularS:
-    """Lower-triangular 2x2 matrix [[r1, 0], [r, r2]] with r1, r2 > 0."""
+    """Lower-triangular 2x2 matrix [[r1, 0], [r, r2]] with r1, r2 > 0.
+
+    One element (float fields) or a batch (equal-shape arrays): the one type
+    for points of the triangular chart, from a group element to a
+    Monte-Carlo sample of 2^18 points.
+    """
 
     r1: float
     r2: float
@@ -229,8 +233,12 @@ class TriangularS:
 
     def __post_init__(self):
         r1, r2, r = _components(self.r1, self.r2, self.r)
-        bad = _first_failure((r1 > 0.0) & (r2 > 0.0))
-        if bad is not None:
+        if type(r1) is float:
+            positive = r1 > 0.0 and r2 > 0.0
+        else:  # one reduction, as batches are built on hot paths; NaN fails
+            positive = np.minimum(r1, r2).min(initial=np.inf) > 0.0
+        if not positive:
+            bad = _first_failure((r1 > 0.0) & (r2 > 0.0))
             raise InvariantViolation(
                 f"diagonal must be positive, got {np.asarray(r1)[bad]}, {np.asarray(r2)[bad]}"
             )
@@ -266,14 +274,26 @@ class TriangularS:
     def inverse(self) -> "TriangularS":
         return TriangularS(*s_inverse(self.r1, self.r2, self.r))
 
-    def norm(self):
-        """Frobenius norm sqrt(r1^2 + r2^2 + |r|^2)."""
-        return np.sqrt(self.r1**2 + self.r2**2 + abs(self.r) ** 2)
+    @property
+    def size(self) -> int:
+        """Number of elements: 1, or the size of a batch."""
+        return int(np.size(self.r))
 
-    def scale(self, c: float) -> "TriangularS":
-        if c <= 0:
-            raise InvariantViolation("scale factor must be positive")
-        return TriangularS(c * self.r1, c * self.r2, c * self.r)
+    def norm(self):
+        """Frobenius norm sqrt(r1^2 + r2^2 + |r|^2), computed once per element
+        or batch, because the sampler, the measures and the integrands of a
+        batch all read it; callers must not write to the result.
+
+        Products instead of powers and NumPy's complex modulus for one
+        element too: a single element then rounds exactly as a member of a
+        batch does.
+        """
+        cached = self.__dict__.get("_norm")
+        if cached is None:
+            modulus = np.abs(self.r)
+            cached = np.sqrt(self.r1 * self.r1 + self.r2 * self.r2 + modulus * modulus)
+            self.__dict__["_norm"] = cached
+        return cached
 
     def distance(self, other: "TriangularS"):
         return np.sqrt(
@@ -329,9 +349,6 @@ class SkewHermitian2:
     def neg(self) -> "SkewHermitian2":
         return SkewHermitian2(-self.a, -self.b, -self.z)
 
-    def scale(self, t: float) -> "SkewHermitian2":
-        return SkewHermitian2(t * self.a, t * self.b, t * self.z)
-
     def conjugate_by(self, s: TriangularS) -> "SkewHermitian2":
         """Closed form of s n s*, staying exactly skew-Hermitian."""
         return SkewHermitian2(*n_conjugate(self.a, self.b, self.z, s.r1, s.r2, s.r))
@@ -382,11 +399,6 @@ class PElement:
         s2_inv_star = adjoint(other.s.inverse().matrix())
         x12 = self.x @ s2_inv_star + self.s.matrix() @ other.x
         return PElement(self.s.multiply(other.s), x12)
-
-    def inverse(self) -> "PElement":
-        s_inv = self.s.inverse()
-        x_inv = -(s_inv.matrix() @ self.x @ adjoint(s_inv.matrix()))
-        return PElement(s_inv, x_inv)
 
     def distance(self, other: "PElement"):
         return np.sqrt(self.s.distance(other.s) ** 2 + frob(self.x - other.x) ** 2)
@@ -467,10 +479,6 @@ class U22Element:
         # g^-1 = S g* S follows from the defining relation; no linear solve.
         return U22Element(SIGMA @ adjoint(self.m) @ SIGMA, tol=self.tol)
 
-    def distance(self, other: "U22Element"):
-        return frob(self.m - other.m)
-
-
 @dataclass(frozen=True, eq=False)
 class KElement:
     """Compact-part element: unitary, block shape [[alpha, beta], [beta, alpha]].
@@ -502,42 +510,12 @@ class KElement:
     def identity(cls) -> "KElement":
         return cls(E4)
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.m[..., :2, :2]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.m[..., :2, 2:]
-
     def multiply(self, other: "KElement") -> "KElement":
         return KElement(self.m @ other.m, tol=max(self.tol, other.tol))
 
-    def inverse(self) -> "KElement":
-        return KElement(adjoint(self.m), tol=self.tol)
-
-    def as_u22(self) -> U22Element:
-        return U22Element(self.m, tol=self.tol)
-
 
 # ---------------------------------------------------------------------------
-# embeddings and coordinate changes
-
-
-def embed_n(n: SkewHermitian2) -> U22Element:
-    return U22Element(assemble(E2, np.zeros((2, 2)), n.matrix(), E2), tol=CONSTRUCTION_TOL)
-
-
-def embed_s(s: TriangularS) -> U22Element:
-    smat = s.matrix()
-    return U22Element(
-        assemble(adjoint(s.inverse().matrix()), np.zeros((2, 2)), np.zeros((2, 2)), smat),
-        tol=CONSTRUCTION_TOL,
-    )
-
-
-def embed_p(p: PElement) -> U22Element:
-    return U22Element(p.matrix(), tol=CONSTRUCTION_TOL)
+# coordinate changes
 
 
 def p_to_q(p: PElement) -> QElement:
@@ -736,29 +714,7 @@ def sigma_hat(p: PElement) -> PElement:
 
 
 # ---------------------------------------------------------------------------
-# subgroup shape predicates and commutators
-
-
-def is_n_shaped(m: np.ndarray, tol: float = PRODUCT_TOL) -> bool:
-    g11, g12, g21, g22 = blocks(np.asarray(m, dtype=complex))
-    scale = max(1.0, frob(m))
-    return (
-        frob(g11 - E2) <= tol * scale
-        and frob(g22 - E2) <= tol * scale
-        and frob(g12) <= tol * scale
-    )
-
-
-def is_s_shaped(m: np.ndarray, tol: float = PRODUCT_TOL) -> bool:
-    g11, g12, g21, g22 = blocks(np.asarray(m, dtype=complex))
-    scale = max(1.0, frob(m))
-    if frob(g12) > tol * scale or frob(g21) > tol * scale:
-        return False
-    try:
-        s = TriangularS.from_matrix(g22, tol)
-    except InvariantViolation:
-        return False
-    return frob(g11 - adjoint(s.inverse().matrix())) <= tol * scale
+# commutators
 
 
 def q_commutator(q1: QElement, q2: QElement) -> QElement:
@@ -855,16 +811,8 @@ def _s_to_json(s: TriangularS) -> dict:
     return {"r1": s.r1, "r2": s.r2, "r": [s.r.real, s.r.imag]}
 
 
-def _s_from_json(data: dict) -> TriangularS:
-    return TriangularS(data["r1"], data["r2"], complex(data["r"][0], data["r"][1]))
-
-
 def _n_to_json(n: SkewHermitian2) -> dict:
     return {"a": n.a, "b": n.b, "z": [n.z.real, n.z.imag]}
-
-
-def _n_from_json(data: dict) -> SkewHermitian2:
-    return SkewHermitian2(data["a"], data["b"], complex(data["z"][0], data["z"][1]))
 
 
 def element_to_json(el) -> dict:
@@ -877,20 +825,3 @@ def element_to_json(el) -> dict:
     if isinstance(el, U22Element):
         return {"kind": "u22", "data": {"m": matrix_to_json(el.m)}}
     raise TypeError(f"cannot encode {type(el).__name__}")
-
-
-def element_from_json(doc: dict):
-    try:
-        kind = doc["kind"]
-        data = doc["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("element JSON must have 'kind' and 'data'") from exc
-    if kind == "p":
-        return PElement(_s_from_json(data["s"]), matrix_from_json(data["x"], (2, 2)))
-    if kind == "q":
-        return QElement(_s_from_json(data["s"]), _n_from_json(data["n"]))
-    if kind == "k":
-        return KElement(matrix_from_json(data["m"], (4, 4)))
-    if kind == "u22":
-        return U22Element(matrix_from_json(data["m"], (4, 4)))
-    raise ValueError(f"unknown element kind {kind!r}")

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import SIGMA, adjoint, assemble, freeze, frob
+from .matrices import SIGMA, adjoint, assemble, freeze
 
 __all__ = [
     "U22_BASIS",
     "P_BASIS",
-    "algebra_residual",
     "sigma_conjugate",
     "bracket",
     "real_span_rank",
@@ -71,12 +70,6 @@ def _p_basis() -> np.ndarray:
 
 U22_BASIS = _u22_basis()  # 16 real-basis elements of the ambient algebra
 P_BASIS = _p_basis()  # 8 real-basis elements of the triangular subalgebra
-
-
-def algebra_residual(xi: np.ndarray) -> float:
-    """Residual of the defining relation xi sigma + sigma xi* = 0."""
-    xi = np.asarray(xi, dtype=complex)
-    return frob(xi @ SIGMA + SIGMA @ adjoint(xi))
 
 
 def sigma_conjugate(xi: np.ndarray) -> np.ndarray:

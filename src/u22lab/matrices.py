@@ -4,16 +4,12 @@ Everything in this package lives on 2x2 or 4x4 complex matrices, so the
 linear algebra here is closed form throughout: no iteration, no LAPACK
 round trips for things a formula does better.  The generic kernels
 (``adjoint``, ``frob``, ``blocks``, ``assemble``, ``matrix_exp``) act on one
-matrix or on a stack of shape (..., n, n) alike.  The two structured
-factorizations are
-
-* ``cholesky_lower``: H = L L* for Hermitian positive-definite H, with L
-  lower triangular and strictly positive diagonal;
-* ``signed_triangular_factor``: H = s diag(e1, e2) s*, the indefinite
-  variant keyed by a sign pair, with the same triangular shape for s.
-
-Both factors are unique once the diagonal is pinned positive, which is what
-makes them usable as coordinate charts downstream.
+matrix or on a stack of shape (..., n, n) alike.  The one structured
+factorization, ``signed_triangular_factor``, writes a nondegenerate
+Hermitian 2x2 H as s diag(e1, e2) s* for a sign pair (e1, e2), with s lower
+triangular and a strictly positive diagonal; pinning the diagonal positive
+makes s unique, which is what makes it the orbit chart downstream.  Matrices
+travel to and from JSON as nested [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -24,19 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "E2",
     "E4",
     "SIGMA",
     "HermitianSignature",
-    "SIGNATURES",
-    "NotPositiveDefinite",
     "WrongOrbit",
     "adjoint",
     "frob",
     "freeze",
     "blocks",
     "assemble",
-    "cholesky_lower",
     "signed_triangular_factor",
     "matrix_exp",
     "matrix_to_json",
@@ -45,10 +37,6 @@ __all__ = [
 
 # Scale-invariant cutoff for positivity / nondegeneracy of leading minors.
 MINOR_TOL_FACTOR = 1e-12
-
-
-class NotPositiveDefinite(ValueError):
-    """A leading minor fell below tolerance: the input is off the cone."""
 
 
 class WrongOrbit(ValueError):
@@ -62,7 +50,6 @@ def freeze(a) -> np.ndarray:
     return out
 
 
-E2 = freeze(np.eye(2))
 E4 = freeze(np.eye(4))
 # The fixed block involution: swaps the two 2x2 block rows/columns.
 SIGMA = freeze(np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]))
@@ -101,7 +88,7 @@ def assemble(g11, g12, g21, g22) -> np.ndarray:
 class HermitianSignature:
     """Sign pair (e1, e2) of a nondegenerate Hermitian 2x2 form.
 
-    Exactly four values exist; see ``SIGNATURES``.
+    Exactly four values exist, one per open orbit.
     """
 
     eps1: int
@@ -111,9 +98,6 @@ class HermitianSignature:
         if self.eps1 not in (-1, 1) or self.eps2 not in (-1, 1):
             raise ValueError("signature entries must be +1 or -1")
 
-    def diag(self) -> np.ndarray:
-        return np.diag([complex(self.eps1), complex(self.eps2)])
-
     def __str__(self) -> str:
         return ("+" if self.eps1 > 0 else "-") + ("+" if self.eps2 > 0 else "-")
 
@@ -122,14 +106,6 @@ class HermitianSignature:
         if len(text) != 2 or any(c not in "+-" for c in text):
             raise ValueError(f"bad signature string: {text!r}")
         return cls(1 if text[0] == "+" else -1, 1 if text[1] == "+" else -1)
-
-
-SIGNATURES = (
-    HermitianSignature(1, 1),
-    HermitianSignature(1, -1),
-    HermitianSignature(-1, 1),
-    HermitianSignature(-1, -1),
-)
 
 
 def _require_hermitian(h: np.ndarray) -> np.ndarray:
@@ -142,33 +118,6 @@ def _require_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def cholesky_lower(h: np.ndarray, tol_factor: float = MINOR_TOL_FACTOR) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive-definite 2x2 matrix.
-
-    Returns L lower triangular with strictly positive diagonal such that
-    L L* = h.  The factor is computed by the explicit closed form
-
-        L11 = sqrt(h11),  L21 = h21 / L11,  L22 = sqrt(h22 - |L21|^2),
-
-    which is deterministic: equal inputs give bit-identical outputs.
-
-    Raises ``NotPositiveDefinite`` if a leading minor falls below
-    ``tol_factor`` at the scale of ``h``.
-    """
-    h = _require_hermitian(h)
-    scale = frob(h)
-    minor1 = h[0, 0].real
-    det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
-    if minor1 <= tol_factor * scale:
-        raise NotPositiveDefinite(f"leading 1x1 minor {minor1:.3e} below tolerance")
-    if det <= tol_factor * scale * scale:
-        raise NotPositiveDefinite(f"determinant {det:.3e} below tolerance")
-    l11 = math.sqrt(minor1)
-    l21 = h[1, 0] / l11
-    l22 = math.sqrt(h[1, 1].real - abs(l21) ** 2)
-    return np.array([[l11, 0.0], [l21, l22]], dtype=complex)
-
-
 def signed_triangular_factor(
     h: np.ndarray,
     signature: HermitianSignature,
@@ -176,7 +125,7 @@ def signed_triangular_factor(
 ) -> np.ndarray:
     """Triangular factor s with s diag(e1, e2) s* = h for indefinite h.
 
-    The closed form mirrors the Cholesky one with signs threaded through:
+    The closed form is the Cholesky recurrence with signs threaded through:
 
         r1 = sqrt(e1 h11),  r = e1 h21 / r1,  r2 = sqrt(e2 (h22 - e1 |r|^2)).
 

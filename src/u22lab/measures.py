@@ -8,7 +8,11 @@ polar coordinates s = r w (|w| = 1) reads r^-1 dr dw.
 
 Monte-Carlo integrals are importance sampled: a sampler provides points and
 its own density relative to ds, and the estimate of  integral F d(measure)
-over the sampler's support is the sample mean of F * density_ratio.
+over the sampler's support is the sample mean of F * density_ratio.  Points
+are ``TriangularS`` batches, and every density, sampler and chart function
+here takes one element or a batch.  All three engines (``integrate_mc``,
+``divergence_probe`` and ``representation.gram_matrix``) draw through
+``sample_batches``, which rejects fewer than 1000 samples.
 """
 
 from __future__ import annotations
@@ -20,24 +24,19 @@ from typing import Callable
 import numpy as np
 
 from .groups import TriangularS, as_generator
-from .points import SPoints
 
 __all__ = [
     "NonFinite",
     "MeasureSpec",
-    "lebesgue_measure",
     "haar_measure",
     "nu_measure",
     "truncated_nu",
     "OMEGA_PATCH_MASS",
-    "norm_s",
     "modulus_pi",
     "singular_values",
     "rn_derivative_right",
     "nu_derivative_band",
     "right_translation_jacobian_fd",
-    "polar_decompose_s",
-    "polar_measure_weight",
     "PolarShellSampler",
     "LogNormalSampler",
     "BoxSampler",
@@ -78,11 +77,7 @@ class MeasureSpec:
     """A measure on the open chart given by its density against Lebesgue."""
 
     name: str
-    density: Callable[[SPoints], np.ndarray]
-
-
-def lebesgue_measure() -> MeasureSpec:
-    return MeasureSpec("lebesgue", lambda pts: np.ones(pts.size))
+    density: Callable[[TriangularS], np.ndarray]
 
 
 def haar_measure() -> MeasureSpec:
@@ -92,26 +87,21 @@ def haar_measure() -> MeasureSpec:
 
 def nu_measure() -> MeasureSpec:
     """The almost-invariant measure |s|^-4 ds."""
-    return MeasureSpec("nu", lambda pts: pts.norms() ** -4.0)
+    return MeasureSpec("nu", lambda pts: pts.norm() ** -4.0)
 
 
 def truncated_nu(r_min: float) -> MeasureSpec:
     """Control measure: |s|^-4 ds cut off below radius r_min."""
 
-    def density(pts: SPoints) -> np.ndarray:
-        norms = pts.norms()
+    def density(pts: TriangularS) -> np.ndarray:
+        norms = pts.norm()
         return np.where(norms >= r_min, norms**-4.0, 0.0)
 
     return MeasureSpec(f"nu-truncated-{r_min:g}", density)
 
 
 # ---------------------------------------------------------------------------
-# scalar chart functions
-
-
-def norm_s(s: TriangularS) -> float:
-    """|s| = sqrt(r1^2 + r2^2 + |r|^2)."""
-    return s.norm()
+# chart functions
 
 
 def modulus_pi(s: TriangularS) -> float:
@@ -125,15 +115,16 @@ def singular_values(s: TriangularS) -> tuple[float, float]:
     return float(vals[-1]), float(vals[0])
 
 
-def rn_derivative_right(measure: MeasureSpec, s: TriangularS, s0: TriangularS) -> float:
-    """Density of the right-translated measure against the original at s.
+def rn_derivative_right(measure: MeasureSpec, s: TriangularS, s0: TriangularS):
+    """Density of the right-translated measure against the original at s
+    (one element or a batch).
 
     Equals density(s s0) * pi(s0) / density(s); for the Haar measure it is
-    identically 1, and for |s|^-4 ds it is pi(s0) (|s| / |s s0|)^4.
+    identically 1, and for |s|^-4 ds it is pi(s0) (|s| / |s s0|)^4.  Where
+    density(s) = 0, as for ``truncated_nu`` inside its cutoff, the ratio is
+    undefined and NumPy gives inf or nan with a ``RuntimeWarning``.
     """
-    num = float(measure.density(SPoints.single(s.multiply(s0)))[0]) * modulus_pi(s0)
-    den = float(measure.density(SPoints.single(s))[0])
-    return num / den
+    return measure.density(s.multiply(s0)) * modulus_pi(s0) / measure.density(s)
 
 
 def nu_derivative_band(s0: TriangularS) -> tuple[float, float]:
@@ -160,17 +151,6 @@ def right_translation_jacobian_fd(s: TriangularS, s0: TriangularS, h: float = 1e
     return float(np.linalg.det(jac))
 
 
-def polar_decompose_s(s: TriangularS) -> tuple[float, TriangularS]:
-    """Split s = r w with r = |s| and |w| = 1."""
-    r = s.norm()
-    return r, s.scale(1.0 / r)
-
-
-def polar_measure_weight(r) -> np.ndarray:
-    """Radial density r^-1 of the |s|^-4 measure in polar coordinates."""
-    return 1.0 / np.asarray(r, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # samplers: each provides points plus its own density against Lebesgue ds
 
@@ -195,17 +175,17 @@ class PolarShellSampler:
     def log_ratio(self) -> float:
         return math.log(self.r_max / self.r_min)
 
-    def sample(self, n: int, rng: np.random.Generator) -> SPoints:
+    def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
         radii = self.r_min * (self.r_max / self.r_min) ** rng.random(n)
         x = rng.standard_normal((n, 4))
         x[:, 0] = np.abs(x[:, 0])
         x[:, 1] = np.abs(x[:, 1])
         lengths = np.sqrt(np.sum(x**2, axis=1))
         x /= lengths[:, None]
-        return SPoints(radii * x[:, 0], radii * x[:, 1], radii * (x[:, 2] + 1j * x[:, 3]))
+        return TriangularS(radii * x[:, 0], radii * x[:, 1], radii * (x[:, 2] + 1j * x[:, 3]))
 
-    def density(self, pts: SPoints) -> np.ndarray:
-        norms = pts.norms()
+    def density(self, pts: TriangularS) -> np.ndarray:
+        norms = pts.norm()
         inside = (norms >= self.r_min) & (norms <= self.r_max)
         return np.where(inside, norms**-4.0 / (self.log_ratio * OMEGA_PATCH_MASS), 0.0)
 
@@ -219,14 +199,14 @@ class LogNormalSampler:
     tau: float = 1.0
     sigma_r: float = 1.0
 
-    def sample(self, n: int, rng: np.random.Generator) -> SPoints:
+    def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
         r1 = np.exp(self.mu1 + self.tau * rng.standard_normal(n))
         r2 = np.exp(self.mu2 + self.tau * rng.standard_normal(n))
         re = self.sigma_r * rng.standard_normal(n)
         im = self.sigma_r * rng.standard_normal(n)
-        return SPoints(r1, r2, re + 1j * im)
+        return TriangularS(r1, r2, re + 1j * im)
 
-    def density(self, pts: SPoints) -> np.ndarray:
+    def density(self, pts: TriangularS) -> np.ndarray:
         t1 = (np.log(pts.r1) - self.mu1) / self.tau
         t2 = (np.log(pts.r2) - self.mu2) / self.tau
         d1 = np.exp(-0.5 * t1**2) / (pts.r1 * self.tau * math.sqrt(2 * math.pi))
@@ -242,7 +222,8 @@ class LogNormalSampler:
 
 @dataclass(frozen=True)
 class BoxSampler:
-    """Uniform sampler on an axis-aligned box in chart coordinates."""
+    """Uniform sampler on an axis-aligned box in chart coordinates
+    (r1, r2, Re r, Im r); the box must lie in the chart, r1, r2 > 0."""
 
     r1_lo: float
     r1_hi: float
@@ -262,15 +243,16 @@ class BoxSampler:
             * (self.im_hi - self.im_lo)
         )
 
-    def sample(self, n: int, rng: np.random.Generator) -> SPoints:
-        r1 = rng.uniform(self.r1_lo, self.r1_hi, n)
-        r2 = rng.uniform(self.r2_lo, self.r2_hi, n)
-        re = rng.uniform(self.re_lo, self.re_hi, n)
-        im = rng.uniform(self.im_lo, self.im_hi, n)
-        return SPoints(r1, r2, re + 1j * im)
+    def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
+        """One (n, 4) block of uniforms, lo + (hi - lo) u per coordinate."""
+        lo = np.array([self.r1_lo, self.r2_lo, self.re_lo, self.im_lo])
+        hi = np.array([self.r1_hi, self.r2_hi, self.re_hi, self.im_hi])
+        u = lo + (hi - lo) * rng.random((n, 4))
+        return TriangularS(u[:, 0], u[:, 1], u[:, 2] + 1j * u[:, 3])
 
-    def density(self, pts: SPoints) -> np.ndarray:
-        inside = (
+    def contains(self, pts: TriangularS) -> np.ndarray:
+        """Membership of each point in the closed box."""
+        return (
             (pts.r1 >= self.r1_lo)
             & (pts.r1 <= self.r1_hi)
             & (pts.r2 >= self.r2_lo)
@@ -280,7 +262,9 @@ class BoxSampler:
             & (pts.r.imag >= self.im_lo)
             & (pts.r.imag <= self.im_hi)
         )
-        return np.where(inside, 1.0 / self.volume, 0.0)
+
+    def density(self, pts: TriangularS) -> np.ndarray:
+        return np.where(self.contains(pts), 1.0 / self.volume, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +289,7 @@ class IntegralEstimate:
 
 
 class MCAccumulator:
-    """Mergeable (sum, sum of |x|^2, count) triple for streaming estimates."""
+    """(sum, sum of |x|^2, count) triple for streaming estimates."""
 
     __slots__ = ("total", "total_sq", "count")
 
@@ -319,11 +303,6 @@ class MCAccumulator:
         self.total_sq += float(np.sum(np.abs(values) ** 2))
         self.count += int(values.size)
 
-    def merge(self, other: "MCAccumulator"):
-        self.total += other.total
-        self.total_sq += other.total_sq
-        self.count += other.count
-
     def estimate(self) -> IntegralEstimate:
         n = self.count
         mean = self.total / n
@@ -336,7 +315,12 @@ def sample_batches(sampler, measures, n: int, rng):
     """The Monte-Carlo batch loop: yield ``n`` points in batches of at most
     ``BATCH_SIZE`` as ``(pts, weights)``, each drawn once, with one weight
     array measure.density / sampler.density per measure in ``measures``.
+
+    The one sample-count guard of the three engines: fewer than 1000
+    points is a ``ValueError``, raised before anything is drawn.
     """
+    if n < 1000:
+        raise ValueError(f"need at least 1000 samples, got {n}")
     rng = as_generator(rng)
     remaining = n
     while remaining > 0:
@@ -366,10 +350,8 @@ def integrate_mc(
 
     ``mode="square"`` estimates the squared-modulus integral of the
     integrand; ``mode="plain"`` integrates the (possibly complex) values.
-    Batches are merged through (sum, sum of squares, count) triples.
+    Batches accumulate into one (sum, sum of squares, count) triple.
     """
-    if n < 1000:
-        raise ValueError("need at least 1000 samples")
     if mode not in ("square", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
     acc = MCAccumulator()
@@ -456,7 +438,7 @@ def divergence_probe(
     shells = len(eps) + 1  # shell k holds radii in [ascending[k-1], ascending[k])
     sums = np.zeros((len(integrands), len(measures), 2, shells))  # 2: sum, sum of squares
     for pts, weights in sample_batches(sampler, measures, samples, rng):
-        shell = np.searchsorted(ascending, pts.norms(), side="right")
+        shell = np.searchsorted(ascending, pts.norm(), side="right")
         for i, fn in enumerate(integrands):
             squared = np.abs(fn(pts)) ** 2
             for j, w in enumerate(weights):

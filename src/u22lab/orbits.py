@@ -11,8 +11,6 @@ of H against diag(e1, e2).
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +20,7 @@ from .matrices import HermitianSignature, signed_triangular_factor, WrongOrbit
 __all__ = [
     "DegenerateOrbit",
     "OrbitLabel",
-    "CharacterPoint",
-    "pairing",
     "character_phase",
-    "character_multiplier",
     "classify_orbit",
     "orbit_coordinates",
 ]
@@ -85,25 +80,6 @@ class OrbitLabel(enum.Enum):
         return labels[k - 1]
 
 
-@dataclass(frozen=True)
-class CharacterPoint:
-    """A point of the character group, carried by its skew-Hermitian parameter."""
-
-    m: SkewHermitian2
-
-    def is_nondegenerate(self, tol: float = DEGENERACY_TOL) -> bool:
-        return classify_orbit(self.m, tol) is not None
-
-
-def pairing(m: SkewHermitian2, n: SkewHermitian2) -> float:
-    """The real bilinear pairing tr(m n) in closed form.
-
-    tr(m n) = -a1 a2 - b1 b2 - 2 Re(z1 conj(z2)); real because both factors
-    are skew-Hermitian.
-    """
-    return -m.a * n.a - m.b * n.b - 2.0 * (m.z * np.conj(n.z)).real
-
-
 def character_phase(label: OrbitLabel, n: SkewHermitian2, r1, r2, r):
     """Phase tr(m_k s n s*) as a function of the chart coordinates of s.
 
@@ -119,12 +95,6 @@ def character_phase(label: OrbitLabel, n: SkewHermitian2, r1, r2, r):
     return -e1 * n.a * r1**2 - e2 * (
         n.a * np.abs(r) ** 2 + n.b * r2**2 + 2.0 * r2 * (r * n.z).imag
     )
-
-
-def character_multiplier(label: OrbitLabel, s: TriangularS, n: SkewHermitian2) -> complex:
-    """Unit-modulus value exp(i tr(m_k s n s*))."""
-    phase = float(character_phase(label, n, s.r1, s.r2, s.r))
-    return complex(math.cos(phase), math.sin(phase))
 
 
 def classify_orbit(m: SkewHermitian2, tol: float = DEGENERACY_TOL) -> OrbitLabel | None:

@@ -10,7 +10,8 @@ f(s) = exp(-|s|/2) is not square integrable against the |s|^-4 measure
 b(q) = T(q) f - f is; that membership gap is what ``specialness_report``
 verifies.  Functions are closed-form evaluators on point batches, never
 grids, so algebraic identities can be tested pointwise with no
-discretization error.
+discretization error.  A function takes the chart points as one
+``TriangularS``, a single element or a batch.
 """
 
 from __future__ import annotations
@@ -34,23 +35,18 @@ from .measures import (
     sample_batches,
 )
 from .orbits import OrbitLabel
-from .points import SPoints
 
 __all__ = [
     "GroupFunction",
     "vacuum",
-    "constant",
     "inverse_norm",
     "translate",
     "character_factor",
     "character_product",
-    "linear_combination",
-    "difference",
     "apply_T",
     "CocycleVector",
     "coboundary",
     "l2_norm",
-    "inner_product",
     "gram_matrix",
     "SpecialnessReport",
     "specialness_report",
@@ -65,56 +61,37 @@ _ZERO_N = SkewHermitian2.zero()
 
 
 class GroupFunction:
-    """A complex-valued closed-form function on the chart, batch evaluated."""
+    """A complex-valued closed-form function on the chart, evaluated on one
+    ``TriangularS`` element or a batch."""
 
     __slots__ = ("_evaluate",)
 
     def __init__(self, evaluate):
         self._evaluate = evaluate
 
-    def __call__(self, pts: SPoints) -> np.ndarray:
+    def __call__(self, pts: TriangularS) -> np.ndarray:
         return np.asarray(self._evaluate(pts), dtype=complex)
-
-    def __add__(self, other: "GroupFunction") -> "GroupFunction":
-        return GroupFunction(lambda pts: self(pts) + other(pts))
-
-    def __sub__(self, other: "GroupFunction") -> "GroupFunction":
-        return GroupFunction(lambda pts: self(pts) - other(pts))
-
-    def __mul__(self, scalar) -> "GroupFunction":
-        c = complex(scalar)
-        return GroupFunction(lambda pts: c * self(pts))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GroupFunction":
-        return self * (-1.0)
 
 
 def vacuum() -> GroupFunction:
     """f(s) = exp(-|s|/2); values in (0, 1], tending to 1 at small radius."""
-    return GroupFunction(lambda pts: np.exp(-pts.norms() / 2.0))
-
-
-def constant(c: complex) -> GroupFunction:
-    c = complex(c)
-    return GroupFunction(lambda pts: np.full(pts.size, c, dtype=complex))
+    return GroupFunction(lambda pts: np.exp(-pts.norm() / 2.0))
 
 
 def inverse_norm() -> GroupFunction:
     """|s|^-1, the synthetic power-divergence control."""
-    return GroupFunction(lambda pts: 1.0 / pts.norms())
+    return GroupFunction(lambda pts: 1.0 / pts.norm())
 
 
 def translate(fn: GroupFunction, s0: TriangularS) -> GroupFunction:
     """Right translation (F -> F(. s0))."""
-    return GroupFunction(lambda pts: fn(pts.right_translate(s0)))
+    return GroupFunction(lambda pts: fn(pts.multiply(s0)))
 
 
 def character_factor(label: OrbitLabel, n) -> GroupFunction:
     """The unit-modulus multiplier s -> exp(i tr(m_k s n s*))."""
 
-    def evaluate(pts: SPoints) -> np.ndarray:  # cos + i sin: cheaper than a complex exp
+    def evaluate(pts: TriangularS) -> np.ndarray:  # cos + i sin: cheaper than a complex exp
         phase = orbits.character_phase(label, n, pts.r1, pts.r2, pts.r)
         out = np.empty(phase.shape, dtype=complex)
         np.cos(phase, out=out.real)
@@ -127,24 +104,6 @@ def character_factor(label: OrbitLabel, n) -> GroupFunction:
 def character_product(label: OrbitLabel, n, fn: GroupFunction) -> GroupFunction:
     factor = character_factor(label, n)
     return GroupFunction(lambda pts: factor(pts) * fn(pts))
-
-
-def linear_combination(coeffs: Sequence[complex], fns: Sequence[GroupFunction]) -> GroupFunction:
-    if len(coeffs) != len(fns):
-        raise ValueError("coefficient/function length mismatch")
-    pairs = [(complex(c), f) for c, f in zip(coeffs, fns)]
-
-    def evaluate(pts: SPoints) -> np.ndarray:
-        out = np.zeros(pts.size, dtype=complex)
-        for c, f in pairs:
-            out += c * f(pts)
-        return out
-
-    return GroupFunction(evaluate)
-
-
-def difference(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    return f - g
 
 
 def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
@@ -183,9 +142,9 @@ class CocycleVector:
             return cls.zero(label)
         return cls(label, ((1.0 + 0.0j, p),))
 
-    def evaluate(self, pts: SPoints) -> np.ndarray:
-        """sum_i c_i (T(p_i) f - f) on the batch, with f evaluated once."""
-        out = np.zeros(pts.size, dtype=complex)
+    def evaluate(self, pts: TriangularS) -> np.ndarray:
+        """sum_i c_i (T(p_i) f - f) at the points, with f evaluated once."""
+        out = np.zeros(np.shape(pts.r), dtype=complex)
         if not self.terms:
             return out
         f = vacuum()
@@ -197,24 +156,10 @@ class CocycleVector:
     def as_group_function(self) -> GroupFunction:
         return GroupFunction(self.evaluate)
 
-    def scale(self, c: complex) -> "CocycleVector":
-        c = complex(c)
-        return CocycleVector(self.label, tuple((c * ci, p) for ci, p in self.terms))
-
     def __add__(self, other: "CocycleVector") -> "CocycleVector":
         if other.label is not self.label:
             raise ValueError("cannot mix orbit labels in one combination")
         return CocycleVector(self.label, self.terms + other.terms).canonical()
-
-    def __sub__(self, other: "CocycleVector") -> "CocycleVector":
-        return self + other.scale(-1.0)
-
-    def __neg__(self) -> "CocycleVector":
-        return self.scale(-1.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0
 
     def canonical(self, tol: float = CANONICAL_TOL) -> "CocycleVector":
         """Merge coincident basis labels, drop identities and zero coefficients."""
@@ -245,7 +190,7 @@ def coboundary(q, label: OrbitLabel) -> CocycleVector:
 
 
 # ---------------------------------------------------------------------------
-# norms, inner products, Gram matrices
+# norms and Gram matrices
 
 
 def l2_norm(
@@ -257,19 +202,6 @@ def l2_norm(
 ) -> IntegralEstimate:
     """Estimate of the squared-norm integral over the sampler's support."""
     return integrate_mc(fn, measure, sampler, n, rng, mode="square")
-
-
-def inner_product(
-    fn: GroupFunction,
-    gn: GroupFunction,
-    measure: MeasureSpec,
-    sampler: PolarShellSampler,
-    n: int,
-    rng,
-) -> IntegralEstimate:
-    """Estimate of the sesquilinear pairing; conjugate symmetric by design."""
-    product = GroupFunction(lambda pts: fn(pts) * np.conj(gn(pts)))
-    return integrate_mc(product, measure, sampler, n, rng, mode="plain")
 
 
 def gram_matrix(

@@ -268,6 +268,47 @@ class TestVerify:
     def test_bad_samples_value(self):
         assert run_cli(["verify", "--samples", "10", "--claims", "C01"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config file must hold a JSON object"),
+            ('{"bogus": 1}', "unknown config field 'bogus'"),
+            ('{"mc_samples": "many"}', "config field 'mc_samples' has a bad value"),
+            ('{"eps_ladder": 5}', "config field 'eps_ladder' has a bad value"),
+            ('{"label": 5}', "config field 'label' has a bad value"),
+        ],
+        ids=["list", "unknown-field", "samples-not-a-number", "ladder-not-a-list", "label-not-a-string"],
+    )
+    def test_malformed_config_is_an_input_error(self, tmp_path, capsys, text, message):
+        # exit 1 means a claim failed; a bad config file is exit 2 with one line
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert run_cli(["verify", "--config", str(cfg), "--claims", "C01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    def test_config_checks_cover_every_field(self):
+        from dataclasses import fields
+
+        from u22lab.claims import SuiteConfig
+        from u22lab.cli import _CONFIG_CHECKS
+
+        assert set(_CONFIG_CHECKS) == {f.name for f in fields(SuiteConfig)}
+
+
+@pytest.mark.parametrize("command", [["measure-probe", "--function", "vacuum"], ["gram", "--size", "2"]])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_too_few_samples_is_an_input_error(capsys, command, samples):
+    # the shared Monte-Carlo batch loop rejects the count before drawing, so
+    # no verdict on zero points and no division by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command + ["--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least 1000 samples, got {samples}\n"
+
 
 class TestGramCommand:
     def test_smoke(self, tmp_path):

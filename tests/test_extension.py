@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from u22lab.extension import (
-    ExtendedOperator,
     act_k,
     act_sigma_on_basis,
     apply_extended,
@@ -15,12 +14,11 @@ from u22lab.groups import (
     PElement,
     TriangularS,
     U22Element,
-    embed_p,
     random_k,
     random_p,
     random_u22,
 )
-from u22lab.matrices import frob
+from u22lab.matrices import SIGMA, frob
 from u22lab.measures import PolarShellSampler, nu_measure
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
@@ -87,12 +85,12 @@ class TestActSigma:
 
 class TestExtendCocycle:
     def test_compact_element_gives_zero(self, rng):
-        v = extend_cocycle(random_k(rng).as_u22(), LABEL)
-        assert v.is_zero
+        v = extend_cocycle(U22Element(random_k(rng).m), LABEL)
+        assert v.terms == ()
 
     def test_triangular_element_matches_module(self, pts, rng):
         p = random_p(rng)
-        v = extend_cocycle(embed_p(p), LABEL)
+        v = extend_cocycle(U22Element(p.matrix()), LABEL)
         direct = coboundary(p, LABEL)
         np.testing.assert_allclose(v.evaluate(pts), direct.evaluate(pts), atol=1e-10)
 
@@ -108,7 +106,7 @@ class TestExtendCocycle:
         g = random_u22(rng)
         k = random_k(rng)
         v1 = extend_cocycle(g, LABEL)
-        v2 = extend_cocycle(g.multiply(k.as_u22()), LABEL)
+        v2 = extend_cocycle(g.multiply(U22Element(k.m)), LABEL)
         assert len(v1.terms) == len(v2.terms) == 1
         assert v1.terms[0][1].distance(v2.terms[0][1]) < 1e-10 * rel_scale(v1.terms[0][1])
 
@@ -130,7 +128,7 @@ class TestApplyExtended:
     def test_extension_agrees_with_representation_on_p(self, pts, rng):
         p0 = random_p(rng)
         v = coboundary(random_p(rng), LABEL)
-        via_extension = apply_extended(embed_p(p0), v)
+        via_extension = apply_extended(U22Element(p0.matrix()), v)
         via_operator = apply_T(p_to_q(p0), LABEL, v.as_group_function())
         np.testing.assert_allclose(via_extension.evaluate(pts), via_operator(pts), atol=1e-10)
 
@@ -152,25 +150,27 @@ class TestApplyExtended:
 
 
 class TestExtendedOperator:
+    # words in the generators act through apply_extended; the swap letter is
+    # the compact element SIGMA
+    SWAP = U22Element(SIGMA)
+
     def test_word_composition_matches_group_product(self, pts, rng):
         g1, g2 = random_u22(rng), random_u22(rng)
         v = coboundary(random_p(rng), LABEL)
-        word = ExtendedOperator.from_group_element(g1).compose(
-            ExtendedOperator.from_group_element(g2)
-        )
-        direct = apply_extended(g1, apply_extended(g2, v))
-        np.testing.assert_allclose(word.apply(v).evaluate(pts), direct.evaluate(pts), atol=1e-9)
+        word = apply_extended(g1, apply_extended(g2, v))
+        product = apply_extended(g1.multiply(g2), v)
+        np.testing.assert_allclose(word.evaluate(pts), product.evaluate(pts), atol=1e-9)
 
     def test_swap_letter(self, pts, rng):
         p = random_p(rng)
         v = coboundary(p, LABEL)
-        out = ExtendedOperator.swap().apply(v)
+        out = apply_extended(self.SWAP, v)
         expected = coboundary(act_sigma_on_basis(p), LABEL)
         np.testing.assert_allclose(out.evaluate(pts), expected.evaluate(pts), atol=1e-10)
 
     def test_swap_squared_is_identity_on_basis(self, pts, rng):
         v = coboundary(random_p(rng), LABEL)
-        out = ExtendedOperator.swap().compose(ExtendedOperator.swap()).apply(v)
+        out = apply_extended(self.SWAP, apply_extended(self.SWAP, v))
         np.testing.assert_allclose(out.evaluate(pts), v.evaluate(pts), atol=1e-9)
 
 

@@ -19,14 +19,8 @@ from u22lab.groups import (
     SkewHermitian2,
     TriangularS,
     U22Element,
-    element_from_json,
     element_to_json,
-    embed_n,
-    embed_p,
-    embed_s,
     is_in_u22,
-    is_n_shaped,
-    is_s_shaped,
     iwasawa_decompose,
     n_conjugate,
     nested_q_commutator,
@@ -47,7 +41,7 @@ from u22lab.groups import (
     sigma_hat,
     structured_p_factor,
 )
-from u22lab.matrices import E2, E4, SIGMA, adjoint, assemble, blocks, frob
+from u22lab.matrices import E4, SIGMA, adjoint, assemble, blocks, frob, matrix_from_json
 
 EPS = np.finfo(float).eps
 
@@ -78,7 +72,7 @@ class TestMembership:
             scale = max(1.0, frob(m) ** 2)
             report = is_in_u22(m)
             assert abs(report.sigma_relation - frob(m @ SIGMA @ adjoint(m) - SIGMA) / scale) <= 1e-15
-            assert abs(report.block_unit - frob(g12 @ adjoint(g21) + g11 @ adjoint(g22) - E2) / scale) <= 1e-15
+            assert abs(report.block_unit - frob(g12 @ adjoint(g21) + g11 @ adjoint(g22) - np.eye(2)) / scale) <= 1e-15
             assert abs(report.block_upper - frob(g11 @ adjoint(g12) + g12 @ adjoint(g11)) / scale) <= 1e-15
             assert abs(report.block_lower - frob(g22 @ adjoint(g21) + g21 @ adjoint(g22)) / scale) <= 1e-15
 
@@ -110,25 +104,34 @@ class TestMembership:
         assert np.max(frob(g.multiply(g.inverse()).m - E4)) < 1e-13
 
 
+def embed_s(s: TriangularS) -> np.ndarray:
+    """The block matrix diag(s*^-1, s) of a pure triangular element."""
+    return PElement(s, np.zeros((2, 2))).matrix()
+
+
+def embed_n(n: SkewHermitian2) -> np.ndarray:
+    """The block matrix [[e, 0], [n, e]] of a pure translation."""
+    return q_to_p(QElement(TriangularS.identity(), n)).matrix()
+
+
 class TestEmbeddings:
     def test_embed_zero_translation(self):
-        assert frob(embed_n(SkewHermitian2.zero()).m - E4) == 0.0
+        assert frob(embed_n(SkewHermitian2.zero()) - E4) == 0.0
 
     def test_embed_diagonal(self):
-        g = embed_s(TriangularS(2.0, 1.0, 0.0))
-        np.testing.assert_allclose(g.m, np.diag([0.5, 1.0, 2.0, 1.0]))
+        np.testing.assert_allclose(embed_s(TriangularS(2.0, 1.0, 0.0)), np.diag([0.5, 1.0, 2.0, 1.0]))
 
     def test_embed_p_block(self):
         x = np.array([[1j, 0.0], [0.0, 0.0]])
-        g = embed_p(PElement(TriangularS.identity(), x))
-        np.testing.assert_allclose(g.m[2:, :2], x)
-        assert is_in_u22(g.m, 1e-12).ok
+        g = PElement(TriangularS.identity(), x).matrix()
+        np.testing.assert_allclose(g[2:, :2], x)
+        assert is_in_u22(g, 1e-12).ok
 
     def test_embeds_pass_membership(self, rng):
         for _ in range(50):
-            assert is_in_u22(embed_s(random_s(rng)).m, 1e-12).ok
-            assert is_in_u22(embed_n(random_n(rng)).m, 1e-12).ok
-            assert is_in_u22(embed_p(random_p(rng)).m, 1e-12).ok
+            assert is_in_u22(embed_s(random_s(rng)), 1e-12).ok
+            assert is_in_u22(embed_n(random_n(rng)), 1e-12).ok
+            assert is_in_u22(random_p(rng).matrix(), 1e-12).ok
 
     def test_p_invariant_enforced(self):
         # sX* + Xs* != 0 for this pair
@@ -200,6 +203,9 @@ class TestComponentForms:
     def test_batch_validation_reports_the_first_failing_member(self):
         with pytest.raises(InvariantViolation, match="got -2.0, 1.0"):
             TriangularS(np.array([1.0, -2.0, -3.0]), np.ones(3), np.zeros(3))
+        with pytest.raises(InvariantViolation, match="got 1.0, nan"):
+            TriangularS(np.ones(3), np.array([1.0, np.nan, -1.0]), np.zeros(3))
+        assert TriangularS(np.ones(0), np.ones(0), np.zeros(0)).size == 0
         x = np.zeros((3, 2, 2), dtype=complex)
         x[1] = [[1.0, 0.0], [0.0, 0.0]]  # s X* + X s* != 0 for s = e
         with pytest.raises(InvariantViolation):
@@ -284,7 +290,7 @@ class TestStructuredFactor:
 class TestIwasawa:
     def test_p_element_input(self, rng):
         p0 = random_p(rng)
-        p, k = iwasawa_decompose(embed_p(p0))
+        p, k = iwasawa_decompose(U22Element(p0.matrix()))
         assert p.distance(p0) < 1e-10 * max(1.0, p0.s.norm() + frob(p0.x))
         assert frob(k.m - E4) < 1e-10
 
@@ -292,8 +298,8 @@ class TestIwasawa:
         p, k = iwasawa_decompose(U22Element(SIGMA))
         assert p.distance(PElement.identity()) < 1e-12
         np.testing.assert_allclose(k.m, SIGMA)
-        np.testing.assert_allclose(k.alpha, np.zeros((2, 2)))
-        np.testing.assert_allclose(k.beta, np.eye(2))
+        np.testing.assert_allclose(k.m[:2, :2], np.zeros((2, 2)))
+        np.testing.assert_allclose(k.m[:2, 2:], np.eye(2))
 
     def test_random_reconstruction(self, rng):
         for _ in range(200):
@@ -311,7 +317,7 @@ class TestIwasawa:
 
     def test_compact_stack_validates_each_member(self, rng):
         ks = np.stack([random_k(rng).m for _ in range(3)])
-        assert KElement(ks).alpha.shape == (3, 2, 2)
+        assert KElement(ks).m.shape == (3, 4, 4)
         ks[1, 0, 0] += 1e-6
         with pytest.raises(InvariantViolation):
             KElement(ks)
@@ -441,19 +447,34 @@ class TestGroupClosure:
 
 
 class TestSubgroupShapes:
+    # an element of P = S N is read off its factor p = (s, x): N-shaped means
+    # s = e, S-shaped means x = 0
+    @staticmethod
+    def shapes(m):
+        p, k = iwasawa_decompose(U22Element(m))
+        assert frob(k.m - E4) < 1e-12
+        n_shaped = p.s.distance(TriangularS.identity()) <= 1e-12
+        s_shaped = frob(p.x) <= 1e-12 * max(1.0, p.s.norm())
+        return n_shaped, s_shaped
+
     def test_n_and_s_meet_only_at_identity(self, rng):
-        assert is_n_shaped(E4) and is_s_shaped(E4)
+        assert self.shapes(E4) == (True, True)
         for _ in range(50):
             n = random_n(rng)
             if n.norm() > 1e-6:
-                assert not is_s_shaped(embed_n(n).m)
+                assert self.shapes(embed_n(n)) == (True, False)
             s = random_s(rng)
             if s.distance(TriangularS.identity()) > 1e-6:
-                assert not is_n_shaped(embed_s(s).m)
+                assert self.shapes(embed_s(s)) == (False, True)
 
     def test_shape_predicates(self, rng):
-        assert is_n_shaped(embed_n(random_n(rng)).m)
-        assert is_s_shaped(embed_s(random_s(rng)).m)
+        n, s = random_n(rng), random_s(rng)
+        p, _ = iwasawa_decompose(U22Element(embed_n(n)))
+        assert p.s.distance(TriangularS.identity()) <= 1e-12
+        assert frob(p.x - n.matrix()) <= 1e-12 * max(1.0, n.norm())
+        p, _ = iwasawa_decompose(U22Element(embed_s(s)))
+        assert p.s.distance(s) <= 1e-12 * max(1.0, s.norm())
+        assert frob(p.x) <= 1e-12 * max(1.0, s.norm())
 
 
 class TestDerivedSeries:
@@ -539,23 +560,21 @@ class TestJson:
     @pytest.mark.parametrize("maker", [random_p, random_q, random_k, random_u22])
     def test_roundtrip(self, maker, rng):
         el = maker(rng)
-        back = element_from_json(element_to_json(el))
-        assert type(back) is type(el)
+        # read the document back by hand: the library only writes elements
+        data = element_to_json(el)["data"]
         if isinstance(el, (KElement, U22Element)):
-            assert np.array_equal(back.m, el.m)
-        elif isinstance(el, PElement):
-            assert back.distance(el) == 0.0
+            assert np.array_equal(matrix_from_json(data["m"]), el.m)
+            return
+        s = data["s"]
+        assert (s["r1"], s["r2"], complex(*s["r"])) == (el.s.r1, el.s.r2, el.s.r)
+        if isinstance(el, PElement):
+            assert np.array_equal(matrix_from_json(data["x"]), el.x)
         else:
-            assert back.s.distance(el.s) == 0.0 and back.n.distance(el.n) == 0.0
+            n = data["n"]
+            assert (n["a"], n["b"], complex(*n["z"])) == (el.n.a, el.n.b, el.n.z)
 
     def test_kind_tags(self, rng):
         assert element_to_json(random_p(rng))["kind"] == "p"
         assert element_to_json(random_q(rng))["kind"] == "q"
         assert element_to_json(random_k(rng))["kind"] == "k"
         assert element_to_json(random_u22(rng))["kind"] == "u22"
-
-    def test_bad_document(self):
-        with pytest.raises(ValueError):
-            element_from_json({"kind": "nope", "data": {}})
-        with pytest.raises(ValueError):
-            element_from_json({"data": {}})

@@ -2,7 +2,12 @@ import numpy as np
 
 from u22lab import lie
 from u22lab.groups import is_in_u22
-from u22lab.matrices import matrix_exp
+from u22lab.matrices import SIGMA, adjoint, frob, matrix_exp
+
+
+def algebra_residual(xi: np.ndarray) -> float:
+    """Residual of the defining relation xi sigma + sigma xi* = 0."""
+    return frob(xi @ SIGMA + SIGMA @ adjoint(xi))
 
 
 def test_ambient_basis_has_sixteen_independent_elements():
@@ -12,8 +17,8 @@ def test_ambient_basis_has_sixteen_independent_elements():
 
 
 def test_basis_satisfies_defining_relation():
-    assert max(lie.algebra_residual(x) for x in lie.U22_BASIS) == 0.0
-    assert max(lie.algebra_residual(x) for x in lie.P_BASIS) == 0.0
+    assert max(algebra_residual(x) for x in lie.U22_BASIS) == 0.0
+    assert max(algebra_residual(x) for x in lie.P_BASIS) == 0.0
 
 
 def test_triangular_subalgebra_has_dimension_eight():
@@ -24,7 +29,7 @@ def test_triangular_subalgebra_has_dimension_eight():
 
 def test_conjugated_subalgebra_keeps_dimension_eight():
     conj = [lie.sigma_conjugate(x) for x in lie.P_BASIS]
-    assert max(lie.algebra_residual(x) for x in conj) == 0.0
+    assert max(algebra_residual(x) for x in conj) == 0.0
     assert lie.real_span_rank(conj) == 8
 
 
@@ -47,7 +52,7 @@ def test_bracket_closure_reaches_the_traceless_subalgebra():
 
 def test_center_is_missing_from_the_closure():
     center = 1j * np.eye(4)
-    assert lie.algebra_residual(center) < 1e-14
+    assert algebra_residual(center) < 1e-14
     basis = lie.P_BASIS
     union = list(basis) + [lie.sigma_conjugate(x) for x in basis]
     assert lie.real_span_rank(union + [center]) == 15
@@ -67,4 +72,4 @@ def test_brackets_stay_in_the_algebra(rng):
     for _ in range(20):
         x = sum(rng.standard_normal() * b for b in basis)
         y = sum(rng.standard_normal() * b for b in basis)
-        assert lie.algebra_residual(lie.bracket(x, y)) < 1e-12
+        assert algebra_residual(lie.bracket(x, y)) < 1e-12

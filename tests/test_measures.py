@@ -8,34 +8,32 @@ from u22lab.groups import TriangularS, random_s
 from u22lab.measures import (
     BoxSampler,
     LogNormalSampler,
+    MeasureSpec,
     NonFinite,
     OMEGA_PATCH_MASS,
     PolarShellSampler,
     divergence_probe,
     haar_measure,
     integrate_mc,
-    lebesgue_measure,
     modulus_pi,
-    norm_s,
     nu_derivative_band,
     nu_measure,
-    polar_decompose_s,
-    polar_measure_weight,
     right_translation_jacobian_fd,
     rn_derivative_right,
     singular_values,
     truncated_nu,
 )
-from u22lab.representation import GroupFunction, coboundary, constant, inverse_norm, vacuum
-from u22lab.groups import QElement, SkewHermitian2
+from u22lab.representation import GroupFunction, coboundary, gram_matrix, inverse_norm, vacuum
+from u22lab.groups import QElement, SkewHermitian2, random_p
 from u22lab.orbits import OrbitLabel
 
 LADDER = tuple(np.logspace(-1, -4, 7))
+ONE = GroupFunction(lambda pts: np.ones(pts.size))
 
 
 def annulus_indicator(fn, lo, hi):
     def evaluate(pts):
-        norms = pts.norms()
+        norms = pts.norm()
         return np.where((norms >= lo) & (norms <= hi), fn(pts), 0.0)
 
     return GroupFunction(evaluate)
@@ -43,21 +41,21 @@ def annulus_indicator(fn, lo, hi):
 
 class TestChartFunctions:
     def test_norm_identity(self):
-        assert norm_s(TriangularS.identity()) == math.sqrt(2.0)
+        assert TriangularS.identity().norm() == math.sqrt(2.0)
 
     def test_norm_example(self):
-        assert abs(norm_s(TriangularS(1.0, 2.0, 1.0 + 1.0j)) - math.sqrt(7.0)) < 1e-15
+        assert abs(TriangularS(1.0, 2.0, 1.0 + 1.0j).norm() - math.sqrt(7.0)) < 1e-15
 
     def test_norm_homogeneous(self, rng):
         s = random_s(rng)
-        assert abs(norm_s(s.scale(3.0)) - 3.0 * norm_s(s)) < 1e-13 * norm_s(s)
+        assert abs(TriangularS(3.0 * s.r1, 3.0 * s.r2, 3.0 * s.r).norm() - 3.0 * s.norm()) < 1e-13 * s.norm()
 
     def test_norm_submultiplicative_band(self, rng):
         for _ in range(200):
             s, s0 = random_s(rng), random_s(rng)
             smin, smax = singular_values(s0)
-            product = norm_s(s.multiply(s0))
-            assert smin * norm_s(s) * (1 - 1e-12) <= product <= smax * norm_s(s) * (1 + 1e-12)
+            product = s.multiply(s0).norm()
+            assert smin * s.norm() * (1 - 1e-12) <= product <= smax * s.norm() * (1 + 1e-12)
 
     def test_pi_identity(self):
         assert modulus_pi(TriangularS.identity()) == 1.0
@@ -97,6 +95,14 @@ class TestRadonNikodym:
                 value = rn_derivative_right(nu_measure(), random_s(rng), s0)
                 assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-12)
 
+    @pytest.mark.parametrize("measure", [nu_measure(), haar_measure()], ids=["nu", "haar"])
+    def test_batch_equals_per_element_calls(self, rng, measure):
+        # scalar and array powers may round 1 ulp apart
+        s, s0 = random_s(rng, size=1000), random_s(rng)
+        batch = rn_derivative_right(measure, s, s0)
+        single = [rn_derivative_right(measure, TriangularS(a, b, c), s0) for a, b, c in zip(s.r1, s.r2, s.r)]
+        np.testing.assert_allclose(batch, single, rtol=4 * np.finfo(float).eps, atol=0)
+
     def test_jacobian_finite_differences(self, rng):
         # the Jacobian of s -> s s0 depends on s0 only and equals pi(s0)
         for _ in range(10):
@@ -105,49 +111,65 @@ class TestRadonNikodym:
             assert abs(fd / modulus_pi(s0) - 1.0) < 1e-6
 
 
+def polar(s: TriangularS):
+    """s = r w with r = |s| and |w| = 1."""
+    r = s.norm()
+    return r, TriangularS(s.r1 / r, s.r2 / r, s.r / r)
+
+
 class TestPolar:
+    # polar coordinates s = r w: the shell sampler draws in them, and the
+    # |s|^-4 measure reads r^-1 dr dw in them
     def test_identity_decomposition(self):
-        r, omega = polar_decompose_s(TriangularS.identity())
+        r, omega = polar(TriangularS.identity())
         assert r == math.sqrt(2.0)
-        assert omega.distance(TriangularS.identity().scale(1 / math.sqrt(2.0))) == 0.0
+        assert abs(omega.norm() - 1.0) <= np.finfo(float).eps
 
     def test_scaling(self, rng):
         s = random_s(rng)
-        r, omega = polar_decompose_s(s)
-        r2, omega2 = polar_decompose_s(s.scale(3.0))
+        r, omega = polar(s)
+        r2, omega2 = polar(TriangularS(3.0 * s.r1, 3.0 * s.r2, 3.0 * s.r))
         assert abs(r2 - 3.0 * r) < 1e-12 * r
         assert omega2.distance(omega) < 1e-14
 
     def test_roundtrip(self, rng):
         for _ in range(100):
             s = random_s(rng)
-            r, omega = polar_decompose_s(s)
-            assert abs(norm_s(omega) - 1.0) < 1e-14
-            assert omega.scale(r).distance(s) <= 1e-14 * max(1.0, norm_s(s))
+            r, omega = polar(s)
+            assert abs(omega.norm() - 1.0) < 1e-14
+            assert TriangularS(r * omega.r1, r * omega.r2, r * omega.r).distance(s) <= 1e-14 * max(1.0, s.norm())
+        # a shell sample is a radius in [r_min, r_max] times a unit direction
+        r, omega = polar(PolarShellSampler(0.5, 8.0).sample(1000, rng))
+        assert np.all((r >= 0.5 * (1 - 1e-14)) & (r <= 8.0 * (1 + 1e-14)))
+        assert np.max(np.abs(omega.norm() - 1.0)) < 1e-14
 
     def test_radial_weight(self):
-        np.testing.assert_allclose(polar_measure_weight([0.5, 2.0]), [2.0, 0.5])
+        # |s|^-4 times the radial volume element r^3 is r^-1
+        radii = np.array([0.5, 2.0])
+        pts = TriangularS(radii / math.sqrt(2.0), radii / math.sqrt(2.0), np.zeros(2, complex))
+        np.testing.assert_allclose(nu_measure().density(pts) * pts.norm() ** 3, [2.0, 0.5], rtol=1e-14)
 
 
 class TestIntegration:
     def test_constant_on_box(self, rng):
         # uniform sampler against the Lebesgue measure: the estimate is exact
         box = BoxSampler(1, 2, 1, 2, 1, 2, 1, 2)
-        est = integrate_mc(constant(1.0), lebesgue_measure(), box, 10_000, rng, mode="plain")
+        lebesgue = MeasureSpec("lebesgue", lambda pts: np.ones(pts.size))
+        est = integrate_mc(ONE, lebesgue, box, 10_000, rng, mode="plain")
         assert est.value == 1.0
         assert est.std_error == 0.0
 
     def test_annulus_mass_closed_form(self, rng):
         # integral of 1 against |s|^-4 ds over the annulus is log(R/eps) * patch mass
         sampler = PolarShellSampler(0.5, 8.0)
-        est = integrate_mc(constant(1.0), nu_measure(), sampler, 5_000, rng, mode="plain")
+        est = integrate_mc(ONE, nu_measure(), sampler, 5_000, rng, mode="plain")
         assert abs(est.value - math.log(16.0) * OMEGA_PATCH_MASS) < 1e-12
 
     def test_polar_cartesian_and_quadrature_agree(self, rng):
         # three routes to the integral of exp(-|s|) against the truncated measure
         lo, hi = 0.5, 8.0
         expected = OMEGA_PATCH_MASS * (exp1(lo) - exp1(hi))
-        fn = GroupFunction(lambda pts: np.exp(-pts.norms()))
+        fn = GroupFunction(lambda pts: np.exp(-pts.norm()))
         polar = integrate_mc(
             fn, nu_measure(), PolarShellSampler(lo, hi), 200_000, rng, mode="plain"
         )
@@ -167,11 +189,11 @@ class TestIntegration:
     def test_estimator_battery_polar_vs_cartesian(self, rng):
         lo, hi = 0.5, 6.0
         battery = [
-            constant(1.0),
-            GroupFunction(lambda pts: np.exp(-pts.norms())),
-            GroupFunction(lambda pts: np.exp(-pts.norms() ** 2 / 4.0)),
-            GroupFunction(lambda pts: pts.norms() ** 2 * np.exp(-pts.norms())),
-            GroupFunction(lambda pts: 1.0 / (1.0 + pts.norms() ** 2)),
+            ONE,
+            GroupFunction(lambda pts: np.exp(-pts.norm())),
+            GroupFunction(lambda pts: np.exp(-pts.norm() ** 2 / 4.0)),
+            GroupFunction(lambda pts: pts.norm() ** 2 * np.exp(-pts.norm())),
+            GroupFunction(lambda pts: 1.0 / (1.0 + pts.norm() ** 2)),
         ]
         polar_sampler = PolarShellSampler(lo, hi)
         cart_sampler = LogNormalSampler(tau=1.0, sigma_r=1.5)
@@ -184,7 +206,7 @@ class TestIntegration:
             assert abs(polar.value - cart.value) < 4 * max(combined, 1e-12)
 
     def test_stderr_scales_like_clt(self):
-        fn = GroupFunction(lambda pts: np.exp(-pts.norms()))
+        fn = GroupFunction(lambda pts: np.exp(-pts.norm()))
         sampler = PolarShellSampler(1e-3, 20.0)
         small = integrate_mc(fn, nu_measure(), sampler, 50_000, np.random.default_rng(1))
         large = integrate_mc(fn, nu_measure(), sampler, 200_000, np.random.default_rng(2))
@@ -193,7 +215,7 @@ class TestIntegration:
 
     def test_chunking_is_invisible(self):
         # same stream, one pass; value independent of internal chunk seams
-        fn = GroupFunction(lambda pts: np.exp(-pts.norms()))
+        fn = GroupFunction(lambda pts: np.exp(-pts.norm()))
         sampler = PolarShellSampler(1e-2, 10.0)
         a = integrate_mc(fn, nu_measure(), sampler, 300_000, np.random.default_rng(3))
         b = integrate_mc(fn, nu_measure(), sampler, 300_000, np.random.default_rng(3))
@@ -209,8 +231,40 @@ class TestIntegration:
             integrate_mc(GroupFunction(evaluate), nu_measure(), sampler, 1_000, rng)
 
     def test_minimum_sample_count(self, rng):
-        with pytest.raises(ValueError):
-            integrate_mc(constant(1.0), nu_measure(), PolarShellSampler(), 10, rng)
+        # one guard in the shared batch loop serves all three engines
+        sampler = PolarShellSampler()
+        for n in (999, 0, -3):
+            engines = [
+                lambda: integrate_mc(ONE, nu_measure(), sampler, n, rng),
+                lambda: divergence_probe(vacuum(), nu_measure(), LADDER, 30.0, n, rng),
+                lambda: gram_matrix([random_p(rng)], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, n, rng),
+            ]
+            for engine in engines:
+                with pytest.raises(ValueError, match=f"need at least 1000 samples, got {n}"):
+                    engine()
+
+
+class TestBoxSampler:
+    BOX = (1.4, 2.8, 0.7, 1.4, -1.0, 0.5, -0.5, 0.8)
+
+    def test_draws_one_block(self):
+        # lo + (hi - lo) u on one (n, 4) block of uniforms: the stream C04's
+        # box part drew by hand before it used the sampler, bit for bit
+        lo, hi = np.array(self.BOX[0::2]), np.array(self.BOX[1::2])
+        pts = BoxSampler(*self.BOX).sample(1000, np.random.default_rng(4))
+        u = np.random.default_rng(4).uniform(size=(1000, 4))
+        expected = [lo[j] + (hi[j] - lo[j]) * u[:, j] for j in range(4)]
+        assert np.array_equal(pts.r1, expected[0]) and np.array_equal(pts.r2, expected[1])
+        assert np.array_equal(pts.r, expected[2] + 1j * expected[3])
+
+    def test_membership_and_density(self, rng):
+        box = BoxSampler(*self.BOX)
+        inside = box.sample(1000, rng)
+        assert box.contains(inside).all()
+        outside = TriangularS(inside.r1 + 2.0, inside.r2, inside.r)
+        assert not box.contains(outside).any()
+        np.testing.assert_array_equal(box.density(inside), 1.0 / box.volume)
+        np.testing.assert_array_equal(box.density(outside), 0.0)
 
 
 class TestDivergenceProbe:
@@ -264,7 +318,7 @@ class TestSharedStream:
         for measure, verdict in zip(measures, row):
             contrib = squared * measure.density(pts) / sampler.density(pts)
             for cut, (value, stderr) in zip(eps, verdict.estimates):
-                masked = np.where(pts.norms() >= cut, contrib, 0.0)
+                masked = np.where(pts.norm() >= cut, contrib, 0.0)
                 mean = masked.sum() / n
                 assert value == pytest.approx(mean, rel=1e-12, abs=0.0)
                 expected_se = math.sqrt(max((masked**2).sum() / n - mean**2, 0.0) / n)
@@ -284,7 +338,7 @@ class TestSharedStream:
 
     def test_batch_norms_are_computed_once(self):
         pts = PolarShellSampler().sample(1000, np.random.default_rng(0))
-        assert pts.norms() is pts.norms()
+        assert pts.norm() is pts.norm()
 
 
 class TestBoxTranslation:
@@ -313,18 +367,16 @@ class TestBoxTranslation:
 class TestAccumulatorMerge:
     def test_partial_triples_merge_to_the_full_estimate(self, rng):
         # the estimator state is a (sum, sum of squares, count) triple, so
-        # independently accumulated batches merge associatively
+        # batches streamed into one accumulator give the one-batch estimate
         from u22lab.measures import MCAccumulator
 
         values = rng.standard_normal(9_000) + 1j * rng.standard_normal(9_000)
         whole = MCAccumulator()
         whole.add(values)
-        merged = MCAccumulator()
+        streamed = MCAccumulator()
         for chunk in np.array_split(values, 7):
-            part = MCAccumulator()
-            part.add(chunk)
-            merged.merge(part)
-        a, b = whole.estimate(), merged.estimate()
+            streamed.add(chunk)
+        a, b = whole.estimate(), streamed.estimate()
         assert abs(a.value - b.value) < 1e-12
         assert abs(a.std_error - b.std_error) < 1e-12
         assert a.sample_count == b.sample_count

@@ -7,43 +7,58 @@ from hypothesis import given, strategies as st
 from u22lab.groups import SkewHermitian2, TriangularS, random_n, random_s
 from u22lab.matrices import adjoint, frob
 from u22lab.orbits import (
-    CharacterPoint,
     DegenerateOrbit,
     OrbitLabel,
-    character_multiplier,
     character_phase,
     classify_orbit,
     orbit_coordinates,
-    pairing,
 )
+from u22lab.representation import character_factor
+
+
+def character_multiplier(label: OrbitLabel, s: TriangularS, n: SkewHermitian2) -> complex:
+    """exp(i tr(m_k s n s*)) at one chart point, through the library's multiplier."""
+    return complex(character_factor(label, n)(s))
+
+
+def pairing(label: OrbitLabel, n: SkewHermitian2) -> float:
+    """tr(m_k n): the character phase at the identity chart point."""
+    return character_phase(label, n, 1.0, 1.0, 0.0)
 
 
 class TestPairing:
+    # the real pairing tr(m n) enters the library as the phase of the
+    # character at s = e, with m the orbit representative m_k
     def test_representative_against_itself(self):
-        m = SkewHermitian2(1.0, 1.0, 0.0)  # i * identity
-        assert pairing(m, m) == -2.0
+        m = OrbitLabel.PLUS_PLUS.representative()  # i * identity
+        assert pairing(OrbitLabel.PLUS_PLUS, m) == -2.0
 
     def test_zero(self, rng):
-        assert pairing(SkewHermitian2.zero(), random_n(rng)) == 0.0
+        for label in OrbitLabel:
+            s = random_s(rng)
+            assert character_phase(label, SkewHermitian2.zero(), s.r1, s.r2, s.r) == 0.0
 
     def test_matches_trace(self, rng):
-        for _ in range(100):
-            m, n = random_n(rng), random_n(rng)
-            tr = np.trace(m.matrix() @ n.matrix())
-            assert abs(tr.imag) < 1e-13
-            assert abs(pairing(m, n) - tr.real) < 1e-13
+        for label in OrbitLabel:
+            for _ in range(100):
+                n = random_n(rng)
+                tr = np.trace(label.representative().matrix() @ n.matrix())
+                assert abs(tr.imag) < 1e-13
+                assert abs(pairing(label, n) - tr.real) < 1e-13
 
-    def test_symmetric(self, rng):
-        m, n = random_n(rng), random_n(rng)
-        assert pairing(m, n) == pairing(n, m)
+    def test_symmetric(self):
+        for k in OrbitLabel:
+            for j in OrbitLabel:
+                assert pairing(k, j.representative()) == pairing(j, k.representative())
 
     @given(st.integers(0, 2**32 - 1))
     def test_bilinear(self, seed):
         rng = np.random.default_rng(seed)
-        m, n1, n2 = random_n(rng), random_n(rng), random_n(rng)
-        lhs = pairing(m, n1.add(n2))
-        rhs = pairing(m, n1) + pairing(m, n2)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+        n1, n2 = random_n(rng), random_n(rng)
+        for label in OrbitLabel:
+            lhs = pairing(label, n1.add(n2))
+            rhs = pairing(label, n1) + pairing(label, n2)
+            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
 class TestCharacterMultiplier:
@@ -111,8 +126,14 @@ class TestClassify:
                 assert classify_orbit(m.conjugate_by(random_s(rng))) is label
 
     def test_character_point_wrapper(self):
-        assert CharacterPoint(SkewHermitian2(1.0, 1.0, 0.0)).is_nondegenerate()
-        assert not CharacterPoint(SkewHermitian2.zero()).is_nondegenerate()
+        # a character point is nondegenerate exactly when it has an orbit
+        # label, and then exactly when it has chart coordinates
+        m = SkewHermitian2(1.0, 1.0, 0.0)
+        assert classify_orbit(m) is not None
+        assert orbit_coordinates(m).distance(TriangularS.identity()) == 0.0
+        assert classify_orbit(SkewHermitian2.zero()) is None
+        with pytest.raises(DegenerateOrbit):
+            orbit_coordinates(SkewHermitian2.zero())
 
 
 class TestOrbitCoordinates:
