@@ -6,12 +6,7 @@ extension of both to the whole group, with a verification battery behind
 the ``u22lab`` command-line tool.
 """
 
-from .matrices import (
-    HermitianSignature,
-    WrongOrbit,
-    signed_triangular_factor,
-    matrix_exp,
-)
+from .matrices import matrix_exp
 from .groups import (
     TriangularS,
     SkewHermitian2,
@@ -48,11 +43,10 @@ from .representation import (
     vacuum,
     apply_T,
     coboundary,
-    l2_norm,
     gram_matrix,
     specialness_report,
 )
-from .extension import act_k, act_sigma_on_basis, extend_cocycle, apply_extended
+from .extension import act_k, extend_cocycle, apply_extended
 from .rank1 import AffElement, LineFunction, apply_U, almost_invariant_check
 from .claims import SuiteConfig, ClaimRecord, run_claims
 

@@ -31,7 +31,7 @@ from .groups import (
 )
 from .matrices import matrix_from_json
 from .measures import PolarShellSampler, divergence_probe, nu_measure
-from .orbits import DegenerateOrbit, OrbitLabel, classify_orbit, orbit_coordinates
+from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
 from .representation import coboundary, gram_matrix, inverse_norm, vacuum
 
 __all__ = ["main", "build_parser"]
@@ -233,11 +233,7 @@ def _cmd_orbit(args) -> int:
     if label is None:
         _emit_json({"label": "degenerate"}, args.out)
         return 0
-    try:
-        s = orbit_coordinates(m)
-    except DegenerateOrbit:
-        _emit_json({"label": "degenerate"}, args.out)
-        return 0
+    s = orbit_coordinates(m)
     _emit_json(
         {
             "label": str(label),

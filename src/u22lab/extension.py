@@ -31,13 +31,12 @@ from .groups import (
     p_part,
     sigma_hat,
 )
-from .measures import MeasureSpec, PolarShellSampler
+from .measures import MeasureSpec, PolarShellSampler, integrate_mc
 from .orbits import OrbitLabel
-from .representation import CocycleVector, l2_norm
+from .representation import CocycleVector
 
 __all__ = [
     "act_k",
-    "act_sigma_on_basis",
     "extend_cocycle",
     "apply_extended",
     "apply_k_on_vector",
@@ -49,11 +48,6 @@ __all__ = [
 def act_k(k: KElement, p: PElement) -> PElement:
     """The triangular part p' of k p = p' k'."""
     return p_part(k.m @ p.matrix())
-
-
-def act_sigma_on_basis(p: PElement) -> PElement:
-    """Basis-label action of the block swap; an involution."""
-    return sigma_hat(p)
 
 
 def extend_cocycle(g: U22Element, label: OrbitLabel) -> CocycleVector:
@@ -98,9 +92,9 @@ def unboundedness_experiment(
     rows = []
     for c in scales:
         p = PElement(TriangularS(float(c), 1.0, 0.0), np.zeros((2, 2)))
-        p_hat = act_sigma_on_basis(p)
-        num = l2_norm(CocycleVector.basis(p_hat, label).as_group_function(), measure, sampler, samples, rng)
-        den = l2_norm(CocycleVector.basis(p, label).as_group_function(), measure, sampler, samples, rng)
+        p_hat = sigma_hat(p)
+        num = integrate_mc(CocycleVector.basis(p_hat, label).as_group_function(), measure, sampler, samples, rng)
+        den = integrate_mc(CocycleVector.basis(p, label).as_group_function(), measure, sampler, samples, rng)
         ratio = math.sqrt(num.real / den.real)
         # first-order error propagation for sqrt(a/b)
         rel = 0.5 * math.sqrt(

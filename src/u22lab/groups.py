@@ -38,8 +38,9 @@ of its first failing member.  ``TriangularS`` is the package's only chart
 type: the Monte-Carlo samplers, the test points and the functions of
 ``representation`` all use it.  The closed forms on chart components
 (``s_product``, ``s_inverse``, ``n_conjugate``) exist once.  The samplers
-draw a batch in one call when given ``size``.  Elements are written to JSON
-(``element_to_json``, for the CLI); nothing reads them back.
+draw a batch in one call when given ``size``.  The factors p and k of a
+decomposition are written to JSON (``element_to_json``, for the CLI);
+nothing reads them back.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import numpy as np
 from . import lie
 from .matrices import (
     E4,
-    MINOR_TOL_FACTOR as MINOR_TOL,
     SIGMA,
     adjoint,
     assemble,
@@ -104,6 +104,10 @@ __all__ = [
 CONSTRUCTION_TOL = 1e-12
 PRODUCT_TOL = 1e-10
 CHAIN_TOL = 1e-9
+
+# Scale-invariant cutoff for positivity of the leading minors in
+# ``_triangular_factor_of_inverse``.
+MINOR_TOL_FACTOR = 1e-12
 
 # Type-level validation is slightly looser than the construction rung so that
 # round trips through ill-conditioned triangular factors never reject their
@@ -571,7 +575,7 @@ def _triangular_factor_of_inverse(m11: np.ndarray) -> np.ndarray:
     c = m11[1, 0]
     det = a * d - abs(c) ** 2
     scale = frob(m11)
-    if d <= MINOR_TOL * scale or det <= MINOR_TOL * scale * scale:
+    if d <= MINOR_TOL_FACTOR * scale or det <= MINOR_TOL_FACTOR * scale * scale:
         raise NotFactorizable("upper-left block is not positive definite")
     s11 = math.sqrt(d / det)
     s21 = -c / math.sqrt(d * det)
@@ -811,17 +815,9 @@ def _s_to_json(s: TriangularS) -> dict:
     return {"r1": s.r1, "r2": s.r2, "r": [s.r.real, s.r.imag]}
 
 
-def _n_to_json(n: SkewHermitian2) -> dict:
-    return {"a": n.a, "b": n.b, "z": [n.z.real, n.z.imag]}
-
-
 def element_to_json(el) -> dict:
     if isinstance(el, PElement):
         return {"kind": "p", "data": {"s": _s_to_json(el.s), "x": matrix_to_json(el.x)}}
-    if isinstance(el, QElement):
-        return {"kind": "q", "data": {"s": _s_to_json(el.s), "n": _n_to_json(el.n)}}
     if isinstance(el, KElement):
         return {"kind": "k", "data": {"m": matrix_to_json(el.m)}}
-    if isinstance(el, U22Element):
-        return {"kind": "u22", "data": {"m": matrix_to_json(el.m)}}
     raise TypeError(f"cannot encode {type(el).__name__}")

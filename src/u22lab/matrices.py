@@ -4,43 +4,27 @@ Everything in this package lives on 2x2 or 4x4 complex matrices, so the
 linear algebra here is closed form throughout: no iteration, no LAPACK
 round trips for things a formula does better.  The generic kernels
 (``adjoint``, ``frob``, ``blocks``, ``assemble``, ``matrix_exp``) act on one
-matrix or on a stack of shape (..., n, n) alike.  The one structured
-factorization, ``signed_triangular_factor``, writes a nondegenerate
-Hermitian 2x2 H as s diag(e1, e2) s* for a sign pair (e1, e2), with s lower
-triangular and a strictly positive diagonal; pinning the diagonal positive
-makes s unique, which is what makes it the orbit chart downstream.  Matrices
-travel to and from JSON as nested [re, im] pairs.
+matrix or on a stack of shape (..., n, n) alike.  Only generic kernels live
+here; structured factors live with their types (``groups``, ``orbits``).
+Matrices travel to and from JSON as nested [re, im] pairs.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "E4",
     "SIGMA",
-    "HermitianSignature",
-    "WrongOrbit",
     "adjoint",
     "frob",
     "freeze",
     "blocks",
     "assemble",
-    "signed_triangular_factor",
     "matrix_exp",
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-# Scale-invariant cutoff for positivity / nondegeneracy of leading minors.
-MINOR_TOL_FACTOR = 1e-12
-
-
-class WrongOrbit(ValueError):
-    """The sign pattern of the input does not match the requested signature."""
 
 
 def freeze(a) -> np.ndarray:
@@ -82,72 +66,6 @@ def assemble(g11, g12, g21, g22) -> np.ndarray:
     out = np.empty(max((p.shape[:-2] for p in parts), key=len) + (4, 4), dtype=complex)
     out[..., :2, :2], out[..., :2, 2:], out[..., 2:, :2], out[..., 2:, 2:] = parts
     return out
-
-
-@dataclass(frozen=True)
-class HermitianSignature:
-    """Sign pair (e1, e2) of a nondegenerate Hermitian 2x2 form.
-
-    Exactly four values exist, one per open orbit.
-    """
-
-    eps1: int
-    eps2: int
-
-    def __post_init__(self):
-        if self.eps1 not in (-1, 1) or self.eps2 not in (-1, 1):
-            raise ValueError("signature entries must be +1 or -1")
-
-    def __str__(self) -> str:
-        return ("+" if self.eps1 > 0 else "-") + ("+" if self.eps2 > 0 else "-")
-
-    @classmethod
-    def from_string(cls, text: str) -> "HermitianSignature":
-        if len(text) != 2 or any(c not in "+-" for c in text):
-            raise ValueError(f"bad signature string: {text!r}")
-        return cls(1 if text[0] == "+" else -1, 1 if text[1] == "+" else -1)
-
-
-def _require_hermitian(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {h.shape}")
-    scale = max(frob(h), 1e-300)
-    if frob(h - adjoint(h)) > 1e-12 * scale:
-        raise ValueError("input is not Hermitian")
-    return h
-
-
-def signed_triangular_factor(
-    h: np.ndarray,
-    signature: HermitianSignature,
-    tol_factor: float = MINOR_TOL_FACTOR,
-) -> np.ndarray:
-    """Triangular factor s with s diag(e1, e2) s* = h for indefinite h.
-
-    The closed form is the Cholesky recurrence with signs threaded through:
-
-        r1 = sqrt(e1 h11),  r = e1 h21 / r1,  r2 = sqrt(e2 (h22 - e1 |r|^2)).
-
-    Preconditions (exactly the condition for h to lie on the orbit of
-    diag(e1, e2) under s . s*):  e1 h11 > 0  and  e1 e2 det(h) > 0.
-    Raises ``WrongOrbit`` when they fail.  The factor is unique.
-    """
-    h = _require_hermitian(h)
-    scale = frob(h)
-    e1, e2 = signature.eps1, signature.eps2
-    minor1 = e1 * h[0, 0].real
-    det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
-    if minor1 <= tol_factor * scale:
-        raise WrongOrbit(f"e1*h11 = {minor1:.3e} not positive at tolerance")
-    if e1 * e2 * det <= tol_factor * scale * scale:
-        raise WrongOrbit(f"e1*e2*det = {e1 * e2 * det:.3e} not positive at tolerance")
-    r1 = math.sqrt(minor1)
-    r = e1 * h[1, 0] / r1
-    t = e2 * (h[1, 1].real - e1 * abs(r) ** 2)
-    # t = e1 e2 det / r1^2 > 0 is implied by the checks above.
-    r2 = math.sqrt(t)
-    return np.array([[r1, 0.0], [r, r2]], dtype=complex)
 
 
 def matrix_exp(m: np.ndarray, taylor_degree: int = 12, target_norm: float = 0.25) -> np.ndarray:

@@ -25,12 +25,10 @@ from . import orbits
 from .groups import PElement, QElement, SkewHermitian2, TriangularS, p_to_q, q_to_p
 from .measures import (
     DivergenceVerdict,
-    IntegralEstimate,
     MCAccumulator,
     MeasureSpec,
     PolarShellSampler,
     divergence_probe,
-    integrate_mc,
     require_finite,
     sample_batches,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "apply_T",
     "CocycleVector",
     "coboundary",
-    "l2_norm",
     "gram_matrix",
     "SpecialnessReport",
     "specialness_report",
@@ -190,18 +187,7 @@ def coboundary(q, label: OrbitLabel) -> CocycleVector:
 
 
 # ---------------------------------------------------------------------------
-# norms and Gram matrices
-
-
-def l2_norm(
-    fn: GroupFunction,
-    measure: MeasureSpec,
-    sampler: PolarShellSampler,
-    n: int,
-    rng,
-) -> IntegralEstimate:
-    """Estimate of the squared-norm integral over the sampler's support."""
-    return integrate_mc(fn, measure, sampler, n, rng, mode="square")
+# Gram matrices
 
 
 def gram_matrix(

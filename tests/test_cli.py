@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import u22lab
+from u22lab import claims
 from u22lab.cli import main
 from u22lab.groups import random_k
 from u22lab.matrices import SIGMA, adjoint, assemble, matrix_to_json
@@ -120,6 +121,26 @@ class TestOrbit:
         assert read_json(out)["label"] == "degenerate"
 
     @pytest.mark.parametrize(
+        "point, label, diagonal",
+        [
+            ({"a": 1e200, "b": 1e200, "z": [0, 0]}, "++", 1e100),
+            ({"a": 1e-200, "b": -1e-200, "z": [0, 0]}, "+-", 1e-100),
+        ],
+        ids=["huge", "tiny"],
+    )
+    def test_extreme_scale(self, tmp_path, capsys, point, label, diagonal):
+        src = tmp_path / "m.json"
+        out = tmp_path / "out.json"
+        src.write_text(json.dumps(point))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["orbit", "--input", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = read_json(out)
+        assert doc["label"] == label
+        assert doc["coordinates"] == {"r1": diagonal, "r2": diagonal, "r": [0.0, 0.0]}
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"a": 1, "b": 2, "z": [0]}',
@@ -218,6 +239,21 @@ class TestVerify:
         for claim in doc["claims"]:
             assert claim["tolerance"] == 1e-20
             assert claim["measured"] > 0
+
+    def test_loose_override_keeps_a_failure(self, tmp_path):
+        # C10 is the documented failure; --tol may force failures, never passes
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--claims", "C10", "--tol", "5", "--out", str(out)])
+        assert code == 1
+        (claim,) = read_json(out)["claims"]
+        assert claim["verdict"] == "fail" and claim["tolerance"] == 5.0
+
+    def test_loose_override_keeps_own_conditions(self, monkeypatch):
+        # a claim whose own condition fails with a small measured value
+        failing = claims._ClaimSpec("fails on its own terms", lambda config, rng: (0.5, 1.0, False, {}))
+        monkeypatch.setitem(claims._REGISTRY, "C01", failing)
+        (record,) = claims.run_claims(claims.SuiteConfig(tol_override=10.0), ["C01"])
+        assert record.verdict == "fail" and record.tolerance == 10.0
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -3,7 +3,6 @@ import pytest
 
 from u22lab.extension import (
     act_k,
-    act_sigma_on_basis,
     apply_extended,
     apply_p_on_vector,
     extend_cocycle,
@@ -17,6 +16,7 @@ from u22lab.groups import (
     random_k,
     random_p,
     random_u22,
+    sigma_hat,
 )
 from u22lab.matrices import SIGMA, frob
 from u22lab.measures import PolarShellSampler, nu_measure
@@ -68,18 +68,18 @@ class TestActK:
 
 class TestActSigma:
     def test_identity(self):
-        out = act_sigma_on_basis(PElement.identity())
+        out = sigma_hat(PElement.identity())
         assert out.distance(PElement.identity()) == 0.0
 
     def test_diagonal_example(self):
         p = PElement(TriangularS(2.0, 1.0, 0.0), np.zeros((2, 2)))
-        out = act_sigma_on_basis(p)
+        out = sigma_hat(p)
         assert out.s.distance(TriangularS(0.5, 1.0, 0.0)) < 1e-14
 
     def test_involution(self, rng):
         for _ in range(50):
             p = random_p(rng)
-            back = act_sigma_on_basis(act_sigma_on_basis(p))
+            back = sigma_hat(sigma_hat(p))
             assert back.distance(p) < 1e-10 * rel_scale(p)
 
 
@@ -165,7 +165,7 @@ class TestExtendedOperator:
         p = random_p(rng)
         v = coboundary(p, LABEL)
         out = apply_extended(self.SWAP, v)
-        expected = coboundary(act_sigma_on_basis(p), LABEL)
+        expected = coboundary(sigma_hat(p), LABEL)
         np.testing.assert_allclose(out.evaluate(pts), expected.evaluate(pts), atol=1e-10)
 
     def test_swap_squared_is_identity_on_basis(self, pts, rng):

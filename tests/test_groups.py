@@ -557,24 +557,18 @@ class TestSamplers:
 
 
 class TestJson:
-    @pytest.mark.parametrize("maker", [random_p, random_q, random_k, random_u22])
+    @pytest.mark.parametrize("maker", [random_p, random_k])
     def test_roundtrip(self, maker, rng):
         el = maker(rng)
         # read the document back by hand: the library only writes elements
         data = element_to_json(el)["data"]
-        if isinstance(el, (KElement, U22Element)):
+        if isinstance(el, KElement):
             assert np.array_equal(matrix_from_json(data["m"]), el.m)
             return
         s = data["s"]
         assert (s["r1"], s["r2"], complex(*s["r"])) == (el.s.r1, el.s.r2, el.s.r)
-        if isinstance(el, PElement):
-            assert np.array_equal(matrix_from_json(data["x"]), el.x)
-        else:
-            n = data["n"]
-            assert (n["a"], n["b"], complex(*n["z"])) == (el.n.a, el.n.b, el.n.z)
+        assert np.array_equal(matrix_from_json(data["x"]), el.x)
 
     def test_kind_tags(self, rng):
         assert element_to_json(random_p(rng))["kind"] == "p"
-        assert element_to_json(random_q(rng))["kind"] == "q"
         assert element_to_json(random_k(rng))["kind"] == "k"
-        assert element_to_json(random_u22(rng))["kind"] == "u22"

@@ -3,26 +3,35 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from u22lab.groups import SkewHermitian2
 from u22lab.matrices import (
     SIGMA,
-    HermitianSignature,
-    WrongOrbit,
     adjoint,
     frob,
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
-    signed_triangular_factor,
 )
+from u22lab.orbits import DegenerateOrbit, OrbitLabel, classify_orbit, orbit_coordinates
 
 
-# the four sign pairs, one per open orbit
-SIGNATURES = tuple(HermitianSignature(e1, e2) for e1 in (1, -1) for e2 in (1, -1))
+# The signed triangular factor of a nondegenerate Hermitian form h, the s
+# with s diag(e1, e2) s* = h, is the orbit chart of the point m = i h, so
+# the three classes below test it through ``orbits``.
+
+
+def point(h):
+    return SkewHermitian2.from_matrix(1j * np.asarray(h, dtype=complex))
+
+
+def chart(h):
+    return orbit_coordinates(point(h)).matrix()
 
 
 def cholesky_lower(h):
-    """The Cholesky factor L L* = h is the (+, +) case of the signed factor."""
-    return signed_triangular_factor(h, HermitianSignature(1, 1))
+    """The Cholesky factor L L* = h is the chart of a point on the ++ orbit."""
+    assert classify_orbit(point(h)) is OrbitLabel.PLUS_PLUS
+    return chart(h)
 
 
 def random_hermitian_pd(rng, delta=0.1):
@@ -73,58 +82,63 @@ class TestCholeskyLower:
         assert np.array_equal(a, b)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(WrongOrbit):
-            cholesky_lower(np.diag([1.0, -1.0]))
-        with pytest.raises(WrongOrbit):
-            cholesky_lower(np.diag([-1.0, 2.0]))
+        # an indefinite or negative form lies on another orbit
+        assert classify_orbit(point(np.diag([1.0, -1.0]))) is OrbitLabel.PLUS_MINUS
+        assert classify_orbit(point(np.diag([-1.0, 2.0]))) is OrbitLabel.MINUS_PLUS
 
     def test_rejects_near_singular(self):
-        with pytest.raises(WrongOrbit):
-            cholesky_lower(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(DegenerateOrbit):
+            chart(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_rejects_non_hermitian(self):
+        # i h is not skew-Hermitian, so it is not a point of the dual
         with pytest.raises(ValueError):
-            cholesky_lower(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            point(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestSignedTriangularFactor:
     def test_representative_point(self):
-        s = signed_triangular_factor(np.diag([1.0, -1.0]), HermitianSignature(1, -1))
+        s = chart(np.diag([1.0, -1.0]))
         np.testing.assert_allclose(s, np.eye(2))
 
     def test_diagonal_case(self):
-        s = signed_triangular_factor(np.diag([4.0, -1.0]), HermitianSignature(1, -1))
+        s = chart(np.diag([4.0, -1.0]))
         np.testing.assert_allclose(s, np.diag([2.0, 1.0]))
 
     def test_wrong_orbit(self):
-        # e1 e2 det = -1 < 0 for the definite form against the (+,-) signature
-        with pytest.raises(WrongOrbit):
-            signed_triangular_factor(np.diag([1.0, 1.0]), HermitianSignature(1, -1))
+        # the definite form is on the ++ orbit, not on the +- orbit of diag(1, -1)
+        assert classify_orbit(point(np.diag([1.0, 1.0]))) is OrbitLabel.PLUS_PLUS
 
-    @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
-    def test_roundtrip_random(self, sig, rng):
+    @pytest.mark.parametrize("label", list(OrbitLabel), ids=str)
+    def test_roundtrip_random(self, label, rng):
         for _ in range(250):
             r1, r2 = np.exp(rng.uniform(-2, 2, size=2))
             s_true = np.array(
                 [[r1, 0], [rng.standard_normal() + 1j * rng.standard_normal(), r2]]
             )
-            h = s_true @ np.diag([sig.eps1, sig.eps2]) @ adjoint(s_true)
-            s = signed_triangular_factor(h, sig)
+            h = s_true @ np.diag([label.eps1, label.eps2]) @ adjoint(s_true)
+            assert classify_orbit(point(h)) is label
+            s = chart(h)
             assert frob(s - s_true) / max(1.0, frob(s_true)) < 1e-10
 
 
 class TestHermitianSignature:
+    # the sign pair of the form is the orbit label
     def test_exactly_four_values(self):
-        assert len(SIGNATURES) == 4
-        assert len({(s.eps1, s.eps2) for s in SIGNATURES}) == 4
+        assert len(OrbitLabel) == 4
+        assert {label.value for label in OrbitLabel} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
     def test_rejects_other_entries(self):
         with pytest.raises(ValueError):
-            HermitianSignature(0, 1)
+            OrbitLabel((0, 1))
+        for text in ("+0", "+", "+-+", "", "--\n"):
+            with pytest.raises(ValueError):
+                OrbitLabel.from_string(text)
 
     def test_string_roundtrip(self):
-        for sig in SIGNATURES:
-            assert HermitianSignature.from_string(str(sig)) == sig
+        assert [str(label) for label in OrbitLabel] == ["++", "+-", "-+", "--"]
+        for label in OrbitLabel:
+            assert OrbitLabel.from_string(str(label)) is label
 
 
 class TestMatrixBasics:

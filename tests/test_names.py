@@ -1,0 +1,55 @@
+"""Every public name the package and its benchmark refer to resolves.
+
+A deleted or renamed function otherwise breaks only the code that looks it
+up by name: the package's re-exports and the benchmark's tracer, which
+wraps functions given as (module, attribute path) in ``perfbench/tracer.py``.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import u22lab
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(u22lab.__path__, "u22lab."))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def resolve(module: str, path: str):
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_reexports_resolve_to_public_names():
+    # each `from .mod import name` in the package's __init__ names a listed
+    # public name of that module, and the package holds the same object
+    tree = ast.parse(Path(u22lab.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        source = importlib.import_module(f"u22lab.{node.module}")
+        for alias in node.names:
+            assert alias.name in source.__all__, f"{node.module}.{alias.name}"
+            assert getattr(u22lab, alias.asname or alias.name) is getattr(source, alias.name)
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, path in tracer.TARGETS:
+        assert callable(resolve(module, path)), f"{module}:{path}"

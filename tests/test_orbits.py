@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -171,9 +172,82 @@ class TestOrbitCoordinates:
             orbit_coordinates(SkewHermitian2(1.0, 1.0, 1.0))
 
 
+class TestExtremeScale:
+    # the chart of 4^j m is 2^j times the chart of m, exactly
+    @pytest.mark.parametrize("j", [-100, 100])
+    def test_power_of_four_scales_chart_exactly(self, j, rng):
+        for _ in range(200):
+            m = random_n(rng)
+            label = classify_orbit(m)
+            if label is None:
+                continue
+            scaled = SkewHermitian2(math.ldexp(m.a, 2 * j), math.ldexp(m.b, 2 * j),
+                                    complex(math.ldexp(m.z.real, 2 * j), math.ldexp(m.z.imag, 2 * j)))
+            assert classify_orbit(scaled) is label
+            s, t = orbit_coordinates(m), orbit_coordinates(scaled)
+            assert (t.r1, t.r2) == (math.ldexp(s.r1, j), math.ldexp(s.r2, j))
+            assert t.r == complex(math.ldexp(s.r.real, j), math.ldexp(s.r.imag, j))
+
+    @pytest.mark.parametrize("a, b, label", [(1e300, -1e300, OrbitLabel.PLUS_MINUS),
+                                             (-1e-300, -1e-300, OrbitLabel.MINUS_MINUS),
+                                             (5e-324, 5e-324, OrbitLabel.PLUS_PLUS)])
+    def test_far_from_unit_scale(self, a, b, label):
+        m = SkewHermitian2(a, b, 0.0)
+        assert classify_orbit(m) is label
+        s = orbit_coordinates(m)
+        assert (s.r1, s.r2, s.r) == (math.sqrt(abs(a)), math.sqrt(abs(b)), 0.0)
+
+    @pytest.mark.parametrize("m", [SkewHermitian2(math.nan, 1.0, 0j), SkewHermitian2(1.0, math.inf, 0j),
+                                   SkewHermitian2(1.0, 1.0, complex(0.0, -math.inf))],
+                             ids=["nan", "inf", "z-inf"])
+    def test_non_finite_point_raises(self, m):
+        with pytest.raises(ValueError):
+            classify_orbit(m)
+        with pytest.raises(ValueError):
+            orbit_coordinates(m)
+
+
+def oracle_chart(m: SkewHermitian2):
+    """Reference label and chart: the degeneracy gate on the unscaled point,
+    then the signed Cholesky factor of the matrix H = -i m."""
+    scale = m.norm()
+    det = m.a * m.b - abs(m.z) ** 2
+    if scale == 0.0 or abs(m.a) < 1e-10 * scale or abs(det) < 1e-10 * scale * scale:
+        return None, None
+    e1 = 1 if m.a > 0 else -1
+    e2 = e1 * (1 if det > 0 else -1)
+    h = -1j * m.matrix()
+    r1 = math.sqrt(e1 * h[0, 0].real)
+    r = e1 * h[1, 0] / r1
+    r2 = math.sqrt(e2 * (h[1, 1].real - e1 * abs(r) ** 2))
+    return OrbitLabel((e1, e2)), np.array([[r1, 0.0], [r, r2]], dtype=complex)
+
+
+class TestOracle:
+    def test_matches_matrix_factor(self, rng):
+        # 20,000 points, half moved by a random triangular element
+        count = 10_000
+        n = random_n(rng, size=2 * count)
+        moved = SkewHermitian2(n.a[:count], n.b[:count], n.z[:count]).conjugate_by(random_s(rng, size=count))
+        fields = [np.concatenate([moved.a, n.a[count:]]), np.concatenate([moved.b, n.b[count:]]),
+                  np.concatenate([moved.z, n.z[count:]])]
+        eps = np.finfo(float).eps
+        charted = 0
+        for a, b, z in zip(*(f.tolist() for f in fields)):
+            m = SkewHermitian2(a, b, z)
+            expected_label, expected = oracle_chart(m)
+            assert classify_orbit(m) is expected_label
+            if expected is None:
+                continue
+            s = orbit_coordinates(m).matrix()
+            assert frob(s - expected) <= 4 * eps * frob(expected)
+            charted += 1
+        assert charted > 0.9 * 2 * count
+
+
 class TestOrbitLabelType:
     def test_bijection_with_signatures(self):
-        seen = {label.signature for label in OrbitLabel}
+        seen = {label.value for label in OrbitLabel}
         assert len(seen) == 4
 
     def test_index_roundtrip(self):

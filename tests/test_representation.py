@@ -27,7 +27,6 @@ from u22lab.representation import (
     default_test_set,
     gram_matrix,
     inverse_norm,
-    l2_norm,
     specialness_report,
     vacuum,
 )
@@ -87,8 +86,8 @@ class TestApplyT:
         s0 = TriangularS(1.7, 0.6, 0.4 - 0.2j)
         q = QElement(s0, SkewHermitian2.zero())
         sampler = PolarShellSampler(1e-3, 30.0)
-        base = l2_norm(vacuum(), nu_measure(), sampler, 200_000, rng)
-        moved = l2_norm(apply_T(q, LABEL, vacuum()), nu_measure(), sampler, 200_000, rng)
+        base = integrate_mc(vacuum(), nu_measure(), sampler, 200_000, rng)
+        moved = integrate_mc(apply_T(q, LABEL, vacuum()), nu_measure(), sampler, 200_000, rng)
         _, hi = nu_derivative_band(s0)
         assert moved.real <= hi * base.real * 1.05
 
@@ -208,7 +207,7 @@ class TestNorms:
     def test_zero_function(self, rng):
         sampler = PolarShellSampler(1e-3, 10.0)
         zero = GroupFunction(lambda pts: np.zeros(pts.size))
-        est = l2_norm(zero, nu_measure(), sampler, 10_000, rng)
+        est = integrate_mc(zero, nu_measure(), sampler, 10_000, rng)
         assert est.real == 0.0
 
     def test_translation_coboundary_is_square_integrable(self, rng):
@@ -246,8 +245,8 @@ class TestNorms:
             assert abs(gram[0, 1]) <= math.sqrt(gram[0, 0].real * gram[1, 1].real) * (1 + 1e-12)
             f = coboundary(p, LABEL).as_group_function()
             g = coboundary(q, LABEL).as_group_function()
-            ff = l2_norm(f, nu_measure(), sampler, 50_000, np.random.default_rng(7))
-            gg = l2_norm(g, nu_measure(), sampler, 50_000, np.random.default_rng(7))
+            ff = integrate_mc(f, nu_measure(), sampler, 50_000, np.random.default_rng(7))
+            gg = integrate_mc(g, nu_measure(), sampler, 50_000, np.random.default_rng(7))
             bound = math.sqrt(ff.real * gg.real)
             slack = 3 * (stderr[0, 1] + ff.std_error + gg.std_error)
             assert abs(gram[0, 1]) <= bound + slack
