@@ -300,9 +300,8 @@ class TriangularS:
         return cached
 
     def distance(self, other: "TriangularS"):
-        return np.sqrt(
-            (self.r1 - other.r1) ** 2 + (self.r2 - other.r2) ** 2 + abs(self.r - other.r) ** 2
-        )
+        """Frobenius distance, by ``np.hypot``: no field squares, so no overflow."""
+        return np.hypot(np.hypot(self.r1 - other.r1, self.r2 - other.r2), np.abs(self.r - other.r))
 
 
 @dataclass(frozen=True)
@@ -358,7 +357,8 @@ class SkewHermitian2:
         return SkewHermitian2(*n_conjugate(self.a, self.b, self.z, s.r1, s.r2, s.r))
 
     def norm(self):
-        return np.sqrt(self.a**2 + self.b**2 + 2.0 * abs(self.z) ** 2)
+        """Frobenius norm sqrt(a^2 + b^2 + 2 |z|^2), by ``np.hypot``: no overflow."""
+        return np.hypot(np.hypot(self.a, self.b), math.sqrt(2.0) * np.abs(self.z))
 
     def distance(self, other: "SkewHermitian2"):
         return self.add(other.neg()).norm()
@@ -405,7 +405,7 @@ class PElement:
         return PElement(self.s.multiply(other.s), x12)
 
     def distance(self, other: "PElement"):
-        return np.sqrt(self.s.distance(other.s) ** 2 + frob(self.x - other.x) ** 2)
+        return np.hypot(self.s.distance(other.s), frob(self.x - other.x))
 
     def is_identity(self, tol: float = 1e-13) -> bool:
         return self.distance(PElement.identity()) <= tol
@@ -447,7 +447,8 @@ def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
         raise ValueError(f"expected 4x4 matrices, got {m.shape}")
     d = m @ SIGMA @ adjoint(m) - SIGMA
     d11, d12, _, d22 = blocks(d)
-    scale = np.maximum(1.0, frob(m) ** 2)
+    size = frob(m)
+    scale = np.maximum(1.0, size * size)
     residuals = [frob(block) / scale for block in (d, d12, d11, d22)]
     ok = np.max(residuals, axis=0) <= tol
     return MembershipReport(ok, *residuals, tol)
@@ -501,7 +502,7 @@ class KElement:
         object.__setattr__(self, "m", m)
         g11, g12, g21, g22 = blocks(m)
         size = frob(m)
-        r_unitary = frob(m @ adjoint(m) - E4) / np.maximum(1.0, size**2)
+        r_unitary = frob(m @ adjoint(m) - E4) / np.maximum(1.0, size * size)
         r_shape = (frob(g11 - g22) + frob(g12 - g21)) / np.maximum(1.0, size)
         worst = np.maximum(r_unitary, r_shape)
         bad = _first_failure(worst <= self.tol)
@@ -751,7 +752,7 @@ def as_generator(seed) -> np.random.Generator:
 # one generator call per field.
 
 
-def random_s(seed, size: int | None = None) -> TriangularS:
+def random_s(seed, size: int | tuple[int, ...] | None = None) -> TriangularS:
     """r1, r2 log-uniform on [e^-2, e^2]; r standard complex Gaussian."""
     rng = as_generator(seed)
     # -2 + 4 u is rng.uniform(-2, 2) to the bit, without its per-call overhead
@@ -761,14 +762,14 @@ def random_s(seed, size: int | None = None) -> TriangularS:
     return TriangularS(r1, r2, r)
 
 
-def random_n(seed, size: int | None = None) -> SkewHermitian2:
+def random_n(seed, size: int | tuple[int, ...] | None = None) -> SkewHermitian2:
     rng = as_generator(seed)
     a = rng.standard_normal(size)
     b = rng.standard_normal(size)
     return SkewHermitian2(a, b, rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
-def random_q(seed, size: int | None = None) -> QElement:
+def random_q(seed, size: int | tuple[int, ...] | None = None) -> QElement:
     rng = as_generator(seed)
     return QElement(random_s(rng, size), random_n(rng, size))
 

@@ -11,6 +11,8 @@ Matrices travel to and from JSON as nested [re, im] pairs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -46,10 +48,19 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def frob(a: np.ndarray):
     """Frobenius norm: a plain float for one matrix, an array of norms over
-    the last two axes for a stack."""
+    the last two axes for a stack.
+
+    One matrix goes through ``math.hypot`` on its real and imaginary parts,
+    which scales internally: entries up to the float limit neither overflow
+    nor warn, and a NaN entry gives NaN (also beside an infinite one, where
+    ``hypot`` alone would give inf), so every gate of the form
+    ``residual <= tol * max(1, frob(m))`` still rejects it.  A stack keeps
+    ``np.linalg.norm``, which squares its entries.
+    """
     a = np.asarray(a)
     if a.ndim <= 2:
-        return float(np.linalg.norm(a))
+        norm = math.hypot(*np.asarray(a, dtype=complex).ravel().view(float).tolist())
+        return math.nan if norm == math.inf and np.isnan(a).any() else norm
     return np.linalg.norm(a, axis=(-2, -1))
 
 

@@ -12,6 +12,11 @@ verifies.  Functions are closed-form evaluators on point batches, never
 grids, so algebraic identities can be tested pointwise with no
 discretization error.  A function takes the chart points as one
 ``TriangularS``, a single element or a batch.
+
+T(q) takes one pair or a stack: the fields of q broadcast against the
+chart points, so a stack with fields of shape (m, 1) on n points gives
+(m, n) values in one call, through the closed forms ``s_product`` and
+``orbits.character_phase``.
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ __all__ = [
 # Near-duplicate merge cutoff for formal combinations of basis vectors.
 CANONICAL_TOL = 1e-12
 
-_IDENTITY_S = TriangularS.identity()
-_ZERO_N = SkewHermitian2.zero()
-
 
 class GroupFunction:
     """A complex-valued closed-form function on the chart, evaluated on one
@@ -81,7 +83,7 @@ def inverse_norm() -> GroupFunction:
 
 
 def translate(fn: GroupFunction, s0: TriangularS) -> GroupFunction:
-    """Right translation (F -> F(. s0))."""
+    """Right translation (F -> F(. s0)); a batch s0 broadcasts against the points."""
     return GroupFunction(lambda pts: fn(pts.multiply(s0)))
 
 
@@ -106,12 +108,19 @@ def character_product(label: OrbitLabel, n, fn: GroupFunction) -> GroupFunction:
 def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     """(T(q) F)(s) = multiplier(s, n) * F(s s0) for q = (s0, n).
 
-    The translation part preserves the vacuum family; the multiplier part
-    has unit modulus, so it never changes |F| pointwise.  An identity part
-    is skipped: it would multiply by exactly 1 or translate by exactly s.
+    q is one pair or a stack whose fields broadcast against the points:
+    fields of shape (m, 1) on n points give (m, n) values.  The translation
+    part preserves the vacuum family; the multiplier part has unit modulus,
+    so it never changes |F| pointwise.  A part is skipped only when every
+    member is exactly the identity translation or exactly the zero
+    character: it would translate by exactly s or multiply by exactly 1.
     """
-    out = fn if q.s == _IDENTITY_S else translate(fn, q.s)
-    return out if q.n == _ZERO_N else character_product(label, q.n, out)
+    s, n = q.s, q.n
+    if np.any((s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0)):
+        fn = translate(fn, s)
+    if np.any((n.a != 0.0) | (n.b != 0.0) | (n.z != 0.0)):
+        fn = character_product(label, n, fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,18 @@ def test_group_claims_hold_across_seeds(seed):
     assert c02.verdict == "pass" and c02.measured < 1e-10, c02.detail
 
 
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_operator_and_measure_claims_hold_across_seeds(seed):
+    # C04 draws its pi and derivative-band samples as batches, and C05 runs
+    # 200 pairs per label as one stack
+    c04, c05 = run_claims(SuiteConfig(seed=seed), ["C04", "C05"])
+    assert c04.verdict == "pass" and c04.measured <= 1.0, c04.detail
+    assert c04.detail["pi_multiplicativity"]["residual"] <= 1e-13
+    assert c04.detail["nu_derivative_band"]["residual"] == 0.0
+    assert c05.verdict == "pass" and c05.measured < 1e-11, c05.detail
+    assert c05.detail == {"pairs_per_label": 200, "points": 100}
+
 def test_c10_infinitesimal_generation():
     # Stated expectation: the 16-column real matrix built from the triangular
     # subalgebra basis and its swap conjugate has rank 16.  The measured rank

@@ -125,8 +125,10 @@ class TestOrbit:
         [
             ({"a": 1e200, "b": 1e200, "z": [0, 0]}, "++", 1e100),
             ({"a": 1e-200, "b": -1e-200, "z": [0, 0]}, "+-", 1e-100),
+            # the matrix form is checked for skew-Hermiticity through frob
+            ([[[0, 1e200], [0, 0]], [[0, 0], [0, 1e200]]], "++", 1e100),
         ],
-        ids=["huge", "tiny"],
+        ids=["huge", "tiny", "huge-matrix"],
     )
     def test_extreme_scale(self, tmp_path, capsys, point, label, diagonal):
         src = tmp_path / "m.json"

@@ -212,6 +212,58 @@ class TestComponentForms:
             PElement(TriangularS(np.ones(3), np.ones(3), np.zeros(3)), x)
 
 
+class TestExtremeScale:
+    # norms and distances go through hypot, and frob scales internally, so
+    # fields far beyond sqrt(float max) neither overflow nor warn
+    def test_element_beyond_1e154_constructs_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = PElement(TriangularS(1e-160, 1e160, 0.0), np.zeros((2, 2)))
+        assert p.s.r2 == 1e160
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_norms_and_distances_match_the_scaled_closed_form(self, scale):
+        n = SkewHermitian2(3.0 * scale, -4.0 * scale, (1.0 - 2.0j) * scale)  # |n| = sqrt(9+16+10)
+        s = TriangularS(2.0 * scale, 3.0 * scale, (6.0 + 0.0j) * scale)  # |s - 0| = 7
+        tiny = TriangularS(scale * 1e-20, scale * 1e-20, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [n.norm(), n.distance(SkewHermitian2.zero()), s.distance(tiny)]
+        expected = [math.sqrt(35.0) * scale, math.sqrt(35.0) * scale, 7.0 * scale]
+        for value, want in zip(values, expected):
+            assert math.isfinite(value) and abs(value - want) <= 4 * EPS * want
+
+    def test_batch_norms_and_distances_equal_their_members(self, rng):
+        scale = np.array([1e-300, 1.0, 1e300])
+        n = SkewHermitian2(*(scale * v for v in (random_n(rng, 3).a, random_n(rng, 3).b, random_n(rng, 3).z)))
+        s, t = random_s(rng, 3), random_s(rng, 3)
+        s = TriangularS(s.r1 * scale, s.r2 * scale, s.r * scale)
+        norms, dists = n.norm(), s.distance(t)
+        for i in range(3):
+            assert norms[i] == SkewHermitian2(n.a[i], n.b[i], n.z[i]).norm()
+            one_s = TriangularS(s.r1[i], s.r2[i], s.r[i])
+            assert dists[i] == one_s.distance(TriangularS(t.r1[i], t.r2[i], t.r[i]))
+
+    @pytest.mark.parametrize("build", [
+        lambda m4, m2: SkewHermitian2.from_matrix(m2),
+        lambda m4, m2: TriangularS.from_matrix(m2),
+        lambda m4, m2: PElement(TriangularS.identity(), m2),
+        lambda m4, m2: KElement(m4),
+        lambda m4, m2: U22Element(m4),
+        lambda m4, m2: p_from_matrix(m4),
+    ], ids=["skew", "triangular", "p", "k", "u22", "p-from-matrix"])
+    def test_gates_reject_nan_beside_infinity(self, build):
+        # frob must give NaN here, where hypot alone would give inf and an
+        # inf <= tol * inf gate would pass
+        m2 = np.array([[np.inf, np.nan], [0.0, 1j]])
+        m4 = np.eye(4, dtype=complex)
+        m4[0, 0], m4[0, 1] = np.inf, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the residuals themselves overflow
+            with pytest.raises((InvariantViolation, NotInGroup)):
+                build(m4, m2)
+
+
 class TestQMultiply:
     def test_translations_add(self, rng):
         n1, n2 = random_n(rng), random_n(rng)

@@ -1,3 +1,4 @@
+import warnings
 
 import numpy as np
 import pytest
@@ -211,3 +212,35 @@ class TestMatrixJson:
     def test_bad_payload(self):
         with pytest.raises(ValueError):
             matrix_from_json([[1, 2], [3, 4]], (2, 2))
+
+
+class TestFrob:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_within_two_ulp_of_numpy(self, n, rng):
+        for _ in range(200):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            ref = np.linalg.norm(m)
+            assert abs(frob(m) - ref) <= 2 * np.spacing(ref)
+
+    def test_scale_safe_for_one_matrix(self, rng):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for scale in (1e-300, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = frob(scale * m)
+            assert abs(value - scale * np.linalg.norm(m)) <= 4 * np.finfo(float).eps * value
+
+    def test_stack_matches_members(self, rng):
+        m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        norms = frob(m)
+        assert norms.shape == (3,)
+        for i in range(3):
+            assert abs(norms[i] - frob(m[i])) <= 2 * np.spacing(norms[i])
+
+    @pytest.mark.parametrize("entries", [[np.nan, 1.0], [np.nan, np.inf], [np.inf, np.nan]],
+                             ids=["nan", "nan-then-inf", "inf-then-nan"])
+    def test_nan_entry_gives_nan(self, entries):
+        # math.hypot alone returns inf when an infinite entry sits beside a NaN
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 0], m[1, 1] = entries
+        assert np.isnan(frob(m))

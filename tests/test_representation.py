@@ -18,6 +18,7 @@ from u22lab.groups import (
 from u22lab.measures import LogNormalSampler, PolarShellSampler, haar_measure, integrate_mc, nu_derivative_band, nu_measure, truncated_nu
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
+from u22lab import representation
 from u22lab.representation import (
     CocycleVector,
     GroupFunction,
@@ -101,6 +102,51 @@ class TestApplyT:
         moved = integrate_mc(apply_T(q, LABEL, bump), haar_measure(), sampler, 300_000, rng, mode="square")
         sigma = math.hypot(base.std_error, moved.std_error)
         assert abs(base.real - moved.real) < 3 * sigma
+
+
+def member(q, i):
+    """Member i of a stack of pairs with fields of shape (m, 1), as one pair."""
+    s, n = q.s, q.n
+    return QElement(TriangularS(s.r1[i, 0], s.r2[i, 0], s.r[i, 0]), SkewHermitian2(n.a[i, 0], n.b[i, 0], n.z[i, 0]))
+
+
+class TestStackedOperator:
+    # a stack of m pairs with fields of shape (m, 1) gives (m, points) values
+    @pytest.mark.parametrize("label", list(OrbitLabel), ids=str)
+    def test_stack_equals_scalar_calls(self, label, pts, rng):
+        q1, q2 = random_q(rng, size=(50, 1)), random_q(rng, size=(50, 1))
+        once = apply_T(q1, label, vacuum())(pts)
+        twice = apply_T(q1, label, apply_T(q2, label, vacuum()))(pts)
+        assert once.shape == twice.shape == (50, pts.size)
+        for i in range(50):
+            one1, one2 = member(q1, i), member(q2, i)
+            np.testing.assert_allclose(once[i], apply_T(one1, label, vacuum())(pts), rtol=4 * EPS, atol=0)
+            scalar = apply_T(one1, label, apply_T(one2, label, vacuum()))(pts)
+            np.testing.assert_allclose(twice[i], scalar, rtol=4 * EPS, atol=0)
+
+    def test_mixed_stack_skips_no_part(self, pts, rng, monkeypatch):
+        # identity, pure translation, pure character and general members
+        q = random_q(rng, size=(4, 1))
+        one = np.ones((4, 1))
+        keep_s, keep_n = np.array([[0.0], [1.0], [0.0], [1.0]]), np.array([[0.0], [0.0], [1.0], [1.0]])
+        q = QElement(TriangularS(np.where(keep_s, q.s.r1, one), np.where(keep_s, q.s.r2, one), q.s.r * keep_s),
+                     SkewHermitian2(q.n.a * keep_n, q.n.b * keep_n, q.n.z * keep_n))
+        calls = []
+        for name in ("translate", "character_product"):
+            original = getattr(representation, name)
+            monkeypatch.setattr(representation, name,
+                                lambda *args, _f=original, _name=name: calls.append(_name) or _f(*args))
+        values = apply_T(q, LABEL, vacuum())(pts)
+        assert calls == ["translate", "character_product"]
+        assert np.array_equal(values[0], vacuum()(pts))  # an identity member is an exact no-op
+        for i in range(4):
+            np.testing.assert_allclose(values[i], apply_T(member(q, i), LABEL, vacuum())(pts), rtol=4 * EPS, atol=0)
+
+    def test_all_identity_stack_returns_the_function(self):
+        f = vacuum()
+        q = QElement(TriangularS(np.ones((3, 1)), np.ones((3, 1)), np.zeros((3, 1))),
+                     SkewHermitian2(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1))))
+        assert apply_T(q, LABEL, f) is f
 
 
 class TestCombinators:
