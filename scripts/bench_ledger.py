@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the benchmark on one checkout and append the results to a ledger file.
 
-    python3 scripts/bench_ledger.py --pr 9 --label parent --checkout /path/to/parent
-    python3 scripts/bench_ledger.py --pr 9 --label change
+    python3 scripts/bench_ledger.py --pr N --label parent --checkout /path/to/parent
+    python3 scripts/bench_ledger.py --pr N --label change
 
 For every workload in ``BENCHMARK.json`` this runs, unchanged,
 ``python3 DIR/perfbench/run.py --workload W --seconds S`` from the root of
@@ -70,9 +70,9 @@ def main(argv=None) -> int:
     checkout = os.path.abspath(args.checkout)
     state, machine = git_state(checkout), machine_info()
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    seconds = bench["run_seconds"]
     correct = True
     for workload in (w["name"] for w in bench["workloads"]):
-        seconds = bench["run_seconds"]
         proc = subprocess.run([sys.executable, os.path.join(checkout, "perfbench", "run.py"),
                                "--workload", workload, "--seconds", str(seconds)],
                               capture_output=True, text=True, cwd=checkout)

@@ -235,7 +235,8 @@ class TestExtremeScale:
 
     def test_batch_norms_and_distances_equal_their_members(self, rng):
         scale = np.array([1e-300, 1.0, 1e300])
-        n = SkewHermitian2(*(scale * v for v in (random_n(rng, 3).a, random_n(rng, 3).b, random_n(rng, 3).z)))
+        n = random_n(rng, 3)
+        n = SkewHermitian2(scale * n.a, scale * n.b, scale * n.z)
         s, t = random_s(rng, 3), random_s(rng, 3)
         s = TriangularS(s.r1 * scale, s.r2 * scale, s.r * scale)
         norms, dists = n.norm(), s.distance(t)
