@@ -10,13 +10,10 @@ from .matrices import matrix_exp
 from .groups import (
     TriangularS,
     SkewHermitian2,
-    PElement,
     QElement,
     KElement,
     U22Element,
     is_in_u22,
-    p_to_q,
-    q_to_p,
     q_multiply,
     structured_p_factor,
     iwasawa_decompose,

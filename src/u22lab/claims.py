@@ -29,13 +29,9 @@ from .groups import (
     is_in_u22,
     iwasawa_decompose,
     nested_q_commutator,
-    p_from_matrix,
-    p_to_q,
     q_multiply,
-    q_to_p,
     random_k,
     random_n,
-    random_p,
     random_q,
     random_s,
     random_u22,
@@ -143,9 +139,8 @@ def _q_distance(q1: QElement, q2: QElement):
 def _claim_isomorphism(config: SuiteConfig, rng):
     # 1000 pairs as parallel arrays; every step validates member by member
     q1, q2 = random_q(rng, size=1000), random_q(rng, size=1000)
-    p1, p2 = q_to_p(q1), q_to_p(q2)
-    roundtrip = p1.distance(q_to_p(p_to_q(p1)))
-    via_matrix = p_to_q(p_from_matrix(p1.matrix() @ p2.matrix()))
+    roundtrip = q1.distance(QElement.from_matrix(q1.matrix()))
+    via_matrix = QElement.from_matrix(q1.matrix() @ q2.matrix())
     direct = q_multiply(q1, q2)
     scale = np.maximum(1.0, direct.s.norm() + direct.n.norm())
     worst = float(max(np.max(roundtrip), np.max(_q_distance(via_matrix, direct) / scale)))
@@ -329,7 +324,7 @@ def _claim_iwasawa(config: SuiteConfig, rng):
         worst = max(worst, frob(k.m @ k.m.conj().T - E4) / scale)
         worst = max(worst, frob(g11 - k.m[2:, 2:]), frob(g12 - k.m[2:, :2]))
         # uniqueness round trip from a fresh (p, k) pair
-        p0, k0 = random_p(rng), random_k(rng)
+        p0, k0 = random_q(rng), random_k(rng)
         g2 = U22Element(p0.matrix() @ k0.m, tol=1e-9)
         p2, k2 = iwasawa_decompose(g2)
         worst = max(worst, p2.distance(p0) / max(1.0, p0.s.norm() + frob(p0.x)))
@@ -345,7 +340,7 @@ def _claim_extension(config: SuiteConfig, rng):
     parts = {}
     worst_k = 0.0
     for _ in range(200):
-        k1, k2, p = random_k(rng), random_k(rng), random_p(rng)
+        k1, k2, p = random_k(rng), random_k(rng), random_q(rng)
         lhs = act_k(k1.multiply(k2), p)
         rhs = act_k(k1, act_k(k2, p))
         worst_k = max(worst_k, lhs.distance(rhs) / max(1.0, lhs.s.norm() + frob(lhs.x)))
@@ -353,7 +348,7 @@ def _claim_extension(config: SuiteConfig, rng):
 
     worst_sigma = 0.0
     for _ in range(100):
-        p = random_p(rng)
+        p = random_q(rng)
         back = sigma_hat(sigma_hat(p))
         worst_sigma = max(worst_sigma, back.distance(p) / max(1.0, p.s.norm() + frob(p.x)))
     parts["sigma_involution"] = {"residual": worst_sigma, "tolerance": 1e-10}
@@ -377,7 +372,7 @@ def _claim_extension(config: SuiteConfig, rng):
 
 
 def _claim_gram(config: SuiteConfig, rng):
-    p_list = [random_p(rng) for _ in range(6)]
+    p_list = [random_q(rng) for _ in range(6)]
     sampler = PolarShellSampler(1e-4, config.r_max)
     gram, stderr = gram_matrix(
         p_list, config.label, nu_measure(), sampler, config.mc_samples, rng
@@ -462,9 +457,9 @@ def _claim_derived_length(config: SuiteConfig, rng):
     for _ in range(50):
         qs = [random_q(rng) for _ in range(8)]
         triple = nested_q_commutator(qs)
-        worst_triple = max(worst_triple, frob(q_to_p(triple).matrix() - E4))
+        worst_triple = max(worst_triple, frob(triple.matrix() - E4))
         double = nested_q_commutator(qs[:4])
-        best_double = max(best_double, frob(q_to_p(double).matrix() - E4))
+        best_double = max(best_double, frob(double.matrix() - E4))
     ok = worst_triple < 1e-9 and best_double > 1e-2
     return worst_triple, 1e-9, ok, {
         "max_triple_distance": worst_triple,

@@ -27,7 +27,7 @@ from .groups import (
     element_to_json,
     is_in_u22,
     iwasawa_decompose,
-    random_p,
+    random_q,
 )
 from .matrices import matrix_from_json
 from .measures import PolarShellSampler, divergence_probe, nu_measure
@@ -287,7 +287,7 @@ def _cmd_measure_probe(args) -> int:
 def _cmd_gram(args) -> int:
     label = _parse_label(_or_default(args.label, "++"))
     rng = np.random.default_rng(_or_default(args.seed, DEFAULT_SEED))
-    p_list = [random_p(rng) for _ in range(args.size)]
+    p_list = [random_q(rng) for _ in range(args.size)]
     sampler = PolarShellSampler(1e-4, 30.0)
     gram, stderr = gram_matrix(
         p_list, label, nu_measure(), sampler, _or_default(args.samples, DEFAULT_SAMPLES), rng

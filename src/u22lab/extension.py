@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .groups import (
     KElement,
-    PElement,
+    QElement,
+    SkewHermitian2,
     TriangularS,
     U22Element,
     as_generator,
     iwasawa_decompose,
     p_part,
+    q_multiply,
     sigma_hat,
 )
 from .measures import MeasureSpec, PolarShellSampler, integrate_mc
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-def act_k(k: KElement, p: PElement) -> PElement:
+def act_k(k: KElement, p: QElement) -> QElement:
     """The triangular part p' of k p = p' k'."""
     return p_part(k.m @ p.matrix())
 
@@ -61,9 +61,9 @@ def apply_k_on_vector(k: KElement, v: CocycleVector) -> CocycleVector:
     return CocycleVector(v.label, terms).canonical()
 
 
-def apply_p_on_vector(p0: PElement, v: CocycleVector) -> CocycleVector:
+def apply_p_on_vector(p0: QElement, v: CocycleVector) -> CocycleVector:
     """T(p0) sum c_i b(p_i) = sum c_i b(p0 p_i) - (sum c_i) b(p0)."""
-    terms = [(c, p0.multiply(p)) for c, p in v.terms]
+    terms = [(c, q_multiply(p0, p)) for c, p in v.terms]
     total = sum(c for c, _ in v.terms)
     terms.append((-total, p0))
     return CocycleVector(v.label, tuple(terms)).canonical()
@@ -91,7 +91,7 @@ def unboundedness_experiment(
     rng = as_generator(rng)
     rows = []
     for c in scales:
-        p = PElement(TriangularS(float(c), 1.0, 0.0), np.zeros((2, 2)))
+        p = QElement(TriangularS(float(c), 1.0, 0.0), SkewHermitian2.zero())
         p_hat = sigma_hat(p)
         num = integrate_mc(CocycleVector.basis(p_hat, label).as_group_function(), measure, sampler, samples, rng)
         den = integrate_mc(CocycleVector.basis(p, label).as_group_function(), measure, sampler, samples, rng)

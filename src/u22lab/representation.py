@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import orbits
-from .groups import PElement, QElement, SkewHermitian2, TriangularS, p_to_q, q_to_p
+from .groups import QElement, SkewHermitian2, TriangularS
 from .measures import (
     DivergenceVerdict,
     MCAccumulator,
@@ -136,14 +136,14 @@ class CocycleVector:
     """
 
     label: OrbitLabel
-    terms: tuple  # tuple of (complex coefficient, PElement)
+    terms: tuple  # tuple of (complex coefficient, QElement)
 
     @classmethod
     def zero(cls, label: OrbitLabel) -> "CocycleVector":
         return cls(label, ())
 
     @classmethod
-    def basis(cls, p: PElement, label: OrbitLabel) -> "CocycleVector":
+    def basis(cls, p: QElement, label: OrbitLabel) -> "CocycleVector":
         if p.is_identity():
             return cls.zero(label)
         return cls(label, ((1.0 + 0.0j, p),))
@@ -156,7 +156,7 @@ class CocycleVector:
         f = vacuum()
         base = f(pts)
         for c, p in self.terms:
-            out += c * (apply_T(p_to_q(p), self.label, f)(pts) - base)
+            out += c * (apply_T(p, self.label, f)(pts) - base)
         return out
 
     def as_group_function(self) -> GroupFunction:
@@ -184,15 +184,9 @@ class CocycleVector:
         return CocycleVector(self.label, terms)
 
 
-def coboundary(q, label: OrbitLabel) -> CocycleVector:
+def coboundary(q: QElement, label: OrbitLabel) -> CocycleVector:
     """b(q) = T(q) f - f as a basis cocycle vector."""
-    if isinstance(q, QElement):
-        p = q_to_p(q)
-    elif isinstance(q, PElement):
-        p = q
-    else:
-        raise TypeError("coboundary expects a P or Q element")
-    return CocycleVector.basis(p, label)
+    return CocycleVector.basis(q, label)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +194,7 @@ def coboundary(q, label: OrbitLabel) -> CocycleVector:
 
 
 def gram_matrix(
-    p_list: Sequence[PElement],
+    p_list: Sequence[QElement],
     label: OrbitLabel,
     measure: MeasureSpec,
     sampler: PolarShellSampler,

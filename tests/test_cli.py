@@ -84,6 +84,21 @@ class TestDecompose:
         assert run_cli(["decompose", "--input", str(src), "--out", str(out)]) == 0
         assert read_json(out)["reconstruction_residual"] <= 1e-9 * np.linalg.norm(g)
 
+    def test_extreme_scale_member_decomposes(self, tmp_path):
+        # p with s = 1e200 e: every row norm of the factorization would
+        # underflow or overflow without the power-of-two row scaling
+        src = tmp_path / "extreme.json"
+        src.write_text(json.dumps(matrix_to_json(np.diag([1e-200, 1e-200, 1e200, 1e200]))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "u22lab.cli", "decompose", "--input", str(src)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        assert doc["p"]["data"]["s"] == {"r1": 1e200, "r2": 1e200, "r": [0.0, 0.0]}
+        assert doc["reconstruction_residual"] == 0.0
+
     def test_ill_conditioned_member_is_an_input_error(self, tmp_path, capsys):
         # c = 1e7 (cond(s) ~ 1e14) is far outside the tested range: the
         # factorization rejects it (DecompositionFailed), which is exit 2

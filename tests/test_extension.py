@@ -10,11 +10,12 @@ from u22lab.extension import (
 )
 from u22lab.groups import (
     KElement,
-    PElement,
+    QElement,
+    SkewHermitian2,
     TriangularS,
     U22Element,
     random_k,
-    random_p,
+    random_q,
     random_u22,
     sigma_hat,
 )
@@ -23,7 +24,6 @@ from u22lab.measures import PolarShellSampler, nu_measure
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
 from u22lab.representation import CocycleVector, apply_T, coboundary, vacuum
-from u22lab.groups import p_to_q
 
 LABEL = OrbitLabel.PLUS_PLUS
 
@@ -33,26 +33,26 @@ def pts():
     return reference_points(100)
 
 
-def rel_scale(p: PElement) -> float:
+def rel_scale(p: QElement) -> float:
     return max(1.0, p.s.norm() + frob(p.x))
 
 
 class TestActK:
     def test_identity_k(self, rng):
-        p = random_p(rng)
+        p = random_q(rng)
         assert act_k(KElement.identity(), p).distance(p) < 1e-12 * rel_scale(p)
 
     def test_identity_p(self, rng):
         k = random_k(rng)
-        out = act_k(k, PElement.identity())
-        assert out.distance(PElement.identity()) < 1e-12
+        out = act_k(k, QElement.identity())
+        assert out.distance(QElement.identity()) < 1e-12
 
     def test_reconstruction(self, rng):
         # k p = p' k' with both factors recovered
         from u22lab.groups import iwasawa_decompose
 
         for _ in range(50):
-            k, p = random_k(rng), random_p(rng)
+            k, p = random_k(rng), random_q(rng)
             product = U22Element(k.m @ p.matrix(), tol=1e-9)
             p_prime, k_prime = iwasawa_decompose(product)
             residual = frob(p_prime.matrix() @ k_prime.m - k.m @ p.matrix())
@@ -60,7 +60,7 @@ class TestActK:
 
     def test_group_law_on_labels(self, rng):
         for _ in range(50):
-            k1, k2, p = random_k(rng), random_k(rng), random_p(rng)
+            k1, k2, p = random_k(rng), random_k(rng), random_q(rng)
             lhs = act_k(k1.multiply(k2), p)
             rhs = act_k(k1, act_k(k2, p))
             assert lhs.distance(rhs) < 1e-9 * rel_scale(lhs)
@@ -68,17 +68,17 @@ class TestActK:
 
 class TestActSigma:
     def test_identity(self):
-        out = sigma_hat(PElement.identity())
-        assert out.distance(PElement.identity()) == 0.0
+        out = sigma_hat(QElement.identity())
+        assert out.distance(QElement.identity()) == 0.0
 
     def test_diagonal_example(self):
-        p = PElement(TriangularS(2.0, 1.0, 0.0), np.zeros((2, 2)))
+        p = QElement(TriangularS(2.0, 1.0, 0.0), SkewHermitian2.zero())
         out = sigma_hat(p)
         assert out.s.distance(TriangularS(0.5, 1.0, 0.0)) < 1e-14
 
     def test_involution(self, rng):
         for _ in range(50):
-            p = random_p(rng)
+            p = random_q(rng)
             back = sigma_hat(sigma_hat(p))
             assert back.distance(p) < 1e-10 * rel_scale(p)
 
@@ -89,13 +89,13 @@ class TestExtendCocycle:
         assert v.terms == ()
 
     def test_triangular_element_matches_module(self, pts, rng):
-        p = random_p(rng)
+        p = random_q(rng)
         v = extend_cocycle(U22Element(p.matrix()), LABEL)
         direct = coboundary(p, LABEL)
         np.testing.assert_allclose(v.evaluate(pts), direct.evaluate(pts), atol=1e-10)
 
     def test_product_form(self, pts, rng):
-        p, k = random_p(rng), random_k(rng)
+        p, k = random_q(rng), random_k(rng)
         g = U22Element(p.matrix() @ k.m, tol=1e-9)
         v = extend_cocycle(g, LABEL)
         np.testing.assert_allclose(
@@ -113,23 +113,23 @@ class TestExtendCocycle:
 
 class TestApplyExtended:
     def test_identity_element(self, pts, rng):
-        v = coboundary(random_p(rng), LABEL)
+        v = coboundary(random_q(rng), LABEL)
         out = apply_extended(U22Element.identity(), v)
         np.testing.assert_allclose(out.evaluate(pts), v.evaluate(pts), atol=1e-12)
 
     def test_triangular_action_formula(self, pts, rng):
         # T(p0) b(q) = b(p0 q) - b(p0), checked against the operator route
         for _ in range(20):
-            p0, q = random_p(rng), random_p(rng)
+            p0, q = random_q(rng), random_q(rng)
             formal = apply_p_on_vector(p0, coboundary(q, LABEL))
-            operator = apply_T(p_to_q(p0), LABEL, coboundary(q, LABEL).as_group_function())
+            operator = apply_T(p0, LABEL, coboundary(q, LABEL).as_group_function())
             np.testing.assert_allclose(formal.evaluate(pts), operator(pts), atol=1e-11)
 
     def test_extension_agrees_with_representation_on_p(self, pts, rng):
-        p0 = random_p(rng)
-        v = coboundary(random_p(rng), LABEL)
+        p0 = random_q(rng)
+        v = coboundary(random_q(rng), LABEL)
         via_extension = apply_extended(U22Element(p0.matrix()), v)
-        via_operator = apply_T(p_to_q(p0), LABEL, v.as_group_function())
+        via_operator = apply_T(p0, LABEL, v.as_group_function())
         np.testing.assert_allclose(via_extension.evaluate(pts), via_operator(pts), atol=1e-10)
 
     def test_extended_cocycle_identity(self, pts, rng):
@@ -143,9 +143,9 @@ class TestApplyExtended:
 
     def test_result_stays_in_span(self, rng):
         g = random_u22(rng)
-        v = coboundary(random_p(rng), LABEL) + coboundary(random_p(rng), LABEL)
+        v = coboundary(random_q(rng), LABEL) + coboundary(random_q(rng), LABEL)
         out = apply_extended(g, v)
-        assert all(isinstance(p, PElement) for _, p in out.terms)
+        assert all(isinstance(p, QElement) for _, p in out.terms)
         assert len(out.terms) <= 3
 
 
@@ -156,20 +156,20 @@ class TestExtendedOperator:
 
     def test_word_composition_matches_group_product(self, pts, rng):
         g1, g2 = random_u22(rng), random_u22(rng)
-        v = coboundary(random_p(rng), LABEL)
+        v = coboundary(random_q(rng), LABEL)
         word = apply_extended(g1, apply_extended(g2, v))
         product = apply_extended(g1.multiply(g2), v)
         np.testing.assert_allclose(word.evaluate(pts), product.evaluate(pts), atol=1e-9)
 
     def test_swap_letter(self, pts, rng):
-        p = random_p(rng)
+        p = random_q(rng)
         v = coboundary(p, LABEL)
         out = apply_extended(self.SWAP, v)
         expected = coboundary(sigma_hat(p), LABEL)
         np.testing.assert_allclose(out.evaluate(pts), expected.evaluate(pts), atol=1e-10)
 
     def test_swap_squared_is_identity_on_basis(self, pts, rng):
-        v = coboundary(random_p(rng), LABEL)
+        v = coboundary(random_q(rng), LABEL)
         out = apply_extended(self.SWAP, apply_extended(self.SWAP, v))
         np.testing.assert_allclose(out.evaluate(pts), v.evaluate(pts), atol=1e-9)
 

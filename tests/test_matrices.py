@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -236,6 +237,36 @@ class TestFrob:
         assert norms.shape == (3,)
         for i in range(3):
             assert abs(norms[i] - frob(m[i])) <= 2 * np.spacing(norms[i])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_stack_is_scale_safe(self, scale, rng):
+        # each member is scaled by its own power of two, so a stack gives
+        # what its members give one at a time, with no warning
+        m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack = np.stack([scale * m[0], m[1], scale * m[2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = frob(stack)
+        for i in range(3):
+            assert math.isfinite(norms[i]) and norms[i] > 0.0
+            assert abs(norms[i] - frob(stack[i])) <= 4 * np.spacing(norms[i])
+        assert norms[1] == np.linalg.norm(m[1])  # a normal-range member keeps its bits
+
+    def test_stack_keeps_normal_range_bits(self, rng):
+        m = rng.standard_normal((500, 4, 4)) + 1j * rng.standard_normal((500, 4, 4))
+        m *= np.exp(rng.uniform(-300.0, 300.0, (500, 1, 1)))  # peaks from e^-300 to e^300
+        assert np.array_equal(frob(m), np.linalg.norm(m, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("entries", [[np.nan, 1.0], [np.nan, np.inf], [np.inf, np.nan], [np.inf, 1.0]],
+                             ids=["nan", "nan-then-inf", "inf-then-nan", "inf"])
+    def test_stack_keeps_the_nan_rule(self, entries):
+        m = np.zeros((2, 2, 2), dtype=complex)
+        m[1, 0, 0], m[1, 1, 1] = entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = frob(m)
+        assert norms[0] == 0.0
+        assert (np.isnan(norms[1]) and np.isnan(frob(m[1]))) or norms[1] == frob(m[1]) == np.inf
 
     @pytest.mark.parametrize("entries", [[np.nan, 1.0], [np.nan, np.inf], [np.inf, np.nan]],
                              ids=["nan", "nan-then-inf", "inf-then-nan"])

@@ -24,7 +24,7 @@ from u22lab.measures import (
     truncated_nu,
 )
 from u22lab.representation import GroupFunction, coboundary, gram_matrix, inverse_norm, vacuum
-from u22lab.groups import QElement, SkewHermitian2, random_p
+from u22lab.groups import QElement, SkewHermitian2, random_q
 from u22lab.orbits import OrbitLabel
 
 LADDER = tuple(np.logspace(-1, -4, 7))
@@ -237,7 +237,7 @@ class TestIntegration:
             engines = [
                 lambda: integrate_mc(ONE, nu_measure(), sampler, n, rng),
                 lambda: divergence_probe(vacuum(), nu_measure(), LADDER, 30.0, n, rng),
-                lambda: gram_matrix([random_p(rng)], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, n, rng),
+                lambda: gram_matrix([random_q(rng)], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, n, rng),
             ]
             for engine in engines:
                 with pytest.raises(ValueError, match=f"need at least 1000 samples, got {n}"):

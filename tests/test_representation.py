@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from u22lab.groups import (
-    PElement,
     QElement,
     SkewHermitian2,
     TriangularS,
-    p_to_q,
     q_multiply,
-    q_to_p,
-    random_p,
     random_q,
     random_s,
 )
@@ -151,17 +147,17 @@ class TestStackedOperator:
 
 class TestCombinators:
     def test_linear_combination(self, pts, rng):
-        p1, p2 = random_p(rng), random_p(rng)
+        p1, p2 = random_q(rng), random_q(rng)
         combo = CocycleVector(LABEL, ((1.0, p1), (-0.5j, p2)))
         expected = coboundary(p1, LABEL).evaluate(pts) - 0.5j * coboundary(p2, LABEL).evaluate(pts)
         np.testing.assert_allclose(combo.evaluate(pts), expected, atol=1e-14)
 
     def test_difference(self, pts, rng):
         # b(p1) - b(p2) = T(p1) f - T(p2) f: the vacuum cancels
-        p1, p2 = random_p(rng), random_p(rng)
+        p1, p2 = random_q(rng), random_q(rng)
         f = vacuum()
         diff = CocycleVector(LABEL, ((1.0, p1), (-1.0, p2)))
-        expected = apply_T(p_to_q(p1), LABEL, f)(pts) - apply_T(p_to_q(p2), LABEL, f)(pts)
+        expected = apply_T(p1, LABEL, f)(pts) - apply_T(p2, LABEL, f)(pts)
         np.testing.assert_allclose(diff.evaluate(pts), expected, atol=1e-14)
         same = CocycleVector(LABEL, ((1.0, p1), (-1.0, p1)))
         assert np.max(np.abs(same.evaluate(pts))) == 0.0
@@ -216,21 +212,17 @@ class TestCoboundary:
         expected = np.exp(1j * phase) * np.exp(-pts.multiply(q.s).norm() / 2) - np.exp(-pts.norm() / 2)
         np.testing.assert_allclose(coboundary(q, LABEL).evaluate(pts), expected, rtol=0, atol=1e-15)
 
-    def test_type_check(self):
-        with pytest.raises(TypeError):
-            coboundary(3.0, LABEL)
-
 
 class TestCocycleVectorAlgebra:
     def test_canonical_merges_duplicates(self, rng):
-        p = random_p(rng)
+        p = random_q(rng)
         v = CocycleVector(LABEL, ((1.0, p), (2.0, p)))
         merged = v.canonical()
         assert len(merged.terms) == 1
         assert merged.terms[0][0] == 3.0
 
     def test_canonical_drops_identity(self):
-        v = CocycleVector(LABEL, ((1.0, PElement.identity()),))
+        v = CocycleVector(LABEL, ((1.0, QElement.identity()),))
         assert v.canonical().terms == ()
 
     def test_add_and_subtract(self, pts, rng):
@@ -277,7 +269,7 @@ class TestNorms:
     # the sesquilinear pairing is the off-diagonal of the Gram matrix
     def test_conjugate_symmetry(self, rng):
         sampler = PolarShellSampler(1e-2, 10.0)
-        p, q = random_p(rng), random_p(rng)
+        p, q = random_q(rng), random_q(rng)
         ab, _ = gram_matrix([p, q], LABEL, nu_measure(), sampler, 50_000, np.random.default_rng(5))
         ba, _ = gram_matrix([q, p], LABEL, nu_measure(), sampler, 50_000, np.random.default_rng(5))
         assert abs(ab[0, 1] - np.conj(ba[0, 1])) < 1e-12 * max(1.0, abs(ab[0, 1]))
@@ -285,7 +277,7 @@ class TestNorms:
     def test_cauchy_schwarz(self, rng):
         sampler = PolarShellSampler(1e-2, 10.0)
         for _ in range(5):
-            p, q = random_p(rng), random_p(rng)
+            p, q = random_q(rng), random_q(rng)
             gram, stderr = gram_matrix([p, q], LABEL, nu_measure(), sampler, 50_000, np.random.default_rng(7))
             # exact on one shared sample stream, up to rounding
             assert abs(gram[0, 1]) <= math.sqrt(gram[0, 0].real * gram[1, 1].real) * (1 + 1e-12)
@@ -301,13 +293,13 @@ class TestNorms:
 class TestGram:
     def test_single_element(self, rng):
         sampler = PolarShellSampler(1e-3, 30.0)
-        gram, stderr = gram_matrix([random_p(rng)], LABEL, nu_measure(), sampler, 20_000, rng)
+        gram, stderr = gram_matrix([random_q(rng)], LABEL, nu_measure(), sampler, 20_000, rng)
         assert gram.shape == (1, 1)
         assert gram[0, 0].real > 0
         assert abs(gram[0, 0].imag) < 1e-15
 
     def test_duplicate_rejected(self, rng):
-        p = random_p(rng)
+        p = random_q(rng)
         sampler = PolarShellSampler(1e-3, 30.0)
         with pytest.raises(ValueError):
             gram_matrix([p, p], LABEL, nu_measure(), sampler, 20_000, rng)
@@ -315,21 +307,18 @@ class TestGram:
     def test_identity_rejected(self, rng):
         sampler = PolarShellSampler(1e-3, 30.0)
         with pytest.raises(ValueError):
-            gram_matrix([PElement.identity()], LABEL, nu_measure(), sampler, 20_000, rng)
+            gram_matrix([QElement.identity()], LABEL, nu_measure(), sampler, 20_000, rng)
 
     def test_near_duplicate_is_singular_within_error(self, rng):
-        p = random_p(rng)
-        q0 = p_to_q(p)
-        p_shifted = q_to_p(
-            QElement(TriangularS(q0.s.r1 * (1 + 1e-9), q0.s.r2, q0.s.r), q0.n)
-        )
+        p = random_q(rng)
+        p_shifted = QElement(TriangularS(p.s.r1 * (1 + 1e-9), p.s.r2, p.s.r), p.n)
         sampler = PolarShellSampler(1e-3, 30.0)
         gram, stderr = gram_matrix([p, p_shifted], LABEL, nu_measure(), sampler, 50_000, rng)
         eigmin = float(np.linalg.eigvalsh(gram)[0])
         assert eigmin < 3 * float(np.linalg.norm(stderr)) + 1e-10
 
     def test_six_random_elements_independent(self, rng):
-        p_list = [random_p(rng) for _ in range(6)]
+        p_list = [random_q(rng) for _ in range(6)]
         sampler = PolarShellSampler(1e-4, 30.0)
         gram, stderr = gram_matrix(p_list, LABEL, nu_measure(), sampler, 100_000, rng)
         assert np.linalg.norm(gram - gram.conj().T) < 1e-12
