@@ -576,10 +576,10 @@ def _rq_unitary(m: np.ndarray) -> np.ndarray:
     Bottom-up row Gram-Schmidt: the bottom row of u is the bottom row of m,
     normalized; the top row is the top row of m orthogonalized against it
     twice (one re-orthogonalization is enough) and normalized.  Each row is
-    first divided by an exact power of two near its largest part: that
-    changes no bit of u where the row norms are normal floats, and keeps
-    them clear of under- and overflow at any scale.  ``m`` must be
-    C-contiguous.
+    first divided by an exact power of two near its largest part, which
+    keeps the squares in the norms clear of under- and overflow at any
+    scale and changes no bit of u where they were clear already.  ``m``
+    must be C-contiguous.
     """
     parts = m.view(float)  # the real and imaginary parts of each row
     m = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]).view(complex)

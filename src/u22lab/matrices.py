@@ -55,24 +55,26 @@ def frob(a: np.ndarray):
     nor warn, and a NaN entry gives NaN (also beside an infinite one, where
     ``hypot`` alone would give inf), so every gate of the form
     ``residual <= tol * max(1, frob(m))`` still rejects it.  A stack keeps
-    ``np.linalg.norm``, which squares its entries; a member whose largest
-    entry lies outside [2^-500, 2^500] (or is not finite) is first divided
-    by an exact power of two near that entry, so it neither overflows nor
+    ``np.linalg.norm``, which squares its entries, for every member whose
+    norm lies in [2^-500, 2^500]; any other member (its squares may have
+    under- or overflowed, or an entry is not finite) is first divided by an
+    exact power of two near its largest entry, so it neither overflows nor
     warns either, and NaN still wins over inf.
     """
     a = np.asarray(a)
     if a.ndim <= 2:
         norm = math.hypot(*np.asarray(a, dtype=complex).ravel().view(float).tolist())
         return math.nan if norm == math.inf and np.isnan(a).any() else norm
-    peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    if ((peak == 0.0) | ((peak >= 2.0**-500) & (peak <= 2.0**500))).all():
-        return np.linalg.norm(a, axis=(-2, -1))
-    shift = -np.frexp(peak)[1][..., None, None]
-    scaled = np.empty(a.shape, dtype=complex)
-    scaled.real, scaled.imag = np.ldexp(a.real, shift), np.ldexp(a.imag, shift)
-    # a norm beyond the float range is inf; an infinite entry gives inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), -shift[..., 0, 0])
+        norm = np.linalg.norm(a, axis=(-2, -1))
+        safe = (norm >= 2.0**-500) & (norm <= 2.0**500)
+        zero = norm == 0.0
+        if (safe | zero).all() and not a[zero].any():
+            return norm
+        shift = -np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1][..., None, None]
+        scaled = np.empty(a.shape, dtype=complex)
+        scaled.real, scaled.imag = np.ldexp(a.real, shift), np.ldexp(a.imag, shift)
+        return np.where(safe, norm, np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), -shift[..., 0, 0]))
 
 
 def blocks(m: np.ndarray):
