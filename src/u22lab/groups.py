@@ -97,6 +97,10 @@ CONSTRUCTION_TOL = 1e-12
 PRODUCT_TOL = 1e-10
 CHAIN_TOL = 1e-9
 
+# Scale-invariant cutoff for positivity of the leading minors in
+# ``structured_p_factor``.
+MINOR_TOL_FACTOR = 1e-12
+
 # Type-level validation is slightly looser than the construction rung so that
 # round trips through ill-conditioned triangular factors never reject their
 # own output.
@@ -444,11 +448,8 @@ def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
     d = m @ SIGMA @ adjoint(m) - SIGMA
     d11, d12, _, d22 = blocks(d)
     size = frob(m)
-    if type(size) is float:
+    with np.errstate(over="ignore"):  # beyond sqrt(float max) the scale is inf
         scale = np.maximum(1.0, size * size)
-    else:  # beyond sqrt(float max) a member's scale is inf, as one matrix's is
-        with np.errstate(over="ignore"):
-            scale = np.maximum(1.0, size * size)
     residuals = [frob(block) / scale for block in (d, d12, d11, d22)]
     ok = np.max(residuals, axis=0) <= tol
     return MembershipReport(ok, *residuals, tol)
@@ -544,7 +545,7 @@ def structured_p_factor(m: np.ndarray, tol: float = PRODUCT_TOL) -> QElement:
 
     Requires m Hermitian positive-definite with m S m = S.  The factor is
     read off blockwise: (s s*)^-1 = m11 gives s = chol(m11^-1), then
-    X = m21 s and n = X s*, which must be skew-Hermitian at ``tol``.
+    X = m21 s and n = X s*.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -557,12 +558,20 @@ def structured_p_factor(m: np.ndarray, tol: float = PRODUCT_TOL) -> QElement:
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] <= tol * scale:
         raise NotFactorizable(f"input not positive definite (min eig {eigs[0]:.3e})")
-    try:
-        s_mat = np.linalg.cholesky(np.linalg.inv(m[:2, :2]))
-        n = SkewHermitian2.from_matrix(m[2:, :2] @ s_mat @ adjoint(s_mat), tol)
-        p = QElement(TriangularS.from_matrix(s_mat), n)
-    except (np.linalg.LinAlgError, InvariantViolation) as exc:
-        raise NotFactorizable(str(exc)) from exc
+    # s = chol(m11^-1) in the fused closed form, which skips the rounding
+    # stage of forming the inverse
+    a, d, c = m[0, 0].real, m[1, 1].real, m[1, 0]
+    det = a * d - abs(c) ** 2
+    scale11 = frob(m[:2, :2])
+    if d <= MINOR_TOL_FACTOR * scale11 or det <= MINOR_TOL_FACTOR * scale11 * scale11:
+        raise NotFactorizable("upper-left block is not positive definite")
+    s_mat = np.array([[math.sqrt(d / det), 0.0], [-c / math.sqrt(d * det), 1.0 / math.sqrt(d)]])
+    x = m[2:, :2] @ s_mat
+    n = x @ adjoint(s_mat)
+    skew = frob(n + adjoint(n))  # = |s X* + X s*|
+    if skew > VALIDATION_TOL * max(1.0, frob(s_mat) * frob(x)):
+        raise NotFactorizable(f"relative skew-Hermiticity residual {skew:.3e}")
+    p = QElement(TriangularS.from_matrix(s_mat), SkewHermitian2.skew_part(n))
     residual = frob(p.matrix() @ adjoint(p.matrix()) - m)
     if residual > tol * scale:
         raise NotFactorizable(f"reconstruction residual {residual:.3e}")

@@ -54,27 +54,24 @@ def frob(a: np.ndarray):
     which scales internally: entries up to the float limit neither overflow
     nor warn, and a NaN entry gives NaN (also beside an infinite one, where
     ``hypot`` alone would give inf), so every gate of the form
-    ``residual <= tol * max(1, frob(m))`` still rejects it.  A stack keeps
-    ``np.linalg.norm``, which squares its entries, for every member whose
-    norm lies in [2^-500, 2^500]; any other member (its squares may have
-    under- or overflowed, or an entry is not finite) is first divided by an
-    exact power of two near its largest entry, so it neither overflows nor
-    warns either, and NaN still wins over inf.
+    ``residual <= tol * max(1, frob(m))`` still rejects it.  A stack uses
+    ``np.linalg.norm``, which squares its entries, on each member divided by
+    an exact power of two near its largest entry, so it neither overflows
+    nor warns either, and NaN still wins over inf.  The scaling is exact
+    through the squares, the sum and the square root, so a member whose
+    squares neither under- nor overflow keeps the bits of its plain norm.
     """
     a = np.asarray(a)
     if a.ndim <= 2:
         norm = math.hypot(*np.asarray(a, dtype=complex).ravel().view(float).tolist())
         return math.nan if norm == math.inf and np.isnan(a).any() else norm
+    shift = -np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1]
+    scaled = np.empty(a.shape, dtype=complex)
+    scaled.real = np.ldexp(a.real, shift[..., None, None])
+    scaled.imag = np.ldexp(a.imag, shift[..., None, None])
+    # a norm beyond the float range is inf; an infinite entry gives inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(a, axis=(-2, -1))
-        safe = (norm >= 2.0**-500) & (norm <= 2.0**500)
-        zero = norm == 0.0
-        if (safe | zero).all() and not a[zero].any():
-            return norm
-        shift = -np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1][..., None, None]
-        scaled = np.empty(a.shape, dtype=complex)
-        scaled.real, scaled.imag = np.ldexp(a.real, shift), np.ldexp(a.imag, shift)
-        return np.where(safe, norm, np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), -shift[..., 0, 0]))
+        return np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), -shift)
 
 
 def blocks(m: np.ndarray):
