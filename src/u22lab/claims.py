@@ -441,8 +441,10 @@ def _claim_rank1(config: SuiteConfig, rng):
         "witness_all_hold": report.all_hold,
         "char_value": report.character_difference.value,
         "char_expected": expected_char,
+        "char_abserr": report.character_difference.abserr,
         "shift_value": report.shift_difference.value,
         "shift_expected": a,
+        "shift_abserr": report.shift_difference.abserr,
         "gaussian_condition_ii_holds": gauss.not_square_integrable.holds,
     }
 

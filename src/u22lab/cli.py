@@ -32,6 +32,7 @@ from .groups import (
 from .matrices import matrix_from_json
 from .measures import PolarShellSampler, divergence_probe, nu_measure
 from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
+from .rank1 import QuadratureFailed
 from .representation import coboundary, gram_matrix, inverse_norm, vacuum
 
 __all__ = ["main", "build_parser"]
@@ -342,8 +343,8 @@ def main(argv=None) -> int:
             return _cmd_unboundedness(args)
         parser.error(f"unknown command {args.command!r}")
     # library errors are ValueErrors (NotInGroup, NotFactorizable,
-    # InvariantViolation, ...) or DecompositionFailed
-    except (ValueError, DecompositionFailed, OSError, KeyError) as exc:
+    # InvariantViolation, ...), DecompositionFailed or QuadratureFailed
+    except (ValueError, DecompositionFailed, QuadratureFailed, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -57,6 +57,7 @@ from .matrices import (
     frob,
     matrix_exp,
     matrix_to_json,
+    pow2_scaled,
 )
 
 __all__ = [
@@ -132,7 +133,7 @@ class NotInGroup(ValueError):
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """The four membership residuals, normalized by max(1, |g|_F^2).
+    """The four membership residuals, each relative to the size of its terms.
 
     For a stack of matrices every field is an array over the stack axes.
     """
@@ -430,14 +431,22 @@ class QElement:
 
 
 def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
-    """Membership test with the four residuals, each normalized by max(1, |g|^2).
+    """Membership test: each block relation relative to the size of its terms.
 
-    One product D = g S g* - S gives all four: |D| is the defining relation
-    g S g* = S, and D's top-right, top-left and bottom-right blocks are the
-    three block relations it is equivalent to:
+    g S g* = S is equivalent to the three block relations
 
-        g12 g21* + g11 g22* = e,   g11 g12* + g12 g11* = 0,
-        g22 g21* + g21 g22* = 0.
+        g11 g22* + g12 g21* = e,   g11 g12* + g12 g11* = 0,
+        g21 g22* + g22 g21* = 0,
+
+    the blocks of D = g S g* - S.  Each block row of g, T = [g11 g12] and
+    B = [g21 g22], is first divided by the power of two just above its
+    largest entry (exactly, as ``frob`` scales); the residuals are the
+    blocks of D for the scaled rows, and ``sigma_relation`` is its norm.
+    So each relation is divided by a bound on its products, within a factor
+    8 of |T||B|, |T|^2 or |B|^2 (the componentwise bound of Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3): no scale of g
+    hides a violation, a block far smaller than its row does not inflate
+    one, and no product over- or underflows.
 
     ``m`` is one 4x4 matrix or a stack (..., 4, 4); for a stack the report
     holds one entry per member.
@@ -445,14 +454,14 @@ def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got {m.shape}")
-    d = m @ SIGMA @ adjoint(m) - SIGMA
-    d11, d12, _, d22 = blocks(d)
-    size = frob(m)
-    with np.errstate(over="ignore"):  # beyond sqrt(float max) the scale is inf
-        scale = np.maximum(1.0, size * size)
-    residuals = [frob(block) / scale for block in (d, d12, d11, d22)]
-    ok = np.max(residuals, axis=0) <= tol
-    return MembershipReport(ok, *residuals, tol)
+    rows, shift = pow2_scaled(m.reshape(m.shape[:-2] + (2, 2, 4)))
+    g = rows.reshape(m.shape)
+    # e scales as the rows do; past 2^500 the relation fails anyway, and the cap keeps |D|^2 finite
+    d = g @ SIGMA @ adjoint(g) - np.ldexp(SIGMA.real, np.minimum(shift.sum(axis=-1), 500)[..., None, None])
+    block_sq = (d.real**2 + d.imag**2).reshape(m.shape[:-2] + (2, 2, 2, 2)).sum(axis=(-3, -1))
+    sigma = np.sqrt(block_sq.sum(axis=(-2, -1)))
+    unit, upper, lower = (np.sqrt(block_sq[..., i, j])[()] for i, j in ((0, 1), (0, 0), (1, 1)))
+    return MembershipReport(sigma <= tol, sigma, unit, upper, lower, tol)
 
 
 @dataclass(frozen=True, eq=False)

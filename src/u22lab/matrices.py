@@ -20,6 +20,7 @@ __all__ = [
     "SIGMA",
     "adjoint",
     "frob",
+    "pow2_scaled",
     "freeze",
     "blocks",
     "assemble",
@@ -55,23 +56,29 @@ def frob(a: np.ndarray):
     nor warn, and a NaN entry gives NaN (also beside an infinite one, where
     ``hypot`` alone would give inf), so every gate of the form
     ``residual <= tol * max(1, frob(m))`` still rejects it.  A stack uses
-    ``np.linalg.norm``, which squares its entries, on each member divided by
-    an exact power of two near its largest entry, so it neither overflows
-    nor warns either, and NaN still wins over inf.  The scaling is exact
-    through the squares, the sum and the square root, so a member whose
-    squares neither under- nor overflow keeps the bits of its plain norm.
+    ``np.linalg.norm``, which squares its entries, on each member scaled by
+    ``pow2_scaled``, so it neither overflows nor warns either, and NaN still
+    wins over inf.  The scaling is exact through the squares, the sum and
+    the square root, so a member whose squares neither under- nor overflow
+    keeps the bits of its plain norm.
     """
     a = np.asarray(a)
     if a.ndim <= 2:
         norm = math.hypot(*np.asarray(a, dtype=complex).ravel().view(float).tolist())
         return math.nan if norm == math.inf and np.isnan(a).any() else norm
-    shift = -np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1]
-    scaled = np.empty(a.shape, dtype=complex)
-    scaled.real = np.ldexp(a.real, shift[..., None, None])
-    scaled.imag = np.ldexp(a.imag, shift[..., None, None])
+    scaled, shift = pow2_scaled(a)
     # a norm beyond the float range is inf; an infinite entry gives inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         return np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), -shift)
+
+
+def pow2_scaled(a: np.ndarray):
+    """(a 2^shift, shift) for matrices ``a`` (..., r, c), where each matrix's
+    shift brings its largest entry into [1/2, 1).  The scaling is exact for
+    every entry that stays in the normal range."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    shift = -np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1]
+    return np.ldexp(a.view(float), shift[..., None, None]).view(complex), shift
 
 
 def blocks(m: np.ndarray):

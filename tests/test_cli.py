@@ -99,6 +99,21 @@ class TestDecompose:
         assert doc["p"]["data"]["s"] == {"r1": 1e200, "r2": 1e200, "r": [0.0, 0.0]}
         assert doc["reconstruction_residual"] == 0.0
 
+    def test_extreme_scale_non_member_is_not_a_member(self, tmp_path):
+        # g11 g22* = diag(1, 2) != e at scale 1e200: the not-a-member reply,
+        # not a factorization error
+        src = tmp_path / "extreme.json"
+        src.write_text(json.dumps(matrix_to_json(np.diag([1e-200, 1e-200, 1e200, 2e200]))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "u22lab.cli", "decompose", "--input", str(src)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "not a group member"
+        assert doc["residuals"]["block_unit"] >= 0.125
+
     def test_ill_conditioned_member_is_an_input_error(self, tmp_path, capsys):
         # c = 1e7 (cond(s) ~ 1e14) is far outside the tested range: the
         # factorization rejects it (DecompositionFailed), which is exit 2
@@ -439,3 +454,11 @@ def test_cli_import_leaves_out_scipy_stats_and_integrate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # C11 integrates with rank1's own Gauss-Kronrod rule, not QUADPACK
+    code = (
+        "import sys; from u22lab.claims import SuiteConfig, run_claims; "
+        "run_claims(SuiteConfig(), ['C11']); print('scipy.integrate' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

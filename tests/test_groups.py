@@ -61,16 +61,48 @@ class TestMembership:
             U22Element(np.diag([2.0, 1.0, 1.0, 1.0]))
 
     def test_one_product_matches_the_block_relations(self, rng):
-        # the blocks of D = g S g* - S are the three block relations
+        # the blocks of D = g S g* - S are the three block relations, each
+        # divided by the powers of two just above its block rows' largest entries
         for _ in range(50):
-            m = random_u22(rng).m + 1e-3 * rng.standard_normal((4, 4))
+            m = random_u22(rng).m * 2.0 ** rng.integers(-60, 60) + 1e-3 * rng.standard_normal((4, 4))
             g11, g12, g21, g22 = blocks(m)
-            scale = max(1.0, frob(m) ** 2)
+            top, bottom = (2.0 ** math.frexp(np.abs(row).max())[1] for row in (m[:2], m[2:]))
             report = is_in_u22(m)
-            assert abs(report.sigma_relation - frob(m @ SIGMA @ adjoint(m) - SIGMA) / scale) <= 1e-15
-            assert abs(report.block_unit - frob(g12 @ adjoint(g21) + g11 @ adjoint(g22) - np.eye(2)) / scale) <= 1e-15
-            assert abs(report.block_upper - frob(g11 @ adjoint(g12) + g12 @ adjoint(g11)) / scale) <= 1e-15
-            assert abs(report.block_lower - frob(g22 @ adjoint(g21) + g21 @ adjoint(g22)) / scale) <= 1e-15
+            unit = frob(g12 @ adjoint(g21) + g11 @ adjoint(g22) - np.eye(2)) / (top * bottom)
+            upper = frob(g11 @ adjoint(g12) + g12 @ adjoint(g11)) / top**2
+            lower = frob(g22 @ adjoint(g21) + g21 @ adjoint(g22)) / bottom**2
+            expected = (math.sqrt(2.0 * unit**2 + upper**2 + lower**2), unit, upper, lower)
+            assert report.residuals() == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [10.0**e for e in range(3, 301, 3)])
+    def test_scale_does_not_hide_a_violation(self, c):
+        # g11 g22* = diag(1, 2) misses e by O(1) at every scale; dividing by
+        # max(1, |g|^2) let it pass from c ~ 1e5 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = is_in_u22(np.diag([1.0 / c, 1.0 / c, c, 2.0 * c]))
+        assert not report.ok
+        assert report.block_unit >= 0.125  # |diag(0, 1)| over a product of powers of two in (2, 8]
+
+    def test_members_at_extreme_scales_pass(self, rng):
+        # p with s = c e times a random k: rows of size 1/c and c
+        k = random_k(rng).m
+        for c in (1e-300, 1e-150, 1e-5, 1e5, 1e150, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = is_in_u22(np.diag([1.0 / c, 1.0 / c, c, c]) @ k)
+            assert report.ok and report.max_residual() <= 1e-14
+
+    def test_random_members_pass(self, rng):
+        report = is_in_u22(random_u22(rng, size=2000).m, 1e-12)
+        assert report.ok.all()
+
+    def test_tiny_block_does_not_inflate_a_relation(self):
+        # within 1e-170 of the identity; a bound built from |g11||g12| alone
+        # would read the top relation as violated at relative size 1
+        m = np.eye(4, dtype=complex)
+        m[0, 2] = 1e-170
+        assert is_in_u22(m).ok
 
     def test_stack_residuals_match_scalar(self, rng):
         stack = random_u22(rng, size=40).m.copy()
