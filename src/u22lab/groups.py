@@ -108,6 +108,7 @@ MINOR_TOL_FACTOR = 1e-12
 VALIDATION_TOL = 1e-10
 
 _NORMAL_MIN = sys.float_info.min
+_SIGMA_REAL = np.ascontiguousarray(SIGMA.real)
 _NORMAL_MAX = sys.float_info.max
 
 
@@ -457,11 +458,11 @@ def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
     rows, shift = pow2_scaled(m.reshape(m.shape[:-2] + (2, 2, 4)))
     g = rows.reshape(m.shape)
     # e scales as the rows do; past 2^500 the relation fails anyway, and the cap keeps |D|^2 finite
-    d = g @ SIGMA @ adjoint(g) - np.ldexp(SIGMA.real, np.minimum(shift.sum(axis=-1), 500)[..., None, None])
-    block_sq = (d.real**2 + d.imag**2).reshape(m.shape[:-2] + (2, 2, 2, 2)).sum(axis=(-3, -1))
-    sigma = np.sqrt(block_sq.sum(axis=(-2, -1)))
-    unit, upper, lower = (np.sqrt(block_sq[..., i, j])[()] for i, j in ((0, 1), (0, 0), (1, 1)))
-    return MembershipReport(sigma <= tol, sigma, unit, upper, lower, tol)
+    d = g @ SIGMA @ adjoint(g) - np.ldexp(_SIGMA_REAL, np.minimum(shift.sum(axis=-1), 500)[..., None, None])
+    block_sq = (np.abs(d) ** 2).reshape(m.shape[:-2] + (2, 2, 2, 2)).sum(axis=(-3, -1))
+    sigma, rel = np.sqrt(block_sq.sum(axis=(-2, -1))), np.sqrt(block_sq)
+    # [()] reads one element's entries as scalars
+    return MembershipReport(sigma <= tol, sigma, rel[..., 0, 1][()], rel[..., 0, 0][()], rel[..., 1, 1][()], tol)
 
 
 @dataclass(frozen=True, eq=False)
