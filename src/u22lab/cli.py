@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-DEFAULT_SEED = 20240801
-DEFAULT_SAMPLES = 1_000_000
+# the battery's defaults are the CLI's defaults
+_DEFAULTS = SuiteConfig()
 
 
 def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
@@ -261,14 +261,13 @@ def _probe_target(name: str, label: OrbitLabel):
 def _cmd_measure_probe(args) -> int:
     label = _parse_label(_or_default(args.label, "++"))
     target = _probe_target(args.function, label)
-    ladder = tuple(np.logspace(-1, -4, 7))
     verdict = divergence_probe(
         target,
         nu_measure(),
-        ladder,
-        30.0,
-        _or_default(args.samples, DEFAULT_SAMPLES),
-        _or_default(args.seed, DEFAULT_SEED),
+        _DEFAULTS.eps_ladder,
+        _DEFAULTS.r_max,
+        _or_default(args.samples, _DEFAULTS.mc_samples),
+        _or_default(args.seed, _DEFAULTS.seed),
     )
     doc = {
         "function": args.function,
@@ -287,11 +286,11 @@ def _cmd_measure_probe(args) -> int:
 
 def _cmd_gram(args) -> int:
     label = _parse_label(_or_default(args.label, "++"))
-    rng = np.random.default_rng(_or_default(args.seed, DEFAULT_SEED))
+    rng = np.random.default_rng(_or_default(args.seed, _DEFAULTS.seed))
     p_list = [random_q(rng) for _ in range(args.size)]
-    sampler = PolarShellSampler(1e-4, 30.0)
+    sampler = PolarShellSampler()
     gram, stderr = gram_matrix(
-        p_list, label, nu_measure(), sampler, _or_default(args.samples, DEFAULT_SAMPLES), rng
+        p_list, label, nu_measure(), sampler, _or_default(args.samples, _DEFAULTS.mc_samples), rng
     )
     eigmin = float(np.linalg.eigvalsh(gram)[0])
     err = float(np.linalg.norm(stderr))
@@ -308,14 +307,14 @@ def _cmd_gram(args) -> int:
 
 def _cmd_unboundedness(args) -> int:
     label = _parse_label(_or_default(args.label, "++"))
-    sampler = PolarShellSampler(1e-4, 120.0)
+    sampler = PolarShellSampler(r_max=120.0)
     rows = unboundedness_experiment(
         (2.0, 4.0, 8.0, 16.0, 32.0),
         label,
         nu_measure(),
         sampler,
-        _or_default(args.samples, DEFAULT_SAMPLES),
-        _or_default(args.seed, DEFAULT_SEED),
+        _or_default(args.samples, _DEFAULTS.mc_samples),
+        _or_default(args.seed, _DEFAULTS.seed),
     )
     if args.format == "json":
         _emit_json(rows, args.out)

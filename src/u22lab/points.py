@@ -29,14 +29,15 @@ def reference_points(n: int = 100, r_min: float = 1e-3, r_max: float = 10.0) -> 
     and 7 (radical inverses of 1..n; index 0, the origin, is skipped) pushed
     through the normal quantile and normalized onto the unit patch (first
     two coordinates positive), so the set probes both the small-radius and
-    large-radius regimes.
+    large-radius regimes.  The normal quantile is ``statistics.NormalDist``'s
+    ``inv_cdf`` (Wichura's Algorithm AS 241, 1988).
     """
-    from scipy.special import ndtri  # deferred: keeps SciPy off u22lab's import path
+    from statistics import NormalDist  # deferred: keeps statistics off u22lab's import path
 
     radii = np.logspace(np.log10(r_min), np.log10(r_max), n)
     indices = np.arange(1, n + 1)
     u = np.stack([_radical_inverse(indices, base) for base in (2, 3, 5, 7)], axis=1)
-    x = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    x = np.vectorize(NormalDist().inv_cdf)(np.clip(u, 1e-12, 1 - 1e-12))
     x[:, 0] = np.abs(x[:, 0]) + 1e-9
     x[:, 1] = np.abs(x[:, 1]) + 1e-9
     lengths = np.sqrt(np.sum(x**2, axis=1))

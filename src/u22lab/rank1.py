@@ -202,7 +202,6 @@ def almost_invariant_check(
     t: float,
     a: float,
     b: float,
-    rel_tol: float = 1e-6,
 ) -> AlmostInvariantReport:
     """Verify the four witness conditions for a candidate function.
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from scipy.special import exp1, ndtri
 
 from u22lab.groups import TriangularS, random_s
 from u22lab.measures import (
@@ -26,6 +26,7 @@ from u22lab.measures import (
 from u22lab.representation import GroupFunction, coboundary, gram_matrix, inverse_norm, vacuum
 from u22lab.groups import QElement, SkewHermitian2, random_q
 from u22lab.orbits import OrbitLabel
+from u22lab.points import reference_points
 
 LADDER = tuple(np.logspace(-1, -4, 7))
 ONE = GroupFunction(lambda pts: np.ones(pts.size))
@@ -380,3 +381,28 @@ class TestAccumulatorMerge:
         assert abs(a.value - b.value) < 1e-12
         assert abs(a.std_error - b.std_error) < 1e-12
         assert a.sample_count == b.sample_count
+
+
+def ndtri_reference_points(n, r_min=1e-3, r_max=10.0):
+    """reference_points with SciPy's normal quantile: the oracle for its
+    stdlib quantile."""
+    indices = np.arange(1, n + 1)
+    u = np.zeros((n, 4))
+    for column, base in enumerate((2, 3, 5, 7)):
+        q, weight = indices.copy(), 1.0 / base
+        while q.any():
+            u[:, column] += (q % base) * weight
+            q, weight = q // base, weight / base
+    x = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    x[:, :2] = np.abs(x[:, :2]) + 1e-9
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return np.logspace(np.log10(r_min), np.log10(r_max), n)[:, None] * x
+
+
+@pytest.mark.parametrize("n", [1, 100, 1000])
+def test_reference_points_against_scipy_ndtri(n):
+    pts = reference_points(n)
+    got = np.stack([pts.r1, pts.r2, pts.r.real, pts.r.imag], axis=1)
+    want = ndtri_reference_points(n)
+    relative = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.max(relative) <= 4 * np.finfo(float).eps

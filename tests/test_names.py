@@ -53,3 +53,13 @@ def test_tracer_targets_resolve():
     assert tracer.TARGETS
     for module, path in tracer.TARGETS:
         assert callable(resolve(module, path)), f"{module}:{path}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_does_not_import_scipy(module):
+    # SciPy is a test oracle only; an import anywhere in a module, deferred
+    # ones inside functions included, would make it a runtime dependency
+    tree = ast.parse(Path(importlib.util.find_spec(module).origin).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []

@@ -240,6 +240,12 @@ class TestQuadratureErrorEstimates:
         second = almost_invariant_check(left_indicator(0.0), 0.0, a=0.75, b=2.0)
         assert first == second
 
+    def test_c11_expected_value_against_scipy_sici(self):
+        # C11 sums Cin(2)'s power series; SciPy's Ci(2) is the oracle
+        (record,) = claims.run_claims(claims.SuiteConfig(), ["C11"])
+        expected = 2.0 * (np.euler_gamma + math.log(2.0) - sici(2.0)[1])
+        assert abs(record.detail["char_expected"] - expected) <= 2 * math.ulp(expected)
+
     def test_c11_detail_has_the_error_estimates(self):
         (record,) = claims.run_claims(claims.SuiteConfig(), ["C11"])
         assert record.verdict == "pass"
