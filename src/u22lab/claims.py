@@ -39,6 +39,7 @@ from .groups import (
 )
 from .matrices import E4, frob
 from .measures import (
+    BATCH_SIZE,
     BoxSampler,
     LogNormalSampler,
     PolarShellSampler,
@@ -182,7 +183,8 @@ def _claim_orbit_chart(config: SuiteConfig, rng):
 def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     # The unit box in chart coordinates, pushed through s -> s s0: sample a
     # bounding box of its image, pull the points back by s0^-1 and count
-    # those that land in the unit box.
+    # those that land in the unit box, BATCH_SIZE rows at a time: the same
+    # uniforms in the same order as one draw, and an exact integer count.
     unit = BoxSampler(1.0, 2.0, 1.0, 2.0, -0.5, 0.5, -0.5, 0.5)
     corners = [(c, t) for c in (unit.re_lo, unit.re_hi) for t in (unit.r2_lo, unit.r2_hi)]
     re_parts = [c * s0.r1 + s0.r.real * t for c, t in corners]
@@ -192,8 +194,12 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
         *sorted((unit.r2_lo * s0.r2, unit.r2_hi * s0.r2)),
         min(re_parts), max(re_parts), min(im_parts), max(im_parts),
     )
-    preimages = box.sample(n, rng).multiply(s0.inverse())
-    p_hat = float(np.mean(unit.contains(preimages)))
+    inverse = s0.inverse()
+    inside = 0
+    for start in range(0, n, BATCH_SIZE):
+        preimages = box.sample(min(BATCH_SIZE, n - start), rng).multiply(inverse)
+        inside += int(np.count_nonzero(unit.contains(preimages)))
+    p_hat = inside / n
     mass = box.volume * p_hat
     sigma = box.volume * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
     expected = modulus_pi(s0) * unit.volume

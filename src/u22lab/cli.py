@@ -30,7 +30,7 @@ from .groups import (
     random_q,
 )
 from .matrices import matrix_from_json
-from .measures import PolarShellSampler, divergence_probe, nu_measure
+from .measures import NonFinite, PolarShellSampler, divergence_probe, nu_measure
 from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
 from .rank1 import QuadratureFailed
 from .representation import coboundary, gram_matrix, inverse_norm, vacuum
@@ -342,8 +342,8 @@ def main(argv=None) -> int:
             return _cmd_unboundedness(args)
         parser.error(f"unknown command {args.command!r}")
     # library errors are ValueErrors (NotInGroup, NotFactorizable,
-    # InvariantViolation, ...), DecompositionFailed or QuadratureFailed
-    except (ValueError, DecompositionFailed, QuadratureFailed, OSError, KeyError) as exc:
+    # InvariantViolation, ...), DecompositionFailed, QuadratureFailed or NonFinite
+    except (ValueError, DecompositionFailed, QuadratureFailed, NonFinite, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

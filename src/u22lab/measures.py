@@ -13,13 +13,29 @@ are ``TriangularS`` batches, and every density, sampler and chart function
 here takes one element or a batch.  All three engines (``integrate_mc``,
 ``divergence_probe`` and ``representation.gram_matrix``) draw through
 ``sample_batches``, which rejects fewer than 1000 samples.
+
+The point work of a batch (densities, integrands, coboundaries) runs through
+``pointwise``: elementwise functions evaluated on ``CHUNK``-point views of
+the batch, so that each function's temporaries are a few hundred kB that
+stay in cache and are reused, instead of fresh multi-MB arrays per call.  A
+thread pool, made on first use, runs one worker per usable core (``WORKERS``,
+the calling thread being one of them); each worker takes one contiguous run
+of chunks and writes into full-batch output arrays.  Draws stay on the
+calling thread, in their order, and every reduction (the sums of
+``MCAccumulator``, the probe's ``searchsorted`` and ``bincount``) still runs
+over the full batch in the same order.  Elementwise results do not depend on
+where a chunk starts, so every estimate and report is bit-identical at any
+chunk size and worker count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +60,7 @@ __all__ = [
     "MCAccumulator",
     "BATCH_SIZE",
     "sample_batches",
+    "pointwise",
     "require_finite",
     "integrate_mc",
     "DivergenceVerdict",
@@ -60,6 +77,10 @@ DEFAULT_R_MIN = 1e-4
 DEFAULT_R_MAX = 30.0
 
 BATCH_SIZE = 1 << 18
+
+# pointwise: points per chunk (a few hundred kB per temporary) and threads
+CHUNK = 1 << 14
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Divergence-probe thresholds.
 CONVERGED_REL_TAIL = 0.01  # last increment / total below this -> convergent
@@ -311,6 +332,60 @@ class MCAccumulator:
         return IntegralEstimate(value, math.sqrt(var / n), n)
 
 
+@functools.cache
+def _executor():
+    """The pool of ``pointwise``, made on first use with ``WORKERS - 1``
+    threads: the caller is the other worker.  A cap, because each thread
+    keeps a heap of its own."""
+    from concurrent.futures import ThreadPoolExecutor  # not an import-time cost
+
+    return ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="u22lab-pointwise")
+
+
+def pointwise(fns: Sequence[Callable[[TriangularS], np.ndarray]], pts: TriangularS) -> list:
+    """``[fn(pts) for fn in fns]`` for elementwise functions of a 1-D batch,
+    evaluated on its ``CHUNK``-point views by up to ``WORKERS`` threads.
+
+    A batch of at most one chunk is evaluated as it is, on the calling
+    thread.  Otherwise the chunks are split into one contiguous run per
+    worker; the caller takes the first run and pool threads the others,
+    each under a copy of the caller's context, so ``np.errstate`` holds in
+    every worker.  An exception raised in a worker reaches the caller as it
+    was raised, after every worker has stopped.  The batch keeps the norm
+    its views computed (``TriangularS.keep_norm``).
+    """
+    if pts.size <= CHUNK:
+        return [fn(pts) for fn in fns]
+    views = pts.chunks(CHUNK)
+    # outputs are allocated here, with dtypes read off one point: freed by
+    # the caller, an array a pool thread allocated would stay in that
+    # thread's heap and raise the process's resident size
+    point = TriangularS(pts.r1[:1], pts.r2[:1], pts.r[:1])
+    out = [np.empty(pts.size, np.asarray(fn(point)).dtype) for fn in fns]
+
+    def run(first: int, last: int):
+        for i in range(first, last):
+            lo = i * CHUNK
+            for k, fn in enumerate(fns):
+                out[k][lo : lo + views[i].size] = fn(views[i])
+
+    workers = min(WORKERS, len(views))
+    bounds = [len(views) * w // workers for w in range(workers + 1)]
+    futures = []
+    if workers > 1:
+        futures = [_executor().submit(contextvars.copy_context().run, run, bounds[w], bounds[w + 1])
+                   for w in range(1, workers)]
+    try:
+        run(bounds[0], bounds[1])
+    finally:  # no worker may still write once the outputs are returned or dropped
+        for future in futures:
+            future.exception()
+    for future in futures:
+        future.result()
+    pts.keep_norm(views)
+    return out
+
+
 def sample_batches(sampler, measures, n: int, rng):
     """The Monte-Carlo batch loop: yield ``n`` points in batches of at most
     ``BATCH_SIZE`` as ``(pts, weights)``, each drawn once, with one weight
@@ -326,8 +401,8 @@ def sample_batches(sampler, measures, n: int, rng):
     while remaining > 0:
         batch = min(remaining, BATCH_SIZE)
         pts = sampler.sample(batch, rng)
-        density = sampler.density(pts)
-        yield pts, [measure.density(pts) / density for measure in measures]
+        density, *densities = pointwise([sampler.density] + [m.density for m in measures], pts)
+        yield pts, [d / density for d in densities]
         remaining -= batch
 
 
@@ -356,7 +431,7 @@ def integrate_mc(
         raise ValueError(f"unknown mode {mode!r}")
     acc = MCAccumulator()
     for pts, (weights,) in sample_batches(sampler, (measure,), n, rng):
-        values = integrand(pts)
+        (values,) = pointwise((integrand,), pts)
         if mode == "square":
             values = np.abs(values) ** 2
         acc.add(require_finite(values * weights))
@@ -439,8 +514,8 @@ def divergence_probe(
     sums = np.zeros((len(integrands), len(measures), 2, shells))  # 2: sum, sum of squares
     for pts, weights in sample_batches(sampler, measures, samples, rng):
         shell = np.searchsorted(ascending, pts.norm(), side="right")
-        for i, fn in enumerate(integrands):
-            squared = np.abs(fn(pts)) ** 2
+        squares = pointwise([lambda view, fn=fn: np.abs(fn(view)) ** 2 for fn in integrands], pts)
+        for i, squared in enumerate(squares):
             for j, w in enumerate(weights):
                 contrib = require_finite(squared * w)
                 sums[i, j, 0] += np.bincount(shell, contrib, shells)

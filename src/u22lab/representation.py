@@ -34,6 +34,7 @@ from .measures import (
     MeasureSpec,
     PolarShellSampler,
     divergence_probe,
+    pointwise,
     require_finite,
     sample_batches,
 )
@@ -219,7 +220,7 @@ def gram_matrix(
     vectors = [CocycleVector.basis(p, label) for p in p_list]
     accs = [[MCAccumulator() for _ in range(k)] for _ in range(k)]
     for pts, (weights,) in sample_batches(sampler, (measure,), n, rng):
-        values = [require_finite(v.evaluate(pts)) for v in vectors]
+        values = [require_finite(v) for v in pointwise([v.evaluate for v in vectors], pts)]
         for i in range(k):
             weighted = weights * values[i]
             for j in range(i, k):

@@ -5,9 +5,13 @@ full scale (one million Monte-Carlo samples per integral) and prints a
 pass/fail line.  Runtime ceilings are asserted where a criterion pins one.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from u22lab.claims import SuiteConfig, run_claims
+from u22lab import measures
+from u22lab.claims import SuiteConfig, records_to_json, run_claims
 
 CONFIG = SuiteConfig()
 
@@ -169,3 +173,20 @@ def test_c12_derived_length():
     assert record.verdict == "pass", record.detail
     assert record.detail["max_triple_distance"] < 1e-9
     assert record.detail["max_double_distance"] > 1e-2
+
+
+# SHA-256 of the C04, C06 and C09 records (runtime_s dropped) at 20_000
+# samples in batches of 2^13 points, taken before the batch work was chunked
+MC_REPORT_DIGEST = "c140c7b640146d28e9b7127c1db38c4469cfb54fda240ad68d513aacd9174468"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_reports_match_the_pinned_digest(monkeypatch, workers):
+    monkeypatch.setattr(measures, "BATCH_SIZE", 1 << 13)
+    monkeypatch.setattr(measures, "CHUNK", 3000)  # ragged chunks, so workers share each batch
+    monkeypatch.setattr(measures, "WORKERS", workers)
+    config = SuiteConfig(mc_samples=20_000)
+    doc = json.loads(records_to_json(run_claims(config, ["C04", "C06", "C09"]), config))
+    for record in doc["claims"]:
+        del record["runtime_s"]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == MC_REPORT_DIGEST

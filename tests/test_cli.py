@@ -2,15 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import u22lab
-from u22lab import claims
+from u22lab import claims, cli, measures
 from u22lab.cli import main
-from u22lab.groups import random_k
+from u22lab.groups import InvariantViolation, random_k
+from u22lab.measures import NonFinite
+from u22lab.representation import GroupFunction
 from u22lab.matrices import SIGMA, adjoint, assemble, matrix_to_json
 
 
@@ -457,3 +460,30 @@ def test_cli_and_claims_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[] False", "[]"]
+
+
+@pytest.mark.parametrize("error", [InvariantViolation, NonFinite])
+def test_error_in_a_worker_thread_is_exit_2(monkeypatch, capsys, error):
+    # raised while a pool thread evaluates the probe's integrand
+    caller = threading.get_ident()
+
+    def evaluate(pts):
+        if threading.get_ident() != caller:
+            raise error("raised in a worker")
+        return np.zeros(pts.size)
+
+    monkeypatch.setattr(measures, "WORKERS", 2)
+    monkeypatch.setattr(cli, "vacuum", lambda: GroupFunction(evaluate))
+    assert run_cli(["measure-probe", "--function", "vacuum", "--samples", "50000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: raised in a worker\n"
+
+
+def test_import_starts_no_thread_pool():
+    # the pool behind measures.pointwise and its module load on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(u22lab.__file__)))
+    code = "import sys, u22lab, u22lab.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

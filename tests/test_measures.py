@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import exp1, ndtri
 
-from u22lab.groups import TriangularS, random_s
+from u22lab import measures
+from u22lab.groups import InvariantViolation, TriangularS, random_s
 from u22lab.measures import (
     BoxSampler,
     LogNormalSampler,
@@ -18,6 +20,7 @@ from u22lab.measures import (
     modulus_pi,
     nu_derivative_band,
     nu_measure,
+    pointwise,
     right_translation_jacobian_fd,
     rn_derivative_right,
     singular_values,
@@ -30,6 +33,30 @@ from u22lab.points import reference_points
 
 LADDER = tuple(np.logspace(-1, -4, 7))
 ONE = GroupFunction(lambda pts: np.ones(pts.size))
+
+
+# (WORKERS, CHUNK) cases against one unchunked pass on the calling thread
+CHUNKINGS = [(1, 1 << 14), (2, 1 << 14), (3, 1 << 14), (2, 3001), (3, 3001)]
+
+
+def engine_results():
+    """One result of each engine on 85_000 samples."""
+    sampler = PolarShellSampler(1e-3, 30.0)
+    rng = np.random.default_rng(7)
+    ps = [random_q(rng) for _ in range(3)]
+    label = OrbitLabel.PLUS_PLUS
+    functions = [vacuum()] + [coboundary(p, label).as_group_function() for p in ps[:2]]
+    return (
+        integrate_mc(functions[1], nu_measure(), sampler, 85_000, 3),
+        divergence_probe(functions, [nu_measure(), truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
+        *gram_matrix(ps, label, nu_measure(), sampler, 85_000, 5),
+    )
+
+
+def in_pool(fn):
+    """fn on the chunks a pool thread evaluates, zeros on the caller's."""
+    caller = threading.get_ident()
+    return lambda pts: np.zeros(pts.size) if threading.get_ident() == caller else fn(pts)
 
 
 def annulus_indicator(fn, lo, hi):
@@ -214,13 +241,22 @@ class TestIntegration:
         ratio = small.std_error / large.std_error
         assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
-    def test_chunking_is_invisible(self):
-        # same stream, one pass; value independent of internal chunk seams
-        fn = GroupFunction(lambda pts: np.exp(-pts.norm()))
-        sampler = PolarShellSampler(1e-2, 10.0)
-        a = integrate_mc(fn, nu_measure(), sampler, 300_000, np.random.default_rng(3))
-        b = integrate_mc(fn, nu_measure(), sampler, 300_000, np.random.default_rng(3))
-        assert a.value == b.value and a.std_error == b.std_error
+    def test_chunking_is_invisible(self, monkeypatch):
+        # every engine gives the same bits at any worker count (runs of
+        # chunks) and chunk size: batches of 40_000, 40_000 and
+        # 5_000 points give ragged last chunks (40_000 = 13 * 3001 + 987) and
+        # a batch smaller than one chunk
+        monkeypatch.setattr(measures, "BATCH_SIZE", 40_000)
+        monkeypatch.setattr(measures, "WORKERS", 1)
+        monkeypatch.setattr(measures, "CHUNK", 1 << 30)
+        reference = engine_results()
+        for workers, chunk in CHUNKINGS:
+            monkeypatch.setattr(measures, "WORKERS", workers)
+            monkeypatch.setattr(measures, "CHUNK", chunk)
+            estimate, verdicts, gram, stderr = engine_results()
+            assert estimate == reference[0], (workers, chunk)
+            assert verdicts == reference[1], (workers, chunk)
+            assert np.array_equal(gram, reference[2]) and np.array_equal(stderr, reference[3])
 
     def test_non_finite_detected(self, rng):
         def evaluate(pts):
@@ -342,6 +378,44 @@ class TestSharedStream:
         assert pts.norm() is pts.norm()
 
 
+class TestPointwise:
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(measures, "WORKERS", 2)
+        monkeypatch.setattr(measures, "CHUNK", 1000)
+
+    def test_values_are_those_of_one_call(self, rng):
+        pts = PolarShellSampler().sample(4500, rng)
+        fns = [vacuum(), nu_measure().density, lambda view: view.r1 > 1.0]
+        expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
+        for got, want in zip(pointwise(fns, pts), expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_batch_keeps_the_norm_its_chunks_computed(self, rng):
+        pts = PolarShellSampler().sample(4500, rng)
+        pointwise([nu_measure().density], pts)
+        assert "_norm" in pts.__dict__
+        assert np.array_equal(pts.norm(), TriangularS(pts.r1, pts.r2, pts.r).norm())
+        assert all(np.shares_memory(view.norm(), pts.norm()) for view in pts.chunks(1000))
+
+    def test_workers_see_the_callers_errstate(self, rng):
+        pts = PolarShellSampler().sample(4000, rng)
+        log_zero = in_pool(lambda view: np.log(np.zeros(view.size)))
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            pointwise([log_zero], pts)
+
+    @pytest.mark.parametrize("error", [InvariantViolation, NonFinite])
+    def test_worker_errors_reach_the_caller(self, rng, error):
+        def fail(view):
+            raise error("raised in a worker")
+
+        sampler = PolarShellSampler()
+        with pytest.raises(error, match="raised in a worker"):
+            pointwise([in_pool(fail)], sampler.sample(4000, rng))
+        with pytest.raises(error, match="raised in a worker"):
+            integrate_mc(GroupFunction(in_pool(fail)), nu_measure(), sampler, 4000, rng)
+
+
 class TestBoxTranslation:
     def test_translated_mass_matches_jacobian(self, rng):
         # Lebesgue mass of the image of a unit box under right translation
@@ -350,6 +424,15 @@ class TestBoxTranslation:
 
         part = _box_translation_part(s0, 400_000, rng)
         assert part["deviation_sigmas"] < 3.0
+
+    def test_box_part_does_not_depend_on_the_batch_size(self, monkeypatch):
+        # the same uniforms in the same order and an exact count: bit for bit
+        from u22lab import claims
+
+        s0 = TriangularS(1.4, 0.7, 0.3 + 0.2j)
+        whole = claims._box_translation_part(s0, 30_000, np.random.default_rng(8))
+        monkeypatch.setattr(claims, "BATCH_SIZE", 7_000)
+        assert claims._box_translation_part(s0, 30_000, np.random.default_rng(8)) == whole
 
     def test_haar_right_invariance(self, rng):
         from u22lab.representation import translate
