@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -390,6 +391,24 @@ class TestPointwise:
         expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
         for got, want in zip(pointwise(fns, pts), expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_more_workers_than_cores_with_fast_switching(self, rng, monkeypatch):
+        # four workers on a fresh pool of three threads, switching every
+        # microsecond: each slice of every output is written once, by its run
+        monkeypatch.setattr(measures, "WORKERS", 4)
+        measures._executor.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pts = PolarShellSampler().sample(20_000, rng)
+            fns = [vacuum(), nu_measure().density]
+            expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
+            for _ in range(5):
+                got = pointwise(fns, TriangularS(pts.r1, pts.r2, pts.r))
+                assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        finally:
+            sys.setswitchinterval(interval)
+            measures._executor.cache_clear()
 
     def test_batch_keeps_the_norm_its_chunks_computed(self, rng):
         pts = PolarShellSampler().sample(4500, rng)
