@@ -5,9 +5,10 @@
 
 Each (claim, seed) runs through ``run_claims`` at the default config with
 that seed.  One JSON line goes to stdout for every pair that fails: a fail
-verdict, with its measured value and tolerance, or a raised error, with its
-type and message.  Passing pairs print nothing.  Exit status 0 when every
-pair passed, 1 otherwise.
+verdict, with its measured value and tolerance, or a raised ``U22Error``,
+with its type and message; any other exception is a bug and stops the
+sweep.  Passing pairs print nothing.  Exit status 0 when every pair
+passed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from u22lab import U22Error  # noqa: E402
 from u22lab.claims import CLAIM_IDS, SuiteConfig, run_claims  # noqa: E402
 
 
@@ -38,7 +40,7 @@ def sweep(claim_ids, seeds):
         for cid in claim_ids:
             try:
                 (record,) = run_claims(config, [cid])
-            except (ValueError, RuntimeError, ArithmeticError) as exc:
+            except U22Error as exc:
                 yield {"claim": cid, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
                 continue
             if record.verdict != "pass":

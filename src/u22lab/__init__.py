@@ -6,7 +6,7 @@ extension of both to the whole group, with a verification battery behind
 the ``u22lab`` command-line tool.
 """
 
-from .matrices import matrix_exp
+from .matrices import U22Error, matrix_exp
 from .groups import (
     TriangularS,
     SkewHermitian2,
@@ -44,7 +44,7 @@ from .representation import (
     specialness_report,
 )
 from .extension import act_k, extend_cocycle, apply_extended
-from .rank1 import AffElement, LineFunction, apply_U, almost_invariant_check
+from .rank1 import LineFunction, almost_invariant_check
 from .claims import SuiteConfig, ClaimRecord, run_claims
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .groups import (
     random_u22,
     sigma_hat,
 )
-from .matrices import E4, frob
+from .matrices import E4, U22Error, frob
 from .measures import (
     BATCH_SIZE,
     BoxSampler,
@@ -66,7 +66,7 @@ from .representation import (
     vacuum,
 )
 
-__all__ = ["SuiteConfig", "ClaimRecord", "CLAIM_IDS", "run_claims", "records_to_json", "records_to_csv"]
+__all__ = ["SuiteConfig", "ClaimRecord", "CLAIM_IDS", "run_claims", "to_json", "records_to_json", "records_to_csv"]
 
 DEFAULT_EPS_LADDER = tuple(np.logspace(-1, -4, 7))
 
@@ -84,18 +84,21 @@ class SuiteConfig:
     tol_override: float | None = None
 
     def __post_init__(self):
+        """Every command's knobs enter here; a bad value is a ``U22Error``."""
+        if self.seed < 0:
+            raise U22Error(f"seed must be nonnegative, got {self.seed}")
         if self.mc_samples < 1000:
-            raise ValueError("mc_samples must be at least 1000")
+            raise U22Error(f"need at least 1000 samples, got {self.mc_samples}")
         if self.sample_points <= 0:
-            raise ValueError("sample_points must be positive")
+            raise U22Error("sample_points must be positive")
         if len(self.eps_ladder) < 5:
-            raise ValueError("eps ladder needs at least 5 rungs")
-        if any(e <= 0 for e in self.eps_ladder):
-            raise ValueError("eps ladder entries must be positive")
-        if self.r_max <= max(self.eps_ladder):
-            raise ValueError("r_max must exceed the ladder")
-        if self.tol_override is not None and self.tol_override <= 0:
-            raise ValueError("tolerance override must be positive")
+            raise U22Error("eps ladder needs at least 5 rungs")
+        if not all(0 < e < math.inf for e in self.eps_ladder):
+            raise U22Error("eps ladder entries must be positive and finite")
+        if not max(self.eps_ladder) < self.r_max < math.inf:
+            raise U22Error("r_max must be finite and exceed the ladder")
+        if self.tol_override is not None and not 0 < self.tol_override < math.inf:
+            raise U22Error("tolerance override must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -508,7 +511,7 @@ def run_claims(config: SuiteConfig, claim_ids=None) -> list[ClaimRecord]:
     selected = set(claim_ids) if claim_ids else set(CLAIM_IDS)
     unknown = selected - set(CLAIM_IDS)
     if unknown:
-        raise ValueError(f"unknown claim ids: {sorted(unknown)}")
+        raise U22Error(f"unknown claim ids: {sorted(unknown)}")
     records = []
     for index, (cid, spec) in enumerate(_REGISTRY.items()):
         if cid not in selected:
@@ -535,16 +538,26 @@ def run_claims(config: SuiteConfig, claim_ids=None) -> list[ClaimRecord]:
 
 
 def _plain(obj):
-    """Coerce numpy scalars and containers to JSON-friendly values."""
+    """Coerce numpy scalars and containers to JSON values; a NaN or an
+    infinity becomes None (``null``), as C09's ``measured`` is infinite by
+    design when its projected norm is not positive."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
         return obj.item()
     if isinstance(obj, np.bool_):
         return bool(obj)
     return obj
+
+
+def to_json(doc, sort_keys: bool = False) -> str:
+    """The package's one JSON encoder: indented, strict JSON of ``doc``
+    through ``_plain``, so it never holds a bare NaN or Infinity token."""
+    return json.dumps(_plain(doc), indent=2, sort_keys=sort_keys, allow_nan=False)
 
 
 def records_to_json(records, config: SuiteConfig, timestamp: str | None = None) -> str:
@@ -577,7 +590,7 @@ def records_to_json(records, config: SuiteConfig, timestamp: str | None = None) 
     }
     if timestamp is not None:
         doc["timestamp"] = timestamp
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return to_json(doc, sort_keys=True)
 
 
 def records_to_csv(records) -> str:

@@ -2,8 +2,10 @@
 orbit points, probe measures, and emit machine-readable reports.
 
 Exit codes: 0 all requested work passed, 1 at least one claim failed,
-2 usage or input error, including input the library rejects (one `error:`
-line on stderr, never a traceback).
+2 usage or input error: a ``U22Error`` (input the library rejects) or an
+``OSError``, printed as one `error:` line on stderr.  Any other exception
+is a bug and keeps its traceback.  Every JSON written goes through
+``claims.to_json``, so it is strict.
 """
 
 from __future__ import annotations
@@ -16,23 +18,21 @@ import sys
 
 import numpy as np
 
-from .claims import SuiteConfig, records_to_csv, records_to_json, run_claims
+from .claims import SuiteConfig, records_to_csv, records_to_json, run_claims, to_json
 from .extension import unboundedness_experiment
 from .groups import (
-    DecompositionFailed,
+    NotInGroup,
     QElement,
     SkewHermitian2,
     TriangularS,
     U22Element,
     element_to_json,
-    is_in_u22,
     iwasawa_decompose,
     random_q,
 )
-from .matrices import matrix_from_json
-from .measures import NonFinite, PolarShellSampler, divergence_probe, nu_measure
+from .matrices import U22Error, is_json_number, matrix_from_json
+from .measures import PolarShellSampler, divergence_probe, nu_measure
 from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
-from .rank1 import QuadratureFailed
 from .representation import coboundary, gram_matrix, inverse_norm, vacuum
 
 __all__ = ["main", "build_parser"]
@@ -48,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the verification battery")
+    verify.set_defaults(run=_cmd_verify)
     _common_flags(verify, with_format=True)
     verify.add_argument("--tol", type=float, default=None, help="override claim tolerances")
     verify.add_argument("--config", help="JSON config file; flags override its fields")
@@ -55,19 +56,23 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--timestamp", action="store_true", help="include a timestamp in the report")
 
     decompose = sub.add_parser("decompose", help="factor a 4x4 matrix as p k")
+    decompose.set_defaults(run=_cmd_decompose)
     decompose.add_argument("--input", default="-", help="matrix JSON file, or - for stdin")
     decompose.add_argument("--tol", type=float, default=1e-9, help="membership tolerance")
     decompose.add_argument("--out", help="output path (default: stdout)")
 
     orbit = sub.add_parser("orbit", help="classify a skew-Hermitian point")
+    orbit.set_defaults(run=_cmd_orbit)
     orbit.add_argument("--input", default="-", help="point JSON file, or - for stdin")
     orbit.add_argument("--out", help="output path (default: stdout)")
 
     probe = sub.add_parser("measure-probe", help="classify a squared-norm integral")
+    probe.set_defaults(run=_cmd_measure_probe)
     probe.add_argument("--function", choices=PROBE_FUNCTIONS, required=True)
     _common_flags(probe)
 
     gram = sub.add_parser("gram", help="Gram matrix of random basis coboundaries")
+    gram.set_defaults(run=_cmd_gram)
     gram.add_argument("--size", type=int, default=6)
     _common_flags(gram)
 
@@ -75,26 +80,21 @@ def build_parser() -> argparse.ArgumentParser:
         "unboundedness-experiment",
         help="norm-ratio ladder for the swap operator (exploratory)",
     )
+    unbounded.set_defaults(run=_cmd_unboundedness)
     _common_flags(unbounded, with_format=True)
     return parser
 
 
-# the battery's defaults are the CLI's defaults
-_DEFAULTS = SuiteConfig()
-
-
 def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
-    # sentinel defaults so a config file's values survive unset flags
+    # sentinel defaults so a config file's values and the battery's defaults
+    # survive unset flags
+    sub.set_defaults(config=None, tol=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples per integral")
     sub.add_argument("--label", default=None, help="orbit label: ++, +-, -+, -- or 1..4")
     if with_format:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", help="output path (default: stdout)")
-
-
-def _or_default(value, fallback):
-    return fallback if value is None else value
 
 
 def _parse_label(text: str) -> OrbitLabel:
@@ -104,10 +104,13 @@ def _parse_label(text: str) -> OrbitLabel:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise U22Error(f"not valid UTF-8 JSON: {exc}") from exc
 
 
 def _emit(text: str, out: str | None):
@@ -119,12 +122,7 @@ def _emit(text: str, out: str | None):
 
 
 def _emit_json(doc, out: str | None):
-    # strict JSON: a NaN or infinity raises ValueError (exit 2), never a bare token
-    _emit(json.dumps(doc, indent=2, allow_nan=False), out)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    _emit(to_json(doc), out)
 
 
 def _is_integer(value) -> bool:
@@ -136,25 +134,25 @@ _CONFIG_CHECKS = {
     "seed": _is_integer,
     "mc_samples": _is_integer,
     "sample_points": _is_integer,
-    "eps_ladder": lambda v: isinstance(v, list) and all(map(_is_number, v)),
-    "r_max": _is_number,
+    "eps_ladder": lambda v: isinstance(v, list) and all(map(is_json_number, v)),
+    "r_max": is_json_number,
     "label": lambda v: isinstance(v, str),
-    "tol_override": lambda v: v is None or _is_number(v),
+    "tol_override": lambda v: v is None or is_json_number(v),
 }
 
 
 def _read_config(path: str) -> dict:
     """SuiteConfig fields from a JSON config file; a file that is not an
     object of known fields with values of the right JSON type is a
-    ValueError (exit 2)."""
+    ``U22Error``; ``SuiteConfig`` checks the values."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise U22Error("config file must hold a JSON object")
     for name, value in doc.items():
         if name not in _CONFIG_CHECKS:
-            raise ValueError(f"unknown config field {name!r}")
+            raise U22Error(f"unknown config field {name!r}")
         if not _CONFIG_CHECKS[name](value):
-            raise ValueError(f"config field {name!r} has a bad value: {value!r}")
+            raise U22Error(f"config field {name!r} has a bad value: {value!r}")
     if "label" in doc:
         doc["label"] = _parse_label(doc["label"])
     if "eps_ladder" in doc:
@@ -162,17 +160,19 @@ def _read_config(path: str) -> dict:
     return doc
 
 
-def _cmd_verify(args) -> int:
+def _suite_config(args) -> SuiteConfig:
+    """The one ``SuiteConfig`` of a command: verify's --config file, if
+    any, with the flags that are set over it and the battery's defaults
+    for the rest."""
     fields = _read_config(args.config) if args.config else {}
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.samples is not None:
-        fields["mc_samples"] = args.samples
-    if args.tol is not None:
-        fields["tol_override"] = args.tol
-    if args.label is not None:
-        fields["label"] = _parse_label(args.label)
-    config = SuiteConfig(**fields)
+    flags = {"seed": args.seed, "mc_samples": args.samples, "tol_override": args.tol,
+             "label": None if args.label is None else _parse_label(args.label)}
+    fields.update((name, value) for name, value in flags.items() if value is not None)
+    return SuiteConfig(**fields)
+
+
+def _cmd_verify(args) -> int:
+    config = _suite_config(args)
     claim_ids = args.claims.split(",") if args.claims else None
     records = run_claims(config, claim_ids)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat() if args.timestamp else None
@@ -182,9 +182,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise U22Error(f"--tol must be positive and finite, got {args.tol}")
     matrix = matrix_from_json(_read_json(args.input), (4, 4))
-    report = is_in_u22(matrix, args.tol)
-    if not report.ok:
+    try:
+        g = U22Element(matrix, tol=args.tol)
+    except NotInGroup as exc:
+        report = exc.report
         _emit_json(
             {
                 "error": "not a group member",
@@ -199,7 +203,6 @@ def _cmd_decompose(args) -> int:
             args.out,
         )
         return 2
-    g = U22Element(matrix, tol=args.tol)
     p, k = iwasawa_decompose(g)
     residual = float(np.linalg.norm(p.matrix() @ k.m - matrix))
     _emit_json(
@@ -216,15 +219,18 @@ def _cmd_decompose(args) -> int:
 def _parse_skew(doc) -> SkewHermitian2:
     if not isinstance(doc, dict):
         return SkewHermitian2.from_matrix(matrix_from_json(doc, (2, 2)))
-    z = doc.get("z")
+    for name in ("a", "b", "z"):
+        if name not in doc:
+            raise U22Error(f"point has no field {name!r}")
+    z = doc["z"]
     if not isinstance(z, list) or len(z) != 2:
-        raise ValueError("point 'z' must be a [re, im] pair")
-    try:
-        a, b, re, im = (float(v) for v in (doc["a"], doc["b"], *z))
-    except TypeError as exc:
-        raise ValueError("point entries must be numbers") from exc
+        raise U22Error("point 'z' must be a [re, im] pair")
+    values = (doc["a"], doc["b"], *z)
+    if not all(map(is_json_number, values)):
+        raise U22Error("point entries must be numbers")
+    a, b, re, im = map(float, values)
     if not all(math.isfinite(v) for v in (a, b, re, im)):
-        raise ValueError("point has a non-finite entry")
+        raise U22Error("point has a non-finite entry")
     return SkewHermitian2(a, b, complex(re, im))
 
 
@@ -259,15 +265,10 @@ def _probe_target(name: str, label: OrbitLabel):
 
 
 def _cmd_measure_probe(args) -> int:
-    label = _parse_label(_or_default(args.label, "++"))
-    target = _probe_target(args.function, label)
+    config = _suite_config(args)
+    target = _probe_target(args.function, config.label)
     verdict = divergence_probe(
-        target,
-        nu_measure(),
-        _DEFAULTS.eps_ladder,
-        _DEFAULTS.r_max,
-        _or_default(args.samples, _DEFAULTS.mc_samples),
-        _or_default(args.seed, _DEFAULTS.seed),
+        target, nu_measure(), config.eps_ladder, config.r_max, config.mc_samples, config.seed
     )
     doc = {
         "function": args.function,
@@ -285,13 +286,10 @@ def _cmd_measure_probe(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    label = _parse_label(_or_default(args.label, "++"))
-    rng = np.random.default_rng(_or_default(args.seed, _DEFAULTS.seed))
+    config = _suite_config(args)
+    rng = np.random.default_rng(config.seed)
     p_list = [random_q(rng) for _ in range(args.size)]
-    sampler = PolarShellSampler()
-    gram, stderr = gram_matrix(
-        p_list, label, nu_measure(), sampler, _or_default(args.samples, _DEFAULTS.mc_samples), rng
-    )
+    gram, stderr = gram_matrix(p_list, config.label, nu_measure(), PolarShellSampler(), config.mc_samples, rng)
     eigmin = float(np.linalg.eigvalsh(gram)[0])
     err = float(np.linalg.norm(stderr))
     doc = {
@@ -306,15 +304,10 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_unboundedness(args) -> int:
-    label = _parse_label(_or_default(args.label, "++"))
+    config = _suite_config(args)
     sampler = PolarShellSampler(r_max=120.0)
     rows = unboundedness_experiment(
-        (2.0, 4.0, 8.0, 16.0, 32.0),
-        label,
-        nu_measure(),
-        sampler,
-        _or_default(args.samples, _DEFAULTS.mc_samples),
-        _or_default(args.seed, _DEFAULTS.seed),
+        (2.0, 4.0, 8.0, 16.0, 32.0), config.label, nu_measure(), sampler, config.mc_samples, config.seed
     )
     if args.format == "json":
         _emit_json(rows, args.out)
@@ -328,25 +321,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "orbit":
-            return _cmd_orbit(args)
-        if args.command == "measure-probe":
-            return _cmd_measure_probe(args)
-        if args.command == "gram":
-            return _cmd_gram(args)
-        if args.command == "unboundedness-experiment":
-            return _cmd_unboundedness(args)
-        parser.error(f"unknown command {args.command!r}")
-    # library errors are ValueErrors (NotInGroup, NotFactorizable,
-    # InvariantViolation, ...), DecompositionFailed, QuadratureFailed or NonFinite
-    except (ValueError, DecompositionFailed, QuadratureFailed, NonFinite, OSError, KeyError) as exc:
+        return args.run(args)
+    except (U22Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

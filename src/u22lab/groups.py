@@ -50,6 +50,7 @@ from . import lie
 from .matrices import (
     E4,
     SIGMA,
+    U22Error,
     adjoint,
     assemble,
     blocks,
@@ -112,19 +113,19 @@ _SIGMA_REAL = np.ascontiguousarray(SIGMA.real)
 _NORMAL_MAX = sys.float_info.max
 
 
-class InvariantViolation(ValueError):
+class InvariantViolation(U22Error):
     """A typed element failed its structural invariant."""
 
 
-class NotFactorizable(ValueError):
+class NotFactorizable(U22Error):
     """The input is outside the domain of the structured factorization."""
 
 
-class DecompositionFailed(RuntimeError):
+class DecompositionFailed(U22Error):
     """A factorization produced a residual above tolerance."""
 
 
-class NotInGroup(ValueError):
+class NotInGroup(U22Error):
     """A matrix failed the ambient-group membership residuals."""
 
     def __init__(self, report: "MembershipReport"):
@@ -472,7 +473,7 @@ def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4):
-        raise ValueError(f"expected 4x4 matrices, got {m.shape}")
+        raise U22Error(f"expected 4x4 matrices, got {m.shape}")
     rows, shift = pow2_scaled(m.reshape(m.shape[:-2] + (2, 2, 4)))
     g = rows.reshape(m.shape)
     # e scales as the rows do; past 2^500 the relation fails anyway, and the cap keeps |D|^2 finite

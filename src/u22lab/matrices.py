@@ -6,16 +6,20 @@ round trips for things a formula does better.  The generic kernels
 (``adjoint``, ``frob``, ``blocks``, ``assemble``, ``matrix_exp``) act on one
 matrix or on a stack of shape (..., n, n) alike.  Only generic kernels live
 here; structured factors live with their types (``groups``, ``orbits``).
-Matrices travel to and from JSON as nested [re, im] pairs.
+Matrices travel to and from JSON as nested [re, im] pairs.  ``U22Error``,
+the base of every error the package raises on input it rejects, lives here
+because every other module imports this one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 __all__ = [
+    "U22Error",
     "E4",
     "SIGMA",
     "adjoint",
@@ -27,7 +31,13 @@ __all__ = [
     "matrix_exp",
     "matrix_to_json",
     "matrix_from_json",
+    "is_json_number",
 ]
+
+
+class U22Error(ValueError):
+    """Input the package rejects: a malformed or out-of-range value, or an
+    element or point that fails a structural or numerical gate."""
 
 
 def freeze(a) -> np.ndarray:
@@ -129,15 +139,32 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def is_json_number(value) -> bool:
+    """A number as ``json`` decodes one that a float holds: a float, or an
+    int (not a bool) within the float range."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and all(map(is_json_number, entry))
+
+
 def matrix_from_json(data, shape=None) -> np.ndarray:
-    """Decode the nested [re, im] encoding produced by ``matrix_to_json``."""
-    try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
-        raise ValueError("matrix JSON must be nested arrays of [re, im] pairs") from exc
-    m = np.array(rows, dtype=complex)
+    """Decode the nested [re, im] encoding produced by ``matrix_to_json``.
+
+    Anything else raises ``U22Error``: entries that are not pairs of JSON
+    numbers, rows of different lengths, a shape other than ``shape`` or a
+    non-finite entry.
+    """
+    if not (isinstance(data, list) and all(isinstance(row, list) and all(map(_is_pair, row)) for row in data)):
+        raise U22Error("matrix JSON must be nested arrays of [re, im] pairs")
+    if len({len(row) for row in data}) > 1:
+        raise U22Error("matrix JSON rows differ in length")
+    m = np.array([[complex(*entry) for entry in row] for row in data], dtype=complex)
     if m.ndim != 2 or (shape is not None and m.shape != shape):
-        raise ValueError(f"bad matrix shape {m.shape}, expected {shape}")
+        raise U22Error(f"bad matrix shape {m.shape}, expected {shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix JSON has a non-finite entry")
+        raise U22Error("matrix JSON has a non-finite entry")
     return m

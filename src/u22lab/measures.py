@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import TriangularS, as_generator
+from .matrices import U22Error
 
 __all__ = [
     "NonFinite",
@@ -89,7 +90,7 @@ LINEAR_R2_MIN = 0.99  # linear fit quality required for log divergence
 POWER_GROWTH_RATIO = 2.0  # growing increments beyond this -> power divergence
 
 
-class NonFinite(FloatingPointError):
+class NonFinite(U22Error):
     """A Monte-Carlo sample evaluated to NaN or infinity."""
 
 
@@ -190,7 +191,7 @@ class PolarShellSampler:
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
+            raise U22Error("need 0 < r_min < r_max")
 
     @property
     def log_ratio(self) -> float:
@@ -392,10 +393,10 @@ def sample_batches(sampler, measures, n: int, rng):
     array measure.density / sampler.density per measure in ``measures``.
 
     The one sample-count guard of the three engines: fewer than 1000
-    points is a ``ValueError``, raised before anything is drawn.
+    points is a ``U22Error``, raised before anything is drawn.
     """
     if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
+        raise U22Error(f"need at least 1000 samples, got {n}")
     rng = as_generator(rng)
     remaining = n
     while remaining > 0:
@@ -505,9 +506,9 @@ def divergence_probe(
     measures = measure if isinstance(measure, (list, tuple)) else (measure,)
     eps = np.array(sorted(set(float(e) for e in eps_sequence), reverse=True))
     if len(eps) < 5:
-        raise ValueError("need a decreasing ladder of at least 5 cutoffs")
+        raise U22Error("need a decreasing ladder of at least 5 cutoffs")
     if eps[0] >= r_max or eps[-1] <= 0:
-        raise ValueError("ladder must lie strictly inside (0, r_max)")
+        raise U22Error("ladder must lie strictly inside (0, r_max)")
     sampler = PolarShellSampler(float(eps[-1]), float(r_max))
     ascending = eps[::-1]
     shells = len(eps) + 1  # shell k holds radii in [ascending[k-1], ascending[k])

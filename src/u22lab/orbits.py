@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .groups import SkewHermitian2, TriangularS
+from .matrices import U22Error
 
 __all__ = [
     "DegenerateOrbit",
@@ -37,7 +38,7 @@ __all__ = [
 DEGENERACY_TOL = 1e-10
 
 
-class DegenerateOrbit(ValueError):
+class DegenerateOrbit(U22Error):
     """The point lies on a zero-measure orbit and has no triangular chart."""
 
 
@@ -72,14 +73,14 @@ class OrbitLabel(enum.Enum):
     def from_string(cls, text: str) -> "OrbitLabel":
         """Inverse of ``str``: "++", "+-", "-+" or "--"."""
         if len(text) != 2 or any(c not in "+-" for c in text):
-            raise ValueError(f"bad orbit label string: {text!r}")
+            raise U22Error(f"bad orbit label string: {text!r}")
         return cls(tuple(1 if c == "+" else -1 for c in text))
 
     @classmethod
     def from_index(cls, k: int) -> "OrbitLabel":
         labels = list(cls)
         if not 1 <= k <= 4:
-            raise ValueError(f"orbit index must be 1..4, got {k}")
+            raise U22Error(f"orbit index must be 1..4, got {k}")
         return labels[k - 1]
 
 
@@ -108,7 +109,7 @@ def _normalized(m: SkewHermitian2) -> tuple[float, float, complex, int]:
     """
     a, b, z = m.a, m.b, m.z
     if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(z)):
-        raise ValueError("orbit point has a non-finite entry")
+        raise U22Error("orbit point has a non-finite entry")
     j = math.frexp(max(abs(a), abs(b), abs(z.real), abs(z.imag)))[1] // 2
     return (math.ldexp(a, -2 * j), math.ldexp(b, -2 * j),
             complex(math.ldexp(z.real, -2 * j), math.ldexp(z.imag, -2 * j)), j)
@@ -119,7 +120,7 @@ def classify_orbit(m: SkewHermitian2) -> OrbitLabel | None:
 
     With H = -i m: e1 = sign(H11) = sign(a) and e1 e2 = sign(det H), where
     det H = a b - |z|^2.  The point is degenerate when |a| or |det H| falls
-    below ``DEGENERACY_TOL`` relative to |m| or |m|^2.  Raises ValueError
+    below ``DEGENERACY_TOL`` relative to |m| or |m|^2.  Raises ``U22Error``
     on a non-finite point.
     """
     a, b, z, _ = _normalized(m)

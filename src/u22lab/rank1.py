@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import U22Error
+
 __all__ = [
-    "AffElement",
     "LineFunction",
-    "apply_U",
     "left_indicator",
     "gaussian_bump",
     "ConditionReport",
@@ -40,24 +40,6 @@ _CUTOFFS = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
 _CONV_REL = 1e-6
 
 
-@dataclass(frozen=True)
-class AffElement:
-    """The transformation x -> exp(beta) x + a."""
-
-    beta: float
-    a: float
-
-    @classmethod
-    def identity(cls) -> "AffElement":
-        return cls(0.0, 0.0)
-
-    def compose(self, other: "AffElement") -> "AffElement":
-        return AffElement(self.beta + other.beta, self.a + math.exp(self.beta) * other.a)
-
-    def inverse(self) -> "AffElement":
-        return AffElement(-self.beta, -self.a * math.exp(-self.beta))
-
-
 class LineFunction:
     """Complex-valued function on the line with vectorized evaluation."""
 
@@ -68,11 +50,6 @@ class LineFunction:
 
     def __call__(self, z) -> np.ndarray:
         return np.asarray(self._evaluate(np.asarray(z, dtype=float)), dtype=complex)
-
-
-def apply_U(g: AffElement, fn: LineFunction) -> LineFunction:
-    """(U F)(z) = exp(i a e^z) F(z + beta); a pointwise homomorphism."""
-    return LineFunction(lambda z: np.exp(1j * g.a * np.exp(z)) * fn(z + g.beta))
 
 
 def left_indicator(t: float = 0.0) -> LineFunction:
@@ -112,7 +89,7 @@ class AlmostInvariantReport:
         return all(c.holds is True for c in self.conditions())
 
 
-class QuadratureFailed(RuntimeError):
+class QuadratureFailed(U22Error):
     """The adaptive rule met a non-finite integrand value or ran out of subintervals."""
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import orbits
 from .groups import QElement, SkewHermitian2, TriangularS
+from .matrices import U22Error
 from .measures import (
     DivergenceVerdict,
     MCAccumulator,
@@ -210,13 +211,13 @@ def gram_matrix(
     """
     k = len(p_list)
     if k == 0:
-        raise ValueError("need at least one basis element")
+        raise U22Error("need at least one basis element")
     for i, p in enumerate(p_list):
         if p.is_identity():
-            raise ValueError("identity element has a zero coboundary")
+            raise U22Error("identity element has a zero coboundary")
         for other in p_list[i + 1 :]:
             if p.distance(other) <= CANONICAL_TOL * max(1.0, p.s.norm()):
-                raise ValueError("basis elements must be pairwise distinct")
+                raise U22Error("basis elements must be pairwise distinct")
     vectors = [CocycleVector.basis(p, label) for p in p_list]
     accs = [[MCAccumulator() for _ in range(k)] for _ in range(k)]
     for pts, (weights,) in sample_batches(sampler, (measure,), n, rng):
@@ -300,11 +301,11 @@ def specialness_report(
     sample stream, giving one report per measure.
     """
     if not test_set:
-        raise ValueError("test set must be nonempty")
+        raise U22Error("test set must be nonempty")
     if not any(q.is_translation() for q in test_set):
-        raise ValueError("test set needs at least one pure translation")
+        raise U22Error("test set needs at least one pure translation")
     if not any(q.is_character_direction() for q in test_set):
-        raise ValueError("test set needs at least one pure character direction")
+        raise U22Error("test set needs at least one pure character direction")
     measures = measure if isinstance(measure, (list, tuple)) else (measure,)
     functions = [vacuum()] + [coboundary(q, label).as_group_function() for q in test_set]
     rows = divergence_probe(functions, measures, eps_ladder, r_max, samples, rng)

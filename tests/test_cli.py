@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import u22lab
-from u22lab import claims, cli, measures
+from u22lab import claims, cli, groups, measures
 from u22lab.cli import main
 from u22lab.groups import InvariantViolation, random_k
 from u22lab.measures import NonFinite
@@ -379,6 +380,98 @@ def test_too_few_samples_is_an_input_error(capsys, command, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: need at least 1000 samples, got {samples}\n"
+
+
+_MATRIX = matrix_to_json(np.eye(4))
+_BOOL_ENTRY = [[[True, 0.0]] + _MATRIX[0][1:]] + _MATRIX[1:]
+_HUGE_INT = "1" + "0" * 400  # a JSON integer no float can hold
+_PAIRS = "matrix JSON must be nested arrays of [re, im] pairs"
+_NOT_JSON = "not valid UTF-8 JSON"
+_BAD_SEED = "seed must be nonnegative, got -1"
+_BAD_TOL = "tolerance override must be positive and finite"
+_CONFIG = ["verify", "--config", "{file}", "--claims", "C01"]
+
+# (argv, contents of the file that "{file}" names, start of the message);
+# every row is input the library rejects: exit 2, one error line, no output
+MALFORMED_INPUTS = {
+    "orbit-missing-field": (["orbit", "--input", "{file}"], '{"a": 1, "z": [0, 0]}', "point has no field 'b'"),
+    "orbit-string-number": (["orbit", "--input", "{file}"], '{"a": "1.5", "b": 1, "z": [0, 0]}',
+                            "point entries must be numbers"),
+    "orbit-bool-number": (["orbit", "--input", "{file}"], '{"a": true, "b": 1, "z": [0, 0]}',
+                          "point entries must be numbers"),
+    "orbit-huge-integer": (["orbit", "--input", "{file}"], f'{{"a": {_HUGE_INT}, "b": 1, "z": [0, 0]}}',
+                           "point entries must be numbers"),
+    "orbit-invalid-utf8": (["orbit", "--input", "{file}"], b'{"a": 1, "b": 1, "z": [0, 0], "\xff": 0}', _NOT_JSON),
+    "orbit-not-json": (["orbit", "--input", "{file}"], '{"a": 1,', _NOT_JSON),
+    "decompose-ragged": (["decompose", "--input", "{file}"], json.dumps(_MATRIX[:3] + [_MATRIX[3][:3]]),
+                         "matrix JSON rows differ in length"),
+    "decompose-bool-entry": (["decompose", "--input", "{file}"], json.dumps(_BOOL_ENTRY), _PAIRS),
+    "decompose-huge-integer": (["decompose", "--input", "{file}"], f"[[[{_HUGE_INT}, 0]]]", _PAIRS),
+    "decompose-tol-nan": (["decompose", "--tol", "nan", "--input", "{file}"], json.dumps(_MATRIX),
+                          "--tol must be positive and finite"),
+    "verify-seed-negative": (["verify", "--seed", "-1", "--claims", "C01"], None, _BAD_SEED),
+    "probe-seed-negative": (["measure-probe", "--function", "vacuum", "--seed", "-1"], None, _BAD_SEED),
+    "gram-seed-negative": (["gram", "--size", "2", "--seed", "-1"], None, _BAD_SEED),
+    "unbounded-seed-negative": (["unboundedness-experiment", "--seed", "-1"], None, _BAD_SEED),
+    "gram-bad-label": (["gram", "--label", "5"], None, "orbit index must be 1..4, got 5"),
+    "verify-tol-nan": (["verify", "--tol", "nan", "--claims", "C01"], None, _BAD_TOL),
+    "verify-tol-inf": (["verify", "--tol", "inf", "--claims", "C01"], None, _BAD_TOL),
+    "config-r-max-overflow": (_CONFIG, '{"r_max": 1e400}', "r_max must be finite and exceed the ladder"),
+    "config-nan-ladder": (_CONFIG, '{"eps_ladder": [0.1, 0.01, 0.001, 0.0001, NaN]}',
+                          "eps ladder entries must be positive and finite"),
+    "config-nan-token": (_CONFIG, '{"tol_override": NaN}', _BAD_TOL),
+    "config-huge-integer": (_CONFIG, f'{{"r_max": {_HUGE_INT}}}', "config field 'r_max' has a bad value"),
+    "config-invalid-utf8": (_CONFIG, b'{"seed": 1, "\xff": 0}', _NOT_JSON),
+}
+
+
+@pytest.mark.parametrize("argv, contents, message", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, contents, message):
+    src = tmp_path / "input.json"
+    if contents is not None:
+        src.write_bytes(contents if isinstance(contents, bytes) else contents.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([arg.replace("{file}", str(src)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch, error):
+    # only U22Error and OSError are input errors; anything else is not exit 2
+    def broken(args):
+        raise error("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_orbit", broken)
+    with pytest.raises(error, match="a bug"):
+        run_cli(["orbit", "--input", "-"])
+
+
+def test_decompose_tests_membership_once(tmp_path, monkeypatch):
+    calls = []
+    original = groups.is_in_u22
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "is_in_u22", counted)
+    for m, code in ((np.eye(4), 0), (np.diag([2.0, 1.0, 1.0, 1.0]), 2)):
+        calls.clear()
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps(matrix_to_json(m)))
+        assert run_cli(["decompose", "--input", str(src), "--out", str(tmp_path / "out.json")]) == code
+        assert len(calls) == 1
+
+
+def test_reports_write_a_non_finite_value_as_null():
+    # C09's measured value is infinite by design when its projected norm is not positive
+    record = claims.ClaimRecord("C09", "anchor", "fail", math.inf, 1.0, 0.5, {"value": np.float64(np.nan)})
+    text = claims.records_to_json([record], claims.SuiteConfig())
+    doc = json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token} in the report"))
+    assert doc["claims"][0]["measured"] is None and doc["claims"][0]["detail"] == {"value": None}
 
 
 class TestGramCommand:

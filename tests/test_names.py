@@ -3,6 +3,7 @@
 A deleted or renamed function otherwise breaks only the code that looks it
 up by name: the package's re-exports and the benchmark's tracer, which
 wraps functions given as (module, attribute path) in ``perfbench/tracer.py``.
+Every exception class the package defines derives from ``U22Error``.
 """
 
 import ast
@@ -63,3 +64,16 @@ def test_module_does_not_import_scipy(module):
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+def test_every_error_class_is_a_u22_error():
+    # the CLI maps U22Error, and no other class, to exit 2
+    found = {
+        name: obj
+        for module in MODULES
+        for name, obj in vars(importlib.import_module(module)).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module
+    }
+    assert {"U22Error", "InvariantViolation", "NotFactorizable", "DecompositionFailed", "NotInGroup",
+            "NonFinite", "DegenerateOrbit", "QuadratureFailed"} <= set(found)
+    assert [name for name, cls in found.items() if not issubclass(cls, u22lab.U22Error)] == []

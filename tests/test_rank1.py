@@ -9,70 +9,12 @@ from u22lab import cli, claims
 from u22lab.rank1 import (
     _CUTOFFS,
     _gk15,
-    AffElement,
-    LineFunction,
     QuadratureFailed,
     almost_invariant_check,
-    apply_U,
     gauss_kronrod,
     gaussian_bump,
     left_indicator,
 )
-
-GRID = np.linspace(-8.0, 3.0, 100)
-
-
-class TestAffineGroup:
-    def test_identity(self):
-        g = AffElement.identity()
-        assert g.compose(AffElement(0.3, 1.2)) == AffElement(0.3, 1.2)
-
-    def test_composition_law(self):
-        g1, g2 = AffElement(0.5, 1.0), AffElement(-0.2, 2.0)
-        out = g1.compose(g2)
-        assert out.beta == 0.3
-        assert abs(out.a - (1.0 + math.exp(0.5) * 2.0)) < 1e-15
-
-    def test_associative(self, rng):
-        for _ in range(50):
-            a, b, c = (AffElement(*rng.standard_normal(2)) for _ in range(3))
-            lhs = a.compose(b).compose(c)
-            rhs = a.compose(b.compose(c))
-            assert abs(lhs.beta - rhs.beta) < 1e-12
-            assert abs(lhs.a - rhs.a) < 1e-12 * max(1.0, abs(lhs.a))
-
-    def test_inverse(self, rng):
-        g = AffElement(*rng.standard_normal(2))
-        e = g.compose(g.inverse())
-        assert abs(e.beta) < 1e-15 and abs(e.a) < 1e-14
-
-
-class TestLineAction:
-    def test_identity_action(self):
-        f = gaussian_bump()
-        out = apply_U(AffElement.identity(), f)
-        assert np.array_equal(out(GRID), f(GRID))
-
-    def test_pure_shift(self):
-        f = gaussian_bump()
-        out = apply_U(AffElement(0.7, 0.0), f)
-        np.testing.assert_allclose(out(GRID), f(GRID + 0.7))
-
-    def test_modulus_is_shifted_modulus(self, rng):
-        g = AffElement(*rng.standard_normal(2))
-        f = gaussian_bump()
-        out = apply_U(g, f)
-        np.testing.assert_allclose(np.abs(out(GRID)), np.abs(f(GRID + g.beta)), atol=1e-14)
-
-    def test_homomorphism_pointwise(self, rng):
-        f = LineFunction(lambda z: np.exp(-(z**2)) * (1.0 + 0.5j * z))
-        worst = 0.0
-        for _ in range(50):
-            g1, g2 = AffElement(*rng.standard_normal(2)), AffElement(*rng.standard_normal(2))
-            lhs = apply_U(g1, apply_U(g2, f))(GRID)
-            rhs = apply_U(g1.compose(g2), f)(GRID)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        assert worst < 1e-12
 
 
 class TestAlmostInvariantCheck:

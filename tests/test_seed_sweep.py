@@ -1,9 +1,14 @@
 """Smoke test of the seed-sweep command (scripts/seed_sweep.py)."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from u22lab.groups import DecompositionFailed
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,3 +35,32 @@ def test_unknown_claim_id_is_a_usage_error():
     )
     assert proc.returncode == 2
     assert proc.stdout == "" and "invalid choice: 'C7'" in proc.stderr
+
+
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location("seed_sweep", os.path.join(ROOT, "scripts", "seed_sweep.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_library_error_is_a_failing_pair(monkeypatch):
+    sweep = _load_sweep()
+
+    def refuse(config, claim_ids):
+        raise DecompositionFailed("reconstruction residual 1e-3")
+
+    monkeypatch.setattr(sweep, "run_claims", refuse)
+    assert list(sweep.sweep(["C07"], [5])) == [
+        {"claim": "C07", "seed": 5, "error": "DecompositionFailed: reconstruction residual 1e-3"}]
+
+
+def test_a_bug_stops_the_sweep(monkeypatch):
+    sweep = _load_sweep()
+
+    def broken(config, claim_ids):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(sweep, "run_claims", broken)
+    with pytest.raises(KeyError):
+        list(sweep.sweep(["C07"], [5]))
