@@ -105,8 +105,8 @@ def _parse_label(text: str) -> OrbitLabel:
 
 def _read_json(path: str):
     try:
-        if path == "-":
-            return json.loads(sys.stdin.read())
+        if path == "-":  # bytes, so no locale's error handler lets invalid UTF-8 through
+            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

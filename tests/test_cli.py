@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -436,6 +437,15 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, contents, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_invalid_utf8_on_stdin_is_an_input_error(monkeypatch, capsys):
+    # as from a file, also where the locale decodes stdin with surrogateescape
+    raw = io.BytesIO(b'{"a": 1, "b": 1, "z": [0, 0], "\xff": 0}')
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape"))
+    assert run_cli(["orbit", "--input", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {_NOT_JSON}")
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyError])
