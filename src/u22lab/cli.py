@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
-    # sentinel defaults so a config file's values and the battery's defaults
-    # survive unset flags
+    # None means unset, so a config file's value or the battery's default
+    # holds; only verify offers --config and --tol
     sub.set_defaults(config=None, tol=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples per integral")
