@@ -7,7 +7,7 @@
 For every workload in ``BENCHMARK.json`` this runs, unchanged,
 ``python3 DIR/perfbench/run.py --workload W --seconds S`` from the root of
 the checkout DIR (default: this repository), with S the benchmark's
-``run_seconds``.  Each run adds one entry to ``BENCH_<N>.json`` at the root
+``run_seconds`` (and ``--seed N`` when given, recorded in each entry).  Each run adds one entry to ``BENCH_<N>.json`` at the root
 of this repository: the run's final JSON line, the label, the checkout's git
 sha and whether its tracked files differ from that commit, the CPU count and
 model, and the Python and NumPy versions.  Alternate ``parent`` and
@@ -28,13 +28,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def ledger_entry(run_line: str, *, workload: str, label: str, seconds: float, git: dict,
-                 machine: dict) -> dict:
+                 machine: dict, seed: int | None = None) -> dict:
     """One ledger entry from the final stdout line of a perfbench run."""
     result = json.loads(run_line)
     if not isinstance(result, dict) or "metrics" not in result:
         raise ValueError("not a perfbench result line")
-    return {"label": label, "workload": workload, "seconds": seconds, **git, **machine,
-            "result": result}
+    entry = {"label": label, "workload": workload, "seconds": seconds, **git, **machine,
+             "result": result}
+    if seed is not None:
+        entry["seed"] = seed
+    return entry
 
 
 def git_state(checkout: str) -> dict:
@@ -64,6 +67,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<PR>.json")
     parser.add_argument("--label", choices=("parent", "change"), required=True)
     parser.add_argument("--checkout", default=ROOT, help="source checkout to benchmark")
+    parser.add_argument("--seed", type=int, help="run seed passed to perfbench/run.py (default: its own)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -74,7 +78,8 @@ def main(argv=None) -> int:
     correct = True
     for workload in (w["name"] for w in bench["workloads"]):
         proc = subprocess.run([sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-                               "--workload", workload, "--seconds", str(seconds)],
+                               "--workload", workload, "--seconds", str(seconds),
+                               *(["--seed", str(args.seed)] if args.seed is not None else [])],
                               capture_output=True, text=True, cwd=checkout)
         lines = proc.stdout.strip().splitlines()
         if not lines:
@@ -82,7 +87,7 @@ def main(argv=None) -> int:
             print(f"bench_ledger: {workload} printed no result", file=sys.stderr)
             return 1
         entry = ledger_entry(lines[-1], workload=workload, label=args.label, seconds=seconds,
-                             git=state, machine=machine)
+                             git=state, machine=machine, seed=args.seed)
         ledger = []
         if os.path.exists(path):
             with open(path) as fh:

@@ -50,6 +50,7 @@ from .measures import (
     nu_measure,
     right_translation_jacobian_fd,
     rn_derivative_right,
+    sum_blocks,
     truncated_nu,
 )
 from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
@@ -186,8 +187,9 @@ def _claim_orbit_chart(config: SuiteConfig, rng):
 def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     # The unit box in chart coordinates, pushed through s -> s s0: sample a
     # bounding box of its image, pull the points back by s0^-1 and count
-    # those that land in the unit box, BATCH_SIZE rows at a time: the same
-    # uniforms in the same order as one draw, and an exact integer count.
+    # those that land in the unit box, BATCH_SIZE rows at a time and counted
+    # block by block: the same uniforms in the same order as one draw, and
+    # an exact integer count.
     unit = BoxSampler(1.0, 2.0, 1.0, 2.0, -0.5, 0.5, -0.5, 0.5)
     corners = [(c, t) for c in (unit.re_lo, unit.re_hi) for t in (unit.r2_lo, unit.r2_hi)]
     re_parts = [c * s0.r1 + s0.r.real * t for c, t in corners]
@@ -200,8 +202,9 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     inverse = s0.inverse()
     inside = 0
     for start in range(0, n, BATCH_SIZE):
-        preimages = box.sample(min(BATCH_SIZE, n - start), rng).multiply(inverse)
-        inside += int(np.count_nonzero(unit.contains(preimages)))
+        pts = box.sample(min(BATCH_SIZE, n - start), rng)
+        # an exact count, so one partial per task sums as one per block would
+        inside += int(sum_blocks(pts, lambda view: [np.count_nonzero(unit.contains(view.multiply(inverse)))]))
     p_hat = inside / n
     mass = box.volume * p_hat
     sigma = box.volume * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)

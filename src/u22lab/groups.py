@@ -307,24 +307,6 @@ class TriangularS:
             self.__dict__["_norm"] = cached
         return cached
 
-    def chunks(self, size: int) -> list["TriangularS"]:
-        """A 1-D batch as consecutive views of at most ``size`` points; each
-        view carries its slice of the batch's cached norm, if there is one."""
-        norm = self.__dict__.get("_norm")
-        views = []
-        for lo in range(0, self.size, size):
-            view = TriangularS(self.r1[lo : lo + size], self.r2[lo : lo + size], self.r[lo : lo + size])
-            if norm is not None:
-                view.__dict__["_norm"] = norm[lo : lo + size]
-            views.append(view)
-        return views
-
-    def keep_norm(self, views: list["TriangularS"]) -> None:
-        """Cache the batch's norm from its ``chunks`` views when each of them
-        computed its own, so that the batch does not compute it again."""
-        if "_norm" not in self.__dict__ and all("_norm" in v.__dict__ for v in views):
-            self.__dict__["_norm"] = np.concatenate([v.__dict__["_norm"] for v in views])
-
     def distance(self, other: "TriangularS"):
         """Frobenius distance, by ``np.hypot``: no field squares, so no overflow."""
         return np.hypot(np.hypot(self.r1 - other.r1, self.r2 - other.r2), np.abs(self.r - other.r))

@@ -14,18 +14,20 @@ here takes one element or a batch.  All three engines (``integrate_mc``,
 ``divergence_probe`` and ``representation.gram_matrix``) draw through
 ``sample_batches``, which rejects fewer than 1000 samples.
 
-The point work of a batch (densities, integrands, coboundaries) runs through
-``pointwise``: elementwise functions evaluated on ``CHUNK``-point views of
-the batch, so that each function's temporaries are a few hundred kB that
-stay in cache and are reused, instead of fresh multi-MB arrays per call.  A
-thread pool, made on first use, runs one worker per usable core (``WORKERS``,
-the calling thread being one of them); each worker takes one contiguous run
-of chunks and writes into full-batch output arrays.  Draws stay on the
-calling thread, in their order, and every reduction (the sums of
-``MCAccumulator``, the probe's ``searchsorted`` and ``bincount``) still runs
-over the full batch in the same order.  Elementwise results do not depend on
-where a chunk starts, so every estimate and report is bit-identical at any
-chunk size and worker count.
+Every pass over a batch after its draws runs through ``run_blocks``: tasks
+of whole ``BLOCK``-point blocks, about ``CHUNK`` points each, so that each
+function's temporaries are a few hundred kB that stay in cache, spread over
+one worker per usable core (``WORKERS``, the calling thread being one of
+them; the pool is made on first use).  Draws stay on the calling thread, in
+their order; the samplers then transform them task by task into arrays the
+caller allocated.  The engines reduce in the same pass: each task computes
+densities, weights and integrands on its points and returns one partial sum
+per block (``np.add.reduceat``, ``bincount`` or a small matmul), and the
+caller adds the block partials in block order.  No whole-batch array of
+values, weights or contributions is made.  Blocks are aligned to the batch
+start and their size is fixed, so every estimate and report is
+bit-identical at any ``CHUNK`` and worker count; ``BLOCK``, like
+``BATCH_SIZE``, is part of the estimator and fixes its last bits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,10 +60,12 @@ __all__ = [
     "LogNormalSampler",
     "BoxSampler",
     "IntegralEstimate",
-    "MCAccumulator",
+    "mc_estimate",
     "BATCH_SIZE",
+    "BLOCK",
     "sample_batches",
-    "pointwise",
+    "run_blocks",
+    "sum_blocks",
     "require_finite",
     "integrate_mc",
     "DivergenceVerdict",
@@ -78,8 +82,13 @@ DEFAULT_R_MIN = 1e-4
 DEFAULT_R_MAX = 30.0
 
 BATCH_SIZE = 1 << 18
+# Each batch is summed in BLOCK-point blocks aligned to its start, and the
+# block sums are added in block order: like BATCH_SIZE, part of the
+# estimator, which fixes the last bits of every estimate.
+BLOCK = 1 << 10
 
-# pointwise: points per chunk (a few hundred kB per temporary) and threads
+# run_blocks: points per task (a few hundred kB per temporary) and threads;
+# neither changes a result
 CHUNK = 1 << 14
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -198,13 +207,20 @@ class PolarShellSampler:
         return math.log(self.r_max / self.r_min)
 
     def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
-        radii = self.r_min * (self.r_max / self.r_min) ** rng.random(n)
-        x = rng.standard_normal((n, 4))
-        x[:, 0] = np.abs(x[:, 0])
-        x[:, 1] = np.abs(x[:, 1])
-        lengths = np.sqrt(np.sum(x**2, axis=1))
-        x /= lengths[:, None]
-        return TriangularS(radii * x[:, 0], radii * x[:, 1], radii * (x[:, 2] + 1j * x[:, 3]))
+        u, x = rng.random(n), rng.standard_normal((n, 4))
+        r1, r2, r = np.empty(n), np.empty(n), np.empty(n, complex)
+
+        def transform(lo: int, hi: int):
+            radii = self.r_min * (self.r_max / self.r_min) ** u[lo:hi]
+            y = x[lo:hi]
+            y[:, :2] = np.abs(y[:, :2])
+            # the row sum in np.sum's order, without its per-row overhead
+            y /= np.sqrt(((y[:, 0] ** 2 + y[:, 1] ** 2) + y[:, 2] ** 2) + y[:, 3] ** 2)[:, None]
+            r1[lo:hi], r2[lo:hi] = radii * y[:, 0], radii * y[:, 1]
+            r[lo:hi] = radii * (y[:, 2] + 1j * y[:, 3])
+
+        run_blocks(n, transform)
+        return TriangularS(r1, r2, r)
 
     def density(self, pts: TriangularS) -> np.ndarray:
         norms = pts.norm()
@@ -222,11 +238,16 @@ class LogNormalSampler:
     sigma_r: float = 1.0
 
     def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
-        r1 = np.exp(self.mu1 + self.tau * rng.standard_normal(n))
-        r2 = np.exp(self.mu2 + self.tau * rng.standard_normal(n))
-        re = self.sigma_r * rng.standard_normal(n)
-        im = self.sigma_r * rng.standard_normal(n)
-        return TriangularS(r1, r2, re + 1j * im)
+        z = rng.standard_normal((4, n))
+        r1, r2, r = np.empty(n), np.empty(n), np.empty(n, complex)
+
+        def transform(lo: int, hi: int):
+            r1[lo:hi] = np.exp(self.mu1 + self.tau * z[0, lo:hi])
+            r2[lo:hi] = np.exp(self.mu2 + self.tau * z[1, lo:hi])
+            r[lo:hi] = self.sigma_r * z[2, lo:hi] + 1j * (self.sigma_r * z[3, lo:hi])
+
+        run_blocks(n, transform)
+        return TriangularS(r1, r2, r)
 
     def density(self, pts: TriangularS) -> np.ndarray:
         t1 = (np.log(pts.r1) - self.mu1) / self.tau
@@ -269,8 +290,15 @@ class BoxSampler:
         """One (n, 4) block of uniforms, lo + (hi - lo) u per coordinate."""
         lo = np.array([self.r1_lo, self.r2_lo, self.re_lo, self.im_lo])
         hi = np.array([self.r1_hi, self.r2_hi, self.re_hi, self.im_hi])
-        u = lo + (hi - lo) * rng.random((n, 4))
-        return TriangularS(u[:, 0], u[:, 1], u[:, 2] + 1j * u[:, 3])
+        u = rng.random((n, 4))
+        r1, r2, r = np.empty(n), np.empty(n), np.empty(n, complex)
+
+        def transform(a: int, b: int):
+            v = lo + (hi - lo) * u[a:b]
+            r1[a:b], r2[a:b], r[a:b] = v[:, 0], v[:, 1], v[:, 2] + 1j * v[:, 3]
+
+        run_blocks(n, transform)
+        return TriangularS(r1, r2, r)
 
     def contains(self, pts: TriangularS) -> np.ndarray:
         """Membership of each point in the closed box."""
@@ -310,72 +338,49 @@ class IntegralEstimate:
         return float(np.real(self.value))
 
 
-class MCAccumulator:
-    """(sum, sum of |x|^2, count) triple for streaming estimates."""
-
-    __slots__ = ("total", "total_sq", "count")
-
-    def __init__(self):
-        self.total = 0.0 + 0.0j
-        self.total_sq = 0.0
-        self.count = 0
-
-    def add(self, values: np.ndarray):
-        self.total += complex(np.sum(values))
-        self.total_sq += float(np.sum(np.abs(values) ** 2))
-        self.count += int(values.size)
-
-    def estimate(self) -> IntegralEstimate:
-        n = self.count
-        mean = self.total / n
-        var = max(self.total_sq - abs(self.total) ** 2 / n, 0.0) / max(n - 1, 1)
-        value = mean.real if abs(mean.imag) == 0.0 else mean
-        return IntegralEstimate(value, math.sqrt(var / n), n)
+def mc_estimate(total, total_sq, count: int):
+    """(mean, standard error of the mean) of ``count`` samples from their sum
+    and their sum of |x|^2; elementwise on arrays of sums."""
+    var = np.maximum(total_sq - np.abs(total) ** 2 / count, 0.0) / max(count - 1, 1)
+    return total / count, np.sqrt(var / count)
 
 
 @functools.cache
 def _executor():
-    """The pool of ``pointwise``, made on first use with ``WORKERS - 1``
+    """The pool of ``run_blocks``, made on first use with ``WORKERS - 1``
     threads: the caller is the other worker.  A cap, because each thread
     keeps a heap of its own."""
     from concurrent.futures import ThreadPoolExecutor  # not an import-time cost
 
-    return ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="u22lab-pointwise")
+    return ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="u22lab-blocks")
 
 
-def pointwise(fns: Sequence[Callable[[TriangularS], np.ndarray]], pts: TriangularS) -> list:
-    """``[fn(pts) for fn in fns]`` for elementwise functions of a 1-D batch,
-    evaluated on its ``CHUNK``-point views by up to ``WORKERS`` threads.
+def run_blocks(n: int, task: Callable[[int, int], object]) -> list:
+    """``[task(lo, hi), ...]`` over the tasks that cover ``range(n)`` in
+    order: runs of whole ``BLOCK``s of about ``CHUNK`` points, so every task
+    but the last starts and ends on a block boundary.
 
-    A batch of at most one chunk is evaluated as it is, on the calling
-    thread.  Otherwise the chunks are split into one contiguous run per
-    worker; the caller takes the first run and pool threads the others,
+    The tasks are split into one contiguous run per worker, up to
+    ``WORKERS``; the caller takes the first run and pool threads the others,
     each under a copy of the caller's context, so ``np.errstate`` holds in
     every worker.  An exception raised in a worker reaches the caller as it
-    was raised, after every worker has stopped.  The batch keeps the norm
-    its views computed (``TriangularS.keep_norm``).
+    was raised, after every worker has stopped.  A task writes only its own
+    slice of any output, and returns what it allocated itself only when it
+    is small: an array a pool thread allocated and the caller frees stays
+    in that thread's heap and raises the process's resident size.
     """
-    if pts.size <= CHUNK:
-        return [fn(pts) for fn in fns]
-    views = pts.chunks(CHUNK)
-    # outputs are allocated here, with dtypes read off one point: freed by
-    # the caller, an array a pool thread allocated would stay in that
-    # thread's heap and raise the process's resident size
-    point = TriangularS(pts.r1[:1], pts.r2[:1], pts.r[:1])
-    out = [np.empty(pts.size, np.asarray(fn(point)).dtype) for fn in fns]
+    step = BLOCK * max(1, round(CHUNK / BLOCK))
+    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    results = [None] * len(spans)
 
     def run(first: int, last: int):
         for i in range(first, last):
-            lo = i * CHUNK
-            for k, fn in enumerate(fns):
-                out[k][lo : lo + views[i].size] = fn(views[i])
+            results[i] = task(*spans[i])
 
-    workers = min(WORKERS, len(views))
-    bounds = [len(views) * w // workers for w in range(workers + 1)]
-    futures = []
-    if workers > 1:
-        futures = [_executor().submit(contextvars.copy_context().run, run, bounds[w], bounds[w + 1])
-                   for w in range(1, workers)]
+    workers = max(1, min(WORKERS, len(spans)))
+    bounds = [len(spans) * w // workers for w in range(workers + 1)]
+    futures = [_executor().submit(contextvars.copy_context().run, run, bounds[w], bounds[w + 1])
+               for w in range(1, workers)]
     try:
         run(bounds[0], bounds[1])
     finally:  # no worker may still write once the outputs are returned or dropped
@@ -383,14 +388,23 @@ def pointwise(fns: Sequence[Callable[[TriangularS], np.ndarray]], pts: Triangula
             future.exception()
     for future in futures:
         future.result()
-    pts.keep_norm(views)
-    return out
+    return results
 
 
-def sample_batches(sampler, measures, n: int, rng):
-    """The Monte-Carlo batch loop: yield ``n`` points in batches of at most
-    ``BATCH_SIZE`` as ``(pts, weights)``, each drawn once, with one weight
-    array measure.density / sampler.density per measure in ``measures``.
+def sum_blocks(pts: TriangularS, partials: Callable[[TriangularS], np.ndarray]) -> np.ndarray:
+    """The reducing pass over a batch: ``partials(view)`` gives one row of
+    partial sums per block of a task's view of ``pts``, and the rows are
+    added in block order."""
+
+    def task(lo: int, hi: int):
+        return partials(TriangularS(pts.r1[lo:hi], pts.r2[lo:hi], pts.r[lo:hi]))
+
+    return np.concatenate(run_blocks(pts.size, task)).sum(axis=0)
+
+
+def sample_batches(sampler, n: int, rng):
+    """The Monte-Carlo batch loop: yield ``n`` points drawn by ``sampler``
+    in batches of at most ``BATCH_SIZE``.
 
     The one sample-count guard of the three engines: fewer than 1000
     points is a ``U22Error``, raised before anything is drawn.
@@ -398,13 +412,8 @@ def sample_batches(sampler, measures, n: int, rng):
     if n < 1000:
         raise U22Error(f"need at least 1000 samples, got {n}")
     rng = as_generator(rng)
-    remaining = n
-    while remaining > 0:
-        batch = min(remaining, BATCH_SIZE)
-        pts = sampler.sample(batch, rng)
-        density, *densities = pointwise([sampler.density] + [m.density for m in measures], pts)
-        yield pts, [d / density for d in densities]
-        remaining -= batch
+    for start in range(0, n, BATCH_SIZE):
+        yield sampler.sample(min(BATCH_SIZE, n - start), rng)
 
 
 def require_finite(contrib: np.ndarray) -> np.ndarray:
@@ -426,17 +435,22 @@ def integrate_mc(
 
     ``mode="square"`` estimates the squared-modulus integral of the
     integrand; ``mode="plain"`` integrates the (possibly complex) values.
-    Batches accumulate into one (sum, sum of squares, count) triple.
+    Each block of points gives its sum and sum of |x|^2.
     """
     if mode not in ("square", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
-    acc = MCAccumulator()
-    for pts, (weights,) in sample_batches(sampler, (measure,), n, rng):
-        (values,) = pointwise((integrand,), pts)
+
+    def partials(view: TriangularS) -> np.ndarray:
+        values = integrand(view)
         if mode == "square":
             values = np.abs(values) ** 2
-        acc.add(require_finite(values * weights))
-    return acc.estimate()
+        contrib = require_finite(values * (measure.density(view) / sampler.density(view)))
+        starts = np.arange(0, view.size, BLOCK)
+        return np.stack([np.add.reduceat(contrib, starts), np.add.reduceat(np.abs(contrib) ** 2, starts)], 1)
+
+    sums = sum(sum_blocks(pts, partials) for pts in sample_batches(sampler, n, rng))
+    mean, std_error = mc_estimate(complex(sums[0]), sums[1].real, n)
+    return IntegralEstimate(mean.real if mean.imag == 0.0 else mean, float(std_error), n)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +506,7 @@ def divergence_probe(
 
     One nested sample on [min(eps), r_max] serves every ladder rung, so the
     increments between rungs are exact nonnegative shell sums (shells by
-    ``searchsorted``, summed by ``bincount``).  The rules:
+    ``searchsorted``, summed per block by ``bincount``).  The rules:
 
     * the relative tail increment below ``CONVERGED_REL_TAIL`` -> convergent;
     * else a linear fit of I against log(1/eps) with slope above
@@ -512,15 +526,23 @@ def divergence_probe(
     sampler = PolarShellSampler(float(eps[-1]), float(r_max))
     ascending = eps[::-1]
     shells = len(eps) + 1  # shell k holds radii in [ascending[k-1], ascending[k])
-    sums = np.zeros((len(integrands), len(measures), 2, shells))  # 2: sum, sum of squares
-    for pts, weights in sample_batches(sampler, measures, samples, rng):
-        shell = np.searchsorted(ascending, pts.norm(), side="right")
-        squares = pointwise([lambda view, fn=fn: np.abs(fn(view)) ** 2 for fn in integrands], pts)
-        for i, squared in enumerate(squares):
+
+    def partials(view: TriangularS) -> np.ndarray:
+        density = sampler.density(view)
+        weights = [m.density(view) / density for m in measures]
+        blocks = -(-view.size // BLOCK)
+        # one bincount per sum: shell k of block b is bin b * shells + k
+        bins = np.arange(view.size) // BLOCK * shells + np.searchsorted(ascending, view.norm(), side="right")
+        out = np.empty((len(integrands), len(measures), 2, blocks * shells))
+        for i, fn in enumerate(integrands):
+            squared = np.abs(fn(view)) ** 2
             for j, w in enumerate(weights):
                 contrib = require_finite(squared * w)
-                sums[i, j, 0] += np.bincount(shell, contrib, shells)
-                sums[i, j, 1] += np.bincount(shell, contrib**2, shells)
+                out[i, j, 0] = np.bincount(bins, contrib, blocks * shells)
+                out[i, j, 1] = np.bincount(bins, contrib**2, blocks * shells)
+        return np.moveaxis(out.reshape(out.shape[:3] + (blocks, shells)), 3, 0)
+
+    sums = sum(sum_blocks(pts, partials) for pts in sample_batches(sampler, samples, rng))
     # rung k (cutoff eps[k]) sums shells shells-1-k .. shells-1
     rungs = np.cumsum(sums[..., ::-1], axis=-1)[..., :-1] / samples
     verdicts = tuple(tuple(_classify(eps, *rung, samples) for rung in row) for row in rungs)

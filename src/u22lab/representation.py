@@ -30,14 +30,15 @@ from . import orbits
 from .groups import QElement, SkewHermitian2, TriangularS
 from .matrices import U22Error
 from .measures import (
+    BLOCK,
     DivergenceVerdict,
-    MCAccumulator,
     MeasureSpec,
     PolarShellSampler,
     divergence_probe,
-    pointwise,
+    mc_estimate,
     require_finite,
     sample_batches,
+    sum_blocks,
 )
 from .orbits import OrbitLabel
 
@@ -207,7 +208,10 @@ def gram_matrix(
 
     All entries share one sample stream, which keeps the estimated matrix
     exactly positive semidefinite.  Requires pairwise-distinct, nonidentity
-    basis labels.
+    basis labels.  Each block of points gives the k x k sums of
+    w b_i conj(b_j) and of their squared moduli w^2 |b_i|^2 |b_j|^2 as two
+    small matmuls; the entries below the diagonal are the conjugates of
+    those above.
     """
     k = len(p_list)
     if k == 0:
@@ -219,21 +223,22 @@ def gram_matrix(
             if p.distance(other) <= CANONICAL_TOL * max(1.0, p.s.norm()):
                 raise U22Error("basis elements must be pairwise distinct")
     vectors = [CocycleVector.basis(p, label) for p in p_list]
-    accs = [[MCAccumulator() for _ in range(k)] for _ in range(k)]
-    for pts, (weights,) in sample_batches(sampler, (measure,), n, rng):
-        values = [require_finite(v) for v in pointwise([v.evaluate for v in vectors], pts)]
-        for i in range(k):
-            weighted = weights * values[i]
-            for j in range(i, k):
-                accs[i][j].add(weighted * np.conj(values[j]))
-    gram = np.zeros((k, k), dtype=complex)
-    stderr = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            est = accs[i][j].estimate()
-            gram[i, j] = est.value
-            gram[j, i] = np.conj(est.value)
-            stderr[i, j] = stderr[j, i] = est.std_error
+
+    def partials(view: TriangularS) -> np.ndarray:
+        weights = measure.density(view) / sampler.density(view)
+        values = np.array([require_finite(v.evaluate(view)) for v in vectors])
+        weighted, squares = values * weights, (values.real**2 + values.imag**2) * weights
+        return np.array([
+            [weighted[:, lo : lo + BLOCK] @ values[:, lo : lo + BLOCK].conj().T,
+             squares[:, lo : lo + BLOCK] @ squares[:, lo : lo + BLOCK].T]
+            for lo in range(0, view.size, BLOCK)
+        ])
+
+    sums = sum(sum_blocks(pts, partials) for pts in sample_batches(sampler, n, rng))
+    upper = np.triu(np.ones((k, k), bool))
+    gram, stderr = mc_estimate(sums[0], sums[1].real, n)
+    gram = np.where(upper, gram, gram.T.conj())
+    stderr = np.where(upper, stderr, stderr.T)
     return gram, stderr
 
 

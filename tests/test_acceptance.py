@@ -176,8 +176,12 @@ def test_c12_derived_length():
 
 
 # SHA-256 of the C04, C06 and C09 records (runtime_s dropped) at 20_000
-# samples in batches of 2^13 points, taken before the batch work was chunked
-MC_REPORT_DIGEST = "c140c7b640146d28e9b7127c1db38c4469cfb54fda240ad68d513aacd9174468"
+# samples in batches of 2^13 points.  Re-pinned once, when each batch came
+# to be summed in measures.BLOCK-point blocks whose partial sums are added
+# in block order: that summation order moved the estimates in their last
+# bits, with every verdict and tolerance unchanged on the pinned seed and on
+# seeds 1-3, and the same digest at one and two workers.
+MC_REPORT_DIGEST = "4fba185bbbb08cf76b732169d36e88557a586b6b8aaf12bb6d03c5f5af8572d2"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -28,6 +28,12 @@ def test_entry_holds_the_run_line_and_its_context():
     json.dumps(entry)  # the ledger file is plain JSON
 
 
+def test_entry_records_a_given_seed():
+    entry = bench_ledger.ledger_entry(RUN_LINE, workload="battery-mc", label="parent", seconds=30,
+                                      git=GIT, machine=MACHINE, seed=15)
+    assert entry["seed"] == 15 and entry["result"] == json.loads(RUN_LINE)
+
+
 @pytest.mark.parametrize("line", ["[]", '{"correct": true}', "perfbench: failed"])
 def test_a_line_that_is_not_a_result_is_rejected(line):
     with pytest.raises(ValueError):

@@ -582,6 +582,22 @@ def test_error_in_a_worker_thread_is_exit_2(monkeypatch, capsys, error):
     assert err == "error: raised in a worker\n"
 
 
+def test_non_finite_gram_sample_in_a_worker_is_exit_2(monkeypatch, capsys):
+    # a coboundary value that a pool thread finds non-finite, in gram's
+    # reducing pass
+    from u22lab.representation import CocycleVector
+
+    caller = threading.get_ident()
+
+    def evaluate(self, pts):
+        return np.full(pts.size, np.inf if threading.get_ident() != caller else 0.0, complex)
+
+    monkeypatch.setattr(measures, "WORKERS", 2)
+    monkeypatch.setattr(CocycleVector, "evaluate", evaluate)
+    assert run_cli(["gram", "--samples", "50000"]) == 2
+    assert capsys.readouterr().err == "error: integrand produced a non-finite sample\n"
+
+
 def test_import_starts_no_thread_pool():
     # the pool behind measures.pointwise and its module load on first use
     src = os.path.dirname(os.path.dirname(os.path.abspath(u22lab.__file__)))

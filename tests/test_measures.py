@@ -21,13 +21,12 @@ from u22lab.measures import (
     modulus_pi,
     nu_derivative_band,
     nu_measure,
-    pointwise,
     right_translation_jacobian_fd,
     rn_derivative_right,
     singular_values,
     truncated_nu,
 )
-from u22lab.representation import GroupFunction, coboundary, gram_matrix, inverse_norm, vacuum
+from u22lab.representation import CocycleVector, GroupFunction, coboundary, gram_matrix, inverse_norm, vacuum
 from u22lab.groups import QElement, SkewHermitian2, random_q
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
@@ -52,6 +51,16 @@ def engine_results():
         divergence_probe(functions, [nu_measure(), truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
         *gram_matrix(ps, label, nu_measure(), sampler, 85_000, 5),
     )
+
+
+def pointwise(fns, pts):
+    """``[fn(pts) for fn in fns]``, evaluated task by task by the block runner."""
+
+    def task(lo, hi):
+        view = TriangularS(pts.r1[lo:hi], pts.r2[lo:hi], pts.r[lo:hi])
+        return [fn(view) for fn in fns]
+
+    return [np.concatenate(column) for column in zip(*measures.run_blocks(pts.size, task))]
 
 
 def in_pool(fn):
@@ -410,13 +419,6 @@ class TestPointwise:
             sys.setswitchinterval(interval)
             measures._executor.cache_clear()
 
-    def test_batch_keeps_the_norm_its_chunks_computed(self, rng):
-        pts = PolarShellSampler().sample(4500, rng)
-        pointwise([nu_measure().density], pts)
-        assert "_norm" in pts.__dict__
-        assert np.array_equal(pts.norm(), TriangularS(pts.r1, pts.r2, pts.r).norm())
-        assert all(np.shares_memory(view.norm(), pts.norm()) for view in pts.chunks(1000))
-
     def test_workers_see_the_callers_errstate(self, rng):
         pts = PolarShellSampler().sample(4000, rng)
         log_zero = in_pool(lambda view: np.log(np.zeros(view.size)))
@@ -424,7 +426,7 @@ class TestPointwise:
             pointwise([log_zero], pts)
 
     @pytest.mark.parametrize("error", [InvariantViolation, NonFinite])
-    def test_worker_errors_reach_the_caller(self, rng, error):
+    def test_worker_errors_reach_the_caller(self, rng, error, monkeypatch):
         def fail(view):
             raise error("raised in a worker")
 
@@ -433,6 +435,71 @@ class TestPointwise:
             pointwise([in_pool(fail)], sampler.sample(4000, rng))
         with pytest.raises(error, match="raised in a worker"):
             integrate_mc(GroupFunction(in_pool(fail)), nu_measure(), sampler, 4000, rng)
+        with pytest.raises(error, match="raised in a worker"):
+            divergence_probe(GroupFunction(in_pool(fail)), nu_measure(), LADDER, 30.0, 4000, rng)
+        p, failing = random_q(rng), in_pool(fail)
+        monkeypatch.setattr(CocycleVector, "evaluate", lambda self, pts: failing(pts) + 0j)
+        with pytest.raises(error, match="raised in a worker"):
+            gram_matrix([p], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, 4000, rng)
+
+
+class TestBlockPass:
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(measures, "WORKERS", 2)
+        monkeypatch.setattr(measures, "CHUNK", 1000)
+
+    def test_samplers_transform_their_draws_bit_for_bit(self):
+        # the draws stay in order on the caller and the transform runs task
+        # by task: the same bits as the whole-batch formulas on the same draws
+        n = 4500  # a ragged last task
+        rng = np.random.default_rng(3)
+        radii = 1e-3 * (30.0 / 1e-3) ** rng.random(n)
+        x = rng.standard_normal((n, 4))
+        x[:, :2] = np.abs(x[:, :2])
+        x /= np.sqrt(np.sum(x**2, axis=1))[:, None]
+        polar = [radii * x[:, 0], radii * x[:, 1], radii * (x[:, 2] + 1j * x[:, 3])]
+        rng = np.random.default_rng(3)
+        z = [rng.standard_normal(n) for _ in range(4)]
+        lognormal = [np.exp(0.1 + 1.2 * z[0]), np.exp(0.2 + 1.2 * z[1]), 0.7 * z[2] + 1j * (0.7 * z[3])]
+        box = TestBoxSampler.BOX
+        u = np.array(box[0::2]) + (np.array(box[1::2]) - np.array(box[0::2])) * np.random.default_rng(3).random((n, 4))
+        samplers = [(PolarShellSampler(1e-3, 30.0), polar), (LogNormalSampler(0.1, 0.2, 1.2, 0.7), lognormal),
+                    (BoxSampler(*box), [u[:, 0], u[:, 1], u[:, 2] + 1j * u[:, 3]])]
+        for sampler, expected in samplers:
+            pts = sampler.sample(n, np.random.default_rng(3))
+            for got, want in zip((pts.r1, pts.r2, pts.r), expected):
+                assert np.array_equal(got.view(float), want.view(float)), sampler
+
+
+def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
+    # the draws and points of one 2^18-point batch take about 18 MiB; the
+    # reducing pass adds only per-task temporaries and block sums, on two
+    # workers at the default chunk size
+    import tracemalloc
+
+    from u22lab.representation import default_test_set
+
+    monkeypatch.setattr(measures, "WORKERS", 2)
+    label = OrbitLabel.PLUS_PLUS
+    sampler = PolarShellSampler(1e-4, 30.0)
+    rng = np.random.default_rng(1)
+    ps = [random_q(rng) for _ in range(6)]
+    functions = [vacuum()] + [coboundary(q, label).as_group_function() for q in default_test_set()]
+    n = measures.BATCH_SIZE
+    engines = {
+        "gram_matrix": lambda: gram_matrix(ps, label, nu_measure(), sampler, n, 1),
+        "divergence_probe": lambda: divergence_probe(functions, [nu_measure(), truncated_nu(1.0)], LADDER, 30.0, n, 2),
+        "integrate_mc": lambda: integrate_mc(functions[1], nu_measure(), sampler, n, 3),
+    }
+    for name, engine in engines.items():
+        tracemalloc.start()
+        try:
+            engine()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 << 20, (name, peak / 2**20)
 
 
 class TestBoxTranslation:
@@ -470,19 +537,25 @@ class TestBoxTranslation:
 class TestAccumulatorMerge:
     def test_partial_triples_merge_to_the_full_estimate(self, rng):
         # the estimator state is a (sum, sum of squares, count) triple, so
-        # batches streamed into one accumulator give the one-batch estimate
-        from u22lab.measures import MCAccumulator
+        # partial sums added up give the one-pass estimate
+        from u22lab.measures import mc_estimate
 
         values = rng.standard_normal(9_000) + 1j * rng.standard_normal(9_000)
-        whole = MCAccumulator()
-        whole.add(values)
-        streamed = MCAccumulator()
-        for chunk in np.array_split(values, 7):
-            streamed.add(chunk)
-        a, b = whole.estimate(), streamed.estimate()
-        assert abs(a.value - b.value) < 1e-12
-        assert abs(a.std_error - b.std_error) < 1e-12
-        assert a.sample_count == b.sample_count
+        whole = mc_estimate(np.sum(values), np.sum(np.abs(values) ** 2), values.size)
+        chunks = np.array_split(values, 7)
+        streamed = mc_estimate(sum(np.sum(c) for c in chunks), sum(np.sum(np.abs(c) ** 2) for c in chunks),
+                               sum(c.size for c in chunks))
+        assert abs(whole[0] - streamed[0]) < 1e-12
+        assert abs(whole[1] - streamed[1]) < 1e-12
+
+    def test_the_formula_works_on_arrays(self, rng):
+        # gram_matrix estimates every entry at once
+        from u22lab.measures import mc_estimate
+
+        values = rng.standard_normal((3, 5_000)) + 1j * rng.standard_normal((3, 5_000))
+        means, errors = mc_estimate(values.sum(1), (np.abs(values) ** 2).sum(1), 5_000)
+        for row, mean, error in zip(values, means, errors):
+            assert (mean, error) == mc_estimate(row.sum(), (np.abs(row) ** 2).sum(), 5_000)
 
 
 def ndtri_reference_points(n, r_min=1e-3, r_max=10.0):
