@@ -442,13 +442,6 @@ class TestPointwise:
         with pytest.raises(error, match="raised in a worker"):
             gram_matrix([p], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, 4000, rng)
 
-
-class TestBlockPass:
-    @pytest.fixture(autouse=True)
-    def two_workers(self, monkeypatch):
-        monkeypatch.setattr(measures, "WORKERS", 2)
-        monkeypatch.setattr(measures, "CHUNK", 1000)
-
     def test_samplers_transform_their_draws_bit_for_bit(self):
         # the draws stay in order on the caller and the transform runs task
         # by task: the same bits as the whole-batch formulas on the same draws
