@@ -39,7 +39,6 @@ from .groups import (
 )
 from .matrices import E4, U22Error, frob
 from .measures import (
-    BATCH_SIZE,
     BoxSampler,
     LogNormalSampler,
     PolarShellSampler,
@@ -50,6 +49,7 @@ from .measures import (
     nu_measure,
     right_translation_jacobian_fd,
     rn_derivative_right,
+    sample_batches,
     sum_blocks,
     truncated_nu,
 )
@@ -187,9 +187,9 @@ def _claim_orbit_chart(config: SuiteConfig, rng):
 def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     # The unit box in chart coordinates, pushed through s -> s s0: sample a
     # bounding box of its image, pull the points back by s0^-1 and count
-    # those that land in the unit box, BATCH_SIZE rows at a time and counted
-    # block by block: the same uniforms in the same order as one draw, and
-    # an exact integer count.
+    # those that land in the unit box, batch by batch through the one batch
+    # loop and counted block by block: the same uniforms in the same order
+    # as one draw, and an exact integer count.
     unit = BoxSampler(1.0, 2.0, 1.0, 2.0, -0.5, 0.5, -0.5, 0.5)
     corners = [(c, t) for c in (unit.re_lo, unit.re_hi) for t in (unit.r2_lo, unit.r2_hi)]
     re_parts = [c * s0.r1 + s0.r.real * t for c, t in corners]
@@ -201,8 +201,7 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     )
     inverse = s0.inverse()
     inside = 0
-    for start in range(0, n, BATCH_SIZE):
-        pts = box.sample(min(BATCH_SIZE, n - start), rng)
+    for pts in sample_batches(box, n, rng):
         # an exact count, so one partial per task sums as one per block would
         inside += int(sum_blocks(pts, lambda view: [np.count_nonzero(unit.contains(view.multiply(inverse)))]))
     p_hat = inside / n

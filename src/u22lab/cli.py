@@ -268,8 +268,8 @@ def _cmd_measure_probe(args) -> int:
     config = _suite_config(args)
     target = _probe_target(args.function, config.label)
     verdict = divergence_probe(
-        target, nu_measure(), config.eps_ladder, config.r_max, config.mc_samples, config.seed
-    )
+        target, [nu_measure()], config.eps_ladder, config.r_max, config.mc_samples, config.seed
+    )[0][0]
     doc = {
         "function": args.function,
         "classification": verdict.classification,

@@ -33,7 +33,7 @@ from .groups import (
 )
 from .measures import MeasureSpec, PolarShellSampler, integrate_mc
 from .orbits import OrbitLabel
-from .representation import CocycleVector
+from .representation import CocycleVector, coboundary
 
 __all__ = [
     "act_k",
@@ -53,7 +53,7 @@ def act_k(k: KElement, p: QElement) -> QElement:
 def extend_cocycle(g: U22Element, label: OrbitLabel) -> CocycleVector:
     """b(g) = b(p) for g = p k; zero when g lies in the compact part."""
     p, _ = iwasawa_decompose(g)
-    return CocycleVector.basis(p, label)
+    return coboundary(p, label)
 
 
 def apply_k_on_vector(k: KElement, v: CocycleVector) -> CocycleVector:
@@ -93,8 +93,8 @@ def unboundedness_experiment(
     for c in scales:
         p = QElement(TriangularS(float(c), 1.0, 0.0), SkewHermitian2.zero())
         p_hat = sigma_hat(p)
-        num = integrate_mc(CocycleVector.basis(p_hat, label).as_group_function(), measure, sampler, samples, rng)
-        den = integrate_mc(CocycleVector.basis(p, label).as_group_function(), measure, sampler, samples, rng)
+        num = integrate_mc(coboundary(p_hat, label).as_group_function(), measure, sampler, samples, rng)
+        den = integrate_mc(coboundary(p, label).as_group_function(), measure, sampler, samples, rng)
         ratio = math.sqrt(num.real / den.real)
         # first-order error propagation for sqrt(a/b)
         rel = 0.5 * math.sqrt(

@@ -11,8 +11,9 @@ its own density relative to ds, and the estimate of  integral F d(measure)
 over the sampler's support is the sample mean of F * density_ratio.  Points
 are ``TriangularS`` batches, and every density, sampler and chart function
 here takes one element or a batch.  All three engines (``integrate_mc``,
-``divergence_probe`` and ``representation.gram_matrix``) draw through
-``sample_batches``, which rejects fewer than 1000 samples.
+``divergence_probe`` and ``representation.gram_matrix``) and C04's
+translated-box count draw through ``sample_batches``, which rejects fewer
+than 1000 samples.
 
 Every pass over a batch after its draws runs through ``run_blocks``: tasks
 of whole ``BLOCK``-point blocks, about ``CHUNK`` points each, so that each
@@ -406,7 +407,7 @@ def sample_batches(sampler, n: int, rng):
     """The Monte-Carlo batch loop: yield ``n`` points drawn by ``sampler``
     in batches of at most ``BATCH_SIZE``.
 
-    The one sample-count guard of the three engines: fewer than 1000
+    The one sample-count guard of every Monte-Carlo draw: fewer than 1000
     points is a ``U22Error``, raised before anything is drawn.
     """
     if n < 1000:
@@ -492,17 +493,19 @@ def _linear_fit(x: np.ndarray, y: np.ndarray):
 
 def divergence_probe(
     integrand,
-    measure,
+    measures,
     eps_sequence,
     r_max: float = DEFAULT_R_MAX,
     samples: int = 200_000,
     rng=0,
-):
+) -> tuple:
     """Classify I(eps) = integral of |F|^2 d(measure) over radius > eps.
 
-    ``integrand`` and ``measure`` may be sequences: every integrand is then
-    probed under every measure on one shared sample stream, giving one row
-    of verdicts (one per measure) per integrand.
+    ``integrand`` gives the values of F at a batch of points, optionally
+    with a leading axis of one entry per integrand; every integrand is
+    probed under every one of the sequence ``measures`` on one shared
+    sample stream.  The result holds one row of verdicts (one per measure)
+    per integrand, a single row when the values have no leading axis.
 
     One nested sample on [min(eps), r_max] serves every ladder rung, so the
     increments between rungs are exact nonnegative shell sums (shells by
@@ -516,8 +519,6 @@ def divergence_probe(
       -> power-divergent;
     * otherwise inconclusive (reason reported, never raised).
     """
-    integrands = integrand if isinstance(integrand, (list, tuple)) else (integrand,)
-    measures = measure if isinstance(measure, (list, tuple)) else (measure,)
     eps = np.array(sorted(set(float(e) for e in eps_sequence), reverse=True))
     if len(eps) < 5:
         raise U22Error("need a decreasing ladder of at least 5 cutoffs")
@@ -533,9 +534,10 @@ def divergence_probe(
         blocks = -(-view.size // BLOCK)
         # one bincount per sum: shell k of block b is bin b * shells + k
         bins = np.arange(view.size) // BLOCK * shells + np.searchsorted(ascending, view.norm(), side="right")
-        out = np.empty((len(integrands), len(measures), 2, blocks * shells))
-        for i, fn in enumerate(integrands):
-            squared = np.abs(fn(view)) ** 2
+        values = np.reshape(integrand(view), (-1, view.size))
+        out = np.empty((len(values), len(measures), 2, blocks * shells))
+        for i, row in enumerate(values):
+            squared = np.abs(row) ** 2
             for j, w in enumerate(weights):
                 contrib = require_finite(squared * w)
                 out[i, j, 0] = np.bincount(bins, contrib, blocks * shells)
@@ -545,10 +547,7 @@ def divergence_probe(
     sums = sum(sum_blocks(pts, partials) for pts in sample_batches(sampler, samples, rng))
     # rung k (cutoff eps[k]) sums shells shells-1-k .. shells-1
     rungs = np.cumsum(sums[..., ::-1], axis=-1)[..., :-1] / samples
-    verdicts = tuple(tuple(_classify(eps, *rung, samples) for rung in row) for row in rungs)
-    if integrands is integrand or measures is measure:  # called with a sequence
-        return verdicts
-    return verdicts[0][0]
+    return tuple(tuple(_classify(eps, *rung, samples) for rung in row) for row in rungs)
 
 
 def _classify(eps: np.ndarray, values: np.ndarray, mean_sq: np.ndarray, n: int) -> DivergenceVerdict:

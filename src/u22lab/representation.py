@@ -16,7 +16,11 @@ discretization error.  A function takes the chart points as one
 T(q) takes one pair or a stack: the fields of q broadcast against the
 chart points, so a stack with fields of shape (m, 1) on n points gives
 (m, n) values in one call, through the closed forms ``s_product`` and
-``orbits.character_phase``.
+``orbits.character_phase``.  ``apply_T`` is the one operator; it builds
+the multiplier itself.  ``CocycleVector.rows`` is the one place where
+T(p) f - f is written: one row per term, with f evaluated once, and the
+pointwise evaluator, the Gram matrix and the specialness probe all read
+those rows.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ __all__ = [
     "vacuum",
     "inverse_norm",
     "translate",
-    "character_factor",
-    "character_product",
     "apply_T",
     "CocycleVector",
     "coboundary",
@@ -90,26 +92,8 @@ def translate(fn: GroupFunction, s0: TriangularS) -> GroupFunction:
     return GroupFunction(lambda pts: fn(pts.multiply(s0)))
 
 
-def character_factor(label: OrbitLabel, n) -> GroupFunction:
-    """The unit-modulus multiplier s -> exp(i tr(m_k s n s*))."""
-
-    def evaluate(pts: TriangularS) -> np.ndarray:  # cos + i sin: cheaper than a complex exp
-        phase = orbits.character_phase(label, n, pts.r1, pts.r2, pts.r)
-        out = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=out.real)
-        np.sin(phase, out=out.imag)
-        return out
-
-    return GroupFunction(evaluate)
-
-
-def character_product(label: OrbitLabel, n, fn: GroupFunction) -> GroupFunction:
-    factor = character_factor(label, n)
-    return GroupFunction(lambda pts: factor(pts) * fn(pts))
-
-
 def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
-    """(T(q) F)(s) = multiplier(s, n) * F(s s0) for q = (s0, n).
+    """(T(q) F)(s) = exp(i tr(m_k s n s*)) * F(s s0) for q = (s0, n).
 
     q is one pair or a stack whose fields broadcast against the points:
     fields of shape (m, 1) on n points give (m, n) values.  The translation
@@ -119,11 +103,22 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     character: it would translate by exactly s or multiply by exactly 1.
     """
     s, n = q.s, q.n
-    if np.any((s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0)):
-        fn = translate(fn, s)
-    if np.any((n.a != 0.0) | (n.b != 0.0) | (n.z != 0.0)):
-        fn = character_product(label, n, fn)
-    return fn
+    moves = np.any((s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0))
+    turns = np.any((n.a != 0.0) | (n.b != 0.0) | (n.z != 0.0))
+    if not (moves or turns):
+        return fn
+
+    def evaluate(pts: TriangularS) -> np.ndarray:
+        values = fn(pts.multiply(s)) if moves else fn(pts)
+        if not turns:
+            return values
+        phase = orbits.character_phase(label, n, pts.r1, pts.r2, pts.r)
+        factor = np.empty(phase.shape, dtype=complex)  # cos + i sin: cheaper than a complex exp
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
+        return factor * values
+
+    return GroupFunction(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +136,21 @@ class CocycleVector:
     label: OrbitLabel
     terms: tuple  # tuple of (complex coefficient, QElement)
 
-    @classmethod
-    def zero(cls, label: OrbitLabel) -> "CocycleVector":
-        return cls(label, ())
-
-    @classmethod
-    def basis(cls, p: QElement, label: OrbitLabel) -> "CocycleVector":
-        if p.is_identity():
-            return cls.zero(label)
-        return cls(label, ((1.0 + 0.0j, p),))
-
-    def evaluate(self, pts: TriangularS) -> np.ndarray:
-        """sum_i c_i (T(p_i) f - f) at the points, with f evaluated once."""
-        out = np.zeros(np.shape(pts.r), dtype=complex)
-        if not self.terms:
-            return out
+    def rows(self, pts: TriangularS) -> np.ndarray:
+        """T(p_i) f - f at the points for every term, in term order and
+        without its coefficient: one row per term, with f evaluated once."""
         f = vacuum()
         base = f(pts)
-        for c, p in self.terms:
-            out += c * (apply_T(p, self.label, f)(pts) - base)
+        out = np.empty((len(self.terms),) + np.shape(base), dtype=complex)
+        for i, (_, p) in enumerate(self.terms):
+            out[i] = apply_T(p, self.label, f)(pts) - base
+        return out
+
+    def evaluate(self, pts: TriangularS) -> np.ndarray:
+        """sum_i c_i (T(p_i) f - f) at the points: the rows added in term order."""
+        out = np.zeros(np.shape(pts.r), dtype=complex)
+        for (c, _), row in zip(self.terms, self.rows(pts)):
+            out += c * row
         return out
 
     def as_group_function(self) -> GroupFunction:
@@ -188,8 +179,8 @@ class CocycleVector:
 
 
 def coboundary(q: QElement, label: OrbitLabel) -> CocycleVector:
-    """b(q) = T(q) f - f as a basis cocycle vector."""
-    return CocycleVector.basis(q, label)
+    """b(q) = T(q) f - f as a basis cocycle vector; zero for the identity."""
+    return CocycleVector(label, () if q.is_identity() else ((1.0 + 0.0j, q),))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +199,10 @@ def gram_matrix(
 
     All entries share one sample stream, which keeps the estimated matrix
     exactly positive semidefinite.  Requires pairwise-distinct, nonidentity
-    basis labels.  Each block of points gives the k x k sums of
-    w b_i conj(b_j) and of their squared moduli w^2 |b_i|^2 |b_j|^2 as two
-    small matmuls; the entries below the diagonal are the conjugates of
-    those above.
+    basis labels.  One ``CocycleVector.rows`` call gives a task's k rows
+    b_i, and each block of points gives the k x k sums of w b_i conj(b_j)
+    and of their squared moduli w^2 |b_i|^2 |b_j|^2 as two small matmuls;
+    the entries below the diagonal are the conjugates of those above.
     """
     k = len(p_list)
     if k == 0:
@@ -222,11 +213,11 @@ def gram_matrix(
         for other in p_list[i + 1 :]:
             if p.distance(other) <= CANONICAL_TOL * max(1.0, p.s.norm()):
                 raise U22Error("basis elements must be pairwise distinct")
-    vectors = [CocycleVector.basis(p, label) for p in p_list]
+    vector = CocycleVector(label, tuple((1.0 + 0.0j, p) for p in p_list))
 
     def partials(view: TriangularS) -> np.ndarray:
         weights = measure.density(view) / sampler.density(view)
-        values = np.array([require_finite(v.evaluate(view)) for v in vectors])
+        values = require_finite(vector.rows(view))
         weighted, squares = values * weights, (values.real**2 + values.imag**2) * weights
         return np.array([
             [weighted[:, lo : lo + BLOCK] @ values[:, lo : lo + BLOCK].conj().T,
@@ -290,20 +281,20 @@ def _describe(q: QElement) -> str:
 def specialness_report(
     test_set: Sequence[QElement],
     label: OrbitLabel,
-    measure,
+    measures: Sequence[MeasureSpec],
     eps_ladder,
     r_max: float = 30.0,
     samples: int = 200_000,
     rng=0,
-):
+) -> tuple:
     """Check that the vacuum escapes the square-integrable space while its
     coboundaries stay inside it.
 
     The verdict is confirmed when the vacuum's norm integral diverges and
     the probe classifies b(q) as convergent for every element of the test
     set.  The set must contain at least one pure translation and one pure
-    character direction.  A sequence of measures is judged on one shared
-    sample stream, giving one report per measure.
+    character direction.  The measures are judged on one shared sample
+    stream, giving one report per measure.
     """
     if not test_set:
         raise U22Error("test set must be nonempty")
@@ -311,15 +302,17 @@ def specialness_report(
         raise U22Error("test set needs at least one pure translation")
     if not any(q.is_character_direction() for q in test_set):
         raise U22Error("test set needs at least one pure character direction")
-    measures = measure if isinstance(measure, (list, tuple)) else (measure,)
-    functions = [vacuum()] + [coboundary(q, label).as_group_function() for q in test_set]
-    rows = divergence_probe(functions, measures, eps_ladder, r_max, samples, rng)
+    f, vector = vacuum(), CocycleVector(label, tuple((1.0 + 0.0j, q) for q in test_set))
+
+    def integrand(pts: TriangularS) -> np.ndarray:  # the vacuum row, then b(q) per element
+        return np.concatenate([f(pts)[None], vector.rows(pts)])
+
+    rows = divergence_probe(integrand, measures, eps_ladder, r_max, samples, rng)
     descriptions = [_describe(q) for q in test_set]
-    reports = []
-    for j, m in enumerate(measures):
-        elements = tuple((desc, row[j]) for desc, row in zip(descriptions, rows[1:]))
-        reports.append(_judge(m.name, label, rows[0][j], elements))
-    return tuple(reports) if measures is measure else reports[0]
+    return tuple(
+        _judge(m.name, label, rows[0][j], tuple((desc, row[j]) for desc, row in zip(descriptions, rows[1:])))
+        for j, m in enumerate(measures)
+    )
 
 
 def _judge(measure_name: str, label: OrbitLabel, vacuum_verdict, element_verdicts) -> SpecialnessReport:

@@ -589,11 +589,11 @@ def test_non_finite_gram_sample_in_a_worker_is_exit_2(monkeypatch, capsys):
 
     caller = threading.get_ident()
 
-    def evaluate(self, pts):
-        return np.full(pts.size, np.inf if threading.get_ident() != caller else 0.0, complex)
+    def rows(self, pts):
+        return np.full((len(self.terms), pts.size), np.inf if threading.get_ident() != caller else 0.0, complex)
 
     monkeypatch.setattr(measures, "WORKERS", 2)
-    monkeypatch.setattr(CocycleVector, "evaluate", evaluate)
+    monkeypatch.setattr(CocycleVector, "rows", rows)
     assert run_cli(["gram", "--samples", "50000"]) == 2
     assert capsys.readouterr().err == "error: integrand produced a non-finite sample\n"
 

@@ -26,13 +26,26 @@ from u22lab.measures import (
     singular_values,
     truncated_nu,
 )
-from u22lab.representation import CocycleVector, GroupFunction, coboundary, gram_matrix, inverse_norm, vacuum
+from u22lab.representation import (
+    CocycleVector,
+    GroupFunction,
+    coboundary,
+    default_test_set,
+    gram_matrix,
+    inverse_norm,
+    vacuum,
+)
 from u22lab.groups import QElement, SkewHermitian2, random_q
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
 
 LADDER = tuple(np.logspace(-1, -4, 7))
 ONE = GroupFunction(lambda pts: np.ones(pts.size))
+
+
+def stacked(functions):
+    """One integrand whose values hold each function's values on a leading axis."""
+    return GroupFunction(lambda pts: np.array([fn(pts) for fn in functions]))
 
 
 # (WORKERS, CHUNK) cases against one unchunked pass on the calling thread
@@ -48,7 +61,7 @@ def engine_results():
     functions = [vacuum()] + [coboundary(p, label).as_group_function() for p in ps[:2]]
     return (
         integrate_mc(functions[1], nu_measure(), sampler, 85_000, 3),
-        divergence_probe(functions, [nu_measure(), truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
+        divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
         *gram_matrix(ps, label, nu_measure(), sampler, 85_000, 5),
     )
 
@@ -283,7 +296,7 @@ class TestIntegration:
         for n in (999, 0, -3):
             engines = [
                 lambda: integrate_mc(ONE, nu_measure(), sampler, n, rng),
-                lambda: divergence_probe(vacuum(), nu_measure(), LADDER, 30.0, n, rng),
+                lambda: divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, n, rng),
                 lambda: gram_matrix([random_q(rng)], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, n, rng),
             ]
             for engine in engines:
@@ -316,14 +329,14 @@ class TestBoxSampler:
 
 class TestDivergenceProbe:
     def test_vacuum_is_log_divergent(self, rng):
-        verdict = divergence_probe(vacuum(), nu_measure(), LADDER, 30.0, 100_000, rng)
+        verdict = divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, 100_000, rng)[0][0]
         assert verdict.classification == "log-divergent"
         assert verdict.slope > 5 * verdict.slope_stderr
         assert verdict.r_squared > 0.99
 
     def test_vacuum_slope_matches_quadrature(self, rng):
         # the exact value of I(eps) is patch_mass * (E1(eps) - E1(R))
-        verdict = divergence_probe(vacuum(), nu_measure(), LADDER, 30.0, 400_000, rng)
+        verdict = divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, 400_000, rng)[0][0]
         for eps, (value, stderr) in zip(verdict.eps_ladder, verdict.estimates):
             exact = OMEGA_PATCH_MASS * (exp1(eps) - exp1(30.0))
             assert abs(value - exact) < 5 * stderr
@@ -331,24 +344,24 @@ class TestDivergenceProbe:
     def test_translation_coboundary_converges(self, rng):
         q = QElement(TriangularS(2.0, 1.0, 0.0), SkewHermitian2.zero())
         fn = coboundary(q, OrbitLabel.PLUS_PLUS).as_group_function()
-        verdict = divergence_probe(fn, nu_measure(), LADDER, 30.0, 100_000, rng)
+        verdict = divergence_probe(fn, [nu_measure()], LADDER, 30.0, 100_000, rng)[0][0]
         assert verdict.classification == "convergent"
 
     def test_synthetic_power_divergence(self, rng):
         # |F|^2 = |s|^-2 gives I(eps) ~ eps^-2 / 2; quadrature cross-check
-        verdict = divergence_probe(inverse_norm(), nu_measure(), LADDER, 30.0, 400_000, rng)
+        verdict = divergence_probe(inverse_norm(), [nu_measure()], LADDER, 30.0, 400_000, rng)[0][0]
         assert verdict.classification == "power-divergent"
         for eps, (value, stderr) in zip(verdict.eps_ladder, verdict.estimates):
             exact = OMEGA_PATCH_MASS * 0.5 * (eps**-2 - 30.0**-2)
             assert abs(value - exact) < 5 * max(stderr, 1e-12)
 
     def test_truncated_measure_converges(self, rng):
-        verdict = divergence_probe(vacuum(), truncated_nu(1.0), LADDER, 30.0, 50_000, rng)
+        verdict = divergence_probe(vacuum(), [truncated_nu(1.0)], LADDER, 30.0, 50_000, rng)[0][0]
         assert verdict.classification == "convergent"
 
     def test_ladder_length_precondition(self, rng):
         with pytest.raises(ValueError):
-            divergence_probe(vacuum(), nu_measure(), (0.1, 0.01), 30.0, 10_000, rng)
+            divergence_probe(vacuum(), [nu_measure()], (0.1, 0.01), 30.0, 10_000, rng)
 
 
 class TestSharedStream:
@@ -358,7 +371,7 @@ class TestSharedStream:
         n = 100_000
         eps = sorted(LADDER, reverse=True)
         measures = [nu_measure(), truncated_nu(1.0)]
-        (row,) = divergence_probe([vacuum()], measures, LADDER, 30.0, n, np.random.default_rng(11))
+        (row,) = divergence_probe(vacuum(), measures, LADDER, 30.0, n, np.random.default_rng(11))
         sampler = PolarShellSampler(eps[-1], 30.0)
         pts = sampler.sample(n, np.random.default_rng(11))
         squared = np.abs(vacuum()(pts)) ** 2
@@ -376,12 +389,26 @@ class TestSharedStream:
         # probe is the verdict of a single probe on the same seed
         functions = [vacuum(), inverse_norm()]
         measures = [nu_measure(), truncated_nu(1.0)]
-        rows = divergence_probe(functions, measures, LADDER, 30.0, 300_000, 5)
+        rows = divergence_probe(stacked(functions), measures, LADDER, 30.0, 300_000, 5)
+        assert len(rows) == len(functions)
         for fn, row in zip(functions, rows):
             for measure, verdict in zip(measures, row):
-                assert verdict == divergence_probe(fn, measure, LADDER, 30.0, 300_000, 5)
+                assert ((verdict,),) == divergence_probe(fn, [measure], LADDER, 30.0, 300_000, 5)
         assert [v.classification for v in rows[0]] == ["log-divergent", "convergent"]
         assert rows[1][0].classification == "power-divergent"
+
+    def test_rows_integrand_equals_one_probe_per_row(self):
+        # CocycleVector.rows as the integrand: one row of verdicts per term,
+        # each that of the term's own coboundary probed alone on the seed
+        label = OrbitLabel.PLUS_PLUS
+        vector = CocycleVector(label, tuple((1.0, q) for q in default_test_set()))
+        measures = [nu_measure(), truncated_nu(1.0)]
+        rows = divergence_probe(vector.rows, measures, LADDER, 30.0, 100_000, 5)
+        assert len(rows) == len(vector.terms)
+        for (_, q), row in zip(vector.terms, rows):
+            alone = coboundary(q, label).as_group_function()
+            assert (row,) == divergence_probe(alone, measures, LADDER, 30.0, 100_000, 5)
+        assert {v.classification for row in rows for v in row} == {"convergent"}
 
     def test_batch_norms_are_computed_once(self):
         pts = PolarShellSampler().sample(1000, np.random.default_rng(0))
@@ -436,9 +463,9 @@ class TestPointwise:
         with pytest.raises(error, match="raised in a worker"):
             integrate_mc(GroupFunction(in_pool(fail)), nu_measure(), sampler, 4000, rng)
         with pytest.raises(error, match="raised in a worker"):
-            divergence_probe(GroupFunction(in_pool(fail)), nu_measure(), LADDER, 30.0, 4000, rng)
+            divergence_probe(GroupFunction(in_pool(fail)), [nu_measure()], LADDER, 30.0, 4000, rng)
         p, failing = random_q(rng), in_pool(fail)
-        monkeypatch.setattr(CocycleVector, "evaluate", lambda self, pts: failing(pts) + 0j)
+        monkeypatch.setattr(CocycleVector, "rows", lambda self, pts: failing(pts)[None] + 0j)
         with pytest.raises(error, match="raised in a worker"):
             gram_matrix([p], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, 4000, rng)
 
@@ -471,8 +498,6 @@ def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
     # workers at the default chunk size
     import tracemalloc
 
-    from u22lab.representation import default_test_set
-
     monkeypatch.setattr(measures, "WORKERS", 2)
     label = OrbitLabel.PLUS_PLUS
     sampler = PolarShellSampler(1e-4, 30.0)
@@ -482,7 +507,8 @@ def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
     n = measures.BATCH_SIZE
     engines = {
         "gram_matrix": lambda: gram_matrix(ps, label, nu_measure(), sampler, n, 1),
-        "divergence_probe": lambda: divergence_probe(functions, [nu_measure(), truncated_nu(1.0)], LADDER, 30.0, n, 2),
+        "divergence_probe": lambda: divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1.0)],
+                                                     LADDER, 30.0, n, 2),
         "integrate_mc": lambda: integrate_mc(functions[1], nu_measure(), sampler, n, 3),
     }
     for name, engine in engines.items():
@@ -510,7 +536,7 @@ class TestBoxTranslation:
 
         s0 = TriangularS(1.4, 0.7, 0.3 + 0.2j)
         whole = claims._box_translation_part(s0, 30_000, np.random.default_rng(8))
-        monkeypatch.setattr(claims, "BATCH_SIZE", 7_000)
+        monkeypatch.setattr(measures, "BATCH_SIZE", 7_000)
         assert claims._box_translation_part(s0, 30_000, np.random.default_rng(8)) == whole
 
     def test_haar_right_invariance(self, rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from u22lab.groups import SkewHermitian2, TriangularS, random_n, random_s
+from u22lab.groups import QElement, SkewHermitian2, TriangularS, random_n, random_s
 from u22lab.matrices import adjoint, frob
 from u22lab.orbits import (
     DegenerateOrbit,
@@ -14,12 +14,15 @@ from u22lab.orbits import (
     classify_orbit,
     orbit_coordinates,
 )
-from u22lab.representation import character_factor
+from u22lab.representation import GroupFunction, apply_T
+
+ONE = GroupFunction(lambda pts: np.ones(np.shape(pts.r)))
 
 
 def character_multiplier(label: OrbitLabel, s: TriangularS, n: SkewHermitian2) -> complex:
-    """exp(i tr(m_k s n s*)) at one chart point, through the library's multiplier."""
-    return complex(character_factor(label, n)(s))
+    """exp(i tr(m_k s n s*)) at one chart point, through the library's
+    multiplier: T of the pure character (e, n) applied to the constant 1."""
+    return complex(apply_T(QElement(TriangularS.identity(), n), label, ONE)(s))
 
 
 def pairing(label: OrbitLabel, n: SkewHermitian2) -> float:

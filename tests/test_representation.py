@@ -12,14 +12,13 @@ from u22lab.groups import (
     random_s,
 )
 from u22lab.measures import LogNormalSampler, PolarShellSampler, haar_measure, integrate_mc, nu_derivative_band, nu_measure, truncated_nu
+from u22lab import orbits
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
-from u22lab import representation
 from u22lab.representation import (
     CocycleVector,
     GroupFunction,
     apply_T,
-    character_factor,
     coboundary,
     default_test_set,
     gram_matrix,
@@ -31,6 +30,13 @@ from u22lab.representation import (
 LABEL = OrbitLabel.PLUS_PLUS
 LADDER = tuple(np.logspace(-1, -4, 7))
 EPS = np.finfo(float).eps
+ONE = GroupFunction(lambda pts: np.ones(np.shape(pts.r)))
+
+
+def multiplier(label, n):
+    """The unit-modulus multiplier s -> exp(i tr(m_k s n s*)): T of the pure
+    character (e, n) applied to the constant 1."""
+    return apply_T(QElement(TriangularS.identity(), n), label, ONE)
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +134,12 @@ class TestStackedOperator:
         q = QElement(TriangularS(np.where(keep_s, q.s.r1, one), np.where(keep_s, q.s.r2, one), q.s.r * keep_s),
                      SkewHermitian2(q.n.a * keep_n, q.n.b * keep_n, q.n.z * keep_n))
         calls = []
-        for name in ("translate", "character_product"):
-            original = getattr(representation, name)
-            monkeypatch.setattr(representation, name,
+        for owner, name in ((TriangularS, "multiply"), (orbits, "character_phase")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
                                 lambda *args, _f=original, _name=name: calls.append(_name) or _f(*args))
         values = apply_T(q, LABEL, vacuum())(pts)
-        assert calls == ["translate", "character_product"]
+        assert calls == ["multiply", "character_phase"]
         assert np.array_equal(values[0], vacuum()(pts))  # an identity member is an exact no-op
         for i in range(4):
             np.testing.assert_allclose(values[i], apply_T(member(q, i), LABEL, vacuum())(pts), rtol=4 * EPS, atol=0)
@@ -165,8 +171,59 @@ class TestCombinators:
     def test_character_factor_modulus(self, pts, rng):
         from u22lab.groups import random_n
 
-        values = character_factor(LABEL, random_n(rng))(pts)
+        values = multiplier(LABEL, random_n(rng))(pts)
         np.testing.assert_allclose(np.abs(values), 1.0, atol=1e-13)
+
+
+class TestRows:
+    # CocycleVector.rows is the one evaluator of T(p) f - f
+    @staticmethod
+    def vector(rng):
+        terms = [QElement.identity(), QElement(random_s(rng), SkewHermitian2.zero()),
+                 QElement(TriangularS.identity(), random_q(rng).n), random_q(rng), random_q(rng)]
+        return CocycleVector(LABEL, tuple((0.5 - 2.0j, p) for p in terms))
+
+    def test_rows_are_the_operator_minus_the_vacuum(self, pts, rng):
+        # per term, bit for bit, on a batch and on one point; no coefficient
+        v = self.vector(rng)
+        for points in (pts, random_s(rng)):
+            rows = v.rows(points)
+            assert rows.shape == (len(v.terms),) + np.shape(points.r)
+            for row, (_, p) in zip(rows, v.terms):
+                expected = apply_T(p, LABEL, vacuum())(points) - vacuum()(points)
+                assert np.array_equal(row, expected)
+        assert v.rows(pts)[0].tolist() == [0j] * pts.size  # the identity term
+
+    def test_evaluate_adds_the_rows_in_term_order(self, pts, rng):
+        v = self.vector(rng)
+        expected = np.zeros(pts.size, complex)
+        for (c, _), row in zip(v.terms, v.rows(pts)):
+            expected += c * row
+        assert np.array_equal(v.evaluate(pts), expected)
+        assert CocycleVector(LABEL, ()).rows(pts).shape == (0, pts.size)
+
+    def test_one_vacuum_per_view(self, monkeypatch):
+        # each view evaluates f once for all the Gram rows and once more
+        # for the probe's vacuum row: 7 calls per view for 6 pairs (12 when
+        # every vector evaluated its own f), 10 for C06's probe (was 17)
+        from u22lab import measures, representation
+
+        calls = []
+        original = representation.vacuum
+
+        def counting_vacuum():
+            f = original()
+            return GroupFunction(lambda view: calls.append(view.size) or f(view))
+
+        monkeypatch.setattr(representation, "vacuum", counting_vacuum)
+        monkeypatch.setattr(measures, "CHUNK", measures.BLOCK)
+        n, views = 4 * measures.BLOCK, 4
+        rng = np.random.default_rng(3)
+        gram_matrix([random_q(rng) for _ in range(6)], LABEL, nu_measure(), PolarShellSampler(), n, rng)
+        assert len(calls) == 7 * views and set(calls) == {measures.BLOCK}
+        calls.clear()
+        specialness_report(default_test_set(), LABEL, [nu_measure(), truncated_nu(1.0)], LADDER, 30.0, n, rng)
+        assert len(calls) <= 10 * views and set(calls) == {measures.BLOCK}
 
 
 class TestCoboundary:
@@ -253,7 +310,7 @@ class TestNorms:
 
         q = QElement(TriangularS(2.0, 1.0, 0.0), SkewHermitian2.zero())
         fn = coboundary(q, LABEL).as_group_function()
-        verdict = divergence_probe(fn, nu_measure(), LADDER, 30.0, 100_000, rng)
+        verdict = divergence_probe(fn, [nu_measure()], LADDER, 30.0, 100_000, rng)[0][0]
         assert verdict.classification == "convergent"
 
     def test_vacuum_satisfies_membership_conditions(self, rng):
@@ -262,7 +319,7 @@ class TestNorms:
 
         for q in default_test_set():
             fn = coboundary(q, LABEL).as_group_function()
-            verdict = divergence_probe(fn, nu_measure(), LADDER, 30.0, 50_000, rng)
+            verdict = divergence_probe(fn, [nu_measure()], LADDER, 30.0, 50_000, rng)[0][0]
             assert verdict.classification == "convergent"
 
 
@@ -329,16 +386,16 @@ class TestGram:
 
 class TestSpecialness:
     def test_witness_confirmed(self, rng):
-        report = specialness_report(
-            default_test_set(), LABEL, nu_measure(), LADDER, 30.0, 100_000, rng
+        (report,) = specialness_report(
+            default_test_set(), LABEL, [nu_measure()], LADDER, 30.0, 100_000, rng
         )
         assert report.confirmed
         assert report.verdict == "special witness confirmed"
         assert report.vacuum_verdict.classification == "log-divergent"
 
     def test_truncated_control_is_not_special(self, rng):
-        report = specialness_report(
-            default_test_set(), LABEL, truncated_nu(1.0), LADDER, 30.0, 50_000, rng
+        (report,) = specialness_report(
+            default_test_set(), LABEL, [truncated_nu(1.0)], LADDER, 30.0, 50_000, rng
         )
         assert not report.confirmed
         assert report.verdict == "not special (vacuum square-integrable)"
@@ -350,7 +407,7 @@ class TestSpecialness:
         reports = specialness_report(default_test_set(), LABEL, measures, LADDER, 30.0, 100_000, 9)
         assert [r.measure_name for r in reports] == ["nu", "nu-truncated-1"]
         for measure, report in zip(measures, reports):
-            assert report == specialness_report(default_test_set(), LABEL, measure, LADDER, 30.0, 100_000, 9)
+            assert (report,) == specialness_report(default_test_set(), LABEL, [measure], LADDER, 30.0, 100_000, 9)
         assert reports[0].verdict == "special witness confirmed"
         assert reports[1].verdict == "not special (vacuum square-integrable)"
         classes = [v.classification for _, v in reports[0].element_verdicts]
@@ -358,17 +415,17 @@ class TestSpecialness:
 
     def test_empty_set_rejected(self, rng):
         with pytest.raises(ValueError):
-            specialness_report([], LABEL, nu_measure(), LADDER, 30.0, 10_000, rng)
+            specialness_report([], LABEL, [nu_measure()], LADDER, 30.0, 10_000, rng)
 
     def test_missing_character_part_rejected(self, rng):
         translations = [q for q in default_test_set() if q.is_translation()]
         with pytest.raises(ValueError):
-            specialness_report(translations, LABEL, nu_measure(), LADDER, 30.0, 10_000, rng)
+            specialness_report(translations, LABEL, [nu_measure()], LADDER, 30.0, 10_000, rng)
 
     def test_missing_translation_part_rejected(self, rng):
         characters = [q for q in default_test_set() if q.is_character_direction()]
         with pytest.raises(ValueError):
-            specialness_report(characters, LABEL, nu_measure(), LADDER, 30.0, 10_000, rng)
+            specialness_report(characters, LABEL, [nu_measure()], LADDER, 30.0, 10_000, rng)
 
 
 class TestOneChartType:
@@ -380,7 +437,7 @@ class TestOneChartType:
             "vacuum": vacuum(),
             "inverse-norm": inverse_norm(),
             "translation": apply_T(QElement(q.s, SkewHermitian2.zero()), LABEL, vacuum()),
-            "character": character_factor(LABEL, q.n),
+            "character": multiplier(LABEL, q.n),
             "operator": apply_T(q, LABEL, vacuum()),
             "coboundary": coboundary(q, LABEL).as_group_function(),
         }
