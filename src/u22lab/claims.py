@@ -44,13 +44,12 @@ from .measures import (
     PolarShellSampler,
     haar_measure,
     integrate_mc,
+    mc_sum,
     modulus_pi,
     nu_derivative_band,
     nu_measure,
     right_translation_jacobian_fd,
     rn_derivative_right,
-    sample_batches,
-    sum_blocks,
     truncated_nu,
 )
 from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
@@ -187,9 +186,8 @@ def _claim_orbit_chart(config: SuiteConfig, rng):
 def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     # The unit box in chart coordinates, pushed through s -> s s0: sample a
     # bounding box of its image, pull the points back by s0^-1 and count
-    # those that land in the unit box, batch by batch through the one batch
-    # loop and counted block by block: the same uniforms in the same order
-    # as one draw, and an exact integer count.
+    # those that land in the unit box, block by block in the one Monte-Carlo
+    # pass: an exact integer count.
     unit = BoxSampler(1.0, 2.0, 1.0, 2.0, -0.5, 0.5, -0.5, 0.5)
     corners = [(c, t) for c in (unit.re_lo, unit.re_hi) for t in (unit.r2_lo, unit.r2_hi)]
     re_parts = [c * s0.r1 + s0.r.real * t for c, t in corners]
@@ -200,10 +198,7 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
         min(re_parts), max(re_parts), min(im_parts), max(im_parts),
     )
     inverse = s0.inverse()
-    inside = 0
-    for pts in sample_batches(box, n, rng):
-        # an exact count, so one partial per task sums as one per block would
-        inside += int(sum_blocks(pts, lambda view: [np.count_nonzero(unit.contains(view.multiply(inverse)))]))
+    inside = mc_sum(box, n, rng, lambda view: np.count_nonzero(unit.contains(view.multiply(inverse))))
     p_hat = inside / n
     mass = box.volume * p_hat
     sigma = box.volume * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)

@@ -12,23 +12,22 @@ over the sampler's support is the sample mean of F * density_ratio.  Points
 are ``TriangularS`` batches, and every density, sampler and chart function
 here takes one element or a batch.  All three engines (``integrate_mc``,
 ``divergence_probe`` and ``representation.gram_matrix``) and C04's
-translated-box count draw through ``sample_batches``, which rejects fewer
-than 1000 samples.
+translated-box count run one Monte-Carlo pass, ``mc_sum``, which rejects
+fewer than 1000 samples.
 
-Every pass over a batch after its draws runs through ``run_blocks``: tasks
-of whole ``BLOCK``-point blocks, about ``CHUNK`` points each, so that each
-function's temporaries are a few hundred kB that stay in cache, spread over
-one worker per usable core (``WORKERS``, the calling thread being one of
-them; the pool is made on first use).  Draws stay on the calling thread, in
-their order; the samplers then transform them task by task into arrays the
-caller allocated.  The engines reduce in the same pass: each task computes
-densities, weights and integrands on its points and returns one partial sum
-per block (``np.add.reduceat``, ``bincount`` or a small matmul), and the
-caller adds the block partials in block order.  No whole-batch array of
-values, weights or contributions is made.  Blocks are aligned to the batch
-start and their size is fixed, so every estimate and report is
-bit-identical at any ``CHUNK`` and worker count; ``BLOCK``, like
-``BATCH_SIZE``, is part of the estimator and fixes its last bits.
+The unit of a pass is the ``BLOCK``-point block, and each block is one
+task of ``run_blocks``, spread over one worker per usable core
+(``WORKERS``, the calling thread being one of them; the pool is made on
+first use).  A task draws its block from a generator of its own,
+``SeedSequence(entropy, spawn_key=(b,))``, with the entropy drawn once per
+pass from the caller's rng and b the block's index in the pass.  It
+computes densities, weights and integrands on its points and reduces them
+to one partial row (a sum, a ``bincount`` or a small matmul), and the
+caller adds the rows in block order.  Apart from the point arrays the
+caller allocates once per pass, no array of more than one block is made.
+So every estimate and report depends only on the seed and ``BLOCK``: it is
+bit-identical at any worker count, and at any ``BATCH_SIZE`` that is a
+multiple of ``BLOCK``.
 """
 
 from __future__ import annotations
@@ -64,9 +63,9 @@ __all__ = [
     "mc_estimate",
     "BATCH_SIZE",
     "BLOCK",
-    "sample_batches",
+    "half_angle_cis",
     "run_blocks",
-    "sum_blocks",
+    "mc_sum",
     "require_finite",
     "integrate_mc",
     "DivergenceVerdict",
@@ -82,15 +81,14 @@ OMEGA_PATCH_MASS = math.pi**2 / 2.0
 DEFAULT_R_MIN = 1e-4
 DEFAULT_R_MAX = 30.0
 
+# Points per run_blocks call of a Monte-Carlo pass, and the length of the
+# caller's point arrays; a multiple of BLOCK.
 BATCH_SIZE = 1 << 18
-# Each batch is summed in BLOCK-point blocks aligned to its start, and the
-# block sums are added in block order: like BATCH_SIZE, part of the
-# estimator, which fixes the last bits of every estimate.
-BLOCK = 1 << 10
-
-# run_blocks: points per task (a few hundred kB per temporary) and threads;
-# neither changes a result
-CHUNK = 1 << 14
+# Points per block: each block is one task, drawn from its own stream and
+# reduced to one row, and the rows are added in block order, so BLOCK is
+# part of the estimator.
+BLOCK = 1 << 14
+# run_blocks threads, the caller included; no result depends on it
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Divergence-probe thresholds.
@@ -183,6 +181,20 @@ def right_translation_jacobian_fd(s: TriangularS, s0: TriangularS, h: float = 1e
     return float(np.linalg.det(jac))
 
 
+def half_angle_cis(t) -> np.ndarray:
+    """cos(theta) + i sin(theta) from t = tan(theta / 2), as
+    ((1 - t^2) + 2 i t) / (1 + t^2), within 2 ulp of the pair: one tangent
+    in place of a cosine and a sine, each of which costs NumPy several
+    times as much on AVX2 hardware."""
+    t = np.asarray(t, dtype=float)
+    square = t * t
+    denominator = 1.0 + square
+    out = np.empty(t.shape, dtype=complex)
+    np.divide(1.0 - square, denominator, out=out.real)
+    np.divide(2.0 * t, denominator, out=out.imag)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # samplers: each provides points plus its own density against Lebesgue ds
 
@@ -191,9 +203,15 @@ def right_translation_jacobian_fd(s: TriangularS, s0: TriangularS, h: float = 1e
 class PolarShellSampler:
     """Log-uniform radius on [r_min, r_max], uniform direction on the patch.
 
-    The direction of an isotropic Gaussian conditioned on the two positive
-    coordinates is uniform on the patch, so the Lebesgue density is
-    |s|^-4 / (log(r_max/r_min) * patch_mass) inside the annulus.
+    The direction x = (x1 + i x2, x3 + i x4) is drawn in Hopf coordinates
+    from three uniforms: |x1 + i x2|^2 = u1, arg(x1 + i x2) = (pi/2) u2 and
+    arg(x3 + i x4) = 2 pi (u3 - 1/2), which is uniform on the unit sphere
+    restricted to the patch x1, x2 > 0 (Marsaglia, "Choosing a point from
+    the surface of a sphere", 1972).  Each cos/sin pair comes from a
+    half-angle tangent.  u1, u2 and u3 lie on the grid (k + 1/2) 2^-52,
+    inside the open interval (0, 1), so r1 > 0 and r2 > 0 hold exactly.  The
+    Lebesgue density is |s|^-4 / (log(r_max/r_min) * patch_mass) inside the
+    annulus.
     """
 
     r_min: float = DEFAULT_R_MIN
@@ -208,20 +226,18 @@ class PolarShellSampler:
         return math.log(self.r_max / self.r_min)
 
     def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
-        u, x = rng.random(n), rng.standard_normal((n, 4))
-        r1, r2, r = np.empty(n), np.empty(n), np.empty(n, complex)
-
-        def transform(lo: int, hi: int):
-            radii = self.r_min * (self.r_max / self.r_min) ** u[lo:hi]
-            y = x[lo:hi]
-            y[:, :2] = np.abs(y[:, :2])
-            # the row sum in np.sum's order, without its per-row overhead
-            y /= np.sqrt(((y[:, 0] ** 2 + y[:, 1] ** 2) + y[:, 2] ** 2) + y[:, 3] ** 2)[:, None]
-            r1[lo:hi], r2[lo:hi] = radii * y[:, 0], radii * y[:, 1]
-            r[lo:hi] = radii * (y[:, 2] + 1j * y[:, 3])
-
-        run_blocks(n, transform)
-        return TriangularS(r1, r2, r)
+        u = rng.random((4, n))
+        direction = u[1:]  # onto the open grid (k + 1/2) 2^-52
+        direction *= 2.0**52
+        np.floor(direction, out=direction)
+        direction += 0.5
+        direction *= 2.0**-52
+        radii = self.r_min * np.exp(self.log_ratio * u[0])
+        first = radii * np.sqrt(u[1])  # |x1 + i x2|, scaled to the radius
+        turn = half_angle_cis(np.tan(math.pi / 4 * u[2]))
+        r = half_angle_cis(np.tan(math.pi * (u[3] - 0.5)))
+        r *= radii * np.sqrt(1.0 - u[1])
+        return TriangularS(first * turn.real, first * turn.imag, r)
 
     def density(self, pts: TriangularS) -> np.ndarray:
         norms = pts.norm()
@@ -240,15 +256,11 @@ class LogNormalSampler:
 
     def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
         z = rng.standard_normal((4, n))
-        r1, r2, r = np.empty(n), np.empty(n), np.empty(n, complex)
-
-        def transform(lo: int, hi: int):
-            r1[lo:hi] = np.exp(self.mu1 + self.tau * z[0, lo:hi])
-            r2[lo:hi] = np.exp(self.mu2 + self.tau * z[1, lo:hi])
-            r[lo:hi] = self.sigma_r * z[2, lo:hi] + 1j * (self.sigma_r * z[3, lo:hi])
-
-        run_blocks(n, transform)
-        return TriangularS(r1, r2, r)
+        return TriangularS(
+            np.exp(self.mu1 + self.tau * z[0]),
+            np.exp(self.mu2 + self.tau * z[1]),
+            self.sigma_r * z[2] + 1j * (self.sigma_r * z[3]),
+        )
 
     def density(self, pts: TriangularS) -> np.ndarray:
         t1 = (np.log(pts.r1) - self.mu1) / self.tau
@@ -291,15 +303,8 @@ class BoxSampler:
         """One (n, 4) block of uniforms, lo + (hi - lo) u per coordinate."""
         lo = np.array([self.r1_lo, self.r2_lo, self.re_lo, self.im_lo])
         hi = np.array([self.r1_hi, self.r2_hi, self.re_hi, self.im_hi])
-        u = rng.random((n, 4))
-        r1, r2, r = np.empty(n), np.empty(n), np.empty(n, complex)
-
-        def transform(a: int, b: int):
-            v = lo + (hi - lo) * u[a:b]
-            r1[a:b], r2[a:b], r[a:b] = v[:, 0], v[:, 1], v[:, 2] + 1j * v[:, 3]
-
-        run_blocks(n, transform)
-        return TriangularS(r1, r2, r)
+        v = lo + (hi - lo) * rng.random((n, 4))
+        return TriangularS(v[:, 0], v[:, 1], v[:, 2] + 1j * v[:, 3])
 
     def contains(self, pts: TriangularS) -> np.ndarray:
         """Membership of each point in the closed box."""
@@ -357,9 +362,8 @@ def _executor():
 
 
 def run_blocks(n: int, task: Callable[[int, int], object]) -> list:
-    """``[task(lo, hi), ...]`` over the tasks that cover ``range(n)`` in
-    order: runs of whole ``BLOCK``s of about ``CHUNK`` points, so every task
-    but the last starts and ends on a block boundary.
+    """``[task(lo, hi), ...]`` over the ``BLOCK``-point blocks that cover
+    ``range(n)``, in order; only the last may be shorter.
 
     The tasks are split into one contiguous run per worker, up to
     ``WORKERS``; the caller takes the first run and pool threads the others,
@@ -370,8 +374,7 @@ def run_blocks(n: int, task: Callable[[int, int], object]) -> list:
     is small: an array a pool thread allocated and the caller frees stays
     in that thread's heap and raises the process's resident size.
     """
-    step = BLOCK * max(1, round(CHUNK / BLOCK))
-    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    spans = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
     results = [None] * len(spans)
 
     def run(first: int, last: int):
@@ -392,29 +395,42 @@ def run_blocks(n: int, task: Callable[[int, int], object]) -> list:
     return results
 
 
-def sum_blocks(pts: TriangularS, partials: Callable[[TriangularS], np.ndarray]) -> np.ndarray:
-    """The reducing pass over a batch: ``partials(view)`` gives one row of
-    partial sums per block of a task's view of ``pts``, and the rows are
-    added in block order."""
+def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]):
+    """The Monte-Carlo pass: ``n`` points drawn by ``sampler``, one
+    ``BLOCK``-point block per ``run_blocks`` task, and the sum of
+    ``partial(points)`` over the blocks, added in block order.
 
-    def task(lo: int, hi: int):
-        return partials(TriangularS(pts.r1[lo:hi], pts.r2[lo:hi], pts.r[lo:hi]))
-
-    return np.concatenate(run_blocks(pts.size, task)).sum(axis=0)
-
-
-def sample_batches(sampler, n: int, rng):
-    """The Monte-Carlo batch loop: yield ``n`` points drawn by ``sampler``
-    in batches of at most ``BATCH_SIZE``.
-
-    The one sample-count guard of every Monte-Carlo draw: fewer than 1000
-    points is a ``U22Error``, raised before anything is drawn.
+    The entropy of the pass is drawn once from ``rng``, and block b, counted
+    from the start of the pass, draws its points inside its task from its
+    own generator, ``SeedSequence(entropy, spawn_key=(b,))``: independent
+    streams keyed by block, as in Salmon et al., "Parallel random numbers:
+    as easy as 1, 2, 3" (SC 2011).  The task copies them into its slice of
+    point arrays that the caller allocates once per pass and reuses for each
+    batch of at most ``BATCH_SIZE`` points.  Those multi-MB arrays keep
+    glibc's dynamic mmap threshold above the tasks' temporaries, which are
+    then reused from the heap: without them, C06 and C09 took over 25 times
+    the page faults.  The one sample-count guard of every Monte-Carlo pass:
+    fewer than 1000 points is a ``U22Error``, raised before anything is
+    drawn.
     """
     if n < 1000:
         raise U22Error(f"need at least 1000 samples, got {n}")
-    rng = as_generator(rng)
+    entropy = as_generator(rng).integers(1 << 32, size=4).tolist()
+    longest = min(BATCH_SIZE, n)
+    r1, r2, r = np.empty(longest), np.empty(longest), np.empty(longest, complex)
+    total, first = 0, 0
     for start in range(0, n, BATCH_SIZE):
-        yield sampler.sample(min(BATCH_SIZE, n - start), rng)
+        size = min(BATCH_SIZE, n - start)
+
+        def task(lo: int, hi: int, first: int = first):
+            stream = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(first + lo // BLOCK,)))
+            drawn = sampler.sample(hi - lo, stream)
+            r1[lo:hi], r2[lo:hi], r[lo:hi] = drawn.r1, drawn.r2, drawn.r
+            return partial(TriangularS(r1[lo:hi], r2[lo:hi], r[lo:hi]))
+
+        total = sum(run_blocks(size, task), total)
+        first += -(-size // BLOCK)
+    return total
 
 
 def require_finite(contrib: np.ndarray) -> np.ndarray:
@@ -441,15 +457,14 @@ def integrate_mc(
     if mode not in ("square", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    def partials(view: TriangularS) -> np.ndarray:
+    def partial(view: TriangularS) -> np.ndarray:
         values = integrand(view)
         if mode == "square":
             values = np.abs(values) ** 2
         contrib = require_finite(values * (measure.density(view) / sampler.density(view)))
-        starts = np.arange(0, view.size, BLOCK)
-        return np.stack([np.add.reduceat(contrib, starts), np.add.reduceat(np.abs(contrib) ** 2, starts)], 1)
+        return np.array([contrib.sum(), (np.abs(contrib) ** 2).sum()])
 
-    sums = sum(sum_blocks(pts, partials) for pts in sample_batches(sampler, n, rng))
+    sums = mc_sum(sampler, n, rng, partial)
     mean, std_error = mc_estimate(complex(sums[0]), sums[1].real, n)
     return IntegralEstimate(mean.real if mean.imag == 0.0 else mean, float(std_error), n)
 
@@ -528,23 +543,21 @@ def divergence_probe(
     ascending = eps[::-1]
     shells = len(eps) + 1  # shell k holds radii in [ascending[k-1], ascending[k])
 
-    def partials(view: TriangularS) -> np.ndarray:
+    def partial(view: TriangularS) -> np.ndarray:
         density = sampler.density(view)
         weights = [m.density(view) / density for m in measures]
-        blocks = -(-view.size // BLOCK)
-        # one bincount per sum: shell k of block b is bin b * shells + k
-        bins = np.arange(view.size) // BLOCK * shells + np.searchsorted(ascending, view.norm(), side="right")
+        shell = np.searchsorted(ascending, view.norm(), side="right")
         values = np.reshape(integrand(view), (-1, view.size))
-        out = np.empty((len(values), len(measures), 2, blocks * shells))
+        out = np.empty((len(values), len(measures), 2, shells))
         for i, row in enumerate(values):
             squared = np.abs(row) ** 2
             for j, w in enumerate(weights):
                 contrib = require_finite(squared * w)
-                out[i, j, 0] = np.bincount(bins, contrib, blocks * shells)
-                out[i, j, 1] = np.bincount(bins, contrib**2, blocks * shells)
-        return np.moveaxis(out.reshape(out.shape[:3] + (blocks, shells)), 3, 0)
+                out[i, j, 0] = np.bincount(shell, contrib, shells)
+                out[i, j, 1] = np.bincount(shell, contrib**2, shells)
+        return out
 
-    sums = sum(sum_blocks(pts, partials) for pts in sample_batches(sampler, samples, rng))
+    sums = mc_sum(sampler, samples, rng, partial)
     # rung k (cutoff eps[k]) sums shells shells-1-k .. shells-1
     rungs = np.cumsum(sums[..., ::-1], axis=-1)[..., :-1] / samples
     return tuple(tuple(_classify(eps, *rung, samples) for rung in row) for row in rungs)

@@ -17,10 +17,11 @@ T(q) takes one pair or a stack: the fields of q broadcast against the
 chart points, so a stack with fields of shape (m, 1) on n points gives
 (m, n) values in one call, through the closed forms ``s_product`` and
 ``orbits.character_phase``.  ``apply_T`` is the one operator; it builds
-the multiplier itself.  ``CocycleVector.rows`` is the one place where
-T(p) f - f is written: one row per term, with f evaluated once, and the
-pointwise evaluator, the Gram matrix and the specialness probe all read
-those rows.
+the multiplier itself.  ``CocycleVector.vacuum_and_rows`` is the one place
+where T(p) f - f is written: the vacuum row, then one row per term, with f
+evaluated once.  The pointwise evaluator and the Gram matrix read its
+coboundary rows (``CocycleVector.rows``), and the specialness probe reads
+all of them.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ from . import orbits
 from .groups import QElement, SkewHermitian2, TriangularS
 from .matrices import U22Error
 from .measures import (
-    BLOCK,
     DivergenceVerdict,
     MeasureSpec,
     PolarShellSampler,
     divergence_probe,
+    half_angle_cis,
     mc_estimate,
+    mc_sum,
     require_finite,
-    sample_batches,
-    sum_blocks,
 )
 from .orbits import OrbitLabel
 
@@ -98,9 +98,11 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     q is one pair or a stack whose fields broadcast against the points:
     fields of shape (m, 1) on n points give (m, n) values.  The translation
     part preserves the vacuum family; the multiplier part has unit modulus,
-    so it never changes |F| pointwise.  A part is skipped only when every
-    member is exactly the identity translation or exactly the zero
-    character: it would translate by exactly s or multiply by exactly 1.
+    so it never changes |F| pointwise; it is built from the half-angle
+    tangent of the phase, ``half_angle_cis(tan(phase / 2))``.  A part is
+    skipped only when every member is exactly the identity translation or
+    exactly the zero character: it would translate by exactly s or multiply
+    by exactly 1.
     """
     s, n = q.s, q.n
     moves = np.any((s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0))
@@ -113,10 +115,7 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
         if not turns:
             return values
         phase = orbits.character_phase(label, n, pts.r1, pts.r2, pts.r)
-        factor = np.empty(phase.shape, dtype=complex)  # cos + i sin: cheaper than a complex exp
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
-        return factor * values
+        return half_angle_cis(np.tan(0.5 * phase)) * values
 
     return GroupFunction(evaluate)
 
@@ -139,11 +138,16 @@ class CocycleVector:
     def rows(self, pts: TriangularS) -> np.ndarray:
         """T(p_i) f - f at the points for every term, in term order and
         without its coefficient: one row per term, with f evaluated once."""
+        return self.vacuum_and_rows(pts)[1:]
+
+    def vacuum_and_rows(self, pts: TriangularS) -> np.ndarray:
+        """The vacuum f at the points, then ``rows(pts)``, on one leading
+        axis: f is evaluated once for all of them."""
         f = vacuum()
-        base = f(pts)
-        out = np.empty((len(self.terms),) + np.shape(base), dtype=complex)
-        for i, (_, p) in enumerate(self.terms):
-            out[i] = apply_T(p, self.label, f)(pts) - base
+        out = np.empty((1 + len(self.terms),) + np.shape(pts.r), dtype=complex)
+        out[0] = f(pts)
+        for i, (_, p) in enumerate(self.terms, 1):
+            out[i] = apply_T(p, self.label, f)(pts) - out[0]
         return out
 
     def evaluate(self, pts: TriangularS) -> np.ndarray:
@@ -199,7 +203,7 @@ def gram_matrix(
 
     All entries share one sample stream, which keeps the estimated matrix
     exactly positive semidefinite.  Requires pairwise-distinct, nonidentity
-    basis labels.  One ``CocycleVector.rows`` call gives a task's k rows
+    basis labels.  One ``CocycleVector.rows`` call gives a block's k rows
     b_i, and each block of points gives the k x k sums of w b_i conj(b_j)
     and of their squared moduli w^2 |b_i|^2 |b_j|^2 as two small matmuls;
     the entries below the diagonal are the conjugates of those above.
@@ -215,17 +219,16 @@ def gram_matrix(
                 raise U22Error("basis elements must be pairwise distinct")
     vector = CocycleVector(label, tuple((1.0 + 0.0j, p) for p in p_list))
 
-    def partials(view: TriangularS) -> np.ndarray:
+    def partial(view: TriangularS) -> np.ndarray:
         weights = measure.density(view) / sampler.density(view)
         values = require_finite(vector.rows(view))
-        weighted, squares = values * weights, (values.real**2 + values.imag**2) * weights
-        return np.array([
-            [weighted[:, lo : lo + BLOCK] @ values[:, lo : lo + BLOCK].conj().T,
-             squares[:, lo : lo + BLOCK] @ squares[:, lo : lo + BLOCK].T]
-            for lo in range(0, view.size, BLOCK)
-        ])
+        weighted = values.conj()
+        weighted *= weights
+        squares = values.real**2 + values.imag**2
+        squares *= weights
+        return np.array([values @ weighted.T, squares @ squares.T])
 
-    sums = sum(sum_blocks(pts, partials) for pts in sample_batches(sampler, n, rng))
+    sums = mc_sum(sampler, n, rng, partial)
     upper = np.triu(np.ones((k, k), bool))
     gram, stderr = mc_estimate(sums[0], sums[1].real, n)
     gram = np.where(upper, gram, gram.T.conj())
@@ -302,12 +305,9 @@ def specialness_report(
         raise U22Error("test set needs at least one pure translation")
     if not any(q.is_character_direction() for q in test_set):
         raise U22Error("test set needs at least one pure character direction")
-    f, vector = vacuum(), CocycleVector(label, tuple((1.0 + 0.0j, q) for q in test_set))
-
-    def integrand(pts: TriangularS) -> np.ndarray:  # the vacuum row, then b(q) per element
-        return np.concatenate([f(pts)[None], vector.rows(pts)])
-
-    rows = divergence_probe(integrand, measures, eps_ladder, r_max, samples, rng)
+    vector = CocycleVector(label, tuple((1.0 + 0.0j, q) for q in test_set))
+    # the vacuum row, then b(q) per element
+    rows = divergence_probe(vector.vacuum_and_rows, measures, eps_ladder, r_max, samples, rng)
     descriptions = [_describe(q) for q in test_set]
     return tuple(
         _judge(m.name, label, rows[0][j], tuple((desc, row[j]) for desc, row in zip(descriptions, rows[1:])))

@@ -176,18 +176,17 @@ def test_c12_derived_length():
 
 
 # SHA-256 of the C04, C06 and C09 records (runtime_s dropped) at 20_000
-# samples in batches of 2^13 points.  Re-pinned once, when each batch came
-# to be summed in measures.BLOCK-point blocks whose partial sums are added
-# in block order: that summation order moved the estimates in their last
-# bits, with every verdict and tolerance unchanged on the pinned seed and on
+# samples: two blocks per pass, so at two workers each worker draws and
+# reduces one.  Re-pinned when each block came to draw its points from a
+# stream of its own, with Hopf-coordinate directions in the polar sampler
+# and the half-angle multiplier in apply_T: every Monte-Carlo value moved,
+# with every verdict and tolerance unchanged on the pinned seed and on
 # seeds 1-3, and the same digest at one and two workers.
-MC_REPORT_DIGEST = "4fba185bbbb08cf76b732169d36e88557a586b6b8aaf12bb6d03c5f5af8572d2"
+MC_REPORT_DIGEST = "8a0235c682b90aba6cccdeaf1c91119f7c4f6ece60d8fcc56c364f34ff455cd4"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_reports_match_the_pinned_digest(monkeypatch, workers):
-    monkeypatch.setattr(measures, "BATCH_SIZE", 1 << 13)
-    monkeypatch.setattr(measures, "CHUNK", 3000)  # ragged chunks, so workers share each batch
     monkeypatch.setattr(measures, "WORKERS", workers)
     config = SuiteConfig(mc_samples=20_000)
     doc = json.loads(records_to_json(run_claims(config, ["C04", "C06", "C09"]), config))

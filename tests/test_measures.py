@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from u22lab.measures import (
     PolarShellSampler,
     divergence_probe,
     haar_measure,
+    half_angle_cis,
     integrate_mc,
+    mc_sum,
     modulus_pi,
     nu_derivative_band,
     nu_measure,
@@ -48,12 +51,16 @@ def stacked(functions):
     return GroupFunction(lambda pts: np.array([fn(pts) for fn in functions]))
 
 
-# (WORKERS, CHUNK) cases against one unchunked pass on the calling thread
-CHUNKINGS = [(1, 1 << 14), (2, 1 << 14), (3, 1 << 14), (2, 3001), (3, 3001)]
+# (WORKERS, BATCH_SIZE) cases against one pass on the calling thread
+BATCHINGS = [(workers, batch) for workers in (1, 2, 3)
+             for batch in (measures.BLOCK, 3 * measures.BLOCK, measures.BATCH_SIZE)]
 
 
 def engine_results():
-    """One result of each engine on 85_000 samples."""
+    """One result of each engine and C04's box count on 85_000 samples:
+    five whole blocks and a ragged one."""
+    from u22lab.claims import _box_translation_part
+
     sampler = PolarShellSampler(1e-3, 30.0)
     rng = np.random.default_rng(7)
     ps = [random_q(rng) for _ in range(3)]
@@ -63,7 +70,45 @@ def engine_results():
         integrate_mc(functions[1], nu_measure(), sampler, 85_000, 3),
         divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
         *gram_matrix(ps, label, nu_measure(), sampler, 85_000, 5),
+        _box_translation_part(TriangularS(1.4, 0.7, 0.3 + 0.2j), 85_000, np.random.default_rng(6)),
     )
+
+
+def block_draws(sampler, n, seed):
+    """The points of a Monte-Carlo pass over n points, block by block: block
+    b drawn by the sampler from SeedSequence(entropy, spawn_key=(b,)), with
+    the entropy drawn once from the seed's generator."""
+    entropy = np.random.default_rng(seed).integers(1 << 32, size=4).tolist()
+    return [
+        sampler.sample(min(measures.BLOCK, n - lo),
+                       np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(lo // measures.BLOCK,))))
+        for lo in range(0, n, measures.BLOCK)
+    ]
+
+
+def joined(blocks):
+    """One batch from a list of point batches, in order."""
+    return TriangularS(*(np.concatenate(field) for field in zip(*((p.r1, p.r2, p.r) for p in blocks))))
+
+
+@dataclass(frozen=True)
+class HalfNormalSampler:
+    """r1, r2 half-normal and Re r, Im r normal, all of one scale: a
+    density bounded below on every bounded set, so a bounded integrand on an
+    annulus has importance weights of finite variance.  (A lognormal
+    diagonal does not: its density vanishes faster than any power as r1 or
+    r2 tends to 0, where the annulus integrands below do not, so the
+    variance of their weights is infinite and their standard error is no
+    yardstick.)"""
+
+    scale: float
+
+    def sample(self, n, rng):
+        z = self.scale * rng.standard_normal((4, n))
+        return TriangularS(np.abs(z[0]), np.abs(z[1]), z[2] + 1j * z[3])
+
+    def density(self, pts):
+        return 4.0 * np.exp(-0.5 * (pts.norm() / self.scale) ** 2) / (self.scale * math.sqrt(2 * math.pi)) ** 4
 
 
 def pointwise(fns, pts):
@@ -200,6 +245,52 @@ class TestPolar:
         pts = TriangularS(radii / math.sqrt(2.0), radii / math.sqrt(2.0), np.zeros(2, complex))
         np.testing.assert_allclose(nu_measure().density(pts) * pts.norm() ** 3, [2.0, 0.5], rtol=1e-14)
 
+    def test_direction_moments(self):
+        # uniform on the patch x1, x2 > 0 of the unit 3-sphere: |x1 + i x2|^2
+        # is uniform and the argument of x1 + i x2 is uniform on (0, pi/2)
+        n = 1 << 18
+        r, omega = polar(PolarShellSampler(0.5, 8.0).sample(n, np.random.default_rng(12)))
+        x = np.stack([omega.r1, omega.r2, omega.r.real, omega.r.imag])
+        expected = {"x1": (x[0], 4 / (3 * math.pi)), "x2": (x[1], 4 / (3 * math.pi)),
+                    "x1 x2": (x[0] * x[1], 1 / (2 * math.pi)), "x3": (x[2], 0.0), "x4": (x[3], 0.0)}
+        expected.update({f"x{i + 1}^2": (x[i] ** 2, 0.25) for i in range(4)})
+        for name, (values, mean) in expected.items():
+            assert abs(values.mean() - mean) < 5 * values.std() / math.sqrt(n), name
+
+    def test_points_lie_in_the_shell_with_a_positive_diagonal(self):
+        # drawn points, and the corners of the uniforms' range: the direction
+        # uniforms lie on the open grid (k + 1/2) 2^-52, so r1 > 0 and r2 > 0
+        # hold exactly even where Generator.random gives 0 or 1 - 2^-53
+        class Corners:
+            def random(self, shape):
+                bits = (np.arange(16)[None, :] >> np.arange(4)[:, None]) & 1
+                return np.where(bits == 1, 1.0 - 2.0**-53, 0.0)
+
+        sampler = PolarShellSampler(1e-4, 30.0)
+        drawn, corners = sampler.sample(1 << 18, np.random.default_rng(13)), sampler.sample(16, Corners())
+        for pts in drawn, corners:
+            assert np.all(pts.r1 > 0.0) and np.all(pts.r2 > 0.0)
+        assert np.all((drawn.norm() >= 1e-4) & (drawn.norm() <= 30.0))
+        # a radius of exactly r_min or about r_max, times a direction of unit norm to rounding
+        tol = 4 * np.finfo(float).eps
+        assert np.all((corners.norm() >= 1e-4 * (1 - tol)) & (corners.norm() <= 30.0 * (1 + tol)))
+
+
+class TestHalfAngleMultiplier:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+    def test_special_angles(self, phi):
+        got = half_angle_cis(math.tan(phi / 2))
+        assert abs(got - complex(math.cos(phi), math.sin(phi))) <= 4 * self.EPS
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_random_angles(self, scale):
+        phi = np.random.default_rng(14).uniform(-scale, scale, 100_000)
+        got = half_angle_cis(np.tan(phi / 2))
+        assert np.max(np.abs(got - (np.cos(phi) + 1j * np.sin(phi)))) <= 4 * self.EPS
+        np.testing.assert_allclose(np.abs(got), 1.0, rtol=4 * self.EPS, atol=0)
+
 
 class TestIntegration:
     def test_constant_on_box(self, rng):
@@ -227,7 +318,7 @@ class TestIntegration:
         cartesian = integrate_mc(
             annulus_indicator(fn, lo, hi),
             nu_measure(),
-            LogNormalSampler(tau=1.0, sigma_r=1.5),
+            HalfNormalSampler(1.5),
             400_000,
             rng,
             mode="plain",
@@ -247,7 +338,7 @@ class TestIntegration:
             GroupFunction(lambda pts: 1.0 / (1.0 + pts.norm() ** 2)),
         ]
         polar_sampler = PolarShellSampler(lo, hi)
-        cart_sampler = LogNormalSampler(tau=1.0, sigma_r=1.5)
+        cart_sampler = HalfNormalSampler(1.5)
         for fn in battery:
             polar = integrate_mc(fn, nu_measure(), polar_sampler, 100_000, rng, mode="plain")
             cart = integrate_mc(
@@ -264,22 +355,21 @@ class TestIntegration:
         ratio = small.std_error / large.std_error
         assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
-    def test_chunking_is_invisible(self, monkeypatch):
-        # every engine gives the same bits at any worker count (runs of
-        # chunks) and chunk size: batches of 40_000, 40_000 and
-        # 5_000 points give ragged last chunks (40_000 = 13 * 3001 + 987) and
-        # a batch smaller than one chunk
-        monkeypatch.setattr(measures, "BATCH_SIZE", 40_000)
+    def test_results_do_not_depend_on_workers_or_batch_size(self, monkeypatch):
+        # block b of a pass draws from its own stream and the block rows are
+        # added in block order: every engine and the box count give the same
+        # bits at any worker count and any batch size that is a multiple of
+        # BLOCK (85_000 points: 6 batches of one block, 2 of three, or one)
         monkeypatch.setattr(measures, "WORKERS", 1)
-        monkeypatch.setattr(measures, "CHUNK", 1 << 30)
         reference = engine_results()
-        for workers, chunk in CHUNKINGS:
+        for workers, batch in BATCHINGS:
             monkeypatch.setattr(measures, "WORKERS", workers)
-            monkeypatch.setattr(measures, "CHUNK", chunk)
-            estimate, verdicts, gram, stderr = engine_results()
-            assert estimate == reference[0], (workers, chunk)
-            assert verdicts == reference[1], (workers, chunk)
+            monkeypatch.setattr(measures, "BATCH_SIZE", batch)
+            estimate, verdicts, gram, stderr, box = engine_results()
+            assert estimate == reference[0], (workers, batch)
+            assert verdicts == reference[1], (workers, batch)
             assert np.array_equal(gram, reference[2]) and np.array_equal(stderr, reference[3])
+            assert box == reference[4], (workers, batch)
 
     def test_non_finite_detected(self, rng):
         def evaluate(pts):
@@ -373,7 +463,7 @@ class TestSharedStream:
         measures = [nu_measure(), truncated_nu(1.0)]
         (row,) = divergence_probe(vacuum(), measures, LADDER, 30.0, n, np.random.default_rng(11))
         sampler = PolarShellSampler(eps[-1], 30.0)
-        pts = sampler.sample(n, np.random.default_rng(11))
+        pts = joined(block_draws(sampler, n, 11))
         squared = np.abs(vacuum()(pts)) ** 2
         for measure, verdict in zip(measures, row):
             contrib = squared * measure.density(pts) / sampler.density(pts)
@@ -419,7 +509,7 @@ class TestPointwise:
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
         monkeypatch.setattr(measures, "WORKERS", 2)
-        monkeypatch.setattr(measures, "CHUNK", 1000)
+        monkeypatch.setattr(measures, "BLOCK", 1000)
 
     def test_values_are_those_of_one_call(self, rng):
         pts = PolarShellSampler().sample(4500, rng)
@@ -430,18 +520,23 @@ class TestPointwise:
 
     def test_more_workers_than_cores_with_fast_switching(self, rng, monkeypatch):
         # four workers on a fresh pool of three threads, switching every
-        # microsecond: each slice of every output is written once, by its run
+        # microsecond: each slice of every output is written once, by its
+        # run, and a pass's shared point arrays give the bits of one worker
+        sampler = PolarShellSampler()
+        monkeypatch.setattr(measures, "WORKERS", 1)
+        estimate = integrate_mc(vacuum(), nu_measure(), sampler, 20_000, 9)
         monkeypatch.setattr(measures, "WORKERS", 4)
         measures._executor.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pts = PolarShellSampler().sample(20_000, rng)
+            pts = sampler.sample(20_000, rng)
             fns = [vacuum(), nu_measure().density]
             expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
             for _ in range(5):
                 got = pointwise(fns, TriangularS(pts.r1, pts.r2, pts.r))
                 assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+                assert integrate_mc(vacuum(), nu_measure(), sampler, 20_000, 9) == estimate
         finally:
             sys.setswitchinterval(interval)
             measures._executor.cache_clear()
@@ -469,33 +564,35 @@ class TestPointwise:
         with pytest.raises(error, match="raised in a worker"):
             gram_matrix([p], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, 4000, rng)
 
-    def test_samplers_transform_their_draws_bit_for_bit(self):
-        # the draws stay in order on the caller and the transform runs task
-        # by task: the same bits as the whole-batch formulas on the same draws
-        n = 4500  # a ragged last task
-        rng = np.random.default_rng(3)
-        radii = 1e-3 * (30.0 / 1e-3) ** rng.random(n)
-        x = rng.standard_normal((n, 4))
-        x[:, :2] = np.abs(x[:, :2])
-        x /= np.sqrt(np.sum(x**2, axis=1))[:, None]
-        polar = [radii * x[:, 0], radii * x[:, 1], radii * (x[:, 2] + 1j * x[:, 3])]
-        rng = np.random.default_rng(3)
-        z = [rng.standard_normal(n) for _ in range(4)]
-        lognormal = [np.exp(0.1 + 1.2 * z[0]), np.exp(0.2 + 1.2 * z[1]), 0.7 * z[2] + 1j * (0.7 * z[3])]
+    def test_each_block_draws_from_its_own_stream(self):
+        # the pass evaluates exactly the blocks the sampler draws from the
+        # block streams, bit for bit, whichever worker draws them
+        n = 4500  # a ragged last block
         box = TestBoxSampler.BOX
-        u = np.array(box[0::2]) + (np.array(box[1::2]) - np.array(box[0::2])) * np.random.default_rng(3).random((n, 4))
-        samplers = [(PolarShellSampler(1e-3, 30.0), polar), (LogNormalSampler(0.1, 0.2, 1.2, 0.7), lognormal),
-                    (BoxSampler(*box), [u[:, 0], u[:, 1], u[:, 2] + 1j * u[:, 3]])]
-        for sampler, expected in samplers:
-            pts = sampler.sample(n, np.random.default_rng(3))
-            for got, want in zip((pts.r1, pts.r2, pts.r), expected):
-                assert np.array_equal(got.view(float), want.view(float)), sampler
+        for sampler in PolarShellSampler(1e-3, 30.0), LogNormalSampler(0.1, 0.2, 1.2, 0.7), BoxSampler(*box):
+            seen = []
+            mc_sum(sampler, n, 3, lambda pts: seen.append(np.stack([pts.r1, pts.r2, pts.r.real, pts.r.imag])) or 0)
+            expected = [np.stack([p.r1, p.r2, p.r.real, p.r.imag]) for p in block_draws(sampler, n, 3)]
+            assert sorted(a.tobytes() for a in seen) == sorted(a.tobytes() for a in expected), sampler
+
+    def test_samples_are_drawn_on_every_worker(self, monkeypatch):
+        threads = []
+        sample = PolarShellSampler.sample
+
+        def recording(self, n, rng):
+            threads.append(threading.get_ident())
+            return sample(self, n, rng)
+
+        monkeypatch.setattr(PolarShellSampler, "sample", recording)
+        integrate_mc(ONE, nu_measure(), PolarShellSampler(), 4000, 1)
+        assert len(threads) == 4 and len(set(threads)) == 2 and threading.get_ident() in threads
 
 
 def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
-    # the draws and points of one 2^18-point batch take about 18 MiB; the
-    # reducing pass adds only per-task temporaries and block sums, on two
-    # workers at the default chunk size
+    # one 2^18-point pass holds the caller's point arrays (8 MiB) and, per
+    # worker, one block's draws and temporaries (about 5.5 MiB at most);
+    # measured at two workers: 17.2-19.3 MiB, against 20 MiB before blocks
+    # drew their own points.  The bound leaves 2.7 MiB of margin.
     import tracemalloc
 
     monkeypatch.setattr(measures, "WORKERS", 2)
@@ -518,7 +615,7 @@ def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28 << 20, (name, peak / 2**20)
+        assert peak <= 22 << 20, (name, peak / 2**20)
 
 
 class TestBoxTranslation:
@@ -531,12 +628,12 @@ class TestBoxTranslation:
         assert part["deviation_sigmas"] < 3.0
 
     def test_box_part_does_not_depend_on_the_batch_size(self, monkeypatch):
-        # the same uniforms in the same order and an exact count: bit for bit
+        # the same block streams and an exact count: bit for bit
         from u22lab import claims
 
         s0 = TriangularS(1.4, 0.7, 0.3 + 0.2j)
         whole = claims._box_translation_part(s0, 30_000, np.random.default_rng(8))
-        monkeypatch.setattr(measures, "BATCH_SIZE", 7_000)
+        monkeypatch.setattr(measures, "BATCH_SIZE", measures.BLOCK)
         assert claims._box_translation_part(s0, 30_000, np.random.default_rng(8)) == whole
 
     def test_haar_right_invariance(self, rng):

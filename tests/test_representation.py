@@ -203,9 +203,9 @@ class TestRows:
         assert CocycleVector(LABEL, ()).rows(pts).shape == (0, pts.size)
 
     def test_one_vacuum_per_view(self, monkeypatch):
-        # each view evaluates f once for all the Gram rows and once more
-        # for the probe's vacuum row: 7 calls per view for 6 pairs (12 when
-        # every vector evaluated its own f), 10 for C06's probe (was 17)
+        # each view evaluates f once for all the rows and once per term: 7
+        # calls per view for 6 pairs (12 when every vector evaluated its own
+        # f), 9 for C06's probe, whose vacuum row is the shared f (was 17)
         from u22lab import measures, representation
 
         calls = []
@@ -216,14 +216,13 @@ class TestRows:
             return GroupFunction(lambda view: calls.append(view.size) or f(view))
 
         monkeypatch.setattr(representation, "vacuum", counting_vacuum)
-        monkeypatch.setattr(measures, "CHUNK", measures.BLOCK)
         n, views = 4 * measures.BLOCK, 4
         rng = np.random.default_rng(3)
         gram_matrix([random_q(rng) for _ in range(6)], LABEL, nu_measure(), PolarShellSampler(), n, rng)
         assert len(calls) == 7 * views and set(calls) == {measures.BLOCK}
         calls.clear()
         specialness_report(default_test_set(), LABEL, [nu_measure(), truncated_nu(1.0)], LADDER, 30.0, n, rng)
-        assert len(calls) <= 10 * views and set(calls) == {measures.BLOCK}
+        assert len(calls) == 9 * views and set(calls) == {measures.BLOCK}
 
 
 class TestCoboundary:
