@@ -33,9 +33,9 @@ constructor; a failing batch raises the error of its first failing member.
 ``TriangularS`` is the package's only chart type: the Monte-Carlo samplers,
 the test points and the functions of ``representation`` all use it.  The
 closed forms on chart components (``s_product``, ``s_inverse``,
-``n_conjugate``) exist once.  The samplers draw a batch in one call when
-given ``size``.  The factors p and k of a decomposition are written to JSON
-(``element_to_json``, for the CLI); nothing reads them back.
+``n_conjugate``) exist once.  All samplers, ``random_k`` too, draw a batch
+in one call when given ``size``.  The factors p and k of a decomposition are
+written to JSON (``element_to_json``, for the CLI); nothing reads them back.
 """
 
 from __future__ import annotations
@@ -753,18 +753,18 @@ def random_p(seed, size: int | None = None) -> QElement:
     return random_q(seed, size)
 
 
-def _haar_u2(rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def _haar_u2(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar unitaries (*shape, 2, 2); each draws its real, then its imaginary part."""
+    z = rng.standard_normal(shape + (2, 2, 2))
+    q, r = np.linalg.qr((z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_k(seed) -> KElement:
-    """Haar-ish compact element via a pair of random 2x2 unitaries."""
-    rng = as_generator(seed)
-    u = _haar_u2(rng)
-    v = _haar_u2(rng)
+def random_k(seed, size: int | None = None) -> KElement:
+    """Haar-ish compact element via a pair of random 2x2 unitaries; a batch
+    draws one (size, 4, 2, 2) normal block, the stream of ``size`` single draws."""
+    u, v = np.moveaxis(_haar_u2(as_generator(seed), (2,) if size is None else (size, 2)), -3, 0)
     alpha = (u + v) / 2.0
     beta = (u - v) / 2.0
     return KElement(assemble(alpha, beta, beta, alpha), tol=PRODUCT_TOL)

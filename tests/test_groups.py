@@ -687,6 +687,32 @@ class TestSamplers:
         assert rng_singles.standard_normal() == rng_batch.standard_normal()
         assert np.max(frob(batch.m - singles)) <= 1e-13
 
+    def test_batched_k_is_the_same_stream(self):
+        # one (30, 4, 2, 2) normal draw is the stream of 30 single draws
+        rng_singles, rng_batch = np.random.default_rng(78), np.random.default_rng(78)
+        singles = np.array([random_k(rng_singles).m for _ in range(30)])
+        batch = random_k(rng_batch, size=30)
+        assert rng_singles.standard_normal() == rng_batch.standard_normal()
+        assert batch.m.shape == (30, 4, 4)
+        assert np.max(frob(batch.m - singles)) <= 1e-15
+        for m in batch.m:
+            KElement(m)  # validates each member as a single element
+
+    def test_single_k_keeps_its_bits(self):
+        # the single draw as first written: two (2, 2) normal blocks per unitary
+        def haar_u2(rng):
+            z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            d = np.diag(r)
+            return q * (d / np.abs(d))
+
+        rng, reference = np.random.default_rng(79), np.random.default_rng(79)
+        for _ in range(10):
+            assert np.array_equal(_haar_u2(rng), haar_u2(reference))
+            u, v = haar_u2(reference), haar_u2(reference)
+            alpha, beta = (u + v) / 2.0, (u - v) / 2.0
+            assert np.array_equal(random_k(rng).m, assemble(alpha, beta, beta, alpha))
+
     def test_batched_samplers_have_array_fields(self, rng):
         q = random_q(rng, size=7)
         assert q.s.r1.shape == q.s.r.shape == q.n.a.shape == q.n.z.shape == (7,)
