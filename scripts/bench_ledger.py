@@ -11,8 +11,12 @@ the checkout DIR (default: this repository), with S the benchmark's
 of this repository: the run's final JSON line, the label, the checkout's git
 sha and whether its tracked files differ from that commit, the CPU count and
 model, and the Python and NumPy versions.  Alternate ``parent`` and
-``change`` runs to build the paired comparison a claimed gain needs.  Exit
-status 0 when every run reported ``correct: true``, 1 otherwise.
+``change`` runs to build the paired comparison a claimed gain needs.
+
+A run that exits non-zero (perfbench does when a run is not correct), or
+whose last stdout line is not a result, adds no entry: the script stops
+there with one line on stderr and the run's exit status, or 1 when that
+status was 0.  Exit status 0 when every run gave a result.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ def machine_info() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
+def stop(workload: str, reason: str, proc: subprocess.CompletedProcess) -> int:
+    """Report a run that gave no result in one stderr line, with the last
+    line of its stderr, and return the status to exit with."""
+    last = "".join(f" ({line})" for line in proc.stderr.strip().splitlines()[-1:])
+    print(f"bench_ledger: {workload} {reason}; no entry added{last}", file=sys.stderr)
+    return proc.returncode or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<PR>.json")
@@ -75,19 +87,19 @@ def main(argv=None) -> int:
     state, machine = git_state(checkout), machine_info()
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     seconds = bench["run_seconds"]
-    correct = True
     for workload in (w["name"] for w in bench["workloads"]):
         proc = subprocess.run([sys.executable, os.path.join(checkout, "perfbench", "run.py"),
                                "--workload", workload, "--seconds", str(seconds),
                                *(["--seed", str(args.seed)] if args.seed is not None else [])],
                               capture_output=True, text=True, cwd=checkout)
         lines = proc.stdout.strip().splitlines()
-        if not lines:
-            sys.stderr.write(proc.stderr)
-            print(f"bench_ledger: {workload} printed no result", file=sys.stderr)
-            return 1
-        entry = ledger_entry(lines[-1], workload=workload, label=args.label, seconds=seconds,
-                             git=state, machine=machine, seed=args.seed)
+        if proc.returncode != 0:
+            return stop(workload, f"exited with status {proc.returncode}", proc)
+        try:
+            entry = ledger_entry(lines[-1] if lines else "", workload=workload, label=args.label,
+                                 seconds=seconds, git=state, machine=machine, seed=args.seed)
+        except ValueError:
+            return stop(workload, "ended with a line that is not a result", proc)
         ledger = []
         if os.path.exists(path):
             with open(path) as fh:
@@ -98,8 +110,7 @@ def main(argv=None) -> int:
             fh.write("\n")
         wall = entry["result"]["metrics"]["wall_s"]["value"]
         print(f"{args.label} {workload}: wall_s {wall:.4f} correct {entry['result']['correct']}")
-        correct = correct and entry["result"]["correct"]
-    return 0 if correct else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ degeneracy gate, and ``orbit_coordinates`` charts exactly the points it
 labels.  Both work on the point divided by an exact power of 4, so a point
 at any finite scale is classified and charted without overflow or
 underflow, and no result in the normal range changes by a bit.
+
+The character phase tr(m_k s n s*) is written once too, as exact
+coefficients (``phase_coefficients``) of five monomials of the chart point
+(``chart_monomials``); ``character_phase`` contracts the two.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .matrices import U22Error
 __all__ = [
     "DegenerateOrbit",
     "OrbitLabel",
+    "chart_monomials",
+    "phase_coefficients",
     "character_phase",
     "classify_orbit",
     "orbit_coordinates",
@@ -84,21 +90,46 @@ class OrbitLabel(enum.Enum):
         return labels[k - 1]
 
 
-def character_phase(label: OrbitLabel, n: SkewHermitian2, r1, r2, r):
-    """Phase tr(m_k s n s*) as a function of the chart coordinates of s.
+def chart_monomials(r1, r2, r) -> np.ndarray:
+    """The five monomials (r1^2, |r|^2, r2^2, r2 Re r, r2 Im r) of chart
+    points s = (r1, r2, r), on a leading axis of length 5.
 
-    Accepts scalars or numpy arrays for (r1, r2, r); broadcasting applies.
-    Closed form:
+    Accepts scalars or numpy arrays; broadcasting applies.  Both exponents
+    of the operator T(q) are linear in them: the character phase
+    (``phase_coefficients``) and the squared norm of a right translate,
 
-        -e1 a r1^2 - e2 (a |r|^2 + b r2^2 + 2 r2 Im(r z)).
+        |s s0|^2 = p1^2 (r1^2 + |r|^2) + (p2^2 + |p|^2) r2^2 + 2 p1 r2 Re(r conj p)
+
+    for s0 = (p1, p2, p).
     """
     r = np.asarray(r, dtype=complex)
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
+    re, im = r.real, r.imag
+    return np.stack(np.broadcast_arrays(r1 * r1, re * re + im * im, r2 * r2, r2 * re, r2 * im))
+
+
+def phase_coefficients(label: OrbitLabel, n: SkewHermitian2) -> np.ndarray:
+    """The phase tr(m_k s n s*) as coefficients of ``chart_monomials``, on a
+    trailing axis of length 5 (n one element or a stack).
+
+    From the closed form -e1 a r1^2 - e2 (a |r|^2 + b r2^2 + 2 r2 Im(r z))
+    with Im(r z) = Re r Im z + Im r Re z; each coefficient is a field of n
+    times +-1 or +-2, so exact.
+    """
     e1, e2 = label.eps1, label.eps2
-    return -e1 * n.a * r1**2 - e2 * (
-        n.a * np.abs(r) ** 2 + n.b * r2**2 + 2.0 * r2 * (r * n.z).imag
-    )
+    z = np.asarray(n.z, dtype=complex)
+    return np.stack(np.broadcast_arrays(-e1 * n.a, -e2 * n.a, -e2 * n.b, -2 * e2 * z.imag, -2 * e2 * z.real),
+                    axis=-1)
+
+
+def character_phase(label: OrbitLabel, n: SkewHermitian2, r1, r2, r):
+    """Phase tr(m_k s n s*) as a function of the chart coordinates of s:
+    ``phase_coefficients`` contracted with ``chart_monomials``.
+
+    Accepts scalars or numpy arrays for (r1, r2, r); the fields of n
+    broadcast against the points, so a stack with fields of shape (m, 1)
+    on n points gives (m, n) phases.
+    """
+    return np.einsum("...k,k...->...", phase_coefficients(label, n), chart_monomials(r1, r2, r))
 
 
 def _normalized(m: SkewHermitian2) -> tuple[float, float, complex, int]:

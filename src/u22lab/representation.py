@@ -13,19 +13,25 @@ grids, so algebraic identities can be tested pointwise with no
 discretization error.  A function takes the chart points as one
 ``TriangularS``, a single element or a batch.
 
-T(q) takes one pair or a stack: the fields of q broadcast against the
-chart points, so a stack with fields of shape (m, 1) on n points gives
-(m, n) values in one call, through the closed forms ``s_product`` and
-``orbits.character_phase``.  ``apply_T`` is the one operator; it builds
-the multiplier itself.  ``CocycleVector.vacuum_and_rows`` is the one place
-where T(p) f - f is written: the vacuum row, then one row per term, with f
-evaluated once.  The pointwise evaluator and the Gram matrix read its
-coboundary rows (``CocycleVector.rows``), and the specialness probe reads
-all of them.
+``apply_T`` is the one operator on general functions; it builds the
+multiplier itself.  T(q) takes one pair or a stack: the fields of q
+broadcast against the chart points, so a stack with fields of shape (m, 1)
+on n points gives (m, n) values in one call, through the closed forms
+``s_product`` and ``orbits.character_phase``.
+
+``CocycleVector.vacuum_and_rows`` is the one place where T(p) f - f is
+written: the vacuum row, then one row per term.  It does not go through
+``apply_T`` or ``s_product``: for the vacuum, |s s0|^2 and the phase are
+both linear in five monomials of the chart point
+(``orbits.chart_monomials``), so each row is one small matmul followed by
+elementwise exponentials.  The pointwise evaluator and the Gram matrix
+read its coboundary rows (``CocycleVector.rows``), and the specialness
+probe reads all of them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,8 +98,23 @@ def translate(fn: GroupFunction, s0: TriangularS) -> GroupFunction:
     return GroupFunction(lambda pts: fn(pts.multiply(s0)))
 
 
+def _moves(s: TriangularS) -> bool:
+    """Whether any member of s differs from the identity translation."""
+    return bool(np.any((s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0)))
+
+
+def _turns(n: SkewHermitian2) -> bool:
+    """Whether any member of n differs from the zero character."""
+    return bool(np.any((n.a != 0.0) | (n.b != 0.0) | (n.z != 0.0)))
+
+
 def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     """(T(q) F)(s) = exp(i tr(m_k s n s*)) * F(s s0) for q = (s0, n).
+
+    The operator on general functions: F is evaluated at the translated
+    points s s0 (``TriangularS.multiply``), and the phase comes from
+    ``orbits.character_phase``.  The coboundary rows of ``CocycleVector``
+    do not come through here; they use the closed form of the vacuum.
 
     q is one pair or a stack whose fields broadcast against the points:
     fields of shape (m, 1) on n points give (m, n) values.  The translation
@@ -105,8 +126,7 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     by exactly 1.
     """
     s, n = q.s, q.n
-    moves = np.any((s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0))
-    turns = np.any((n.a != 0.0) | (n.b != 0.0) | (n.z != 0.0))
+    moves, turns = _moves(s), _turns(n)
     if not (moves or turns):
         return fn
 
@@ -118,6 +138,14 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
         return half_angle_cis(np.tan(0.5 * phase)) * values
 
     return GroupFunction(evaluate)
+
+
+def _norm_coefficients(s0: TriangularS) -> np.ndarray:
+    """|s s0|^2 as coefficients of ``orbits.chart_monomials``, for one s0 =
+    (p1, p2, p): (p1^2, p1^2, p2^2 + |p|^2, 2 p1 Re p, 2 p1 Im p)."""
+    p1, p2, p = s0.r1, s0.r2, s0.r
+    return np.array([p1 * p1, p1 * p1, p2 * p2 + (p.real * p.real + p.imag * p.imag),
+                     2.0 * p1 * p.real, 2.0 * p1 * p.imag])
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +169,61 @@ class CocycleVector:
         return self.vacuum_and_rows(pts)[1:]
 
     def vacuum_and_rows(self, pts: TriangularS) -> np.ndarray:
-        """The vacuum f at the points, then ``rows(pts)``, on one leading
-        axis: f is evaluated once for all of them."""
-        f = vacuum()
+        """The vacuum f at the points, then ``rows(pts)``, on one leading axis.
+
+        Closed form, for one element p = (s0, n) per term: the row is
+        exp(i phase) exp(-|s s0| / 2) - f, and both |s s0|^2 and the phase
+        are linear in the five ``orbits.chart_monomials`` of the points,
+        formed once per call.  A term contracts its (2, 5) coefficient block
+        with them in one matmul; no translated points and no complex
+        product are made.  f = exp(-|s| / 2) reads the points' norm, which a
+        Monte-Carlo pass has already cached through the sampler's density.
+        As in ``apply_T``, a term with s0 = e reuses f and one with n = 0
+        gets no multiplier, so an identity term's row is exactly 0.
+
+        Rounding: the matmul sums |s s0|^2 from terms as large as
+        |s0|^2 |s|^2, so where s0 nearly annihilates s, exp(-|s s0| / 2) can
+        lose more than the few ulps of ``apply_T``: at most about
+        18 u cond(s0)^2 absolutely, u the unit roundoff.
+        """
         out = np.empty((1 + len(self.terms),) + np.shape(pts.r), dtype=complex)
-        out[0] = f(pts)
-        for i, (_, p) in enumerate(self.terms, 1):
-            out[i] = apply_T(p, self.label, f)(pts) - out[0]
+        f = np.exp(-pts.norm() / 2.0)
+        out[0] = f
+        if not self.terms:
+            return out
+        # one flat row per entry: 0-d points become one column, so a point
+        # and a length-1 batch take the same path
+        rows, f = out.reshape(len(out), -1)[1:], np.reshape(f, -1)
+        monomials = orbits.chart_monomials(pts.r1, pts.r2, pts.r).reshape(5, -1)
+        for row, (moves, turns, block) in zip(rows, self._exponent_blocks):
+            exponents = block @ monomials if block is not None else None
+            values = f
+            if moves:
+                values = exponents[0]
+                np.maximum(values, 0.0, out=values)  # a cancelling cross term can round below 0
+                np.sqrt(values, out=values)
+                values *= -0.5
+                np.exp(values, out=values)
+            if turns:
+                np.multiply(half_angle_cis(np.tan(0.5 * exponents[-1])), values, out=row)
+            else:
+                row[:] = values
+            row -= f
         return out
+
+    @functools.cached_property
+    def _exponent_blocks(self) -> tuple:
+        """Per term, (moves, turns, block): the rows of the block are the
+        ``orbits.chart_monomials`` coefficients of |s s0|^2 when s0 moves,
+        then of the phase when n turns; None for the identity."""
+        out = []
+        for _, p in self.terms:
+            moves, turns = _moves(p.s), _turns(p.n)
+            block = [_norm_coefficients(p.s)] if moves else []
+            if turns:
+                block.append(orbits.phase_coefficients(self.label, p.n))
+            out.append((moves, turns, np.stack(block) if block else None))
+        return tuple(out)
 
     def evaluate(self, pts: TriangularS) -> np.ndarray:
         """sum_i c_i (T(p_i) f - f) at the points: the rows added in term order."""

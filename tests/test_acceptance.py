@@ -195,8 +195,10 @@ def test_c12_derived_length():
 # stream of its own, with Hopf-coordinate directions in the polar sampler
 # and the half-angle multiplier in apply_T: every Monte-Carlo value moved,
 # with every verdict and tolerance unchanged on the pinned seed and on
-# seeds 1-3, and the same digest at one and two workers.
-MC_REPORT_DIGEST = "8a0235c682b90aba6cccdeaf1c91119f7c4f6ece60d8fcc56c364f34ff455cd4"
+# seeds 1-3, and the same digest at one and two workers.  Re-pinned when
+# the coboundary rows came to be evaluated in closed form from five chart
+# monomials: C09's values moved in their last bits; C04 and C06 did not.
+MC_REPORT_DIGEST = "5246692a42b6baf4e0fbac2f6ffddd15de0c4ad69c70919812b1a1cf6538d9ad"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -175,24 +175,100 @@ class TestCombinators:
         np.testing.assert_allclose(np.abs(values), 1.0, atol=1e-13)
 
 
+def rounding_bound(label, p, pts):
+    """Pointwise bound on |row - (apply_T(p) f - f)| for one term p = (s0, n);
+    derived in ``TestRows.test_rows_are_the_operator_minus_the_vacuum``."""
+    u = EPS / 2
+    n, s0, r = p.n, p.s, pts.r
+    phase_size = (abs(n.a) * (pts.r1**2 + np.abs(r) ** 2) + abs(n.b) * pts.r2**2
+                  + 2.0 * pts.r2 * (np.abs(r.real * n.z.imag) + np.abs(r.imag * n.z.real)))
+    norm_size = (s0.r1**2 * (pts.r1**2 + np.abs(r) ** 2) + (s0.r2**2 + abs(s0.r) ** 2) * pts.r2**2
+                 + 2.0 * s0.r1 * pts.r2 * (np.abs(r.real * s0.r.real) + np.abs(r.imag * s0.r.imag)))
+    x = pts.multiply(s0).norm()
+    return u * (14.0 * phase_size + 6.0 * norm_size / x * np.exp(-x / 2.0) + 17.0)
+
+
 class TestRows:
-    # CocycleVector.rows is the one evaluator of T(p) f - f
+    # CocycleVector.rows is the one evaluator of T(p) f - f, in closed form
     @staticmethod
     def vector(rng):
         terms = [QElement.identity(), QElement(random_s(rng), SkewHermitian2.zero()),
                  QElement(TriangularS.identity(), random_q(rng).n), random_q(rng), random_q(rng)]
         return CocycleVector(LABEL, tuple((0.5 - 2.0j, p) for p in terms))
 
+    @staticmethod
+    def ill_conditioned(rng):
+        """Shrinking (t, t, e^{i theta}) and stretching (1, 1, e^{i theta} / t)
+        translations, cond(s0) about 1/t^2 up to 1e6, with and without a
+        character."""
+        out = []
+        for t in (1e-1, 1e-2, 1e-3):
+            for s0 in (TriangularS(t, t, np.exp(1j * rng.uniform(0, 2 * np.pi))),
+                       TriangularS(1.0, 1.0, np.exp(1j * rng.uniform(0, 2 * np.pi)) / t)):
+                out += [QElement(s0, SkewHermitian2.zero()), QElement(s0, random_q(rng).n)]
+        return out
+
     def test_rows_are_the_operator_minus_the_vacuum(self, pts, rng):
-        # per term, bit for bit, on a batch and on one point; no coefficient
+        # Exact where both paths do the same arithmetic: the vacuum row is
+        # vacuum()(pts) bit for bit, and an identity term's row is exactly 0.
+        # Every other row differs from apply_T(p) f - f by rounding alone,
+        # bounded per point to first order (u = eps / 2, x = |s s0|):
+        # - the phase is a sum of five exact coefficients times monomials, so
+        #   each path is within 7u Phi of it, where Phi >= |phase| is that sum
+        #   taken in moduli; each half-angle multiplier adds 4u;
+        # - |s s0|^2 is a five-term sum of absolute size X in the closed form
+        #   (within 11u X) and within 13u X through s_product and the norm,
+        #   so x differs by at most 12u X / x, and exp(-x / 2) by
+        #   6u (X / x) exp(-x / 2), plus 3u for sqrt and exp;
+        # - the product and the subtraction of f add 6u.
+        # Total: u (14 Phi + 6 (X / x) exp(-x / 2) + 17).  With
+        # X <= 2 |s0|^2 |s|^2, |s0|^2 <= 2 sigma_max(s0)^2 and
+        # x >= sigma_min(s0) |s|, the middle term is at most 18u cond(s0)^2,
+        # so the bound depends on |phase| and cond(s0) alone; the sharper
+        # pointwise form is checked.  Points: the reference points, polar
+        # draws on [1e-4, 30], one point, and for each ill-conditioned s0
+        # points that s0 nearly annihilates, where X / x is largest.
+        terms = [p for _, p in self.vector(rng).terms] + self.ill_conditioned(rng)
+        draws = PolarShellSampler(1e-4, 30.0).sample(4096, rng)
+        for label in OrbitLabel:
+            v = CocycleVector(label, tuple((1.0, p) for p in terms))
+            for points in (pts, draws, random_s(rng)):
+                values = v.vacuum_and_rows(points)
+                assert values.shape == (1 + len(terms),) + np.shape(points.r)
+                assert np.array_equal(values[0], vacuum()(points))
+                assert values[1].tolist() == np.zeros(np.shape(points.r)).tolist()  # the identity term
+                for row, p in zip(values[2:], terms[1:]):
+                    expected = apply_T(p, label, vacuum())(points) - vacuum()(points)
+                    assert np.all(np.abs(row - expected) <= rounding_bound(label, p, points)), (str(label), p)
+        for p in self.ill_conditioned(rng):
+            s0 = p.s
+            r2 = rng.uniform(1e-3, 30.0 * min(s0.r1, 1.0 / abs(s0.r)), 4096)
+            corner = -r2 * s0.r / s0.r1 * (1.0 + rng.normal(0.0, 1e-3, r2.size))  # r s0.r1 + r2 s0.r near 0
+            near = TriangularS(np.full(r2.size, 1e-3), r2, corner)
+            row = CocycleVector(LABEL, ((1.0, p),)).rows(near)[0]
+            expected = apply_T(p, LABEL, vacuum())(near) - vacuum()(near)
+            assert np.all(np.abs(row - expected) <= rounding_bound(LABEL, p, near)), p
+
+    def test_rows_stay_finite_where_the_squared_norm_rounds_below_zero(self, rng):
+        # at cond(s0) = 1e16 the closed form of |s s0|^2 cancels to below 0
+        # on about half of the points s0 nearly annihilates; it is clamped
+        # at 0, where the true value lies within rounding
+        t = 1e-8
+        q = QElement(TriangularS(t, t, np.exp(0.7j)), SkewHermitian2.zero())
+        r2 = rng.uniform(3 * t, 30 * t, 1000)
+        near = TriangularS(np.full(r2.size, 1e-3 * t), r2, -r2 * np.exp(0.7j) / t)
+        row = CocycleVector(LABEL, ((1.0, q),)).rows(near)[0]
+        assert np.all(np.isfinite(row.real)) and np.all(row.imag == 0.0)
+
+    def test_a_point_gives_the_rows_of_a_length_one_batch(self, rng):
+        # a 0-d point is evaluated as one column, the path of a batch
         v = self.vector(rng)
-        for points in (pts, random_s(rng)):
-            rows = v.rows(points)
-            assert rows.shape == (len(v.terms),) + np.shape(points.r)
-            for row, (_, p) in zip(rows, v.terms):
-                expected = apply_T(p, LABEL, vacuum())(points) - vacuum()(points)
-                assert np.array_equal(row, expected)
-        assert v.rows(pts)[0].tolist() == [0j] * pts.size  # the identity term
+        for _ in range(50):
+            s = random_s(rng)
+            batch = TriangularS(np.array([s.r1]), np.array([s.r2]), np.array([s.r]))
+            one, many = v.vacuum_and_rows(s), v.vacuum_and_rows(batch)
+            assert one.shape == (1 + len(v.terms),) and many.shape == (1 + len(v.terms), 1)
+            np.testing.assert_allclose(one, many[:, 0], rtol=4 * EPS, atol=0)
 
     def test_evaluate_adds_the_rows_in_term_order(self, pts, rng):
         v = self.vector(rng)
@@ -202,27 +278,33 @@ class TestRows:
         assert np.array_equal(v.evaluate(pts), expected)
         assert CocycleVector(LABEL, ()).rows(pts).shape == (0, pts.size)
 
-    def test_one_vacuum_per_view(self, monkeypatch):
-        # each view evaluates f once for all the rows and once per term: 7
-        # calls per view for 6 pairs (12 when every vector evaluated its own
-        # f), 9 for C06's probe, whose vacuum row is the shared f (was 17)
-        from u22lab import measures, representation
+    def test_passes_translate_no_point_and_share_one_norm_per_view(self, monkeypatch):
+        # the rows come from the monomials of the points, so neither a
+        # 6-pair gram_matrix nor C06's probe translates a point, and each
+        # view computes its norm once, in the sampler's density; the
+        # measures and the vacuum row read that cached norm
+        from u22lab import groups, measures
 
-        calls = []
-        original = representation.vacuum
+        products, norms = [], []
+        original_norm, original_multiply, original_product = TriangularS.norm, TriangularS.multiply, groups.s_product
 
-        def counting_vacuum():
-            f = original()
-            return GroupFunction(lambda view: calls.append(view.size) or f(view))
+        def counting_norm(self):
+            if "_norm" not in self.__dict__:
+                norms.append(self.size)
+            return original_norm(self)
 
-        monkeypatch.setattr(representation, "vacuum", counting_vacuum)
+        monkeypatch.setattr(TriangularS, "norm", counting_norm)
+        monkeypatch.setattr(TriangularS, "multiply", lambda *args: products.append("multiply") or original_multiply(*args))
+        monkeypatch.setattr(groups, "s_product", lambda *args: products.append("s_product") or original_product(*args))
         n, views = 4 * measures.BLOCK, 4
         rng = np.random.default_rng(3)
         gram_matrix([random_q(rng) for _ in range(6)], LABEL, nu_measure(), PolarShellSampler(), n, rng)
-        assert len(calls) == 7 * views and set(calls) == {measures.BLOCK}
-        calls.clear()
+        assert products == []
+        assert [size for size in norms if size > 1] == [measures.BLOCK] * views  # scalar norms: the distinctness check
+        norms.clear()
         specialness_report(default_test_set(), LABEL, [nu_measure(), truncated_nu(1.0)], LADDER, 30.0, n, rng)
-        assert len(calls) == 9 * views and set(calls) == {measures.BLOCK}
+        assert products == []
+        assert norms == [measures.BLOCK] * views
 
 
 class TestCoboundary:
