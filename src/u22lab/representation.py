@@ -171,20 +171,15 @@ class CocycleVector:
     def vacuum_and_rows(self, pts: TriangularS) -> np.ndarray:
         """The vacuum f at the points, then ``rows(pts)``, on one leading axis.
 
-        Closed form, for one element p = (s0, n) per term: the row is
-        exp(i phase) exp(-|s s0| / 2) - f, and both |s s0|^2 and the phase
-        are linear in the five ``orbits.chart_monomials`` of the points,
-        formed once per call.  A term contracts its (2, 5) coefficient block
-        with them in one matmul; no translated points and no complex
-        product are made.  f = exp(-|s| / 2) reads the points' norm, which a
-        Monte-Carlo pass has already cached through the sampler's density.
-        As in ``apply_T``, a term with s0 = e reuses f and one with n = 0
+        Each row exp(i phase) exp(-|s s0| / 2) - f comes from one matmul of
+        the term's coefficient block with the ``orbits.chart_monomials`` of
+        the points, which are formed once.  f = exp(-|s| / 2) reads the
+        points' cached norm.  As in ``apply_T``, s0 = e reuses f and n = 0
         gets no multiplier, so an identity term's row is exactly 0.
 
-        Rounding: the matmul sums |s s0|^2 from terms as large as
-        |s0|^2 |s|^2, so where s0 nearly annihilates s, exp(-|s s0| / 2) can
-        lose more than the few ulps of ``apply_T``: at most about
-        18 u cond(s0)^2 absolutely, u the unit roundoff.
+        Where s0 nearly annihilates s, the closed form of |s s0|^2 cancels,
+        and exp(-|s s0| / 2) can lose more than the few ulps of ``apply_T``:
+        at most about 18 u cond(s0)^2 absolutely, u the unit roundoff.
         """
         out = np.empty((1 + len(self.terms),) + np.shape(pts.r), dtype=complex)
         f = np.exp(-pts.norm() / 2.0)
