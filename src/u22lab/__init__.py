@@ -44,7 +44,7 @@ from .representation import (
     specialness_report,
 )
 from .extension import act_k, extend_cocycle, apply_extended
-from .rank1 import LineFunction, almost_invariant_check
+from .rank1 import almost_invariant_check
 from .claims import SuiteConfig, ClaimRecord, run_claims
 
 __version__ = "0.1.0"

@@ -98,7 +98,10 @@ def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
 
 
 def _parse_label(text: str) -> OrbitLabel:
-    if text.isdigit():
+    """An index 1..4 in ASCII digits, else a sign pair such as "+-".
+    (``int`` raises ``ValueError`` on "²", which ``str.isdigit`` accepts,
+    and on over 4300 digits.)"""
+    if text.isascii() and text.isdigit() and len(text) < 10:
         return OrbitLabel.from_index(int(text))
     return OrbitLabel.from_string(text)
 
@@ -109,7 +112,8 @@ def _read_json(path: str):
             return json.loads(sys.stdin.buffer.read().decode("utf-8"))
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # the decoder recurses once per nesting level, so deep nesting is a RecursionError
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise U22Error(f"not valid UTF-8 JSON: {exc}") from exc
 
 

@@ -20,9 +20,9 @@ and p = g k*.  Nothing squares the conditioning of s, as a factorization of
 g g* would.  The relative residual |p k - g| / |g| grows like the unit
 roundoff u times cond(s); the tests hold it below u cond(s) on a
 conditioning ladder from cond(s) = 10 to 1e6 (unit-size n = X s*), where
-every gate passes at the default tolerance 1e-10.  Beyond that range the
-gates start to reject, always with ``DecompositionFailed``.  ``sigma_hat``
-and ``extension.act_k`` use the same kernel through ``p_part``.
+every gate passes at its tolerance (``PRODUCT_TOL``, 1e-10).  Beyond that
+range the gates start to reject, always with ``DecompositionFailed``.
+``sigma_hat`` and ``extension.act_k`` use the same kernel through ``p_part``.
 
 Batch-first: the fields of ``TriangularS`` and ``SkewHermitian2`` are
 Python scalars for one element or equal-shape arrays for a batch, and the
@@ -94,19 +94,19 @@ __all__ = [
     "element_to_json",
 ]
 
-# Tolerance ladder: construction, one product, long chains.
+# Tolerance ladder: construction, one product, long chains.  Type-level
+# validation uses the product rung, looser than construction, so that round
+# trips through ill-conditioned triangular factors never reject their output.
 CONSTRUCTION_TOL = 1e-12
 PRODUCT_TOL = 1e-10
 CHAIN_TOL = 1e-9
+IDENTITY_TOL = 1e-13  # QElement.is_identity, is_translation, is_character_direction
 
 # Scale-invariant cutoff for positivity of the leading minors in
 # ``structured_p_factor``.
 MINOR_TOL_FACTOR = 1e-12
 
-# Type-level validation is slightly looser than the construction rung so that
-# round trips through ill-conditioned triangular factors never reject their
-# own output.
-VALIDATION_TOL = 1e-10
+RANDOM_U22_RADIUS = 2.0  # the largest norm of random_u22's algebra element
 
 _NORMAL_MIN = sys.float_info.min
 _SIGMA_REAL = np.ascontiguousarray(SIGMA.real)
@@ -263,9 +263,9 @@ class TriangularS:
         return cls(1.0, 1.0, 0.0)
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = VALIDATION_TOL) -> "TriangularS":
+    def from_matrix(cls, m: np.ndarray) -> "TriangularS":
         m = np.asarray(m, dtype=complex)
-        limit = tol * np.maximum(1.0, frob(m))
+        limit = PRODUCT_TOL * np.maximum(1.0, frob(m))
         if _first_failure(abs(m[..., 0, 1]) <= limit) is not None:
             raise InvariantViolation("matrix is not lower triangular")
         real_diagonal = (abs(m[..., 0, 0].imag) <= limit) & (abs(m[..., 1, 1].imag) <= limit)
@@ -334,9 +334,9 @@ class SkewHermitian2:
         return cls(0.0, 0.0, 0.0)
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = VALIDATION_TOL) -> "SkewHermitian2":
+    def from_matrix(cls, m: np.ndarray) -> "SkewHermitian2":
         m = np.asarray(m, dtype=complex)
-        if _first_failure(frob(m + adjoint(m)) <= tol * np.maximum(1.0, frob(m))) is not None:
+        if _first_failure(frob(m + adjoint(m)) <= PRODUCT_TOL * np.maximum(1.0, frob(m))) is not None:
             raise InvariantViolation("matrix is not skew-Hermitian at tolerance")
         return cls.skew_part(m)
 
@@ -389,19 +389,19 @@ class QElement:
         return cls(TriangularS.identity(), SkewHermitian2.zero())
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = PRODUCT_TOL) -> "QElement":
+    def from_matrix(cls, m: np.ndarray) -> "QElement":
         """Read (s, n) off block matrices [[s*^-1, 0], [X, s]], one or a
         stack, with n = X s*; raises ``InvariantViolation`` when a block, or
-        the skew-Hermiticity of X s*, misses at ``tol``."""
+        the skew-Hermiticity of X s*, misses at ``PRODUCT_TOL``."""
         m = np.asarray(m, dtype=complex)
         g11, g12, g21, g22 = blocks(m)
-        limit = tol * np.maximum(1.0, frob(m))
+        limit = PRODUCT_TOL * np.maximum(1.0, frob(m))
         if _first_failure(frob(g12) <= limit) is not None:
             raise InvariantViolation("upper-right block not zero")
-        s = TriangularS.from_matrix(g22, tol)
+        s = TriangularS.from_matrix(g22)
         if _first_failure(frob(g11 - adjoint(s.inverse().matrix())) <= limit) is not None:
             raise InvariantViolation("upper-left block is not s*^-1")
-        return cls(s, SkewHermitian2.from_matrix(g21 @ adjoint(s.matrix()), tol))
+        return cls(s, SkewHermitian2.from_matrix(g21 @ adjoint(s.matrix())))
 
     @property
     def x(self) -> np.ndarray:
@@ -422,14 +422,14 @@ class QElement:
         """Distance of the (s, X) pairs: |s - s'| and |X - X'| in quadrature."""
         return np.hypot(self.s.distance(other.s), frob(self.x - other.x))
 
-    def is_identity(self, tol: float = 1e-13) -> bool:
-        return self.distance(QElement.identity()) <= tol
+    def is_identity(self) -> bool:
+        return self.distance(QElement.identity()) <= IDENTITY_TOL
 
-    def is_translation(self, tol: float = 1e-13) -> bool:
-        return self.n.norm() <= tol
+    def is_translation(self) -> bool:
+        return self.n.norm() <= IDENTITY_TOL
 
-    def is_character_direction(self, tol: float = 1e-13) -> bool:
-        return self.s.distance(TriangularS.identity()) <= tol
+    def is_character_direction(self) -> bool:
+        return self.s.distance(TriangularS.identity()) <= IDENTITY_TOL
 
 
 def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
@@ -580,7 +580,7 @@ def structured_p_factor(m: np.ndarray, tol: float = PRODUCT_TOL) -> QElement:
     x = m[2:, :2] @ s_mat
     n = x @ adjoint(s_mat)
     skew = frob(n + adjoint(n))  # = |s X* + X s*|
-    if skew > VALIDATION_TOL * max(1.0, frob(s_mat) * frob(x)):
+    if skew > PRODUCT_TOL * max(1.0, frob(s_mat) * frob(x)):
         raise NotFactorizable(f"relative skew-Hermiticity residual {skew:.3e}")
     p = QElement(TriangularS.from_matrix(s_mat), SkewHermitian2.skew_part(n))
     residual = frob(p.matrix() @ adjoint(p.matrix()) - m)
@@ -611,9 +611,9 @@ def _rq_unitary(m: np.ndarray) -> np.ndarray:
     return np.stack((top / np.linalg.norm(top, axis=-1, keepdims=True), low), axis=-2)
 
 
-def _factor(m: np.ndarray, tol: float) -> tuple[QElement, np.ndarray]:
+def _factor(m: np.ndarray) -> tuple[QElement, np.ndarray]:
     """The p k factorization of 4x4 matrices in U(2,2), one or a stack;
-    returns p and the matrix of k.
+    returns p and the matrix of k; every gate is at ``PRODUCT_TOL``.
 
     With p = [[A, 0], [X, s]], A = s*^-1, and k = [[alpha, beta], [beta,
     alpha]], the top blocks of g = p k are g11 = A alpha and g12 = A beta, so
@@ -636,8 +636,8 @@ def _factor(m: np.ndarray, tol: float) -> tuple[QElement, np.ndarray]:
     scale = np.maximum(1.0, frob(m))  # = max(1, |g k*|), as k is unitary
     try:
         a, zero, x, b = blocks(m @ adjoint(k))
-        s = TriangularS.from_matrix(adjoint(a), tol).inverse()
-        limit = tol * scale
+        s = TriangularS.from_matrix(adjoint(a)).inverse()
+        limit = PRODUCT_TOL * scale
         if _first_failure(frob(zero) <= limit) is not None:
             raise InvariantViolation("upper-right block not zero")
         if _first_failure(frob(b - s.matrix()) <= limit) is not None:
@@ -646,13 +646,13 @@ def _factor(m: np.ndarray, tol: float) -> tuple[QElement, np.ndarray]:
     except InvariantViolation as exc:
         raise DecompositionFailed(f"factor invalid: {exc}") from exc
     residual = frob(p.matrix() @ k - m) / scale
-    bad = _first_failure(residual <= tol)
+    bad = _first_failure(residual <= PRODUCT_TOL)
     if bad is not None:
         raise DecompositionFailed(f"reconstruction residual {np.asarray(residual)[bad]:.3e}")
     return p, k
 
 
-def iwasawa_decompose(g: U22Element, tol: float = PRODUCT_TOL) -> tuple[QElement, KElement]:
+def iwasawa_decompose(g: U22Element) -> tuple[QElement, KElement]:
     """Unique factorization g = p k with p triangular and k compact.
 
     ``g`` holds one element or a stack; p and k come back in the same shape.
@@ -662,13 +662,14 @@ def iwasawa_decompose(g: U22Element, tol: float = PRODUCT_TOL) -> tuple[QElement
     |k k* - e| stays at rounding level and the relative residual
     |p k - g| / |g| below u cond(s) (u = eps / 2, the unit roundoff),
     tested for cond(s) from 10 to 1e6 with unit-size n = X s*.  Gates: the
-    block shape of g k* at ``tol``, |p k - g| <= tol max(1, |g|), and the
-    compact part at max(tol, CHAIN_TOL).  A rejection, beyond the tested
-    range or on a singular input, is a ``DecompositionFailed``.
+    block shape of g k* and |p k - g| <= tol max(1, |g|) at tol =
+    ``PRODUCT_TOL``, and the compact part at ``KElement``'s ``CHAIN_TOL``.
+    A rejection, beyond the tested range or on a singular input, is a
+    ``DecompositionFailed``.
     """
-    p, k = _factor(g.m, tol)
+    p, k = _factor(g.m)
     try:
-        return p, KElement(k, tol=max(tol, CHAIN_TOL))
+        return p, KElement(k)
     except InvariantViolation as exc:
         raise DecompositionFailed(f"compact factor invalid: {exc}") from exc
 
@@ -681,7 +682,7 @@ def p_part(m: np.ndarray) -> QElement:
     discarded, is not validated: Gram-Schmidt makes it unitary to rounding,
     and a non-finite k fails the gates on p.
     """
-    return _factor(m, PRODUCT_TOL)[0]
+    return _factor(m)[0]
 
 
 def sigma_hat(p: QElement) -> QElement:
@@ -770,8 +771,8 @@ def random_k(seed, size: int | None = None) -> KElement:
     return KElement(assemble(alpha, beta, beta, alpha), tol=PRODUCT_TOL)
 
 
-def random_u22(seed, radius: float = 2.0, size: int | None = None) -> U22Element:
-    """exp of a random algebra combination, rescaled to norm <= radius.
+def random_u22(seed, size: int | None = None) -> U22Element:
+    """exp of a random algebra combination, rescaled to norm <= ``RANDOM_U22_RADIUS``.
 
     A batch draws its coefficients as one (size, 16) block, the same stream
     as ``size`` single draws.
@@ -779,7 +780,7 @@ def random_u22(seed, radius: float = 2.0, size: int | None = None) -> U22Element
     rng = as_generator(seed)
     coeffs = rng.standard_normal(len(lie.U22_BASIS) if size is None else (size, len(lie.U22_BASIS)))
     xi = np.tensordot(coeffs, lie.U22_BASIS, axes=1)
-    xi = xi * (radius / np.maximum(frob(xi), radius))[..., None, None]
+    xi = xi * (RANDOM_U22_RADIUS / np.maximum(frob(xi), RANDOM_U22_RADIUS))[..., None, None]
     return U22Element(matrix_exp(xi), tol=CONSTRUCTION_TOL)
 
 

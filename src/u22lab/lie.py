@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 _Z2 = np.zeros((2, 2), dtype=complex)
+RANK_TOL = 1e-8  # singular-value cutoff of every real rank
+CLOSURE_ROUNDS = 6  # most bracket rounds of a closure
 
 
 def _unit(j: int, k: int) -> np.ndarray:
@@ -94,25 +96,25 @@ def _from_real_columns(cols: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def real_span_rank(mats, tol: float = 1e-8) -> int:
+def real_span_rank(mats) -> int:
     """Rank of the real span of a list of complex matrices."""
-    return int(np.linalg.matrix_rank(_to_real_columns(list(mats)), tol=tol))
+    return int(np.linalg.matrix_rank(_to_real_columns(list(mats)), tol=RANK_TOL))
 
 
-def generated_subalgebra_dimension(generators, tol: float = 1e-8, max_rounds: int = 6) -> int:
+def generated_subalgebra_dimension(generators) -> int:
     """Dimension of the Lie subalgebra generated by the given matrices.
 
     Iterates bracket closure, compressing the spanning set to an orthonormal
     real basis between rounds, until the rank stabilizes.
     """
     basis = list(np.asarray(g, dtype=complex) for g in generators)
-    dim = real_span_rank(basis, tol)
-    for _ in range(max_rounds):
+    dim = real_span_rank(basis)
+    for _ in range(CLOSURE_ROUNDS):
         u, sing, _ = np.linalg.svd(_to_real_columns(basis), full_matrices=False)
-        keep = sing > tol * max(1.0, sing[0])
+        keep = sing > RANK_TOL * max(1.0, sing[0])
         compressed = _from_real_columns(u[:, keep])
         candidates = compressed + [bracket(x, y) for x in compressed for y in compressed]
-        new_dim = real_span_rank(candidates, tol)
+        new_dim = real_span_rank(candidates)
         if new_dim == dim:
             return dim
         dim = new_dim

@@ -50,6 +50,8 @@ def freeze(a) -> np.ndarray:
 E4 = freeze(np.eye(4))
 # The fixed block involution: swaps the two 2x2 block rows/columns.
 SIGMA = freeze(np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]))
+EXP_TARGET_NORM = 0.25  # matrix_exp scales each matrix to at most this norm
+EXP_TAYLOR_DEGREE = 12  # and sums its Taylor series to this degree
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -106,26 +108,27 @@ def assemble(g11, g12, g21, g22) -> np.ndarray:
     return out
 
 
-def matrix_exp(m: np.ndarray, taylor_degree: int = 12, target_norm: float = 0.25) -> np.ndarray:
+def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
 
-    Sized for small matrices with bounded norm; with ``target_norm`` 0.25 and
-    degree 12 the truncation error is far below 1e-14.  Accepts one matrix or
-    a stack (..., n, n).  Each matrix gets its own squaring count, so a stack
-    member is scaled and squared as it would be alone: a squaring step keeps
-    the old value of every member that needs no further step.
+    Sized for small matrices with bounded norm; with ``EXP_TARGET_NORM`` and
+    ``EXP_TAYLOR_DEGREE`` the truncation error is far below 1e-14.  Accepts
+    one matrix or a stack (..., n, n).  Each matrix gets its own squaring
+    count, so a stack member is scaled and squared as it would be alone: a
+    squaring step keeps the old value of every member that needs no
+    further step.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
     norm = np.linalg.norm(stack, axis=(-2, -1))
-    big = np.isfinite(norm) & (norm > target_norm)
+    big = np.isfinite(norm) & (norm > EXP_TARGET_NORM)
     nsq = np.zeros(norm.shape, dtype=int)
-    nsq[big] = np.ceil(np.log2(norm[big] / target_norm))
+    nsq[big] = np.ceil(np.log2(norm[big] / EXP_TARGET_NORM))
     scaled = stack / np.ldexp(1.0, nsq)[:, None, None]
     term = scaled
     out = np.eye(n) + scaled
-    for k in range(2, taylor_degree + 1):
+    for k in range(2, EXP_TAYLOR_DEGREE + 1):
         term = term @ scaled / k
         out = out + term
     for step in range(nsq.max(initial=0)):
@@ -151,7 +154,7 @@ def _is_pair(entry) -> bool:
     return isinstance(entry, list) and len(entry) == 2 and all(map(is_json_number, entry))
 
 
-def matrix_from_json(data, shape=None) -> np.ndarray:
+def matrix_from_json(data, shape: tuple[int, int]) -> np.ndarray:
     """Decode the nested [re, im] encoding produced by ``matrix_to_json``.
 
     Anything else raises ``U22Error``: entries that are not pairs of JSON
@@ -163,7 +166,7 @@ def matrix_from_json(data, shape=None) -> np.ndarray:
     if len({len(row) for row in data}) > 1:
         raise U22Error("matrix JSON rows differ in length")
     m = np.array([[complex(*entry) for entry in row] for row in data], dtype=complex)
-    if m.ndim != 2 or (shape is not None and m.shape != shape):
+    if m.shape != shape:
         raise U22Error(f"bad matrix shape {m.shape}, expected {shape}")
     if not np.all(np.isfinite(m)):
         raise U22Error("matrix JSON has a non-finite entry")

@@ -81,6 +81,10 @@ OMEGA_PATCH_MASS = math.pi**2 / 2.0
 DEFAULT_R_MIN = 1e-4
 DEFAULT_R_MAX = 30.0
 
+LOGNORMAL_TAU = 1.2  # LogNormalSampler: deviation of log r1 and log r2
+LOGNORMAL_SIGMA_R = 1.2  # and of Re r and Im r
+FD_STEP = 1e-6  # central-difference step of right_translation_jacobian_fd
+
 # Points per run_blocks call of a Monte-Carlo pass, and the length of the
 # caller's point arrays; a multiple of BLOCK.
 BATCH_SIZE = 1 << 18
@@ -164,7 +168,7 @@ def nu_derivative_band(s0: TriangularS) -> tuple[float, float]:
     return p / smax**4, p / smin**4
 
 
-def right_translation_jacobian_fd(s: TriangularS, s0: TriangularS, h: float = 1e-6) -> float:
+def right_translation_jacobian_fd(s: TriangularS, s0: TriangularS) -> float:
     """Jacobian determinant of s -> s s0 by central differences (oracle use)."""
 
     def chart(v: np.ndarray) -> np.ndarray:
@@ -176,8 +180,8 @@ def right_translation_jacobian_fd(s: TriangularS, s0: TriangularS, h: float = 1e
     jac = np.zeros((4, 4))
     for j in range(4):
         dv = np.zeros(4)
-        dv[j] = h
-        jac[:, j] = (chart(base + dv) - chart(base - dv)) / (2.0 * h)
+        dv[j] = FD_STEP
+        jac[:, j] = (chart(base + dv) - chart(base - dv)) / (2.0 * FD_STEP)
     return float(np.linalg.det(jac))
 
 
@@ -245,33 +249,28 @@ class PolarShellSampler:
         return np.where(inside, norms**-4.0 / (self.log_ratio * OMEGA_PATCH_MASS), 0.0)
 
 
-@dataclass(frozen=True)
 class LogNormalSampler:
-    """Independent lognormal diagonal coordinates and Gaussian off-diagonal."""
-
-    mu1: float = 0.0
-    mu2: float = 0.0
-    tau: float = 1.0
-    sigma_r: float = 1.0
+    """Independent lognormal diagonal coordinates and Gaussian off-diagonal,
+    all centred; the spreads are ``LOGNORMAL_TAU`` and ``LOGNORMAL_SIGMA_R``."""
 
     def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
         z = rng.standard_normal((4, n))
         return TriangularS(
-            np.exp(self.mu1 + self.tau * z[0]),
-            np.exp(self.mu2 + self.tau * z[1]),
-            self.sigma_r * z[2] + 1j * (self.sigma_r * z[3]),
+            np.exp(LOGNORMAL_TAU * z[0]),
+            np.exp(LOGNORMAL_TAU * z[1]),
+            LOGNORMAL_SIGMA_R * z[2] + 1j * (LOGNORMAL_SIGMA_R * z[3]),
         )
 
     def density(self, pts: TriangularS) -> np.ndarray:
-        t1 = (np.log(pts.r1) - self.mu1) / self.tau
-        t2 = (np.log(pts.r2) - self.mu2) / self.tau
-        d1 = np.exp(-0.5 * t1**2) / (pts.r1 * self.tau * math.sqrt(2 * math.pi))
-        d2 = np.exp(-0.5 * t2**2) / (pts.r2 * self.tau * math.sqrt(2 * math.pi))
-        dre = np.exp(-0.5 * (pts.r.real / self.sigma_r) ** 2) / (
-            self.sigma_r * math.sqrt(2 * math.pi)
+        t1 = np.log(pts.r1) / LOGNORMAL_TAU
+        t2 = np.log(pts.r2) / LOGNORMAL_TAU
+        d1 = np.exp(-0.5 * t1**2) / (pts.r1 * LOGNORMAL_TAU * math.sqrt(2 * math.pi))
+        d2 = np.exp(-0.5 * t2**2) / (pts.r2 * LOGNORMAL_TAU * math.sqrt(2 * math.pi))
+        dre = np.exp(-0.5 * (pts.r.real / LOGNORMAL_SIGMA_R) ** 2) / (
+            LOGNORMAL_SIGMA_R * math.sqrt(2 * math.pi)
         )
-        dim = np.exp(-0.5 * (pts.r.imag / self.sigma_r) ** 2) / (
-            self.sigma_r * math.sqrt(2 * math.pi)
+        dim = np.exp(-0.5 * (pts.r.imag / LOGNORMAL_SIGMA_R) ** 2) / (
+            LOGNORMAL_SIGMA_R * math.sqrt(2 * math.pi)
         )
         return d1 * d2 * dre * dim
 
@@ -506,14 +505,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray):
     return slope, se_slope, r2, rms
 
 
-def divergence_probe(
-    integrand,
-    measures,
-    eps_sequence,
-    r_max: float = DEFAULT_R_MAX,
-    samples: int = 200_000,
-    rng=0,
-) -> tuple:
+def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: int, rng) -> tuple:
     """Classify I(eps) = integral of |F|^2 d(measure) over radius > eps.
 
     ``integrand`` gives the values of F at a batch of points, optionally

@@ -154,7 +154,11 @@ def classify_orbit(m: SkewHermitian2) -> OrbitLabel | None:
     below ``DEGENERACY_TOL`` relative to |m| or |m|^2.  Raises ``U22Error``
     on a non-finite point.
     """
-    a, b, z, _ = _normalized(m)
+    return _label(*_normalized(m)[:3])
+
+
+def _label(a: float, b: float, z: complex) -> OrbitLabel | None:
+    """``classify_orbit`` on the fields of a normalized point."""
     scale = math.sqrt(a**2 + b**2 + 2.0 * abs(z) ** 2)
     if scale == 0.0:
         return None
@@ -179,11 +183,11 @@ def orbit_coordinates(m: SkewHermitian2) -> TriangularS:
     e2 (b - e1 |r|^2) = e1 e2 det H / r1^2 positive.  Equivariant under the
     group action: the point of s0 m s0* is s0 times the point of m.
     """
-    label = classify_orbit(m)
+    a, b, z, j = _normalized(m)
+    label = _label(a, b, z)
     if label is None:
         raise DegenerateOrbit("point has no open-orbit chart")
     e1, e2 = label.value
-    a, b, z, j = _normalized(m)
     r1 = math.sqrt(e1 * a)
     # H21 = -i (-conj z) in NumPy complex scalars, in the operation order
     # of a factor of the matrix H

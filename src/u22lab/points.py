@@ -8,6 +8,8 @@ from .groups import TriangularS
 
 __all__ = ["reference_points"]
 
+REFERENCE_R_MIN, REFERENCE_R_MAX = 1e-3, 10.0  # the range of the radii
+
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     """Van der Corput radical inverse: the base-``base`` digits of each index
@@ -22,7 +24,7 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def reference_points(n: int = 100, r_min: float = 1e-3, r_max: float = 10.0) -> TriangularS:
+def reference_points(n: int = 100) -> TriangularS:
     """Deterministic low-discrepancy test points with log-spaced radii.
 
     Directions come from the unscrambled Halton sequence in bases 2, 3, 5
@@ -34,7 +36,7 @@ def reference_points(n: int = 100, r_min: float = 1e-3, r_max: float = 10.0) -> 
     """
     from statistics import NormalDist  # deferred: keeps statistics off u22lab's import path
 
-    radii = np.logspace(np.log10(r_min), np.log10(r_max), n)
+    radii = np.logspace(np.log10(REFERENCE_R_MIN), np.log10(REFERENCE_R_MAX), n)
     indices = np.arange(1, n + 1)
     u = np.stack([_radical_inverse(indices, base) for base in (2, 3, 5, 7)], axis=1)
     x = np.vectorize(NormalDist().inv_cdf)(np.clip(u, 1e-12, 1 - 1e-12))

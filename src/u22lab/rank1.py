@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .matrices import U22Error
 
 __all__ = [
-    "LineFunction",
     "left_indicator",
     "gaussian_bump",
     "ConditionReport",
@@ -40,24 +40,12 @@ _CUTOFFS = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
 _CONV_REL = 1e-6
 
 
-class LineFunction:
-    """Complex-valued function on the line with vectorized evaluation."""
-
-    __slots__ = ("_evaluate",)
-
-    def __init__(self, evaluate):
-        self._evaluate = evaluate
-
-    def __call__(self, z) -> np.ndarray:
-        return np.asarray(self._evaluate(np.asarray(z, dtype=float)), dtype=complex)
+def left_indicator(t: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda z: (z < t).astype(complex)
 
 
-def left_indicator(t: float = 0.0) -> LineFunction:
-    return LineFunction(lambda z: (z < t).astype(complex))
-
-
-def gaussian_bump() -> LineFunction:
-    return LineFunction(lambda z: np.exp(-(z**2)).astype(complex))
+def gaussian_bump() -> Callable[[np.ndarray], np.ndarray]:
+    return lambda z: np.exp(-(z**2)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -175,12 +163,13 @@ def _tail_integral(density_u, upper_u: float) -> tuple[str, float, float]:
 
 
 def almost_invariant_check(
-    fn: LineFunction,
+    fn: Callable[[np.ndarray], np.ndarray],
     t: float,
     a: float,
     b: float,
 ) -> AlmostInvariantReport:
-    """Verify the four witness conditions for a candidate function.
+    """Verify the four witness conditions for a candidate function ``fn``,
+    which maps an array of points z to the values f(z).
 
     (i)   f(z) = 0 for z > t (grid check);
     (ii)  the squared-norm integral over (-inf, t] diverges;

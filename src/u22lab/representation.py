@@ -56,7 +56,6 @@ __all__ = [
     "GroupFunction",
     "vacuum",
     "inverse_norm",
-    "translate",
     "apply_T",
     "CocycleVector",
     "coboundary",
@@ -91,11 +90,6 @@ def vacuum() -> GroupFunction:
 def inverse_norm() -> GroupFunction:
     """|s|^-1, the synthetic power-divergence control."""
     return GroupFunction(lambda pts: 1.0 / pts.norm())
-
-
-def translate(fn: GroupFunction, s0: TriangularS) -> GroupFunction:
-    """Right translation (F -> F(. s0)); a batch s0 broadcasts against the points."""
-    return GroupFunction(lambda pts: fn(pts.multiply(s0)))
 
 
 def _moves(s: TriangularS) -> bool:
@@ -235,7 +229,7 @@ class CocycleVector:
             raise ValueError("cannot mix orbit labels in one combination")
         return CocycleVector(self.label, self.terms + other.terms).canonical()
 
-    def canonical(self, tol: float = CANONICAL_TOL) -> "CocycleVector":
+    def canonical(self) -> "CocycleVector":
         """Merge coincident basis labels, drop identities and zero coefficients."""
         kept: list[list] = []
         for c, p in self.terms:
@@ -243,12 +237,12 @@ class CocycleVector:
                 continue
             scale = max(1.0, p.s.norm())
             for entry in kept:
-                if entry[1].distance(p) <= tol * scale:
+                if entry[1].distance(p) <= CANONICAL_TOL * scale:
                     entry[0] += c
                     break
             else:
                 kept.append([complex(c), p])
-        terms = tuple((c, p) for c, p in kept if abs(c) > tol)
+        terms = tuple((c, p) for c, p in kept if abs(c) > CANONICAL_TOL)
         return CocycleVector(self.label, terms)
 
 
@@ -356,9 +350,9 @@ def specialness_report(
     label: OrbitLabel,
     measures: Sequence[MeasureSpec],
     eps_ladder,
-    r_max: float = 30.0,
-    samples: int = 200_000,
-    rng=0,
+    r_max: float,
+    samples: int,
+    rng,
 ) -> tuple:
     """Check that the vacuum escapes the square-integrable space while its
     coboundaries stay inside it.

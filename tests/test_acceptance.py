@@ -200,12 +200,24 @@ def test_c12_derived_length():
 # monomials: C09's values moved in their last bits; C04 and C06 did not.
 MC_REPORT_DIGEST = "5246692a42b6baf4e0fbac2f6ffddd15de0c4ad69c70919812b1a1cf6538d9ad"
 
+# SHA-256 of the records of the nine claims outside the Monte-Carlo layer
+# (runtime_s dropped) at the default config, C10's honest failure included.
+OTHER_CLAIMS = ["C01", "C02", "C03", "C05", "C07", "C08", "C10", "C11", "C12"]
+OTHER_REPORT_DIGEST = "099960a090ec9891043d9e473a98df5fab49f92bb63b362e8b32ef32d2e1d728"
+
+
+def report_digest(config: SuiteConfig, claim_ids) -> str:
+    doc = json.loads(records_to_json(run_claims(config, claim_ids), config))
+    for record in doc["claims"]:
+        del record["runtime_s"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_reports_match_the_pinned_digest(monkeypatch, workers):
     monkeypatch.setattr(measures, "WORKERS", workers)
-    config = SuiteConfig(mc_samples=20_000)
-    doc = json.loads(records_to_json(run_claims(config, ["C04", "C06", "C09"]), config))
-    for record in doc["claims"]:
-        del record["runtime_s"]
-    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == MC_REPORT_DIGEST
+    assert report_digest(SuiteConfig(mc_samples=20_000), ["C04", "C06", "C09"]) == MC_REPORT_DIGEST
+
+
+def test_other_reports_match_the_pinned_digest():
+    assert report_digest(CONFIG, OTHER_CLAIMS) == OTHER_REPORT_DIGEST

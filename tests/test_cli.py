@@ -391,6 +391,8 @@ _NOT_JSON = "not valid UTF-8 JSON"
 _BAD_SEED = "seed must be nonnegative, got -1"
 _BAD_TOL = "tolerance override must be positive and finite"
 _CONFIG = ["verify", "--config", "{file}", "--claims", "C01"]
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past the decoder's recursion limit
+_BAD_LABEL = "bad orbit label string"
 
 # (argv, contents of the file that "{file}" names, start of the message);
 # every row is input the library rejects: exit 2, one error line, no output
@@ -415,6 +417,9 @@ MALFORMED_INPUTS = {
     "gram-seed-negative": (["gram", "--size", "2", "--seed", "-1"], None, _BAD_SEED),
     "unbounded-seed-negative": (["unboundedness-experiment", "--seed", "-1"], None, _BAD_SEED),
     "gram-bad-label": (["gram", "--label", "5"], None, "orbit index must be 1..4, got 5"),
+    "gram-superscript-label": (["gram", "--label", "\u00b2"], None, f"{_BAD_LABEL}: '\u00b2'"),
+    "gram-long-index-label": (["gram", "--label", "9" * 5000], None, _BAD_LABEL),
+    "decompose-deep-json": (["decompose", "--input", "{file}"], _DEEP, _NOT_JSON),
     "verify-tol-nan": (["verify", "--tol", "nan", "--claims", "C01"], None, _BAD_TOL),
     "verify-tol-inf": (["verify", "--tol", "inf", "--claims", "C01"], None, _BAD_TOL),
     "config-r-max-overflow": (_CONFIG, '{"r_max": 1e400}', "r_max must be finite and exceed the ladder"),
@@ -423,6 +428,8 @@ MALFORMED_INPUTS = {
     "config-nan-token": (_CONFIG, '{"tol_override": NaN}', _BAD_TOL),
     "config-huge-integer": (_CONFIG, f'{{"r_max": {_HUGE_INT}}}', "config field 'r_max' has a bad value"),
     "config-invalid-utf8": (_CONFIG, b'{"seed": 1, "\xff": 0}', _NOT_JSON),
+    "config-superscript-label": (_CONFIG, '{"label": "\u00b2"}', f"{_BAD_LABEL}: '\u00b2'"),
+    "config-deep-json": (_CONFIG, _DEEP, _NOT_JSON),
 }
 
 

@@ -33,6 +33,7 @@ from u22lab.measures import (
 from u22lab.representation import (
     CocycleVector,
     GroupFunction,
+    apply_T,
     coboundary,
     default_test_set,
     gram_matrix,
@@ -570,7 +571,7 @@ class TestPointwise:
         # block streams, bit for bit, whichever worker draws them
         n = 4500  # a ragged last block
         box = TestBoxSampler.BOX
-        for sampler in PolarShellSampler(1e-3, 30.0), LogNormalSampler(0.1, 0.2, 1.2, 0.7), BoxSampler(*box):
+        for sampler in PolarShellSampler(1e-3, 30.0), LogNormalSampler(), BoxSampler(*box):
             seen = []
             mc_sum(sampler, n, 3, lambda pts: seen.append(np.stack([pts.r1, pts.r2, pts.r.real, pts.r.imag])) or 0)
             expected = [np.stack([p.r1, p.r2, p.r.real, p.r.imag]) for p in block_draws(sampler, n, 3)]
@@ -659,15 +660,14 @@ class TestBoxTranslation:
         assert claims._box_translation_part(s0, 30_000, np.random.default_rng(8)) == whole
 
     def test_haar_right_invariance(self, rng):
-        from u22lab.representation import translate
-
         bump = GroupFunction(
             lambda pts: np.exp(-np.log(pts.r1) ** 2 - np.log(pts.r2) ** 2 - np.abs(pts.r) ** 2)
         )
-        sampler = LogNormalSampler(tau=1.2, sigma_r=1.2)
-        s0 = TriangularS(1.3, 0.8, 0.2 + 0.1j)
+        sampler = LogNormalSampler()
+        shift = QElement(TriangularS(1.3, 0.8, 0.2 + 0.1j), SkewHermitian2.zero())
         base = integrate_mc(bump, haar_measure(), sampler, 400_000, rng, mode="plain")
-        moved = integrate_mc(translate(bump, s0), haar_measure(), sampler, 400_000, rng, mode="plain")
+        moved = integrate_mc(apply_T(shift, OrbitLabel.PLUS_PLUS, bump), haar_measure(), sampler, 400_000, rng,
+                             mode="plain")
         sigma = math.hypot(base.std_error, moved.std_error)
         assert abs(base.value - moved.value) < 3 * sigma
 

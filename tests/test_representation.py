@@ -99,7 +99,7 @@ class TestApplyT:
             lambda pts: np.exp(-np.log(pts.r1) ** 2 - np.log(pts.r2) ** 2 - np.abs(pts.r) ** 2)
         )
         q = QElement(TriangularS(1.2, 0.9, 0.1 + 0.2j), SkewHermitian2.zero())
-        sampler = LogNormalSampler(tau=1.2, sigma_r=1.2)
+        sampler = LogNormalSampler()
         base = integrate_mc(bump, haar_measure(), sampler, 300_000, rng, mode="square")
         moved = integrate_mc(apply_T(q, LABEL, bump), haar_measure(), sampler, 300_000, rng, mode="square")
         sigma = math.hypot(base.std_error, moved.std_error)
