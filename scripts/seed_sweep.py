@@ -7,8 +7,9 @@ Each (claim, seed) runs through ``run_claims`` at the default config with
 that seed.  One JSON line goes to stdout for every pair that fails: a fail
 verdict, with its measured value and tolerance, or a raised ``U22Error``,
 with its type and message; any other exception is a bug and stops the
-sweep.  Passing pairs print nothing.  Exit status 0 when every pair
-passed, 1 otherwise.
+sweep.  A fail verdict carries the claim's detail too, so the line says
+what the verdict rests on without a rerun.  Passing pairs print nothing.
+Exit status 0 when every pair passed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def sweep(claim_ids, seeds):
                 continue
             if record.verdict != "pass":
                 yield {"claim": cid, "seed": seed, "verdict": record.verdict,
-                       "measured": record.measured, "tolerance": record.tolerance}
+                       "measured": record.measured, "tolerance": record.tolerance, "detail": record.detail}
 
 
 def main(argv=None) -> int:

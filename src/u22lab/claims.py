@@ -53,7 +53,7 @@ from .measures import (
     rn_derivative_right,
     truncated_nu,
 )
-from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
+from .orbits import OrbitLabel, _orbit_chart
 from .points import reference_points
 from .rank1 import almost_invariant_check, gaussian_bump, left_indicator
 from .representation import (
@@ -156,26 +156,27 @@ def _claim_isomorphism(config: SuiteConfig, rng):
 
 
 def _claim_orbit_chart(config: SuiteConfig, rng):
-    worst = 0.0
-    label_flips = 0
+    # one stack: the labels and charts of 10,000 points, their
+    # reconstructions, and ten moved copies of each charted point
     count = 10_000
-    for _ in range(count):
-        m = random_n(rng)
-        label = classify_orbit(m)
-        if label is None:  # zero-measure tail; resample
-            continue
-        s = orbit_coordinates(m)
-        rebuilt = label.representative().conjugate_by(s)
-        worst = max(worst, rebuilt.distance(m) / max(1.0, m.norm()))
-        for _ in range(10):
-            moved = m.conjugate_by(random_s(rng))
-            if classify_orbit(moved) is not label:
-                label_flips += 1
-    measured = worst if label_flips == 0 else 1.0
+    m = random_n(rng, size=count)
+    e1, e2, r1, r2, r = _orbit_chart(m)
+    keep = e1 != 0  # the degenerate points are a zero-measure tail; skipped
+    e1, e2 = e1[keep], e2[keep]
+    m, s = SkewHermitian2(m.a[keep], m.b[keep], m.z[keep]), TriangularS(r1[keep], r2[keep], r[keep])
+    residual = SkewHermitian2(e1, e2, 0.0).conjugate_by(s).distance(m) / np.maximum(1.0, m.norm())
+    condition = s.norm() ** 2 / np.maximum(1.0, m.norm())  # kappa = |s|^2 / max(1, |m|)
+    moved_e1, moved_e2 = _orbit_chart(m.conjugate_by(random_s(rng, size=(10, e1.size))))[:2]
+    label_flips = np.count_nonzero((moved_e1 != e1) | (moved_e2 != e2))
+    worst = np.argmax(residual)
+    measured = residual[worst] if label_flips == 0 else 1.0
     return measured, 1e-10, measured < 1e-10, {
         "points": count,
-        "max_reconstruction_residual": worst,
+        "degenerate_skipped": count - e1.size,
+        "max_reconstruction_residual": residual[worst],
         "label_flips": label_flips,
+        "max_chart_condition": condition.max(),
+        "worst_residual_chart_condition": condition[worst],
     }
 
 

@@ -222,10 +222,12 @@ def s_inverse(r1, r2, r):
 
 def n_conjugate(a, b, z, r1, r2, r):
     """s n s* for n = [[i a, z], [-conj(z), i b]]; the image is again of that
-    form, so it stays exactly skew-Hermitian."""
+    form, so it stays exactly skew-Hermitian.  |r| is hypot on a point and a
+    stack alike, as in the orbit chart; NumPy's complex abs on a stack is not."""
+    modulus = np.hypot(r.real, r.imag)
     return (
         a * r1 * r1,
-        a * abs(r) ** 2 + b * r2 * r2 + 2.0 * r2 * (r * z).imag,
+        a * (modulus * modulus) + b * r2 * r2 + 2.0 * r2 * (r * z).imag,
         r1 * (1j * a * r.conjugate() + r2 * z),
     )
 

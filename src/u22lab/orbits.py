@@ -7,12 +7,13 @@ out by the signs of H11 and det H; their representatives are
 m_k = i diag(e1, e2), and the orbit chart of m is the unique triangular s
 with s m_k s* = m.
 
-The open-orbit decision and the chart exist once, here, as closed forms on
-the fields (a, b, z) of the point: ``classify_orbit`` holds the one
-degeneracy gate, and ``orbit_coordinates`` charts exactly the points it
-labels.  Both work on the point divided by an exact power of 4, so a point
-at any finite scale is classified and charted without overflow or
-underflow, and no result in the normal range changes by a bit.
+The open-orbit decision and the chart exist once, here, as one closed form
+on the fields (a, b, z) of a point or a stack, with one code path for both:
+``classify_orbit`` labels one point, and ``orbit_coordinates`` charts a
+point or a stack, exactly the points that pass the one degeneracy gate.
+Each point is divided by its own exact power of 4, so a point at any finite
+scale is classified and charted without overflow or underflow, and a
+member of a stack gets the same bits as the point alone.
 
 The character phase tr(m_k s n s*) is written once too, as exact
 coefficients (``phase_coefficients``) of five monomials of the chart point
@@ -21,9 +22,7 @@ coefficients (``phase_coefficients``) of five monomials of the chart point
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
 
 import numpy as np
 
@@ -132,18 +131,35 @@ def character_phase(label: OrbitLabel, n: SkewHermitian2, r1, r2, r):
     return np.einsum("...k,k...->...", phase_coefficients(label, n), chart_monomials(r1, r2, r))
 
 
-def _normalized(m: SkewHermitian2) -> tuple[float, float, complex, int]:
-    """The fields of m / 4^j, and j, with 4^j near the largest field.
-
-    Dividing by a power of 4 is exact, and it halves to a power of 2 on
-    the chart: the chart of m is 2^j times the chart of m / 4^j.
+def _orbit_chart(m: SkewHermitian2):
+    """The sign pair and chart fields (e1, e2, r1, r2, r) of a point or a
+    stack, lane by lane; e1 = e2 = 0 marks a degenerate lane, whose chart
+    fields are meaningless.  Only real elementwise operations act on a lane,
+    so it gets the same bits alone and in any stack.  Raises ``U22Error`` on
+    a non-finite entry.
     """
-    a, b, z = m.a, m.b, m.z
-    if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(z)):
+    a, b, x, y = m.a, m.b, m.z.real, m.z.imag
+    largest = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(x), abs(y)))  # NaN propagates
+    if not np.isfinite(largest).all():
         raise U22Error("orbit point has a non-finite entry")
-    j = math.frexp(max(abs(a), abs(b), abs(z.real), abs(z.imag)))[1] // 2
-    return (math.ldexp(a, -2 * j), math.ldexp(b, -2 * j),
-            complex(math.ldexp(z.real, -2 * j), math.ldexp(z.imag, -2 * j)), j)
+    j = np.frexp(largest)[1] // 2  # divide by 4^j, exact: the chart is 2^j times that of m / 4^j
+    a, b, x, y = (np.ldexp(f, -2 * j) for f in (a, b, x, y))
+    modulus = np.hypot(x, y)
+    zz = modulus * modulus
+    scale = np.sqrt(a * a + b * b + 2.0 * zz)
+    det = a * b - zz
+    open_orbit = (scale > 0.0) & (abs(a) >= DEGENERACY_TOL * scale) & (abs(det) >= DEGENERACY_TOL * scale * scale)
+    e1 = np.sign(a) * open_orbit
+    e2 = e1 * np.sign(det)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate lanes divide by r1 = 0
+        r1 = np.sqrt(e1 * a)
+        # r = e1 H21 / r1 with H21 = i conj(z) = y + i x, times 1 / r1 as the
+        # complex division of the matrix factor rounds; + 0.0 makes a zero +0
+        inverse = 1.0 / r1
+        re, im = e1 * y * inverse + 0.0, e1 * x * inverse + 0.0
+        modulus = np.hypot(re, im)
+        r2 = np.sqrt(e2 * (b - e1 * modulus * modulus))
+    return e1, e2, np.ldexp(r1, j), np.ldexp(r2, j), np.ldexp(re, j) + 1j * np.ldexp(im, j)
 
 
 def classify_orbit(m: SkewHermitian2) -> OrbitLabel | None:
@@ -154,28 +170,17 @@ def classify_orbit(m: SkewHermitian2) -> OrbitLabel | None:
     below ``DEGENERACY_TOL`` relative to |m| or |m|^2.  Raises ``U22Error``
     on a non-finite point.
     """
-    return _label(*_normalized(m)[:3])
-
-
-def _label(a: float, b: float, z: complex) -> OrbitLabel | None:
-    """``classify_orbit`` on the fields of a normalized point."""
-    scale = math.sqrt(a**2 + b**2 + 2.0 * abs(z) ** 2)
-    if scale == 0.0:
-        return None
-    det = a * b - abs(z) ** 2
-    if abs(a) < DEGENERACY_TOL * scale or abs(det) < DEGENERACY_TOL * scale * scale:
-        return None
-    e1 = 1 if a > 0 else -1
-    e2 = e1 * (1 if det > 0 else -1)
-    return OrbitLabel((e1, e2))
+    e1, e2 = _orbit_chart(m)[:2]
+    return OrbitLabel((int(e1), int(e2))) if e1 else None
 
 
 def orbit_coordinates(m: SkewHermitian2) -> TriangularS:
-    """The unique chart point s with s m_k s* = m on the orbit of m.
+    """The unique chart point s with s m_k s* = m on the orbit of m; on a
+    stack, the batch of chart points.
 
-    Raises ``DegenerateOrbit`` exactly when ``classify_orbit`` returns None.
-    With H = -i m, s is the Cholesky recurrence with the signs threaded
-    through:
+    Raises ``DegenerateOrbit`` exactly when ``classify_orbit`` returns None,
+    on a stack when any member is degenerate.  With H = -i m, s is the
+    Cholesky recurrence with the signs threaded through:
 
         r1 = sqrt(e1 H11),  r = e1 H21 / r1,  r2 = sqrt(e2 (H22 - e1 |r|^2)),
 
@@ -183,15 +188,7 @@ def orbit_coordinates(m: SkewHermitian2) -> TriangularS:
     e2 (b - e1 |r|^2) = e1 e2 det H / r1^2 positive.  Equivariant under the
     group action: the point of s0 m s0* is s0 times the point of m.
     """
-    a, b, z, j = _normalized(m)
-    label = _label(a, b, z)
-    if label is None:
+    e1, _, r1, r2, r = _orbit_chart(m)
+    if not e1.all():
         raise DegenerateOrbit("point has no open-orbit chart")
-    e1, e2 = label.value
-    r1 = math.sqrt(e1 * a)
-    # H21 = -i (-conj z) in NumPy complex scalars, in the operation order
-    # of a factor of the matrix H
-    r = e1 * (np.complex128(-1j) * -np.conj(z)) / r1
-    r2 = math.sqrt(e2 * (b - e1 * abs(r) ** 2))
-    return TriangularS(math.ldexp(r1, j), math.ldexp(r2, j),
-                       complex(math.ldexp(r.real, j), math.ldexp(r.imag, j)))
+    return TriangularS(r1, r2, r)

@@ -127,11 +127,13 @@ def test_mc_verdicts_hold_across_seeds(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_group_claims_hold_across_seeds(seed):
-    # C01 and C02 run on stacks; their verdicts at unchanged tolerances on
-    # seeds other than the pinned one
-    c01, c02 = run_claims(SuiteConfig(seed=seed), ["C01", "C02"])
+    # C01, C02 and C03 run on stacks; their verdicts at unchanged tolerances
+    # on seeds other than the pinned one
+    c01, c02, c03 = run_claims(SuiteConfig(seed=seed), ["C01", "C02", "C03"])
     assert c01.verdict == "pass" and c01.measured < 1e-9, c01.detail
     assert c02.verdict == "pass" and c02.measured < 1e-10, c02.detail
+    assert c03.verdict == "pass", c03.detail
+    assert c03.detail["label_flips"] == 0 and c03.detail["max_reconstruction_residual"] < 1e-10
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -202,8 +204,13 @@ MC_REPORT_DIGEST = "5246692a42b6baf4e0fbac2f6ffddd15de0c4ad69c70919812b1a1cf6538
 
 # SHA-256 of the records of the nine claims outside the Monte-Carlo layer
 # (runtime_s dropped) at the default config, C10's honest failure included.
+# Re-pinned when C03 came to run as one stacked pass: it draws its 10,000
+# points and their moves as stacks, so its points and measured value moved,
+# and its detail gained the skipped-draw count and the chart condition
+# numbers; n_conjugate's |r|^2 became a sum of real squares.  The other
+# eight records did not change by a byte.
 OTHER_CLAIMS = ["C01", "C02", "C03", "C05", "C07", "C08", "C10", "C11", "C12"]
-OTHER_REPORT_DIGEST = "099960a090ec9891043d9e473a98df5fab49f92bb63b362e8b32ef32d2e1d728"
+OTHER_REPORT_DIGEST = "5d49e02ce68d1a4bfe68a6f43a31d8b1328ea01370b6b0a0bdc112c6404a8e1d"
 
 
 def report_digest(config: SuiteConfig, claim_ids) -> str:

@@ -1,15 +1,17 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from u22lab.groups import QElement, SkewHermitian2, TriangularS, random_n, random_s
-from u22lab.matrices import adjoint, frob
+from u22lab.matrices import U22Error, adjoint, frob
 from u22lab.orbits import (
     DegenerateOrbit,
     OrbitLabel,
+    _orbit_chart,
     character_phase,
     classify_orbit,
     orbit_coordinates,
@@ -210,6 +212,54 @@ class TestExtremeScale:
             orbit_coordinates(m)
 
 
+def _bits(*fields) -> bytes:
+    """The exact bits of float and complex fields, signed zeros included."""
+    return b"".join(np.asarray(f, dtype=complex).tobytes() for f in fields)
+
+
+class TestOnePath:
+    # one stack of mixed points gives, member for member, the label and the
+    # chart bits of the point alone: unit scale, scaled by 4^+-100, far from
+    # unit scale, and the three degenerate kinds (origin, H11 = 0, det = 0)
+    DEGENERATE = [(0.0, 0.0, 0j), (0.0, 1.0, 0j), (1.0, 1.0, 1 + 0j)]
+
+    def points(self, rng):
+        n = random_n(rng, size=40)
+        unit = list(zip(n.a.tolist(), n.b.tolist(), n.z.tolist()))
+        scaled = [(math.ldexp(a, 2 * j), math.ldexp(b, 2 * j), complex(math.ldexp(z.real, 2 * j), math.ldexp(z.imag, 2 * j)))
+                  for j in (-100, 100) for a, b, z in unit[:10]]
+        far = [(1e300, -1e300, 0j), (-1e-300, -1e-300, 0j), (5e-324, 5e-324, 0j)]
+        return unit + scaled + far + self.DEGENERATE
+
+    def test_stack_matches_each_point_alone(self, rng):
+        points = self.points(rng)
+        stack = SkewHermitian2(*(np.array(f) for f in zip(*points)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e1, e2 = _orbit_chart(stack)[:2]
+            labels = [classify_orbit(SkewHermitian2(*p)) for p in points]
+            assert [label and label.value for label in labels] == [
+                (e1[i], e2[i]) if e1[i] else None for i in range(len(points))]
+            assert labels[-3:] == [None] * 3 and None not in labels[:-3]
+            open_points = points[:-3]
+            s = orbit_coordinates(SkewHermitian2(*(np.array(f) for f in zip(*open_points))))
+            for i, p in enumerate(open_points):
+                alone = orbit_coordinates(SkewHermitian2(*p))
+                assert _bits(s.r1[i], s.r2[i], s.r[i]) == _bits(alone.r1, alone.r2, alone.r)
+            with pytest.raises(DegenerateOrbit):
+                orbit_coordinates(stack)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_member_raises(self, rng, bad):
+        points = self.points(rng)
+        points[7] = (points[7][0], points[7][1], complex(bad, 0.0))
+        stack = SkewHermitian2(*(np.array(f) for f in zip(*points)))
+        with pytest.raises(U22Error):
+            _orbit_chart(stack)
+        with pytest.raises(U22Error):
+            orbit_coordinates(stack)
+
+
 def oracle_chart(m: SkewHermitian2):
     """Reference label and chart: the degeneracy gate on the unscaled point,
     then the signed Cholesky factor of the matrix H = -i m."""
@@ -228,24 +278,23 @@ def oracle_chart(m: SkewHermitian2):
 
 class TestOracle:
     def test_matches_matrix_factor(self, rng):
-        # 20,000 points, half moved by a random triangular element
+        # 20,000 points, half moved by a random triangular element, labelled
+        # and charted as one stack against the per-point matrix factor
         count = 10_000
         n = random_n(rng, size=2 * count)
         moved = SkewHermitian2(n.a[:count], n.b[:count], n.z[:count]).conjugate_by(random_s(rng, size=count))
-        fields = [np.concatenate([moved.a, n.a[count:]]), np.concatenate([moved.b, n.b[count:]]),
-                  np.concatenate([moved.z, n.z[count:]])]
+        m = SkewHermitian2(np.concatenate([moved.a, n.a[count:]]), np.concatenate([moved.b, n.b[count:]]),
+                           np.concatenate([moved.z, n.z[count:]]))
+        expected = [oracle_chart(SkewHermitian2(a, b, z)) for a, b, z in zip(m.a.tolist(), m.b.tolist(), m.z.tolist())]
+        e1, e2 = _orbit_chart(m)[:2]
+        assert [(e1[i], e2[i]) if e1[i] else None for i in range(e1.size)] == [
+            label and label.value for label, _ in expected]
+        charted = e1 != 0
+        s = orbit_coordinates(SkewHermitian2(m.a[charted], m.b[charted], m.z[charted])).matrix()
+        reference = np.array([chart for _, chart in expected if chart is not None])
         eps = np.finfo(float).eps
-        charted = 0
-        for a, b, z in zip(*(f.tolist() for f in fields)):
-            m = SkewHermitian2(a, b, z)
-            expected_label, expected = oracle_chart(m)
-            assert classify_orbit(m) is expected_label
-            if expected is None:
-                continue
-            s = orbit_coordinates(m).matrix()
-            assert frob(s - expected) <= 4 * eps * frob(expected)
-            charted += 1
-        assert charted > 0.9 * 2 * count
+        assert np.all(frob(s - reference) <= 4 * eps * frob(reference))
+        assert np.count_nonzero(charted) > 0.9 * 2 * count
 
 
 class TestOrbitLabelType:

@@ -25,6 +25,9 @@ def test_sweep_prints_one_line_per_failing_pair():
     assert [(line["claim"], line["seed"], line["verdict"]) for line in lines] == [
         ("C10", 10, "fail"), ("C10", 11, "fail")]
     assert all(line["measured"] == 2.0 and line["tolerance"] == 0.5 for line in lines)
+    # the claim's detail rides along: what the failing verdict rests on
+    assert all(line["detail"]["union_span_rank"] == 14 and line["detail"]["bracket_closure_dimension"] == 15
+               for line in lines)
 
 
 def test_unknown_claim_id_is_a_usage_error():
