@@ -207,8 +207,8 @@ MC_REPORT_DIGEST = "5246692a42b6baf4e0fbac2f6ffddd15de0c4ad69c70919812b1a1cf6538
 # Re-pinned when C03 came to run as one stacked pass: it draws its 10,000
 # points and their moves as stacks, so its points and measured value moved,
 # and its detail gained the skipped-draw count and the chart condition
-# numbers; n_conjugate's |r|^2 became a sum of real squares.  The other
-# eight records did not change by a byte.
+# numbers.  n_conjugate came to take |r| by np.hypot on a stack too; the
+# other eight records did not change by a byte.
 OTHER_CLAIMS = ["C01", "C02", "C03", "C05", "C07", "C08", "C10", "C11", "C12"]
 OTHER_REPORT_DIGEST = "5d49e02ce68d1a4bfe68a6f43a31d8b1328ea01370b6b0a0bdc112c6404a8e1d"
 
