@@ -32,7 +32,7 @@ from .groups import (
 )
 from .matrices import U22Error, is_json_number, matrix_from_json
 from .measures import PolarShellSampler, divergence_probe, nu_measure
-from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
+from .orbits import OrbitLabel, _orbit_chart
 from .representation import coboundary, gram_matrix, inverse_norm, vacuum
 
 __all__ = ["main", "build_parser"]
@@ -97,15 +97,6 @@ def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
     sub.add_argument("--out", help="output path (default: stdout)")
 
 
-def _parse_label(text: str) -> OrbitLabel:
-    """An index 1..4 in ASCII digits, else a sign pair such as "+-".
-    (``int`` raises ``ValueError`` on "²", which ``str.isdigit`` accepts,
-    and on over 4300 digits.)"""
-    if text.isascii() and text.isdigit() and len(text) < 10:
-        return OrbitLabel.from_index(int(text))
-    return OrbitLabel.from_string(text)
-
-
 def _read_json(path: str):
     try:
         if path == "-":  # bytes, so no locale's error handler lets invalid UTF-8 through
@@ -158,7 +149,7 @@ def _read_config(path: str) -> dict:
         if not _CONFIG_CHECKS[name](value):
             raise U22Error(f"config field {name!r} has a bad value: {value!r}")
     if "label" in doc:
-        doc["label"] = _parse_label(doc["label"])
+        doc["label"] = OrbitLabel.parse(doc["label"])
     if "eps_ladder" in doc:
         doc["eps_ladder"] = tuple(float(e) for e in doc["eps_ladder"])
     return doc
@@ -170,7 +161,7 @@ def _suite_config(args) -> SuiteConfig:
     for the rest."""
     fields = _read_config(args.config) if args.config else {}
     flags = {"seed": args.seed, "mc_samples": args.samples, "tol_override": args.tol,
-             "label": None if args.label is None else _parse_label(args.label)}
+             "label": None if args.label is None else OrbitLabel.parse(args.label)}
     fields.update((name, value) for name, value in flags.items() if value is not None)
     return SuiteConfig(**fields)
 
@@ -240,11 +231,11 @@ def _parse_skew(doc) -> SkewHermitian2:
 
 def _cmd_orbit(args) -> int:
     m = _parse_skew(_read_json(args.input))
-    label = classify_orbit(m)
-    if label is None:
+    e1, e2, r1, r2, r = _orbit_chart(m)  # the label and the chart from one pass
+    if not e1:
         _emit_json({"label": "degenerate"}, args.out)
         return 0
-    s = orbit_coordinates(m)
+    label, s = OrbitLabel((int(e1), int(e2))), TriangularS(r1, r2, r)
     _emit_json(
         {
             "label": str(label),

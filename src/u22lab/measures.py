@@ -551,13 +551,13 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
 
     sums = mc_sum(sampler, samples, rng, partial)
     # rung k (cutoff eps[k]) sums shells shells-1-k .. shells-1
-    rungs = np.cumsum(sums[..., ::-1], axis=-1)[..., :-1] / samples
-    return tuple(tuple(_classify(eps, *rung, samples) for rung in row) for row in rungs)
+    rungs = np.cumsum(sums[..., ::-1], axis=-1)[..., :-1]
+    values, stderrs = mc_estimate(rungs[..., 0, :], rungs[..., 1, :], samples)
+    return tuple(tuple(_classify(eps, v, se) for v, se in zip(*row)) for row in zip(values, stderrs))
 
 
-def _classify(eps: np.ndarray, values: np.ndarray, mean_sq: np.ndarray, n: int) -> DivergenceVerdict:
-    """Verdict from the rung means of |F|^2 and of its square over n samples."""
-    stderrs = np.sqrt(np.maximum(mean_sq - values**2, 0.0) / n)
+def _classify(eps: np.ndarray, values: np.ndarray, stderrs: np.ndarray) -> DivergenceVerdict:
+    """Verdict from the rung means of |F|^2 and their standard errors."""
     estimates = tuple((float(v), float(se)) for v, se in zip(values, stderrs))
 
     x = np.log(1.0 / eps)

@@ -75,18 +75,18 @@ class OrbitLabel(enum.Enum):
         return "".join("+" if e > 0 else "-" for e in self.value)
 
     @classmethod
-    def from_string(cls, text: str) -> "OrbitLabel":
-        """Inverse of ``str``: "++", "+-", "-+" or "--"."""
+    def parse(cls, text: str) -> "OrbitLabel":
+        """The label written as ``str`` writes it ("++", "+-", "-+" or "--"),
+        or as its ``index`` 1..4 in at most 9 ASCII digits.  (``str.isdigit``
+        accepts "²", which ``int`` refuses, as it refuses over 4300 digits.)"""
+        if text.isascii() and text.isdigit() and len(text) < 10:
+            k = int(text)
+            if not 1 <= k <= 4:
+                raise U22Error(f"orbit index must be 1..4, got {k}")
+            return list(cls)[k - 1]
         if len(text) != 2 or any(c not in "+-" for c in text):
             raise U22Error(f"bad orbit label string: {text!r}")
         return cls(tuple(1 if c == "+" else -1 for c in text))
-
-    @classmethod
-    def from_index(cls, k: int) -> "OrbitLabel":
-        labels = list(cls)
-        if not 1 <= k <= 4:
-            raise U22Error(f"orbit index must be 1..4, got {k}")
-        return labels[k - 1]
 
 
 def chart_monomials(r1, r2, r) -> np.ndarray:

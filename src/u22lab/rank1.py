@@ -162,6 +162,15 @@ def _tail_integral(density_u, upper_u: float) -> tuple[str, float, float]:
     return "inconclusive", total, abserr
 
 
+def _ladder_condition(name: str, density_u, upper_u: float, expected: str) -> ConditionReport:
+    """The condition that the integral of ``density_u`` over (0, upper_u]
+    gets the ladder verdict ``expected``: it holds on that verdict, is
+    inconclusive (None) on an inconclusive one, and fails otherwise."""
+    verdict, value, abserr = _tail_integral(density_u, upper_u)
+    holds = True if verdict == expected else (None if verdict == "inconclusive" else False)
+    return ConditionReport(name, holds, value, f"value {value:.9g} ({verdict})", abserr)
+
+
 def almost_invariant_check(
     fn: Callable[[np.ndarray], np.ndarray],
     t: float,
@@ -196,43 +205,20 @@ def almost_invariant_check(
 
     # (ii) squared norm diverges
     upper_u = math.exp(t)
-    verdict, total, err2 = _tail_integral(lambda u: np.abs(f_of_u(u)) ** 2 / u, upper_u)
-    not_l2 = ConditionReport(
-        "not-square-integrable",
-        True if verdict == "divergent" else (False if verdict == "convergent" else None),
-        total,
-        f"cutoff ladder verdict: {verdict}",
-        err2,
-    )
+    not_l2 = _ladder_condition("not-square-integrable", lambda u: np.abs(f_of_u(u)) ** 2 / u, upper_u, "divergent")
 
     # (iii) character difference in L2:
     # |1 - exp(i b u)|^2 = 4 sin^2(b u / 2), integrand ~ b^2 u |f|^2 near 0
     def char_density(u):
         return 4.0 * np.sin(b * u / 2.0) ** 2 * np.abs(f_of_u(u)) ** 2 / u
 
-    verdict3, value3, err3 = _tail_integral(char_density, upper_u)
-    char_diff = ConditionReport(
-        "character-difference",
-        True if verdict3 == "convergent" else (False if verdict3 == "divergent" else None),
-        value3,
-        f"value {value3:.9g} ({verdict3})",
-        err3,
-    )
+    char_diff = _ladder_condition("character-difference", char_density, upper_u, "convergent")
 
     # (iv) shift difference in L2; support of the difference reaches t + |a|
-    upper4 = math.exp(t + abs(a))
-
     def shift_density(u):
         z = np.log(u)
         return np.abs(fn(z) - fn(z + a)) ** 2 / u
 
-    verdict4, value4, err4 = _tail_integral(shift_density, upper4)
-    shift_diff = ConditionReport(
-        "shift-difference",
-        True if verdict4 == "convergent" else (False if verdict4 == "divergent" else None),
-        value4,
-        f"value {value4:.9g} ({verdict4})",
-        err4,
-    )
+    shift_diff = _ladder_condition("shift-difference", shift_density, math.exp(t + abs(a)), "convergent")
 
     return AlmostInvariantReport(support, not_l2, char_diff, shift_diff)

@@ -5,12 +5,16 @@ full scale (one million Monte-Carlo samples per integral) and prints a
 pass/fail line.  Runtime ceilings are asserted where a criterion pins one.
 """
 
+import ast
+import dataclasses
 import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
-from u22lab import measures
+from u22lab import claims, measures
 from u22lab.claims import SuiteConfig, records_to_json, run_claims
 
 CONFIG = SuiteConfig()
@@ -228,3 +232,38 @@ def test_mc_reports_match_the_pinned_digest(monkeypatch, workers):
 
 def test_other_reports_match_the_pinned_digest():
     assert report_digest(CONFIG, OTHER_CLAIMS) == OTHER_REPORT_DIGEST
+
+
+# The battery's contract: one tolerance per claim, pinned in the registry.
+PINNED_TOLERANCES = {
+    "C01": 1e-9, "C02": 1e-10, "C03": 1e-10, "C04": 1.0, "C05": 1e-11, "C06": 0.5,
+    "C07": 1e-10, "C08": 1.0, "C09": 1.0, "C10": 0.5, "C11": 1e-6, "C12": 1e-9,
+}
+
+
+def test_the_registry_pins_every_tolerance():
+    assert {cid: spec.tolerance for cid, spec in claims._REGISTRY.items()} == PINNED_TOLERANCES
+
+
+def test_claims_return_only_their_measured_value_and_detail():
+    # no claim returns a tolerance or a pass flag: run_claims alone judges
+    tree = ast.parse(Path(claims.__file__).read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_claim_")]
+    assert len(functions) == len(PINNED_TOLERANCES)
+    for fn in functions:
+        returns = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert returns and all(isinstance(v, ast.Tuple) and len(v.elts) == 2 for v in returns), fn.name
+
+
+@pytest.mark.parametrize("override", [None, 10.0])
+def test_a_value_at_its_tolerance_fails(monkeypatch, override):
+    # the one rule, measured < tolerance, on every entry of the table: a loose
+    # override does not pass a value at its tolerance, and one ulp below passes
+    def verdicts(value_of):
+        for cid, spec in claims._REGISTRY.items():
+            measure = lambda config, rng, value=value_of(spec.tolerance): (value, {})  # noqa: E731
+            monkeypatch.setitem(claims._REGISTRY, cid, dataclasses.replace(spec, fn=measure))
+        return {r.verdict for r in run_claims(SuiteConfig(tol_override=override))}
+
+    assert verdicts(lambda tolerance: tolerance) == {"fail"}
+    assert verdicts(lambda tolerance: math.nextafter(tolerance, 0.0)) == {"pass"}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import u22lab
-from u22lab import claims, cli, groups, measures
+from u22lab import claims, cli, groups, measures, orbits
 from u22lab.cli import main
 from u22lab.groups import InvariantViolation, random_k
 from u22lab.measures import NonFinite
@@ -286,11 +286,13 @@ class TestVerify:
         assert claim["verdict"] == "fail" and claim["tolerance"] == 5.0
 
     def test_loose_override_keeps_own_conditions(self, monkeypatch):
-        # a claim whose own condition fails with a small measured value
-        failing = claims._ClaimSpec("fails on its own terms", lambda config, rng: (0.5, 1.0, False, {}))
+        # a claim's own condition fails as a measured 1.0 (C11's witness, C12's
+        # double commutator), which the registry's tolerance fails however
+        # loose the override
+        failing = claims._ClaimSpec("fails on its own terms", 1e-9, lambda config, rng: (1.0, {}))
         monkeypatch.setitem(claims._REGISTRY, "C01", failing)
         (record,) = claims.run_claims(claims.SuiteConfig(tol_override=10.0), ["C01"])
-        assert record.verdict == "fail" and record.tolerance == 10.0
+        assert record.verdict == "fail" and record.tolerance == 10.0 and record.measured == 1.0
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -464,6 +466,25 @@ def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch, error):
     monkeypatch.setattr(cli, "_cmd_orbit", broken)
     with pytest.raises(error, match="a bug"):
         run_cli(["orbit", "--input", "-"])
+
+
+def test_orbit_charts_its_point_once(tmp_path, monkeypatch):
+    calls = []
+    original = orbits._orbit_chart
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(orbits, "_orbit_chart", counted)
+    monkeypatch.setattr(cli, "_orbit_chart", counted, raising=False)  # the name cli calls, if it imports it
+    points = {"++": {"a": 4.0, "b": 2.0, "z": [0.5, -1.0]}, "degenerate": {"a": 1.0, "b": 1.0, "z": [1.0, 0.0]}}
+    for label, point in points.items():
+        calls.clear()
+        src, out = tmp_path / "m.json", tmp_path / "out.json"
+        src.write_text(json.dumps(point))
+        assert run_cli(["orbit", "--input", str(src), "--out", str(out)]) == 0
+        assert read_json(out)["label"] == label and len(calls) == 1
 
 
 def test_decompose_tests_membership_once(tmp_path, monkeypatch):

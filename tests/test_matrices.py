@@ -135,12 +135,12 @@ class TestHermitianSignature:
             OrbitLabel((0, 1))
         for text in ("+0", "+", "+-+", "", "--\n"):
             with pytest.raises(ValueError):
-                OrbitLabel.from_string(text)
+                OrbitLabel.parse(text)
 
     def test_string_roundtrip(self):
         assert [str(label) for label in OrbitLabel] == ["++", "+-", "-+", "--"]
         for label in OrbitLabel:
-            assert OrbitLabel.from_string(str(label)) is label
+            assert OrbitLabel.parse(str(label)) is label
 
 
 class TestMatrixBasics:

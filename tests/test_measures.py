@@ -473,7 +473,7 @@ class TestSharedStream:
                 masked = np.where(pts.norm() >= cut, contrib, 0.0)
                 mean = masked.sum() / n
                 assert value == pytest.approx(mean, rel=1e-12, abs=0.0)
-                expected_se = math.sqrt(max((masked**2).sum() / n - mean**2, 0.0) / n)
+                expected_se = math.sqrt(max((masked**2).sum() - masked.sum() ** 2 / n, 0.0) / (n - 1) / n)
                 assert stderr == pytest.approx(expected_se, rel=1e-12, abs=0.0)
 
     def test_joint_probe_equals_separate_probes_on_one_seed(self):

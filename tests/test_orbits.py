@@ -304,12 +304,12 @@ class TestOrbitLabelType:
 
     def test_index_roundtrip(self):
         for label in OrbitLabel:
-            assert OrbitLabel.from_index(label.index) is label
+            assert OrbitLabel.parse(str(label.index)) is label
 
     def test_string_roundtrip(self):
         for label in OrbitLabel:
-            assert OrbitLabel.from_string(str(label)) is label
+            assert OrbitLabel.parse(str(label)) is label
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            OrbitLabel.from_index(5)
+            OrbitLabel.parse("5")
