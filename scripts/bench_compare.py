@@ -30,7 +30,7 @@ def _values(runs: list, metric: str) -> list[float]:
 
 
 def compare(ledger: list, benchmark: dict) -> list[dict]:
-    """One row per workload and end-to-end metric present in the ledger."""
+    """One row per end-to-end metric of each workload the ledger has runs of on both sides."""
     rows = []
     for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {label: [e for e in ledger if e["workload"] == workload and e["label"] == label]
@@ -39,8 +39,6 @@ def compare(ledger: list, benchmark: dict) -> list[dict]:
             continue
         for spec in benchmark["end_to_end"]:
             name, lower = spec["name"], spec["better"] == "lower"
-            if name not in runs["parent"][0]["result"]["metrics"]:
-                continue
             parent, change = _values(runs["parent"], name), _values(runs["change"], name)
             pairs = list(zip(parent, change))
             p_med, c_med = statistics.median(parent), statistics.median(change)
