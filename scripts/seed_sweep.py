@@ -9,7 +9,9 @@ verdict, with its measured value and tolerance, or a raised ``U22Error``,
 with its type and message; any other exception is a bug and stops the
 sweep.  A fail verdict carries the claim's detail too, so the line says
 what the verdict rests on without a rerun.  Passing pairs print nothing.
-Exit status 0 when every pair passed, 1 otherwise.
+At the end, one line per claim goes to stderr: the seeds run, the failing
+pairs and their rate, as ``C04: 1000 seeds, 7 failed (0.70 %)``.  Exit
+status 0 when every pair passed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ def main(argv=None) -> int:
                         help="claim ids, e.g. C07 C08")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-200 or 10,11,104")
     args = parser.parse_args(argv)
-    failed = False
+    failures = dict.fromkeys(args.claims, 0)
     for line in sweep(args.claims, args.seeds):
         print(json.dumps(line), flush=True)
-        failed = True
-    return 1 if failed else 0
+        failures[line["claim"]] += 1
+    for cid, count in failures.items():
+        print(f"{cid}: {len(args.seeds)} seeds, {count} failed ({100 * count / len(args.seeds):.2f} %)", file=sys.stderr)
+    return 1 if any(failures.values()) else 0
 
 
 if __name__ == "__main__":

@@ -47,11 +47,13 @@ from .groups import (
 )
 from .matrices import E4, U22Error, adjoint, blocks, frob
 from .measures import (
+    REPLICATES,
     BoxSampler,
     LogNormalSampler,
     PolarShellSampler,
     haar_measure,
     integrate_mc,
+    mc_estimate,
     mc_sum,
     modulus_pi,
     nu_derivative_band,
@@ -83,7 +85,7 @@ class SuiteConfig:
     """Knobs for the verification battery."""
 
     seed: int = 20240801
-    mc_samples: int = 1_000_000
+    mc_samples: int = 262_144  # REPLICATES replicates of 2^14 points, one block each
     sample_points: int = 100
     eps_ladder: tuple = DEFAULT_EPS_LADDER
     r_max: float = 30.0
@@ -195,7 +197,7 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     # The unit box in chart coordinates, pushed through s -> s s0: sample a
     # bounding box of its image, pull the points back by s0^-1 and count
     # those that land in the unit box, block by block in the one Monte-Carlo
-    # pass: an exact integer count.
+    # pass: exact integer counts, whose replicate spread gives sigma.
     unit = BoxSampler(1.0, 2.0, 1.0, 2.0, -0.5, 0.5, -0.5, 0.5)
     corners = [(c, t) for c in (unit.re_lo, unit.re_hi) for t in (unit.r2_lo, unit.r2_hi)]
     re_parts = [c * s0.r1 + s0.r.real * t for c, t in corners]
@@ -207,12 +209,11 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     )
     inverse = s0.inverse()
     inside = mc_sum(box, n, rng, lambda view: np.count_nonzero(unit.contains(view.multiply(inverse))))
-    p_hat = inside / n
-    mass = box.volume * p_hat
-    sigma = box.volume * math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
+    fraction, spread = mc_estimate(inside, n)
+    mass, sigma = box.volume * fraction, box.volume * spread
     expected = modulus_pi(s0) * unit.volume
     return {"mass": mass, "expected": expected, "sigma": sigma,
-            "deviation_sigmas": abs(mass - expected) / sigma}
+            "deviation_sigmas": abs(mass - expected) / sigma, "replicates": REPLICATES, "sample_count": n}
 
 
 def _claim_measure_laws(config: SuiteConfig, rng):
@@ -251,6 +252,10 @@ def _claim_measure_laws(config: SuiteConfig, rng):
         "tolerance": 3.0,
         "base": est_base.real,
         "moved": est_moved.real,
+        "base_stderr": est_base.std_error,
+        "moved_stderr": est_moved.std_error,
+        "replicates": REPLICATES,
+        "sample_count": config.mc_samples,
     }
 
     # (d) derivative of the almost-invariant measure inside its analytic band
@@ -318,6 +323,8 @@ def _claim_specialness(config: SuiteConfig, rng):
             for desc, v in report.element_verdicts
         ],
         "control_verdict": control.verdict,
+        "replicates": REPLICATES,
+        "sample_count": config.mc_samples,
     }
     return (0.0 if ok else 1.0), detail
 
@@ -404,6 +411,8 @@ def _claim_gram(config: SuiteConfig, rng):
         "projected_stderr": proj.std_error,
         "entry_stderr_frobenius": float(np.linalg.norm(stderr)),
         "hermiticity_residual": float(np.linalg.norm(gram - gram.conj().T)),
+        "replicates": REPLICATES,
+        "sample_count": config.mc_samples,
     }
 
 

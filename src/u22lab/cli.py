@@ -90,7 +90,9 @@ def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
     # holds; only verify offers --config and --tol
     sub.set_defaults(config=None, tol=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples per integral")
+    sub.add_argument("--samples", type=int, default=None,
+                     help="Monte-Carlo samples per integral, in 16 replicates of shifted Halton points "
+                          "(default 262144, at least 1000)")
     sub.add_argument("--label", default=None, help="orbit label: ++, +-, -+, -- or 1..4")
     if with_format:
         sub.add_argument("--format", choices=("json", "csv"), default="json")

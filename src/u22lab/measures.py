@@ -6,34 +6,48 @@ Jacobian pi(s0) = r1(s0)^3 r2(s0), so the right Haar measure is
 pi(s)^-1 ds.  The working almost-invariant measure is |s|^-4 ds, which in
 polar coordinates s = r w (|w| = 1) reads r^-1 dr dw.
 
-Monte-Carlo integrals are importance sampled: a sampler provides points and
-its own density relative to ds, and the estimate of  integral F d(measure)
-over the sampler's support is the sample mean of F * density_ratio.  Points
-are ``TriangularS`` batches, and every density, sampler and chart function
-here takes one element or a batch.  All three engines (``integrate_mc``,
-``divergence_probe`` and ``representation.gram_matrix``) and C04's
-translated-box count run one Monte-Carlo pass, ``mc_sum``, which rejects
-fewer than 1000 samples.
+Monte-Carlo integrals are importance sampled: a sampler maps a (4, n) array
+of uniforms to n points and gives its own density relative to ds, and the
+estimate of  integral F d(measure)  over the sampler's support is the mean
+of F * density_ratio over the points.  Points are ``TriangularS`` batches,
+and every density, sampler and chart function here takes one element or a
+batch.  All three engines (``integrate_mc``, ``divergence_probe`` and
+``representation.gram_matrix``) and C04's translated-box count run one
+Monte-Carlo pass, ``mc_sum``, which rejects fewer than 1000 samples.
 
-The unit of a pass is the ``BLOCK``-point block, and each block is one
-task of ``run_blocks``, spread over one worker per usable core
-(``WORKERS``, the calling thread being one of them; the pool is made on
-first use).  A task draws its block from a generator of its own,
+The pass is randomized quasi-Monte Carlo: its n points form ``REPLICATES``
+replicates of sizes that differ by at most one, and each replicate is the
+prefix of the Halton sequence in bases 2, 3, 5 and 7 (Halton, 1960) of its
+size, split into blocks of at most ``BLOCK`` points.  Block b of the pass
+takes one uniform shift in [0, 1)^4 from its own generator,
 ``SeedSequence(entropy, spawn_key=(b,))``, with the entropy drawn once per
-pass from the caller's rng and b the block's index in the pass.  It
-computes densities, weights and integrands on its points and reduces them
-to one partial row (a sum, a ``bincount`` or a small matmul), and the
-caller adds the rows in block order.  Apart from the point arrays the
-caller allocates once per pass, no array of more than one block is made.
-So every estimate and report depends only on the seed and ``BLOCK``: it is
-bit-identical at any worker count, and at any ``BATCH_SIZE`` that is a
-multiple of ``BLOCK``.
+pass from the caller's rng, and its uniforms are its Halton points plus
+that shift, mod 1 (Cranley & Patterson, "Randomization of number theoretic
+methods for multiple integration", 1976).  So every point is uniform and
+the replicates are independent: ``mc_estimate`` takes the mean over all n
+points, and its standard error from the spread of the replicate means
+(L'Ecuyer & Lemieux, "Recent advances in randomized quasi-Monte Carlo
+methods", 2002), which follows Student's t with ``REPLICATES`` - 1 degrees
+of freedom.  No sum of squares is formed, so a constant offset in the
+integrand leaves the error as it is.
+
+Each block is one task of ``run_blocks``, spread over one worker per usable
+core (``WORKERS``, the calling thread being one of them; the pool is made
+on first use).  A task computes densities, weights and integrands on its
+points and reduces them to one partial row of first moments (a sum, a
+``bincount`` or a small matmul), and the caller adds the rows of each
+replicate in block order.  Apart from the point arrays the caller allocates
+once per pass and the Halton table, made once per size on first use, no
+array of more than one block is made.  So every estimate and report depends
+only on the seed and ``BLOCK``: it is bit-identical at any worker count,
+and at any ``BATCH_SIZE`` that is a multiple of ``BLOCK``.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -43,6 +57,7 @@ import numpy as np
 
 from .groups import TriangularS, as_generator
 from .matrices import U22Error
+from .points import _radical_inverse
 
 __all__ = [
     "NonFinite",
@@ -63,6 +78,7 @@ __all__ = [
     "mc_estimate",
     "BATCH_SIZE",
     "BLOCK",
+    "REPLICATES",
     "half_angle_cis",
     "run_blocks",
     "mc_sum",
@@ -85,13 +101,17 @@ LOGNORMAL_TAU = 1.2  # LogNormalSampler: deviation of log r1 and log r2
 LOGNORMAL_SIGMA_R = 1.2  # and of Re r and Im r
 FD_STEP = 1e-6  # central-difference step of right_translation_jacobian_fd
 
-# Points per run_blocks call of a Monte-Carlo pass, and the length of the
-# caller's point arrays; a multiple of BLOCK.
+# Points per run_blocks call of a Monte-Carlo pass at most, and the length
+# of the caller's point arrays; a multiple of BLOCK.
 BATCH_SIZE = 1 << 18
-# Points per block: each block is one task, drawn from its own stream and
-# reduced to one row, and the rows are added in block order, so BLOCK is
-# part of the estimator.
+# Points per block at most: each block is one task, shifted by its own
+# stream and reduced to one row, and the rows are added in block order, so
+# BLOCK is part of the estimator.
 BLOCK = 1 << 14
+# Independent replicates of every Monte-Carlo pass: its standard error has
+# REPLICATES - 1 degrees of freedom, and P(|t| > 3) is 0.90 % at 16.
+REPLICATES = 16
+HALTON_BASES = (2, 3, 5, 7)
 # run_blocks threads, the caller included; no result depends on it
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -207,15 +227,15 @@ def half_angle_cis(t) -> np.ndarray:
 class PolarShellSampler:
     """Log-uniform radius on [r_min, r_max], uniform direction on the patch.
 
-    The direction x = (x1 + i x2, x3 + i x4) is drawn in Hopf coordinates
-    from three uniforms: |x1 + i x2|^2 = u1, arg(x1 + i x2) = (pi/2) u2 and
+    The radius is r_min (r_max/r_min)^u0, and the direction
+    x = (x1 + i x2, x3 + i x4) comes in Hopf coordinates from three
+    uniforms: |x1 + i x2|^2 = u1, arg(x1 + i x2) = (pi/2) u2 and
     arg(x3 + i x4) = 2 pi (u3 - 1/2), which is uniform on the unit sphere
     restricted to the patch x1, x2 > 0 (Marsaglia, "Choosing a point from
     the surface of a sphere", 1972).  Each cos/sin pair comes from a
-    half-angle tangent.  u1, u2 and u3 lie on the grid (k + 1/2) 2^-52,
-    inside the open interval (0, 1), so r1 > 0 and r2 > 0 hold exactly.  The
-    Lebesgue density is |s|^-4 / (log(r_max/r_min) * patch_mass) inside the
-    annulus.
+    half-angle tangent.  The uniforms lie in the open interval (0, 1), so
+    r1 > 0 and r2 > 0 hold exactly.  The Lebesgue density is
+    |s|^-4 / (log(r_max/r_min) * patch_mass) inside the annulus.
     """
 
     r_min: float = DEFAULT_R_MIN
@@ -229,13 +249,8 @@ class PolarShellSampler:
     def log_ratio(self) -> float:
         return math.log(self.r_max / self.r_min)
 
-    def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
-        u = rng.random((4, n))
-        direction = u[1:]  # onto the open grid (k + 1/2) 2^-52
-        direction *= 2.0**52
-        np.floor(direction, out=direction)
-        direction += 0.5
-        direction *= 2.0**-52
+    def sample(self, n: int, u: np.ndarray) -> TriangularS:
+        """The n points of the uniforms u, a (4, n) array in (0, 1)."""
         radii = self.r_min * np.exp(self.log_ratio * u[0])
         first = radii * np.sqrt(u[1])  # |x1 + i x2|, scaled to the radius
         turn = half_angle_cis(np.tan(math.pi / 4 * u[2]))
@@ -251,14 +266,23 @@ class PolarShellSampler:
 
 class LogNormalSampler:
     """Independent lognormal diagonal coordinates and Gaussian off-diagonal,
-    all centred; the spreads are ``LOGNORMAL_TAU`` and ``LOGNORMAL_SIGMA_R``."""
+    all centred; the spreads are ``LOGNORMAL_TAU`` and ``LOGNORMAL_SIGMA_R``.
 
-    def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
-        z = rng.standard_normal((4, n))
+    The four normals come from the uniform pairs (u0, u1) and (u2, u3) by
+    the Box-Muller transform: a pair of normals is sqrt(-2 log u) times the
+    cos/sin pair of the angle 2 pi (u' - 1/2), taken from a half-angle
+    tangent (Box & Muller, "A note on the generation of random normal
+    deviates", 1958).
+    """
+
+    def sample(self, n: int, u: np.ndarray) -> TriangularS:
+        """The n points of the uniforms u, a (4, n) array in (0, 1)."""
+        diagonal = np.sqrt(-2.0 * np.log(u[0])) * half_angle_cis(np.tan(math.pi * (u[1] - 0.5)))
+        off_diagonal = np.sqrt(-2.0 * np.log(u[2])) * half_angle_cis(np.tan(math.pi * (u[3] - 0.5)))
         return TriangularS(
-            np.exp(LOGNORMAL_TAU * z[0]),
-            np.exp(LOGNORMAL_TAU * z[1]),
-            LOGNORMAL_SIGMA_R * z[2] + 1j * (LOGNORMAL_SIGMA_R * z[3]),
+            np.exp(LOGNORMAL_TAU * diagonal.real),
+            np.exp(LOGNORMAL_TAU * diagonal.imag),
+            LOGNORMAL_SIGMA_R * off_diagonal,
         )
 
     def density(self, pts: TriangularS) -> np.ndarray:
@@ -298,12 +322,13 @@ class BoxSampler:
             * (self.im_hi - self.im_lo)
         )
 
-    def sample(self, n: int, rng: np.random.Generator) -> TriangularS:
-        """One (n, 4) block of uniforms, lo + (hi - lo) u per coordinate."""
-        lo = np.array([self.r1_lo, self.r2_lo, self.re_lo, self.im_lo])
-        hi = np.array([self.r1_hi, self.r2_hi, self.re_hi, self.im_hi])
-        v = lo + (hi - lo) * rng.random((n, 4))
-        return TriangularS(v[:, 0], v[:, 1], v[:, 2] + 1j * v[:, 3])
+    def sample(self, n: int, u: np.ndarray) -> TriangularS:
+        """The n points lo + (hi - lo) u, per coordinate, of the uniforms u,
+        a (4, n) array in (0, 1)."""
+        lo = np.array([[self.r1_lo], [self.r2_lo], [self.re_lo], [self.im_lo]])
+        hi = np.array([[self.r1_hi], [self.r2_hi], [self.re_hi], [self.im_hi]])
+        v = lo + (hi - lo) * u
+        return TriangularS(v[0], v[1], v[2] + 1j * v[3])
 
     def contains(self, pts: TriangularS) -> np.ndarray:
         """Membership of each point in the closed box."""
@@ -343,11 +368,24 @@ class IntegralEstimate:
         return float(np.real(self.value))
 
 
-def mc_estimate(total, total_sq, count: int):
-    """(mean, standard error of the mean) of ``count`` samples from their sum
-    and their sum of |x|^2; elementwise on arrays of sums."""
-    var = np.maximum(total_sq - np.abs(total) ** 2 / count, 0.0) / max(count - 1, 1)
-    return total / count, np.sqrt(var / count)
+def _replicate_sizes(n: int) -> np.ndarray:
+    """The sizes of the replicates of an n-point pass: n // REPLICATES, one
+    more for the first n % REPLICATES."""
+    return n // REPLICATES + (np.arange(REPLICATES) < n % REPLICATES)
+
+
+def mc_estimate(sums, n: int):
+    """(mean, standard error of the mean) of an n-point pass from the sums of
+    its replicates, ``mc_sum``'s result: one row per replicate on the leading
+    axis, elementwise on the others.
+
+    The mean is over all n points, and the error is the spread of the
+    replicate means over sqrt(REPLICATES).
+    """
+    sums = np.asarray(sums)
+    means = sums / _replicate_sizes(n).reshape((-1,) + (1,) * (sums.ndim - 1))
+    spread = np.sum(np.abs(means - means.mean(axis=0)) ** 2, axis=0) / (REPLICATES - 1)
+    return sums.sum(axis=0) / n, np.sqrt(spread / REPLICATES)
 
 
 @functools.cache
@@ -360,9 +398,8 @@ def _executor():
     return ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="u22lab-blocks")
 
 
-def run_blocks(n: int, task: Callable[[int, int], object]) -> list:
-    """``[task(lo, hi), ...]`` over the ``BLOCK``-point blocks that cover
-    ``range(n)``, in order; only the last may be shorter.
+def run_blocks(count: int, task: Callable[[int], object]) -> list:
+    """``[task(0), ..., task(count - 1)]``, one task per block.
 
     The tasks are split into one contiguous run per worker, up to
     ``WORKERS``; the caller takes the first run and pool threads the others,
@@ -373,15 +410,14 @@ def run_blocks(n: int, task: Callable[[int, int], object]) -> list:
     is small: an array a pool thread allocated and the caller frees stays
     in that thread's heap and raises the process's resident size.
     """
-    spans = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
-    results = [None] * len(spans)
+    results = [None] * count
 
     def run(first: int, last: int):
         for i in range(first, last):
-            results[i] = task(*spans[i])
+            results[i] = task(i)
 
-    workers = max(1, min(WORKERS, len(spans)))
-    bounds = [len(spans) * w // workers for w in range(workers + 1)]
+    workers = max(1, min(WORKERS, count))
+    bounds = [count * w // workers for w in range(workers + 1)]
     futures = [_executor().submit(contextvars.copy_context().run, run, bounds[w], bounds[w + 1])
                for w in range(1, workers)]
     try:
@@ -394,42 +430,73 @@ def run_blocks(n: int, task: Callable[[int, int], object]) -> list:
     return results
 
 
-def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]):
-    """The Monte-Carlo pass: ``n`` points drawn by ``sampler``, one
-    ``BLOCK``-point block per ``run_blocks`` task, and the sum of
-    ``partial(points)`` over the blocks, added in block order.
+@functools.cache
+def _halton(size: int) -> np.ndarray:
+    """The Halton points of indices 0 .. size - 1 in ``HALTON_BASES`` as a
+    read-only (4, size) array, made once per size on first use."""
+    table = np.stack([_radical_inverse(np.arange(size), base) for base in HALTON_BASES])
+    table.setflags(write=False)
+    return table
+
+
+def _shifted(halton: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """frac(halton + shift), per row, on the open grid (k + 1/2) 2^-52, so
+    that no sampler meets 0 or 1."""
+    u = halton + shift[:, None]
+    u *= 2.0**52
+    np.floor(u, out=u)
+    np.fmod(u, 2.0**52, out=u)
+    u += 0.5
+    u *= 2.0**-52
+    return u
+
+
+def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np.ndarray:
+    """The Monte-Carlo pass: ``n`` points from ``sampler``, in ``REPLICATES``
+    replicates of shifted Halton points, and per replicate the sum of
+    ``partial(points)`` over its blocks, added in block order: one row per
+    replicate, for ``mc_estimate``.
 
     The entropy of the pass is drawn once from ``rng``, and block b, counted
-    from the start of the pass, draws its points inside its task from its
-    own generator, ``SeedSequence(entropy, spawn_key=(b,))``: independent
+    from the start of the pass, draws its shift inside its task from its own
+    generator, ``SeedSequence(entropy, spawn_key=(b,))``: independent
     streams keyed by block, as in Salmon et al., "Parallel random numbers:
-    as easy as 1, 2, 3" (SC 2011).  The task copies them into its slice of
-    point arrays that the caller allocates once per pass and reuses for each
-    batch of at most ``BATCH_SIZE`` points.  Those multi-MB arrays keep
-    glibc's dynamic mmap threshold above the tasks' temporaries, which are
-    then reused from the heap: without them, C06 and C09 took over 25 times
-    the page faults.  The one sample-count guard of every Monte-Carlo pass:
-    fewer than 1000 points is a ``U22Error``, raised before anything is
-    drawn.
+    as easy as 1, 2, 3" (SC 2011).  The task copies its points into its
+    slice of point arrays that the caller allocates once per pass and reuses
+    for each batch of at most ``BATCH_SIZE`` points.  Those multi-MB arrays
+    keep glibc's dynamic mmap threshold above the tasks' temporaries, which
+    are then reused from the heap: without them, C06 and C09 took over 25
+    times the page faults.  The one sample-count guard of every Monte-Carlo
+    pass: fewer than 1000 points is a ``U22Error``, raised before anything
+    is drawn.
     """
     if n < 1000:
         raise U22Error(f"need at least 1000 samples, got {n}")
     entropy = as_generator(rng).integers(1 << 32, size=4).tolist()
+    sizes = _replicate_sizes(n).tolist()
+    # the blocks of the pass in order: (replicate, Halton indices lo .. hi - 1)
+    blocks = [(j, lo, min(lo + BLOCK, size)) for j, size in enumerate(sizes) for lo in range(0, size, BLOCK)]
+    halton = _halton(max(BLOCK, 1 << (sizes[0] - 1).bit_length()))
     longest = min(BATCH_SIZE, n)
     r1, r2, r = np.empty(longest), np.empty(longest), np.empty(longest, complex)
-    total, first = 0, 0
-    for start in range(0, n, BATCH_SIZE):
-        size = min(BATCH_SIZE, n - start)
+    rows = []
+    for first in range(0, len(blocks), BATCH_SIZE // BLOCK):
+        batch = blocks[first : first + BATCH_SIZE // BLOCK]
+        offsets = list(itertools.accumulate((hi - lo for _, lo, hi in batch), initial=0))
 
-        def task(lo: int, hi: int, first: int = first):
-            stream = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(first + lo // BLOCK,)))
-            drawn = sampler.sample(hi - lo, stream)
-            r1[lo:hi], r2[lo:hi], r[lo:hi] = drawn.r1, drawn.r2, drawn.r
-            return partial(TriangularS(r1[lo:hi], r2[lo:hi], r[lo:hi]))
+        def task(i: int, first: int = first, batch: list = batch, offsets: list = offsets):
+            _, lo, hi = batch[i]
+            shift = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(first + i,))).random(4)
+            drawn = sampler.sample(hi - lo, _shifted(halton[:, lo:hi], shift))
+            at = slice(offsets[i], offsets[i + 1])
+            r1[at], r2[at], r[at] = drawn.r1, drawn.r2, drawn.r
+            return partial(TriangularS(r1[at], r2[at], r[at]))
 
-        total = sum(run_blocks(size, task), total)
-        first += -(-size // BLOCK)
-    return total
+        rows += run_blocks(len(batch), task)
+    sums = [0] * REPLICATES
+    for (j, _, _), row in zip(blocks, rows):
+        sums[j] = sums[j] + row
+    return np.array(sums)
 
 
 def require_finite(contrib: np.ndarray) -> np.ndarray:
@@ -451,7 +518,7 @@ def integrate_mc(
 
     ``mode="square"`` estimates the squared-modulus integral of the
     integrand; ``mode="plain"`` integrates the (possibly complex) values.
-    Each block of points gives its sum and sum of |x|^2.
+    Each block of points gives its sum.
     """
     if mode not in ("square", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -460,11 +527,10 @@ def integrate_mc(
         values = integrand(view)
         if mode == "square":
             values = np.abs(values) ** 2
-        contrib = require_finite(values * (measure.density(view) / sampler.density(view)))
-        return np.array([contrib.sum(), (np.abs(contrib) ** 2).sum()])
+        return require_finite(values * (measure.density(view) / sampler.density(view))).sum()
 
-    sums = mc_sum(sampler, n, rng, partial)
-    mean, std_error = mc_estimate(complex(sums[0]), sums[1].real, n)
+    mean, std_error = mc_estimate(mc_sum(sampler, n, rng, partial), n)
+    mean = complex(mean)
     return IntegralEstimate(mean.real if mean.imag == 0.0 else mean, float(std_error), n)
 
 
@@ -516,7 +582,8 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
 
     One nested sample on [min(eps), r_max] serves every ladder rung, so the
     increments between rungs are exact nonnegative shell sums (shells by
-    ``searchsorted``, summed per block by ``bincount``).  The rules:
+    ``searchsorted``, summed per block by ``bincount``), and each rung's
+    standard error comes from its replicate sums.  The rules:
 
     * the relative tail increment below ``CONVERGED_REL_TAIL`` -> convergent;
     * else a linear fit of I against log(1/eps) with slope above
@@ -540,19 +607,17 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
         weights = [m.density(view) / density for m in measures]
         shell = np.searchsorted(ascending, view.norm(), side="right")
         values = np.reshape(integrand(view), (-1, view.size))
-        out = np.empty((len(values), len(measures), 2, shells))
+        out = np.empty((len(values), len(measures), shells))
         for i, row in enumerate(values):
             squared = np.abs(row) ** 2
             for j, w in enumerate(weights):
-                contrib = require_finite(squared * w)
-                out[i, j, 0] = np.bincount(shell, contrib, shells)
-                out[i, j, 1] = np.bincount(shell, contrib**2, shells)
+                out[i, j] = np.bincount(shell, require_finite(squared * w), shells)
         return out
 
     sums = mc_sum(sampler, samples, rng, partial)
     # rung k (cutoff eps[k]) sums shells shells-1-k .. shells-1
     rungs = np.cumsum(sums[..., ::-1], axis=-1)[..., :-1]
-    values, stderrs = mc_estimate(rungs[..., 0, :], rungs[..., 1, :], samples)
+    values, stderrs = mc_estimate(rungs, samples)
     return tuple(tuple(_classify(eps, v, se) for v, se in zip(*row)) for row in zip(values, stderrs))
 
 

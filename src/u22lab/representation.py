@@ -269,8 +269,8 @@ def gram_matrix(
     exactly positive semidefinite.  Requires pairwise-distinct, nonidentity
     basis labels.  One ``CocycleVector.rows`` call gives a block's k rows
     b_i, and each block of points gives the k x k sums of w b_i conj(b_j)
-    and of their squared moduli w^2 |b_i|^2 |b_j|^2 as two small matmuls;
-    the entries below the diagonal are the conjugates of those above.
+    as one small matmul; the entries below the diagonal are the conjugates
+    of those above, and each entry's error comes from its replicate sums.
     """
     k = len(p_list)
     if k == 0:
@@ -288,13 +288,10 @@ def gram_matrix(
         values = require_finite(vector.rows(view))
         weighted = values.conj()
         weighted *= weights
-        squares = values.real**2 + values.imag**2
-        squares *= weights
-        return np.array([values @ weighted.T, squares @ squares.T])
+        return values @ weighted.T
 
-    sums = mc_sum(sampler, n, rng, partial)
     upper = np.triu(np.ones((k, k), bool))
-    gram, stderr = mc_estimate(sums[0], sums[1].real, n)
+    gram, stderr = mc_estimate(mc_sum(sampler, n, rng, partial), n)
     gram = np.where(upper, gram, gram.T.conj())
     stderr = np.where(upper, stderr, stderr.T)
     return gram, stderr

@@ -1,8 +1,8 @@
 """Acceptance battery: one test per criterion, each at its pinned tolerance.
 
 Every test runs the corresponding claim from the verification battery at
-full scale (one million Monte-Carlo samples per integral) and prints a
-pass/fail line.  Runtime ceilings are asserted where a criterion pins one.
+full scale (the default 262,144 Monte-Carlo samples per integral: 16
+replicates of 2^14 shifted Halton points) and prints a pass/fail line.  Runtime ceilings are asserted where a criterion pins one.
 """
 
 import ast
@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 import pytest
+from scipy.special import exp1
 
 from u22lab import claims, measures
 from u22lab.claims import SuiteConfig, records_to_json, run_claims
@@ -111,6 +112,24 @@ def test_factorization_claims_hold_on_formerly_failing_seeds(claim_id, seed):
     assert record.verdict == "pass", (record.measured, record.detail)
 
 
+def test_c06_vacuum_rungs_match_the_closed_form(monkeypatch):
+    # each rung of the vacuum's squared norm under |s|^-4 ds against
+    # (pi^2 / 2)(E1(eps) - E1(r_max)), within 4 of its replicate errors
+    reports, original = [], claims.specialness_report
+
+    def recording(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(claims, "specialness_report", recording)
+    run_claims(CONFIG, ["C06"])
+    vacuum = reports[0][0].vacuum_verdict
+    assert len(vacuum.estimates) == len(CONFIG.eps_ladder)
+    for eps, (value, stderr) in zip(vacuum.eps_ladder, vacuum.estimates):
+        exact = math.pi**2 / 2 * (exp1(eps) - exp1(CONFIG.r_max))
+        assert abs(value - exact) < 4 * stderr, (eps, value, exact, stderr)
+
+
 def test_c09_gram_independence():
     record = run_claim("C09")
     assert record.verdict == "pass", record.detail
@@ -196,18 +215,27 @@ def test_c12_derived_length():
 
 
 # SHA-256 of the C04, C06 and C09 records (runtime_s dropped) at 20_000
-# samples: two blocks per pass, so at two workers each worker draws and
-# reduces one.  Re-pinned when each block came to draw its points from a
+# samples: 16 replicates of 1250 points, one block each, so at two workers
+# each worker draws and reduces eight.  Re-pinned when each block came to draw its points from a
 # stream of its own, with Hopf-coordinate directions in the polar sampler
 # and the half-angle multiplier in apply_T: every Monte-Carlo value moved,
 # with every verdict and tolerance unchanged on the pinned seed and on
 # seeds 1-3, and the same digest at one and two workers.  Re-pinned when
 # the coboundary rows came to be evaluated in closed form from five chart
 # monomials: C09's values moved in their last bits; C04 and C06 did not.
-MC_REPORT_DIGEST = "5246692a42b6baf4e0fbac2f6ffddd15de0c4ad69c70919812b1a1cf6538d9ad"
+# Re-pinned when the pass became randomized quasi-Monte Carlo (shifted
+# Halton replicates, Box-Muller normals in the lognormal sampler, errors
+# from the replicate spread): every Monte-Carlo value and error moved, and
+# the details gained the replicate and sample counts and C04's Haar errors,
+# with every verdict unchanged on the pinned seed and on seeds 1-3, and the
+# same digest at one, two and three workers.
+MC_REPORT_DIGEST = "d64fd1613c3c1229a5fbd84f07d05694071b2aab3e62328c94faf35ce0d14599"
 
 # SHA-256 of the records of the nine claims outside the Monte-Carlo layer
-# (runtime_s dropped) at the default config, C10's honest failure included.
+# (runtime_s dropped) at the default config, C10's honest failure included,
+# with mc_samples at 10^6, its default when the digest was pinned: these
+# claims draw no Monte-Carlo sample, and the count shows only in the
+# report's config.
 # Re-pinned when C03 came to run as one stacked pass: it draws its 10,000
 # points and their moves as stacks, so its points and measured value moved,
 # and its detail gained the skipped-draw count and the chart condition
@@ -231,7 +259,7 @@ def test_mc_reports_match_the_pinned_digest(monkeypatch, workers):
 
 
 def test_other_reports_match_the_pinned_digest():
-    assert report_digest(CONFIG, OTHER_CLAIMS) == OTHER_REPORT_DIGEST
+    assert report_digest(dataclasses.replace(CONFIG, mc_samples=1_000_000), OTHER_CLAIMS) == OTHER_REPORT_DIGEST
 
 
 # The battery's contract: one tolerance per claim, pinned in the registry.

@@ -342,6 +342,7 @@ class TestVerify:
 
     def test_bad_samples_value(self):
         assert run_cli(["verify", "--samples", "10", "--claims", "C01"]) == 2
+        assert run_cli(["verify", "--samples", "999", "--claims", "C04"]) == 2
 
     @pytest.mark.parametrize(
         "text, message",

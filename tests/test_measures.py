@@ -53,14 +53,30 @@ def stacked(functions):
     return GroupFunction(lambda pts: np.array([fn(pts) for fn in functions]))
 
 
+# A block size under which a replicate of an 85_000-point pass spans three
+# blocks, two whole and a ragged one
+SMALL_BLOCK = 2048
 # (WORKERS, BATCH_SIZE) cases against one pass on the calling thread
 BATCHINGS = [(workers, batch) for workers in (1, 2, 3)
-             for batch in (measures.BLOCK, 3 * measures.BLOCK, measures.BATCH_SIZE)]
+             for batch in (SMALL_BLOCK, 3 * SMALL_BLOCK, measures.BATCH_SIZE)]
+
+
+def uniforms(n, rng):
+    """(4, n) pseudo-random uniforms on the pass's open grid (k + 1/2) 2^-52."""
+    return (np.floor(np.random.default_rng(rng).random((4, n)) * 2.0**52) + 0.5) * 2.0**-52
+
+
+def radical_inverse(indices, base):
+    """The base-``base`` digits of each index mirrored about the radix point."""
+    out, q, weight = np.zeros(indices.shape), indices.copy(), 1.0 / base
+    while q.any():
+        out += (q % base) * weight
+        q, weight = q // base, weight / base
+    return out
 
 
 def engine_results():
-    """One result of each engine and C04's box count on 85_000 samples:
-    five whole blocks and a ragged one."""
+    """One result of each engine and C04's box count on 85_000 samples."""
     from u22lab.claims import _box_translation_part
 
     sampler = PolarShellSampler(1e-3, 30.0)
@@ -76,16 +92,26 @@ def engine_results():
     )
 
 
+def replicate_sizes(n):
+    return [n // measures.REPLICATES + (j < n % measures.REPLICATES) for j in range(measures.REPLICATES)]
+
+
 def block_draws(sampler, n, seed):
-    """The points of a Monte-Carlo pass over n points, block by block: block
-    b drawn by the sampler from SeedSequence(entropy, spawn_key=(b,)), with
+    """The points of a Monte-Carlo pass over n points, block by block:
+    replicate j is the Halton prefix of its size in bases 2, 3, 5 and 7,
+    split into BLOCK-point blocks, and block b of the pass is shifted mod 1
+    by one uniform point from SeedSequence(entropy, spawn_key=(b,)), with
     the entropy drawn once from the seed's generator."""
     entropy = np.random.default_rng(seed).integers(1 << 32, size=4).tolist()
-    return [
-        sampler.sample(min(measures.BLOCK, n - lo),
-                       np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(lo // measures.BLOCK,))))
-        for lo in range(0, n, measures.BLOCK)
-    ]
+    blocks = []
+    for size in replicate_sizes(n):
+        for lo in range(0, size, measures.BLOCK):
+            indices = np.arange(lo, min(lo + measures.BLOCK, size))
+            halton = np.stack([radical_inverse(indices, base) for base in (2, 3, 5, 7)])
+            shift = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(len(blocks),))).random(4)
+            u = (np.floor((halton + shift[:, None]) * 2.0**52) % 2.0**52 + 0.5) * 2.0**-52
+            blocks.append(sampler.sample(indices.size, u))
+    return blocks
 
 
 def joined(blocks):
@@ -105,8 +131,8 @@ class HalfNormalSampler:
 
     scale: float
 
-    def sample(self, n, rng):
-        z = self.scale * rng.standard_normal((4, n))
+    def sample(self, n, u):
+        z = self.scale * ndtri(u)
         return TriangularS(np.abs(z[0]), np.abs(z[1]), z[2] + 1j * z[3])
 
     def density(self, pts):
@@ -114,13 +140,15 @@ class HalfNormalSampler:
 
 
 def pointwise(fns, pts):
-    """``[fn(pts) for fn in fns]``, evaluated task by task by the block runner."""
+    """``[fn(pts) for fn in fns]``, evaluated BLOCK-point block by block by
+    the block runner."""
+    spans = [(lo, min(lo + measures.BLOCK, pts.size)) for lo in range(0, pts.size, measures.BLOCK)]
 
-    def task(lo, hi):
-        view = TriangularS(pts.r1[lo:hi], pts.r2[lo:hi], pts.r[lo:hi])
+    def task(i):
+        view = TriangularS(*(field[slice(*spans[i])] for field in (pts.r1, pts.r2, pts.r)))
         return [fn(view) for fn in fns]
 
-    return [np.concatenate(column) for column in zip(*measures.run_blocks(pts.size, task))]
+    return [np.concatenate(column) for column in zip(*measures.run_blocks(len(spans), task))]
 
 
 def in_pool(fn):
@@ -237,7 +265,7 @@ class TestPolar:
             assert abs(omega.norm() - 1.0) < 1e-14
             assert TriangularS(r * omega.r1, r * omega.r2, r * omega.r).distance(s) <= 1e-14 * max(1.0, s.norm())
         # a shell sample is a radius in [r_min, r_max] times a unit direction
-        r, omega = polar(PolarShellSampler(0.5, 8.0).sample(1000, rng))
+        r, omega = polar(PolarShellSampler(0.5, 8.0).sample(1000, uniforms(1000, rng)))
         assert np.all((r >= 0.5 * (1 - 1e-14)) & (r <= 8.0 * (1 + 1e-14)))
         assert np.max(np.abs(omega.norm() - 1.0)) < 1e-14
 
@@ -251,7 +279,7 @@ class TestPolar:
         # uniform on the patch x1, x2 > 0 of the unit 3-sphere: |x1 + i x2|^2
         # is uniform and the argument of x1 + i x2 is uniform on (0, pi/2)
         n = 1 << 18
-        r, omega = polar(PolarShellSampler(0.5, 8.0).sample(n, np.random.default_rng(12)))
+        r, omega = polar(PolarShellSampler(0.5, 8.0).sample(n, uniforms(n, 12)))
         x = np.stack([omega.r1, omega.r2, omega.r.real, omega.r.imag])
         expected = {"x1": (x[0], 4 / (3 * math.pi)), "x2": (x[1], 4 / (3 * math.pi)),
                     "x1 x2": (x[0] * x[1], 1 / (2 * math.pi)), "x3": (x[2], 0.0), "x4": (x[3], 0.0)}
@@ -260,16 +288,16 @@ class TestPolar:
             assert abs(values.mean() - mean) < 5 * values.std() / math.sqrt(n), name
 
     def test_points_lie_in_the_shell_with_a_positive_diagonal(self):
-        # drawn points, and the corners of the uniforms' range: the direction
-        # uniforms lie on the open grid (k + 1/2) 2^-52, so r1 > 0 and r2 > 0
-        # hold exactly even where Generator.random gives 0 or 1 - 2^-53
-        class Corners:
-            def random(self, shape):
-                bits = (np.arange(16)[None, :] >> np.arange(4)[:, None]) & 1
-                return np.where(bits == 1, 1.0 - 2.0**-53, 0.0)
-
+        # the points of a pass, and those of the corners of its uniforms'
+        # range: the pass puts a Halton point plus its shift, mod 1, on the
+        # open grid (k + 1/2) 2^-52, so r1 > 0 and r2 > 0 hold exactly even
+        # where the sum is 0 or 1 or just below 2
+        lo, hi = 2.0**-53, 1.0 - 2.0**-53
+        ends = measures._shifted(np.array([[0.0], [0.5], [0.25], [hi]]), np.array([0.0, 0.5, 0.75, hi]))
+        assert ends.ravel().tolist() == [lo, lo, lo, hi]
+        bits = (np.arange(16)[None, :] >> np.arange(4)[:, None]) & 1
         sampler = PolarShellSampler(1e-4, 30.0)
-        drawn, corners = sampler.sample(1 << 18, np.random.default_rng(13)), sampler.sample(16, Corners())
+        drawn, corners = joined(block_draws(sampler, 1 << 18, 13)), sampler.sample(16, np.where(bits == 1, hi, lo))
         for pts in drawn, corners:
             assert np.all(pts.r1 > 0.0) and np.all(pts.r2 > 0.0)
         assert np.all((drawn.norm() >= 1e-4) & (drawn.norm() <= 30.0))
@@ -349,19 +377,44 @@ class TestIntegration:
             combined = math.hypot(polar.std_error, cart.std_error)
             assert abs(polar.value - cart.value) < 4 * max(combined, 1e-12)
 
-    def test_stderr_scales_like_clt(self):
+    def test_stderr_falls_at_least_as_fast_as_clt(self):
+        # four times the points cut a pseudo-random error by 2; a randomly
+        # shifted Halton set cuts that of this radial integrand by about 4
         fn = GroupFunction(lambda pts: np.exp(-pts.norm()))
         sampler = PolarShellSampler(1e-3, 20.0)
         small = integrate_mc(fn, nu_measure(), sampler, 50_000, np.random.default_rng(1))
         large = integrate_mc(fn, nu_measure(), sampler, 200_000, np.random.default_rng(2))
-        ratio = small.std_error / large.std_error
-        assert 2.0 * 0.8 < ratio < 2.0 * 1.2
+        assert small.std_error / large.std_error > 2.0 * 1.2
+
+    @pytest.mark.parametrize("offset, rel", [(1e6, 1e-6), (1e8, 1e-3)])
+    def test_a_constant_offset_leaves_the_error_unchanged(self, offset, rel):
+        # the error is the spread of the replicate means, with no sum of
+        # squares to cancel; at 1e8 a unit in the last place of a replicate
+        # mean (about 7e8 here) is 1e-7, about 1 % of their spread
+        sampler = PolarShellSampler(0.5, 2.0)
+        plain = integrate_mc(GroupFunction(lambda pts: np.exp(-pts.norm())), nu_measure(), sampler, 262_144, 1,
+                             mode="plain")
+        moved = integrate_mc(GroupFunction(lambda pts: offset + np.exp(-pts.norm())), nu_measure(), sampler,
+                             262_144, 1, mode="plain")
+        assert moved.std_error == pytest.approx(plain.std_error, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1000, 20_000, 262_144, 262_149, 1_000_000])
+    def test_every_sample_count_is_a_pass_of_n_points(self, n):
+        # 16 replicates whose sizes differ by at most one, equal at a
+        # multiple of 16, and a finite error on every count
+        sizes = mc_sum(PolarShellSampler(), n, 1, lambda view: view.size)
+        assert sizes.sum() == n and sizes.max() - sizes.min() == (n % measures.REPLICATES != 0)
+        estimate = integrate_mc(vacuum(), nu_measure(), PolarShellSampler(), n, 1)
+        assert estimate.sample_count == n and 0.0 < estimate.std_error < math.inf
 
     def test_results_do_not_depend_on_workers_or_batch_size(self, monkeypatch):
-        # block b of a pass draws from its own stream and the block rows are
-        # added in block order: every engine and the box count give the same
-        # bits at any worker count and any batch size that is a multiple of
-        # BLOCK (85_000 points: 6 batches of one block, 2 of three, or one)
+        # block b of a pass takes its shift from its own stream and the
+        # block rows of a replicate are added in block order: every engine
+        # and the box count give the same bits at any worker count and any
+        # batch size that is a multiple of BLOCK (85_000 points in replicates
+        # of 5312 or 5313, three blocks each: 48 batches of one block, 16 of
+        # three, or one)
+        monkeypatch.setattr(measures, "BLOCK", SMALL_BLOCK)
         monkeypatch.setattr(measures, "WORKERS", 1)
         reference = engine_results()
         for workers, batch in BATCHINGS:
@@ -400,18 +453,18 @@ class TestBoxSampler:
     BOX = (1.4, 2.8, 0.7, 1.4, -1.0, 0.5, -0.5, 0.8)
 
     def test_draws_one_block(self):
-        # lo + (hi - lo) u on one (n, 4) block of uniforms: the stream C04's
-        # box part drew by hand before it used the sampler, bit for bit
+        # lo + (hi - lo) u per coordinate on one (4, n) block of uniforms,
+        # bit for bit
         lo, hi = np.array(self.BOX[0::2]), np.array(self.BOX[1::2])
-        pts = BoxSampler(*self.BOX).sample(1000, np.random.default_rng(4))
-        u = np.random.default_rng(4).uniform(size=(1000, 4))
-        expected = [lo[j] + (hi[j] - lo[j]) * u[:, j] for j in range(4)]
+        u = uniforms(1000, 4)
+        pts = BoxSampler(*self.BOX).sample(1000, u)
+        expected = [lo[j] + (hi[j] - lo[j]) * u[j] for j in range(4)]
         assert np.array_equal(pts.r1, expected[0]) and np.array_equal(pts.r2, expected[1])
         assert np.array_equal(pts.r, expected[2] + 1j * expected[3])
 
     def test_membership_and_density(self, rng):
         box = BoxSampler(*self.BOX)
-        inside = box.sample(1000, rng)
+        inside = box.sample(1000, uniforms(1000, rng))
         assert box.contains(inside).all()
         outside = TriangularS(inside.r1 + 2.0, inside.r2, inside.r)
         assert not box.contains(outside).any()
@@ -471,10 +524,14 @@ class TestSharedStream:
             contrib = squared * measure.density(pts) / sampler.density(pts)
             for cut, (value, stderr) in zip(eps, verdict.estimates):
                 masked = np.where(pts.norm() >= cut, contrib, 0.0)
-                mean = masked.sum() / n
-                assert value == pytest.approx(mean, rel=1e-12, abs=0.0)
-                expected_se = math.sqrt(max((masked**2).sum() - masked.sum() ** 2 / n, 0.0) / (n - 1) / n)
-                assert stderr == pytest.approx(expected_se, rel=1e-12, abs=0.0)
+                assert value == pytest.approx(masked.sum() / n, rel=1e-12, abs=0.0)
+                # the spread of the replicate means, each of the pass's points
+                # in its replicate; a sum in another order moves a mean by
+                # about 1e-16 of itself, which the spread, near 1e-5 of it,
+                # magnifies
+                means = [part.mean() for part in np.split(masked, np.cumsum(replicate_sizes(n))[:-1])]
+                expected_se = np.std(means, ddof=1) / math.sqrt(len(means))
+                assert stderr == pytest.approx(expected_se, rel=1e-8, abs=0.0)
 
     def test_joint_probe_equals_separate_probes_on_one_seed(self):
         # common random numbers: each (integrand, measure) verdict of a joint
@@ -503,7 +560,7 @@ class TestSharedStream:
         assert {v.classification for row in rows for v in row} == {"convergent"}
 
     def test_batch_norms_are_computed_once(self):
-        pts = PolarShellSampler().sample(1000, np.random.default_rng(0))
+        pts = PolarShellSampler().sample(1000, uniforms(1000, 0))
         assert pts.norm() is pts.norm()
 
 
@@ -514,7 +571,7 @@ class TestPointwise:
         monkeypatch.setattr(measures, "BLOCK", 1000)
 
     def test_values_are_those_of_one_call(self, rng):
-        pts = PolarShellSampler().sample(4500, rng)
+        pts = PolarShellSampler().sample(4500, uniforms(4500, rng))
         fns = [vacuum(), nu_measure().density, lambda view: view.r1 > 1.0]
         expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
         for got, want in zip(pointwise(fns, pts), expected):
@@ -532,7 +589,7 @@ class TestPointwise:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pts = sampler.sample(20_000, rng)
+            pts = sampler.sample(20_000, uniforms(20_000, rng))
             fns = [vacuum(), nu_measure().density]
             expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
             for _ in range(5):
@@ -544,7 +601,7 @@ class TestPointwise:
             measures._executor.cache_clear()
 
     def test_workers_see_the_callers_errstate(self, rng):
-        pts = PolarShellSampler().sample(4000, rng)
+        pts = PolarShellSampler().sample(4000, uniforms(4000, rng))
         log_zero = in_pool(lambda view: np.log(np.zeros(view.size)))
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             pointwise([log_zero], pts)
@@ -556,7 +613,7 @@ class TestPointwise:
 
         sampler = PolarShellSampler()
         with pytest.raises(error, match="raised in a worker"):
-            pointwise([in_pool(fail)], sampler.sample(4000, rng))
+            pointwise([in_pool(fail)], sampler.sample(4000, uniforms(4000, rng)))
         with pytest.raises(error, match="raised in a worker"):
             integrate_mc(GroupFunction(in_pool(fail)), nu_measure(), sampler, 4000, rng)
         with pytest.raises(error, match="raised in a worker"):
@@ -567,9 +624,9 @@ class TestPointwise:
             gram_matrix([p], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, 4000, rng)
 
     def test_each_block_draws_from_its_own_stream(self):
-        # the pass evaluates exactly the blocks the sampler draws from the
-        # block streams, bit for bit, whichever worker draws them
-        n = 4500  # a ragged last block
+        # the pass evaluates exactly the blocks the sampler maps from the
+        # shifted Halton points, bit for bit, whichever worker draws them
+        n = 40_000  # replicates of 2500 points: two whole blocks and a ragged one
         box = TestBoxSampler.BOX
         for sampler in PolarShellSampler(1e-3, 30.0), LogNormalSampler(), BoxSampler(*box):
             seen = []
@@ -581,13 +638,13 @@ class TestPointwise:
         threads = []
         sample = PolarShellSampler.sample
 
-        def recording(self, n, rng):
+        def recording(self, n, u):
             threads.append(threading.get_ident())
-            return sample(self, n, rng)
+            return sample(self, n, u)
 
         monkeypatch.setattr(PolarShellSampler, "sample", recording)
         integrate_mc(ONE, nu_measure(), PolarShellSampler(), 4000, 1)
-        assert len(threads) == 4 and len(set(threads)) == 2 and threading.get_ident() in threads
+        assert len(threads) == measures.REPLICATES and len(set(threads)) == 2 and threading.get_ident() in threads
 
 
 def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
@@ -650,6 +707,16 @@ class TestBoxTranslation:
         part = _box_translation_part(s0, 400_000, rng)
         assert part["deviation_sigmas"] < 3.0
 
+    def test_box_sigma_is_calibrated_over_seeds(self):
+        # the box gate is Student's t with 15 degrees of freedom: 0.90 % of
+        # seeds lie beyond 3 sigmas, 0.54 of 60
+        from u22lab.claims import _box_translation_part
+
+        s0 = TriangularS(1.4, 0.7, 0.3 + 0.2j)
+        parts = [_box_translation_part(s0, 16 * measures.BLOCK, np.random.default_rng(seed)) for seed in range(60)]
+        assert all(part["expected"] == modulus_pi(s0) for part in parts)
+        assert sum(abs(part["mass"] - part["expected"]) > 3 * part["sigma"] for part in parts) <= 3
+
     def test_box_part_does_not_depend_on_the_batch_size(self, monkeypatch):
         # the same block streams and an exact count: bit for bit
         from u22lab import claims
@@ -673,27 +740,29 @@ class TestBoxTranslation:
 
 
 class TestAccumulatorMerge:
-    def test_partial_triples_merge_to_the_full_estimate(self, rng):
-        # the estimator state is a (sum, sum of squares, count) triple, so
-        # partial sums added up give the one-pass estimate
+    def test_replicate_sums_give_the_mean_and_its_spread(self, rng):
+        # the estimator state is one sum per replicate, so block rows added
+        # per replicate give the mean over all points and the spread of the
+        # replicate means over sqrt(16)
         from u22lab.measures import mc_estimate
 
-        values = rng.standard_normal(9_000) + 1j * rng.standard_normal(9_000)
-        whole = mc_estimate(np.sum(values), np.sum(np.abs(values) ** 2), values.size)
-        chunks = np.array_split(values, 7)
-        streamed = mc_estimate(sum(np.sum(c) for c in chunks), sum(np.sum(np.abs(c) ** 2) for c in chunks),
-                               sum(c.size for c in chunks))
-        assert abs(whole[0] - streamed[0]) < 1e-12
-        assert abs(whole[1] - streamed[1]) < 1e-12
+        n = 9_005
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        parts = np.split(values, np.cumsum(replicate_sizes(n))[:-1])
+        mean, error = mc_estimate([sum(np.sum(c) for c in np.array_split(part, 3)) for part in parts], n)
+        assert abs(mean - values.mean()) < 1e-12
+        means = np.array([part.mean() for part in parts])
+        assert abs(error - math.sqrt(np.sum(np.abs(means - means.mean()) ** 2) / 15 / 16)) < 1e-12
 
     def test_the_formula_works_on_arrays(self, rng):
-        # gram_matrix estimates every entry at once
+        # gram_matrix estimates every entry at once; a sum over the leading
+        # axis of a 2-D array adds in another order than one over a column
         from u22lab.measures import mc_estimate
 
-        values = rng.standard_normal((3, 5_000)) + 1j * rng.standard_normal((3, 5_000))
-        means, errors = mc_estimate(values.sum(1), (np.abs(values) ** 2).sum(1), 5_000)
-        for row, mean, error in zip(values, means, errors):
-            assert (mean, error) == mc_estimate(row.sum(), (np.abs(row) ** 2).sum(), 5_000)
+        sums = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        means, errors = mc_estimate(sums, 5_000)
+        for column, mean, error in zip(sums.T, means, errors):
+            np.testing.assert_allclose((mean, error), mc_estimate(column, 5_000), rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def ndtri_reference_points(n, r_min=1e-3, r_max=10.0):

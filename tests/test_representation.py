@@ -229,7 +229,7 @@ class TestRows:
         # draws on [1e-4, 30], one point, and for each ill-conditioned s0
         # points that s0 nearly annihilates, where X / x is largest.
         terms = [p for _, p in self.vector(rng).terms] + self.ill_conditioned(rng)
-        draws = PolarShellSampler(1e-4, 30.0).sample(4096, rng)
+        draws = PolarShellSampler(1e-4, 30.0).sample(4096, rng.uniform(2.0**-53, 1.0, (4, 4096)))
         for label in OrbitLabel:
             v = CocycleVector(label, tuple((1.0, p) for p in terms))
             for points in (pts, draws, random_s(rng)):
@@ -296,15 +296,15 @@ class TestRows:
         monkeypatch.setattr(TriangularS, "norm", counting_norm)
         monkeypatch.setattr(TriangularS, "multiply", lambda *args: products.append("multiply") or original_multiply(*args))
         monkeypatch.setattr(groups, "s_product", lambda *args: products.append("s_product") or original_product(*args))
-        n, views = 4 * measures.BLOCK, 4
+        n, views = 4 * measures.BLOCK, measures.REPLICATES  # one block per replicate
         rng = np.random.default_rng(3)
         gram_matrix([random_q(rng) for _ in range(6)], LABEL, nu_measure(), PolarShellSampler(), n, rng)
         assert products == []
-        assert [size for size in norms if size > 1] == [measures.BLOCK] * views  # scalar norms: the distinctness check
+        assert [size for size in norms if size > 1] == [n // views] * views  # scalar norms: the distinctness check
         norms.clear()
         specialness_report(default_test_set(), LABEL, [nu_measure(), truncated_nu(1.0)], LADDER, 30.0, n, rng)
         assert products == []
-        assert norms == [measures.BLOCK] * views
+        assert norms == [n // views] * views
 
 
 class TestCoboundary:
@@ -537,5 +537,6 @@ class TestOneChartType:
                 np.testing.assert_allclose(value, fn(batch)[0], rtol=4 * EPS, atol=0, err_msg=name)
 
     def test_samplers_and_test_points_are_batches(self, rng):
-        for pts in (reference_points(7), PolarShellSampler().sample(7, rng), LogNormalSampler().sample(7, rng)):
+        u = rng.uniform(2.0**-53, 1.0, (4, 7))
+        for pts in (reference_points(7), PolarShellSampler().sample(7, u), LogNormalSampler().sample(7, u)):
             assert isinstance(pts, TriangularS) and pts.size == 7 and pts.r.shape == (7,)

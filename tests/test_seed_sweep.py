@@ -30,6 +30,18 @@ def test_sweep_prints_one_line_per_failing_pair():
                for line in lines)
 
 
+def test_sweep_ends_with_one_rate_line_per_claim():
+    # stdout holds only the failing pairs; stderr one line per claim
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "seed_sweep.py"),
+         "--claims", "C10", "C07", "--seeds", "10-11,20"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert [json.loads(line)["seed"] for line in proc.stdout.splitlines()] == [10, 11, 20]
+    assert proc.stderr.splitlines() == ["C10: 3 seeds, 3 failed (100.00 %)", "C07: 3 seeds, 0 failed (0.00 %)"]
+
+
 def test_unknown_claim_id_is_a_usage_error():
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "seed_sweep.py"),
