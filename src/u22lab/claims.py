@@ -60,7 +60,6 @@ from .measures import (
     nu_measure,
     right_translation_jacobian_fd,
     rn_derivative_right,
-    truncated_nu,
 )
 from .orbits import OrbitLabel, _orbit_chart
 from .points import reference_points
@@ -69,7 +68,6 @@ from .representation import (
     CocycleVector,
     GroupFunction,
     apply_T,
-    default_test_set,
     gram_matrix,
     specialness_report,
     vacuum,
@@ -198,15 +196,14 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     # bounding box of its image, pull the points back by s0^-1 and count
     # those that land in the unit box, block by block in the one Monte-Carlo
     # pass: exact integer counts, whose replicate spread gives sigma.
-    unit = BoxSampler(1.0, 2.0, 1.0, 2.0, -0.5, 0.5, -0.5, 0.5)
-    corners = [(c, t) for c in (unit.re_lo, unit.re_hi) for t in (unit.r2_lo, unit.r2_hi)]
-    re_parts = [c * s0.r1 + s0.r.real * t for c, t in corners]
-    im_parts = [c * s0.r1 + s0.r.imag * t for c, t in corners]
-    box = BoxSampler(
-        *sorted((unit.r1_lo * s0.r1, unit.r1_hi * s0.r1)),
-        *sorted((unit.r2_lo * s0.r2, unit.r2_hi * s0.r2)),
-        min(re_parts), max(re_parts), min(im_parts), max(im_parts),
-    )
+    # The image of (r1, r2, r) is (r1 p1, r2 p2, r p1 + r2 p), for s0 =
+    # (p1, p2, p) with p1, p2 > 0.
+    unit = BoxSampler((1.0, 1.0, -0.5, -0.5), (2.0, 2.0, 0.5, 0.5))
+    (r1_lo, r2_lo, re_lo, im_lo), (r1_hi, r2_hi, re_hi, im_hi) = unit.lo, unit.hi
+    re_parts = [c * s0.r1 + s0.r.real * t for c in (re_lo, re_hi) for t in (r2_lo, r2_hi)]
+    im_parts = [c * s0.r1 + s0.r.imag * t for c in (im_lo, im_hi) for t in (r2_lo, r2_hi)]
+    box = BoxSampler((r1_lo * s0.r1, r2_lo * s0.r2, min(re_parts), min(im_parts)),
+                     (r1_hi * s0.r1, r2_hi * s0.r2, max(re_parts), max(im_parts)))
     inverse = s0.inverse()
     inside = mc_sum(box, n, rng, lambda view: np.count_nonzero(unit.contains(view.multiply(inverse))))
     fraction, spread = mc_estimate(inside, n)
@@ -296,15 +293,7 @@ def _claim_representation_property(config: SuiteConfig, rng):
 
 def _claim_specialness(config: SuiteConfig, rng):
     # the working measure and the truncated control share one sample stream
-    report, control = specialness_report(
-        default_test_set(),
-        config.label,
-        (nu_measure(), truncated_nu(1.0)),
-        config.eps_ladder,
-        config.r_max,
-        config.mc_samples,
-        rng,
-    )
+    report, control = specialness_report(config.label, config.eps_ladder, config.r_max, config.mc_samples, rng)
     vac = report.vacuum_verdict
     ok = (
         report.confirmed
@@ -344,7 +333,7 @@ def _claim_iwasawa(config: SuiteConfig, rng):
     k11, k12, k21, k22 = blocks(k.m)
     # uniqueness round trip from fresh (p, k) pairs
     p0, k0 = random_q(rng, size=1000), random_k(rng, size=1000)
-    p2, k2 = iwasawa_decompose(U22Element(p0.matrix() @ k0.m, tol=1e-9))
+    p2, k2 = iwasawa_decompose(U22Element(p0.matrix() @ k0.m))
     residuals = (
         frob(p.matrix() @ k.m - g.m) / scale,
         frob(k.m @ adjoint(k.m) - E4) / scale,
@@ -393,9 +382,7 @@ def _claim_extension(config: SuiteConfig, rng):
 def _claim_gram(config: SuiteConfig, rng):
     p_list = [random_q(rng) for _ in range(6)]
     sampler = PolarShellSampler(1e-4, config.r_max)
-    gram, stderr = gram_matrix(
-        p_list, config.label, nu_measure(), sampler, config.mc_samples, rng
-    )
+    gram, stderr = gram_matrix(p_list, config.label, sampler, config.mc_samples, rng)
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigmin = float(eigvals[0])
     v = eigvecs[:, 0]

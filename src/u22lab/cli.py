@@ -286,7 +286,7 @@ def _cmd_gram(args) -> int:
     config = _suite_config(args)
     rng = np.random.default_rng(config.seed)
     p_list = [random_q(rng) for _ in range(args.size)]
-    gram, stderr = gram_matrix(p_list, config.label, nu_measure(), PolarShellSampler(), config.mc_samples, rng)
+    gram, stderr = gram_matrix(p_list, config.label, PolarShellSampler(), config.mc_samples, rng)
     eigmin = float(np.linalg.eigvalsh(gram)[0])
     err = float(np.linalg.norm(stderr))
     doc = {
@@ -302,10 +302,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_unboundedness(args) -> int:
     config = _suite_config(args)
-    sampler = PolarShellSampler(r_max=120.0)
-    rows = unboundedness_experiment(
-        (2.0, 4.0, 8.0, 16.0, 32.0), config.label, nu_measure(), sampler, config.mc_samples, config.seed
-    )
+    rows = unboundedness_experiment(config.label, config.mc_samples, config.seed)
     if args.format == "json":
         _emit_json(rows, args.out)
         return 0

@@ -12,7 +12,8 @@ the one factorization kernel behind ``iwasawa_decompose`` (``p_part``); no
 p p* is formed.  A general element acts through its unique factorization
 g = p k, and the extended cocycle is b(g) = b(p), constant on right cosets
 of the compact part.  The swap operator exists only on this span; it is
-never applied to general functions.
+never applied to general functions.  ``unboundedness_experiment`` probes its
+growth on the fixed ladder ``UNBOUNDEDNESS_SCALES``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .groups import (
     q_multiply,
     sigma_hat,
 )
-from .measures import MeasureSpec, PolarShellSampler, integrate_mc
+from .measures import PolarShellSampler, integrate_mc, nu_measure
 from .orbits import OrbitLabel
 from .representation import CocycleVector, coboundary
 
@@ -43,6 +44,11 @@ __all__ = [
     "apply_p_on_vector",
     "unboundedness_experiment",
 ]
+
+# The swap-operator ladder: the scales c of the translations p with
+# s = diag(c, 1), and the outer radius of its polar samples.
+UNBOUNDEDNESS_SCALES = (2, 4, 8, 16, 32)
+UNBOUNDEDNESS_R_MAX = 120.0
 
 
 def act_k(k: KElement, p: QElement) -> QElement:
@@ -75,22 +81,18 @@ def apply_extended(g: U22Element, v: CocycleVector) -> CocycleVector:
     return apply_p_on_vector(p, apply_k_on_vector(k, v))
 
 
-def unboundedness_experiment(
-    scales,
-    label: OrbitLabel,
-    measure: MeasureSpec,
-    sampler: PolarShellSampler,
-    samples: int,
-    rng,
-) -> list[dict]:
-    """Norm ratios |b(p^)| / |b(p)| along a ladder of diagonal translations.
+def unboundedness_experiment(label: OrbitLabel, samples: int, rng) -> list[dict]:
+    """Norm ratios |b(p^)| / |b(p)| under nu along the ladder of diagonal
+    translations diag(c, 1), c in ``UNBOUNDEDNESS_SCALES``, with polar
+    samples out to radius ``UNBOUNDEDNESS_R_MAX``.
 
     Exploratory: returns (|s(p)|, ratio, stderr) rows for the swap-operator
     growth probe.  No verdict is attached.
     """
     rng = as_generator(rng)
+    measure, sampler = nu_measure(), PolarShellSampler(r_max=UNBOUNDEDNESS_R_MAX)
     rows = []
-    for c in scales:
+    for c in UNBOUNDEDNESS_SCALES:
         p = QElement(TriangularS(float(c), 1.0, 0.0), SkewHermitian2.zero())
         p_hat = sigma_hat(p)
         num = integrate_mc(coboundary(p_hat, label).as_group_function(), measure, sampler, samples, rng)

@@ -298,9 +298,10 @@ class TriangularS:
         or batch, because the sampler, the measures and the integrands of a
         batch all read it; callers must not write to the result.
 
-        Products instead of powers and NumPy's complex modulus for one
-        element too: a single element then rounds exactly as a member of a
-        batch does.
+        One element and a batch take the same formula, products instead of
+        powers and NumPy's complex modulus, so they agree to rounding, not
+        to the bit: ``np.abs`` of a long complex array is not hypot on about
+        a third of its values.
         """
         cached = self.__dict__.get("_norm")
         if cached is None:
@@ -483,10 +484,6 @@ class U22Element:
         if bad is not None:
             raise NotInGroup(report.at(bad))
 
-    @classmethod
-    def identity(cls) -> "U22Element":
-        return cls(E4)
-
     def __getitem__(self, index) -> "U22Element":
         """Members of a stack, as a smaller stack or a single element."""
         return U22Element(self.m[index], tol=self.tol)
@@ -524,10 +521,6 @@ class KElement:
             raise InvariantViolation(
                 f"compact-part residual {np.asarray(worst)[bad]:.3e} above {self.tol:.1e}"
             )
-
-    @classmethod
-    def identity(cls) -> "KElement":
-        return cls(E4)
 
     def multiply(self, other: "KElement") -> "KElement":
         return KElement(self.m @ other.m, tol=max(self.tol, other.tol))

@@ -17,9 +17,9 @@ Monte-Carlo pass, ``mc_sum``, which rejects fewer than 1000 samples.
 
 The pass is randomized quasi-Monte Carlo: its n points form ``REPLICATES``
 replicates of sizes that differ by at most one, and each replicate is the
-prefix of the Halton sequence in bases 2, 3, 5 and 7 (Halton, 1960) of its
-size, split into blocks of at most ``BLOCK`` points.  Block b of the pass
-takes one uniform shift in [0, 1)^4 from its own generator,
+prefix of its size of the one Halton table, ``points._halton``, split into
+blocks of at most ``BLOCK`` points.  Block b of the pass takes one uniform
+shift in [0, 1)^4 from its own generator,
 ``SeedSequence(entropy, spawn_key=(b,))``, with the entropy drawn once per
 pass from the caller's rng, and its uniforms are its Halton points plus
 that shift, mod 1 (Cranley & Patterson, "Randomization of number theoretic
@@ -37,10 +37,10 @@ on first use).  A task computes densities, weights and integrands on its
 points and reduces them to one partial row of first moments (a sum, a
 ``bincount`` or a small matmul), and the caller adds the rows of each
 replicate in block order.  Apart from the point arrays the caller allocates
-once per pass and the Halton table, made once per size on first use, no
-array of more than one block is made.  So every estimate and report depends
-only on the seed and ``BLOCK``: it is bit-identical at any worker count,
-and at any ``BATCH_SIZE`` that is a multiple of ``BLOCK``.
+once per pass and the Halton table, no array of more than one block is
+made.  So every estimate and report depends only on the seed and ``BLOCK``:
+it is bit-identical at any worker count, and at any ``BATCH_SIZE`` that is
+a multiple of ``BLOCK``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 
 from .groups import TriangularS, as_generator
 from .matrices import U22Error
-from .points import _radical_inverse
+from .points import _halton
 
 __all__ = [
     "NonFinite",
@@ -111,7 +111,6 @@ BLOCK = 1 << 14
 # Independent replicates of every Monte-Carlo pass: its standard error has
 # REPLICATES - 1 degrees of freedom, and P(|t| > 3) is 0.90 % at 16.
 REPLICATES = 16
-HALTON_BASES = (2, 3, 5, 7)
 # run_blocks threads, the caller included; no result depends on it
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -301,47 +300,30 @@ class LogNormalSampler:
 
 @dataclass(frozen=True)
 class BoxSampler:
-    """Uniform sampler on an axis-aligned box in chart coordinates
-    (r1, r2, Re r, Im r); the box must lie in the chart, r1, r2 > 0."""
+    """Uniform sampler on the axis-aligned box between the corners ``lo`` and
+    ``hi``, each a 4-tuple in chart coordinates (r1, r2, Re r, Im r); the box
+    must lie in the chart, r1, r2 > 0."""
 
-    r1_lo: float
-    r1_hi: float
-    r2_lo: float
-    r2_hi: float
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
+    lo: tuple
+    hi: tuple
 
     @property
     def volume(self) -> float:
-        return (
-            (self.r1_hi - self.r1_lo)
-            * (self.r2_hi - self.r2_lo)
-            * (self.re_hi - self.re_lo)
-            * (self.im_hi - self.im_lo)
-        )
+        return math.prod(hi - lo for lo, hi in zip(self.lo, self.hi))
 
     def sample(self, n: int, u: np.ndarray) -> TriangularS:
         """The n points lo + (hi - lo) u, per coordinate, of the uniforms u,
         a (4, n) array in (0, 1)."""
-        lo = np.array([[self.r1_lo], [self.r2_lo], [self.re_lo], [self.im_lo]])
-        hi = np.array([[self.r1_hi], [self.r2_hi], [self.re_hi], [self.im_hi]])
+        lo, hi = np.array(self.lo)[:, None], np.array(self.hi)[:, None]
         v = lo + (hi - lo) * u
         return TriangularS(v[0], v[1], v[2] + 1j * v[3])
 
     def contains(self, pts: TriangularS) -> np.ndarray:
         """Membership of each point in the closed box."""
-        return (
-            (pts.r1 >= self.r1_lo)
-            & (pts.r1 <= self.r1_hi)
-            & (pts.r2 >= self.r2_lo)
-            & (pts.r2 <= self.r2_hi)
-            & (pts.r.real >= self.re_lo)
-            & (pts.r.real <= self.re_hi)
-            & (pts.r.imag >= self.im_lo)
-            & (pts.r.imag <= self.im_hi)
-        )
+        inside = True
+        for x, lo, hi in zip((pts.r1, pts.r2, pts.r.real, pts.r.imag), self.lo, self.hi):
+            inside = inside & (x >= lo) & (x <= hi)
+        return inside
 
     def density(self, pts: TriangularS) -> np.ndarray:
         return np.where(self.contains(pts), 1.0 / self.volume, 0.0)
@@ -428,15 +410,6 @@ def run_blocks(count: int, task: Callable[[int], object]) -> list:
     for future in futures:
         future.result()
     return results
-
-
-@functools.cache
-def _halton(size: int) -> np.ndarray:
-    """The Halton points of indices 0 .. size - 1 in ``HALTON_BASES`` as a
-    read-only (4, size) array, made once per size on first use."""
-    table = np.stack([_radical_inverse(np.arange(size), base) for base in HALTON_BASES])
-    table.setflags(write=False)
-    return table
 
 
 def _shifted(halton: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -67,10 +67,6 @@ class OrbitLabel(enum.Enum):
     def index(self) -> int:
         return 1 + list(OrbitLabel).index(self)
 
-    def representative(self) -> SkewHermitian2:
-        """The base point i diag(e1, e2)."""
-        return SkewHermitian2(float(self.eps1), float(self.eps2), 0.0)
-
     def __str__(self) -> str:
         return "".join("+" if e > 0 else "-" for e in self.value)
 

@@ -42,13 +42,14 @@ from .groups import QElement, SkewHermitian2, TriangularS
 from .matrices import U22Error
 from .measures import (
     DivergenceVerdict,
-    MeasureSpec,
     PolarShellSampler,
     divergence_probe,
     half_angle_cis,
     mc_estimate,
     mc_sum,
+    nu_measure,
     require_finite,
+    truncated_nu,
 )
 from .orbits import OrbitLabel
 
@@ -67,6 +68,8 @@ __all__ = [
 
 # Near-duplicate merge cutoff for formal combinations of basis vectors.
 CANONICAL_TOL = 1e-12
+# The radius below which specialness_report's control measure drops nu.
+CONTROL_CUTOFF = 1.0
 
 
 class GroupFunction:
@@ -258,12 +261,12 @@ def coboundary(q: QElement, label: OrbitLabel) -> CocycleVector:
 def gram_matrix(
     p_list: Sequence[QElement],
     label: OrbitLabel,
-    measure: MeasureSpec,
     sampler: PolarShellSampler,
     n: int,
     rng,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of the coboundaries b(p_i) plus per-entry standard errors.
+    """Gram matrix of the coboundaries b(p_i) under the measure nu, plus
+    per-entry standard errors.
 
     All entries share one sample stream, which keeps the estimated matrix
     exactly positive semidefinite.  Requires pairwise-distinct, nonidentity
@@ -282,9 +285,10 @@ def gram_matrix(
             if p.distance(other) <= CANONICAL_TOL * max(1.0, p.s.norm()):
                 raise U22Error("basis elements must be pairwise distinct")
     vector = CocycleVector(label, tuple((1.0 + 0.0j, p) for p in p_list))
+    nu = nu_measure()
 
     def partial(view: TriangularS) -> np.ndarray:
-        weights = measure.density(view) / sampler.density(view)
+        weights = nu.density(view) / sampler.density(view)
         values = require_finite(vector.rows(view))
         weighted = values.conj()
         weighted *= weights
@@ -343,29 +347,19 @@ def _describe(q: QElement) -> str:
 
 
 def specialness_report(
-    test_set: Sequence[QElement],
-    label: OrbitLabel,
-    measures: Sequence[MeasureSpec],
-    eps_ladder,
-    r_max: float,
-    samples: int,
-    rng,
-) -> tuple:
+    label: OrbitLabel, eps_ladder, r_max: float, samples: int, rng
+) -> tuple[SpecialnessReport, SpecialnessReport]:
     """Check that the vacuum escapes the square-integrable space while its
-    coboundaries stay inside it.
+    coboundaries stay inside it: (report under nu, report of the control).
 
-    The verdict is confirmed when the vacuum's norm integral diverges and
-    the probe classifies b(q) as convergent for every element of the test
-    set.  The set must contain at least one pure translation and one pure
-    character direction.  The measures are judged on one shared sample
-    stream, giving one report per measure.
+    A verdict is confirmed when the vacuum's norm integral diverges and the
+    probe classifies b(q) as convergent for every element of
+    ``default_test_set``.  The control is nu cut off below radius
+    ``CONTROL_CUTOFF``, where the vacuum's integral converges, so it must
+    not confirm; both measures are judged on one shared sample stream.
     """
-    if not test_set:
-        raise U22Error("test set must be nonempty")
-    if not any(q.is_translation() for q in test_set):
-        raise U22Error("test set needs at least one pure translation")
-    if not any(q.is_character_direction() for q in test_set):
-        raise U22Error("test set needs at least one pure character direction")
+    test_set = default_test_set()
+    measures = (nu_measure(), truncated_nu(CONTROL_CUTOFF))
     vector = CocycleVector(label, tuple((1.0 + 0.0j, q) for q in test_set))
     # the vacuum row, then b(q) per element
     rows = divergence_probe(vector.vacuum_and_rows, measures, eps_ladder, r_max, samples, rng)

@@ -87,7 +87,7 @@ def engine_results():
     return (
         integrate_mc(functions[1], nu_measure(), sampler, 85_000, 3),
         divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
-        *gram_matrix(ps, label, nu_measure(), sampler, 85_000, 5),
+        *gram_matrix(ps, label, sampler, 85_000, 5),
         _box_translation_part(TriangularS(1.4, 0.7, 0.3 + 0.2j), 85_000, np.random.default_rng(6)),
     )
 
@@ -325,7 +325,7 @@ class TestHalfAngleMultiplier:
 class TestIntegration:
     def test_constant_on_box(self, rng):
         # uniform sampler against the Lebesgue measure: the estimate is exact
-        box = BoxSampler(1, 2, 1, 2, 1, 2, 1, 2)
+        box = BoxSampler((1, 1, 1, 1), (2, 2, 2, 2))
         lebesgue = MeasureSpec("lebesgue", lambda pts: np.ones(pts.size))
         est = integrate_mc(ONE, lebesgue, box, 10_000, rng, mode="plain")
         assert est.value == 1.0
@@ -442,7 +442,7 @@ class TestIntegration:
             engines = [
                 lambda: integrate_mc(ONE, nu_measure(), sampler, n, rng),
                 lambda: divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, n, rng),
-                lambda: gram_matrix([random_q(rng)], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, n, rng),
+                lambda: gram_matrix([random_q(rng)], OrbitLabel.PLUS_PLUS, sampler, n, rng),
             ]
             for engine in engines:
                 with pytest.raises(ValueError, match=f"need at least 1000 samples, got {n}"):
@@ -450,12 +450,12 @@ class TestIntegration:
 
 
 class TestBoxSampler:
-    BOX = (1.4, 2.8, 0.7, 1.4, -1.0, 0.5, -0.5, 0.8)
+    BOX = (1.4, 0.7, -1.0, -0.5), (2.8, 1.4, 0.5, 0.8)
 
     def test_draws_one_block(self):
         # lo + (hi - lo) u per coordinate on one (4, n) block of uniforms,
         # bit for bit
-        lo, hi = np.array(self.BOX[0::2]), np.array(self.BOX[1::2])
+        lo, hi = map(np.array, self.BOX)
         u = uniforms(1000, 4)
         pts = BoxSampler(*self.BOX).sample(1000, u)
         expected = [lo[j] + (hi[j] - lo[j]) * u[j] for j in range(4)]
@@ -621,7 +621,7 @@ class TestPointwise:
         p, failing = random_q(rng), in_pool(fail)
         monkeypatch.setattr(CocycleVector, "rows", lambda self, pts: failing(pts)[None] + 0j)
         with pytest.raises(error, match="raised in a worker"):
-            gram_matrix([p], OrbitLabel.PLUS_PLUS, nu_measure(), sampler, 4000, rng)
+            gram_matrix([p], OrbitLabel.PLUS_PLUS, sampler, 4000, rng)
 
     def test_each_block_draws_from_its_own_stream(self):
         # the pass evaluates exactly the blocks the sampler maps from the
@@ -662,7 +662,7 @@ def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
     functions = [vacuum()] + [coboundary(q, label).as_group_function() for q in default_test_set()]
     n = measures.BATCH_SIZE
     engines = {
-        "gram_matrix": lambda: gram_matrix(ps, label, nu_measure(), sampler, n, 1),
+        "gram_matrix": lambda: gram_matrix(ps, label, sampler, n, 1),
         "divergence_probe": lambda: divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1.0)],
                                                      LADDER, 30.0, n, 2),
         "integrate_mc": lambda: integrate_mc(functions[1], nu_measure(), sampler, n, 3),

@@ -3,13 +3,17 @@
 A deleted or renamed function otherwise breaks only the code that looks it
 up by name: the package's re-exports and the benchmark's tracer, which
 wraps functions given as (module, attribute path) in ``perfbench/tracer.py``.
-Every exception class the package defines derives from ``U22Error``.
+Every exception class the package defines derives from ``U22Error``.  The
+import of the package loads ``u22lab.points`` and builds no Halton table.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +81,25 @@ def test_every_error_class_is_a_u22_error():
     assert {"U22Error", "InvariantViolation", "NotFactorizable", "DecompositionFailed", "NotInGroup",
             "NonFinite", "DegenerateOrbit", "QuadratureFailed"} <= set(found)
     assert [name for name, cls in found.items() if not issubclass(cls, u22lab.U22Error)] == []
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter run on ``args`` that imports this package's tree."""
+    src = str(Path(u22lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_lists_points_in_importtime():
+    # perfbench/run.py reads import.points_s off these lines; without one
+    # its median has no data
+    lines = fresh_python("-X", "importtime", "-c", "import u22lab").stderr.splitlines()
+    assert any(line.rsplit("|", 1)[-1].strip() == "u22lab.points" for line in lines)
+
+
+def test_import_builds_no_halton_table():
+    # the table is built on first use, never at import
+    code = "import u22lab; print(u22lab.points._halton.cache_info().currsize)"
+    assert fresh_python("-c", code).stdout == "0\n"

@@ -11,7 +11,7 @@ from u22lab.groups import (
     random_q,
     random_s,
 )
-from u22lab.measures import LogNormalSampler, PolarShellSampler, haar_measure, integrate_mc, nu_derivative_band, nu_measure, truncated_nu
+from u22lab.measures import LogNormalSampler, PolarShellSampler, haar_measure, integrate_mc, nu_derivative_band, nu_measure
 from u22lab import orbits
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
@@ -298,11 +298,11 @@ class TestRows:
         monkeypatch.setattr(groups, "s_product", lambda *args: products.append("s_product") or original_product(*args))
         n, views = 4 * measures.BLOCK, measures.REPLICATES  # one block per replicate
         rng = np.random.default_rng(3)
-        gram_matrix([random_q(rng) for _ in range(6)], LABEL, nu_measure(), PolarShellSampler(), n, rng)
+        gram_matrix([random_q(rng) for _ in range(6)], LABEL, PolarShellSampler(), n, rng)
         assert products == []
         assert [size for size in norms if size > 1] == [n // views] * views  # scalar norms: the distinctness check
         norms.clear()
-        specialness_report(default_test_set(), LABEL, [nu_measure(), truncated_nu(1.0)], LADDER, 30.0, n, rng)
+        specialness_report(LABEL, LADDER, 30.0, n, rng)
         assert products == []
         assert norms == [n // views] * views
 
@@ -408,15 +408,15 @@ class TestNorms:
     def test_conjugate_symmetry(self, rng):
         sampler = PolarShellSampler(1e-2, 10.0)
         p, q = random_q(rng), random_q(rng)
-        ab, _ = gram_matrix([p, q], LABEL, nu_measure(), sampler, 50_000, np.random.default_rng(5))
-        ba, _ = gram_matrix([q, p], LABEL, nu_measure(), sampler, 50_000, np.random.default_rng(5))
+        ab, _ = gram_matrix([p, q], LABEL, sampler, 50_000, np.random.default_rng(5))
+        ba, _ = gram_matrix([q, p], LABEL, sampler, 50_000, np.random.default_rng(5))
         assert abs(ab[0, 1] - np.conj(ba[0, 1])) < 1e-12 * max(1.0, abs(ab[0, 1]))
 
     def test_cauchy_schwarz(self, rng):
         sampler = PolarShellSampler(1e-2, 10.0)
         for _ in range(5):
             p, q = random_q(rng), random_q(rng)
-            gram, stderr = gram_matrix([p, q], LABEL, nu_measure(), sampler, 50_000, np.random.default_rng(7))
+            gram, stderr = gram_matrix([p, q], LABEL, sampler, 50_000, np.random.default_rng(7))
             # exact on one shared sample stream, up to rounding
             assert abs(gram[0, 1]) <= math.sqrt(gram[0, 0].real * gram[1, 1].real) * (1 + 1e-12)
             f = coboundary(p, LABEL).as_group_function()
@@ -431,7 +431,7 @@ class TestNorms:
 class TestGram:
     def test_single_element(self, rng):
         sampler = PolarShellSampler(1e-3, 30.0)
-        gram, stderr = gram_matrix([random_q(rng)], LABEL, nu_measure(), sampler, 20_000, rng)
+        gram, stderr = gram_matrix([random_q(rng)], LABEL, sampler, 20_000, rng)
         assert gram.shape == (1, 1)
         assert gram[0, 0].real > 0
         assert abs(gram[0, 0].imag) < 1e-15
@@ -440,25 +440,25 @@ class TestGram:
         p = random_q(rng)
         sampler = PolarShellSampler(1e-3, 30.0)
         with pytest.raises(ValueError):
-            gram_matrix([p, p], LABEL, nu_measure(), sampler, 20_000, rng)
+            gram_matrix([p, p], LABEL, sampler, 20_000, rng)
 
     def test_identity_rejected(self, rng):
         sampler = PolarShellSampler(1e-3, 30.0)
         with pytest.raises(ValueError):
-            gram_matrix([QElement.identity()], LABEL, nu_measure(), sampler, 20_000, rng)
+            gram_matrix([QElement.identity()], LABEL, sampler, 20_000, rng)
 
     def test_near_duplicate_is_singular_within_error(self, rng):
         p = random_q(rng)
         p_shifted = QElement(TriangularS(p.s.r1 * (1 + 1e-9), p.s.r2, p.s.r), p.n)
         sampler = PolarShellSampler(1e-3, 30.0)
-        gram, stderr = gram_matrix([p, p_shifted], LABEL, nu_measure(), sampler, 50_000, rng)
+        gram, stderr = gram_matrix([p, p_shifted], LABEL, sampler, 50_000, rng)
         eigmin = float(np.linalg.eigvalsh(gram)[0])
         assert eigmin < 3 * float(np.linalg.norm(stderr)) + 1e-10
 
     def test_six_random_elements_independent(self, rng):
         p_list = [random_q(rng) for _ in range(6)]
         sampler = PolarShellSampler(1e-4, 30.0)
-        gram, stderr = gram_matrix(p_list, LABEL, nu_measure(), sampler, 100_000, rng)
+        gram, stderr = gram_matrix(p_list, LABEL, sampler, 100_000, rng)
         assert np.linalg.norm(gram - gram.conj().T) < 1e-12
         eigmin = float(np.linalg.eigvalsh(gram)[0])
         assert eigmin > 0  # shared samples keep the estimate PSD
@@ -466,47 +466,22 @@ class TestGram:
 
 
 class TestSpecialness:
+    # the control measure's report equals a probe on its own on the same
+    # seed: TestSharedStream in test_measures.py checks that property
     def test_witness_confirmed(self, rng):
-        (report,) = specialness_report(
-            default_test_set(), LABEL, [nu_measure()], LADDER, 30.0, 100_000, rng
-        )
+        report, _ = specialness_report(LABEL, LADDER, 30.0, 100_000, rng)
+        assert report.measure_name == "nu"
         assert report.confirmed
         assert report.verdict == "special witness confirmed"
         assert report.vacuum_verdict.classification == "log-divergent"
-
-    def test_truncated_control_is_not_special(self, rng):
-        (report,) = specialness_report(
-            default_test_set(), LABEL, [truncated_nu(1.0)], LADDER, 30.0, 50_000, rng
-        )
-        assert not report.confirmed
-        assert report.verdict == "not special (vacuum square-integrable)"
-
-    def test_measures_share_one_stream(self):
-        # a sequence of measures gives one report per measure, each equal to
-        # the single-measure report on the same seed
-        measures = (nu_measure(), truncated_nu(1.0))
-        reports = specialness_report(default_test_set(), LABEL, measures, LADDER, 30.0, 100_000, 9)
-        assert [r.measure_name for r in reports] == ["nu", "nu-truncated-1"]
-        for measure, report in zip(measures, reports):
-            assert (report,) == specialness_report(default_test_set(), LABEL, [measure], LADDER, 30.0, 100_000, 9)
-        assert reports[0].verdict == "special witness confirmed"
-        assert reports[1].verdict == "not special (vacuum square-integrable)"
-        classes = [v.classification for _, v in reports[0].element_verdicts]
+        classes = [v.classification for _, v in report.element_verdicts]
         assert classes == ["convergent"] * len(default_test_set())
 
-    def test_empty_set_rejected(self, rng):
-        with pytest.raises(ValueError):
-            specialness_report([], LABEL, [nu_measure()], LADDER, 30.0, 10_000, rng)
-
-    def test_missing_character_part_rejected(self, rng):
-        translations = [q for q in default_test_set() if q.is_translation()]
-        with pytest.raises(ValueError):
-            specialness_report(translations, LABEL, [nu_measure()], LADDER, 30.0, 10_000, rng)
-
-    def test_missing_translation_part_rejected(self, rng):
-        characters = [q for q in default_test_set() if q.is_character_direction()]
-        with pytest.raises(ValueError):
-            specialness_report(characters, LABEL, [nu_measure()], LADDER, 30.0, 10_000, rng)
+    def test_truncated_control_is_not_special(self, rng):
+        _, control = specialness_report(LABEL, LADDER, 30.0, 50_000, rng)
+        assert control.measure_name == "nu-truncated-1"
+        assert not control.confirmed
+        assert control.verdict == "not special (vacuum square-integrable)"
 
 
 class TestOneChartType:
