@@ -9,8 +9,9 @@ one row: the parent and change medians and quartiles
 the median of the change/parent ratios with runs paired by their order
 within the workload, the pairs the change won, the parent's own spread
 (IQR/median), and how the ratio of the medians stands against the metric's
-bound: ``within``, ``beyond``, or ``unresolved`` when it is beyond but the
-parent's own spread is wider than the bound.  A line per workload gives the
+bound: ``gain`` when it is better by more than the bound (1 - ratio > bound
+where lower is better), ``within``, ``beyond``, or ``unresolved`` when it
+is beyond but the parent's own spread is wider than the bound.  A line per workload gives the
 runs, the failed operations and whether every run was correct.
 """
 
@@ -45,6 +46,7 @@ def compare(ledger: list, benchmark: dict) -> list[dict]:
             p_q1, _, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
             ratio = c_med / p_med
             worse = ratio - 1.0 if lower else 1.0 / ratio - 1.0
+            better = 1.0 - ratio if lower else ratio - 1.0
             spread = (p_q3 - p_q1) / p_med
             bound = spec["bound"]
             rows.append({
@@ -58,7 +60,8 @@ def compare(ledger: list, benchmark: dict) -> list[dict]:
                 "pairs": len(pairs),
                 "parent_spread": spread,
                 "bound": bound,
-                "standing": "within" if worse <= bound else ("unresolved" if spread > bound else "beyond"),
+                "standing": ("gain" if better > bound else "within" if worse <= bound
+                             else "unresolved" if spread > bound else "beyond"),
             })
     return rows
 

@@ -36,18 +36,15 @@ core (``WORKERS``, the calling thread being one of them; the pool is made
 on first use).  A task computes densities, weights and integrands on its
 points and reduces them to one partial row of first moments (a sum, a
 ``bincount`` or a small matmul), and the caller adds the rows of each
-replicate in block order.  Apart from the point arrays the caller allocates
-once per pass and the Halton table, no array of more than one block is
-made.  So every estimate and report depends only on the seed and ``BLOCK``:
-it is bit-identical at any worker count, and at any ``BATCH_SIZE`` that is
-a multiple of ``BLOCK``.
+replicate in block order.  Apart from the Halton table, no array of more
+than one block is made.  So every estimate and report depends only on the
+seed and ``BLOCK``: it is bit-identical at any worker count.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -76,7 +73,6 @@ __all__ = [
     "BoxSampler",
     "IntegralEstimate",
     "mc_estimate",
-    "BATCH_SIZE",
     "BLOCK",
     "REPLICATES",
     "half_angle_cis",
@@ -101,9 +97,6 @@ LOGNORMAL_TAU = 1.2  # LogNormalSampler: deviation of log r1 and log r2
 LOGNORMAL_SIGMA_R = 1.2  # and of Re r and Im r
 FD_STEP = 1e-6  # central-difference step of right_translation_jacobian_fd
 
-# Points per run_blocks call of a Monte-Carlo pass at most, and the length
-# of the caller's point arrays; a multiple of BLOCK.
-BATCH_SIZE = 1 << 18
 # Points per block at most: each block is one task, shifted by its own
 # stream and reduced to one row, and the rows are added in block order, so
 # BLOCK is part of the estimator.
@@ -414,14 +407,25 @@ def run_blocks(count: int, task: Callable[[int], object]) -> list:
 
 def _shifted(halton: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """frac(halton + shift), per row, on the open grid (k + 1/2) 2^-52, so
-    that no sampler meets 0 or 1."""
+    that no sampler meets 0 or 1.  The carry is taken off before scaling:
+    for a sum in [1, 2) both the difference and its scaled value are exact."""
     u = halton + shift[:, None]
+    u -= u >= 1.0
     u *= 2.0**52
     np.floor(u, out=u)
-    np.fmod(u, 2.0**52, out=u)
     u += 0.5
     u *= 2.0**-52
     return u
+
+
+@functools.cache
+def _warm_heap() -> None:
+    """Free one untouched 8 MiB array, once per process.  glibc frees it as
+    an mmapped chunk and raises its dynamic mmap threshold above that size,
+    so the passes' multi-MB temporaries come from the heap and are reused,
+    not mapped and faulted in anew on every pass.  Untouched, the array
+    costs one page fault, for the allocator's header."""
+    np.empty(1 << 20)
 
 
 def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np.ndarray:
@@ -434,40 +438,29 @@ def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np
     from the start of the pass, draws its shift inside its task from its own
     generator, ``SeedSequence(entropy, spawn_key=(b,))``: independent
     streams keyed by block, as in Salmon et al., "Parallel random numbers:
-    as easy as 1, 2, 3" (SC 2011).  The task copies its points into its
-    slice of point arrays that the caller allocates once per pass and reuses
-    for each batch of at most ``BATCH_SIZE`` points.  Those multi-MB arrays
-    keep glibc's dynamic mmap threshold above the tasks' temporaries, which
-    are then reused from the heap: without them, C06 and C09 took over 25
-    times the page faults.  The one sample-count guard of every Monte-Carlo
+    as easy as 1, 2, 3" (SC 2011).  The task hands the points it drew
+    straight to ``partial``, and one ``run_blocks`` call runs every block of
+    the pass.  The first pass of the process warms the heap
+    (``_warm_heap``).  The one sample-count guard of every Monte-Carlo
     pass: fewer than 1000 points is a ``U22Error``, raised before anything
     is drawn.
     """
     if n < 1000:
         raise U22Error(f"need at least 1000 samples, got {n}")
+    _warm_heap()
     entropy = as_generator(rng).integers(1 << 32, size=4).tolist()
     sizes = _replicate_sizes(n).tolist()
     # the blocks of the pass in order: (replicate, Halton indices lo .. hi - 1)
     blocks = [(j, lo, min(lo + BLOCK, size)) for j, size in enumerate(sizes) for lo in range(0, size, BLOCK)]
     halton = _halton(max(BLOCK, 1 << (sizes[0] - 1).bit_length()))
-    longest = min(BATCH_SIZE, n)
-    r1, r2, r = np.empty(longest), np.empty(longest), np.empty(longest, complex)
-    rows = []
-    for first in range(0, len(blocks), BATCH_SIZE // BLOCK):
-        batch = blocks[first : first + BATCH_SIZE // BLOCK]
-        offsets = list(itertools.accumulate((hi - lo for _, lo, hi in batch), initial=0))
 
-        def task(i: int, first: int = first, batch: list = batch, offsets: list = offsets):
-            _, lo, hi = batch[i]
-            shift = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(first + i,))).random(4)
-            drawn = sampler.sample(hi - lo, _shifted(halton[:, lo:hi], shift))
-            at = slice(offsets[i], offsets[i + 1])
-            r1[at], r2[at], r[at] = drawn.r1, drawn.r2, drawn.r
-            return partial(TriangularS(r1[at], r2[at], r[at]))
+    def task(b: int):
+        _, lo, hi = blocks[b]
+        shift = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(b,))).random(4)
+        return partial(sampler.sample(hi - lo, _shifted(halton[:, lo:hi], shift)))
 
-        rows += run_blocks(len(batch), task)
     sums = [0] * REPLICATES
-    for (j, _, _), row in zip(blocks, rows):
+    for (j, _, _), row in zip(blocks, run_blocks(len(blocks), task)):
         sums[j] = sums[j] + row
     return np.array(sums)
 
@@ -554,8 +547,9 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
     per integrand, a single row when the values have no leading axis.
 
     One nested sample on [min(eps), r_max] serves every ladder rung, so the
-    increments between rungs are exact nonnegative shell sums (shells by
-    ``searchsorted``, summed per block by ``bincount``), and each rung's
+    increments between rungs are exact nonnegative shell sums (a point's
+    shell is the count of cutoffs at or below its radius, and the shells
+    are summed per block by ``bincount``), and each rung's
     standard error comes from its replicate sums.  The rules:
 
     * the relative tail increment below ``CONVERGED_REL_TAIL`` -> convergent;
@@ -578,7 +572,7 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
     def partial(view: TriangularS) -> np.ndarray:
         density = sampler.density(view)
         weights = [m.density(view) / density for m in measures]
-        shell = np.searchsorted(ascending, view.norm(), side="right")
+        shell = np.count_nonzero(ascending[:, None] <= view.norm(), axis=0)
         values = np.reshape(integrand(view), (-1, view.size))
         out = np.empty((len(values), len(measures), shells))
         for i, row in enumerate(values):

@@ -1,6 +1,7 @@
 """scripts/bench_compare.py on a committed ledger, BENCH_21.json, against the
 figures its CHANGES.md entry gives: parent and change medians, the median
-paired ratio and the parent's own spread."""
+paired ratio and the parent's own spread; and each standing on small
+ledgers made up here."""
 
 import importlib.util
 import json
@@ -55,16 +56,35 @@ def test_a_ratio_beyond_the_bound_inside_the_parents_spread_is_unresolved(rows):
     assert rows["requests", "wall_s"]["standing"] == "within"
 
 
-def test_a_ratio_beyond_the_bound_and_the_spread_is_beyond():
+def one_metric_row(parent, change, better="lower"):
+    """The row of a one-workload, one-metric ledger of paired runs."""
     def run(label, value):
         return {"label": label, "workload": "w",
-                "result": {"metrics": {"wall_s": {"value": value}}, "failed": 0, "attempted": 1, "correct": True}}
+                "result": {"metrics": {"m": {"value": value}}, "failed": 0, "attempted": 1, "correct": True}}
 
-    ledger = [run(label, v) for p in (1.0, 1.01, 0.99, 1.0) for label, v in (("parent", p), ("change", 1.5 * p))]
-    bench = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
+    ledger = [run(label, v) for p, c in zip(parent, change) for label, v in (("parent", p), ("change", c))]
+    bench = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "m", "unit": "s", "better": better,
                                                             "bound": 0.25}]}
     (row,) = bench_compare.compare(ledger, bench)
+    return row
+
+
+def test_a_ratio_beyond_the_bound_and_the_spread_is_beyond():
+    parent = [1.0, 1.01, 0.99, 1.0]
+    row = one_metric_row(parent, [1.5 * p for p in parent])
     assert row["standing"] == "beyond" and row["pairs_won"] == 0 and row["paired_ratio"] == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("ratio, better, standing", [
+    (0.70, "lower", "gain"),  # 1 - 0.70 > 0.25
+    (0.82, "lower", "within"),  # better, but by less than the bound
+    (1.30, "higher", "gain"),  # 1.30 - 1 > 0.25
+    (1.20, "higher", "within"),
+])
+def test_a_ratio_better_by_more_than_the_bound_is_a_gain(ratio, better, standing):
+    parent = [1.0, 1.01, 0.99, 1.0]
+    row = one_metric_row(parent, [ratio * p for p in parent], better)
+    assert row["ratio"] == pytest.approx(ratio) and row["standing"] == standing
 
 
 def test_main_prints_one_row_per_metric(capsys):

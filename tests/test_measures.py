@@ -56,9 +56,9 @@ def stacked(functions):
 # A block size under which a replicate of an 85_000-point pass spans three
 # blocks, two whole and a ragged one
 SMALL_BLOCK = 2048
-# (WORKERS, BATCH_SIZE) cases against one pass on the calling thread
-BATCHINGS = [(workers, batch) for workers in (1, 2, 3)
-             for batch in (SMALL_BLOCK, 3 * SMALL_BLOCK, measures.BATCH_SIZE)]
+# WORKERS cases against one pass on the calling thread: one contiguous run
+# of blocks per worker, so each count splits a pass's blocks differently
+WORKER_COUNTS = (1, 2, 3)
 
 
 def uniforms(n, rng):
@@ -407,24 +407,22 @@ class TestIntegration:
         estimate = integrate_mc(vacuum(), nu_measure(), PolarShellSampler(), n, 1)
         assert estimate.sample_count == n and 0.0 < estimate.std_error < math.inf
 
-    def test_results_do_not_depend_on_workers_or_batch_size(self, monkeypatch):
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch):
         # block b of a pass takes its shift from its own stream and the
         # block rows of a replicate are added in block order: every engine
-        # and the box count give the same bits at any worker count and any
-        # batch size that is a multiple of BLOCK (85_000 points in replicates
-        # of 5312 or 5313, three blocks each: 48 batches of one block, 16 of
-        # three, or one)
+        # and the box count give the same bits at any worker count (85_000
+        # points in replicates of 5312 or 5313, three blocks each: 48 blocks,
+        # in runs of 48, 24 or 16 per worker)
         monkeypatch.setattr(measures, "BLOCK", SMALL_BLOCK)
         monkeypatch.setattr(measures, "WORKERS", 1)
         reference = engine_results()
-        for workers, batch in BATCHINGS:
+        for workers in WORKER_COUNTS:
             monkeypatch.setattr(measures, "WORKERS", workers)
-            monkeypatch.setattr(measures, "BATCH_SIZE", batch)
             estimate, verdicts, gram, stderr, box = engine_results()
-            assert estimate == reference[0], (workers, batch)
-            assert verdicts == reference[1], (workers, batch)
+            assert estimate == reference[0], workers
+            assert verdicts == reference[1], workers
             assert np.array_equal(gram, reference[2]) and np.array_equal(stderr, reference[3])
-            assert box == reference[4], (workers, batch)
+            assert box == reference[4], workers
 
     def test_non_finite_detected(self, rng):
         def evaluate(pts):
@@ -511,7 +509,7 @@ class TestDivergenceProbe:
 
 class TestSharedStream:
     def test_rung_sums_match_masked_passes(self):
-        # one batch, both C06 measures: the searchsorted + bincount reduction
+        # one pass, both C06 measures: the shell count + bincount reduction
         # against one masked pass per rung over the same points
         n = 100_000
         eps = sorted(LADDER, reverse=True)
@@ -648,10 +646,12 @@ class TestPointwise:
 
 
 def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
-    # one 2^18-point pass holds the caller's point arrays (8 MiB) and, per
-    # worker, one block's draws and temporaries (about 5.5 MiB at most);
-    # measured at two workers: 17.2-19.3 MiB, against 20 MiB before blocks
-    # drew their own points.  The bound leaves 2.7 MiB of margin.
+    # one 2^18-point pass holds, per worker, one block's draws and
+    # temporaries (about 5.5 MiB at most), and no array of the whole pass;
+    # measured at two workers: 8.5-11.3 MiB, against 16.5-19.3 MiB while
+    # the caller copied every block into 8 MiB of point arrays.  The bound
+    # leaves 2.7 MiB of margin, and also holds a first pass of the process,
+    # which frees one untouched 8 MiB array before it draws anything.
     import tracemalloc
 
     monkeypatch.setattr(measures, "WORKERS", 2)
@@ -660,7 +660,7 @@ def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
     rng = np.random.default_rng(1)
     ps = [random_q(rng) for _ in range(6)]
     functions = [vacuum()] + [coboundary(q, label).as_group_function() for q in default_test_set()]
-    n = measures.BATCH_SIZE
+    n = 1 << 18
     engines = {
         "gram_matrix": lambda: gram_matrix(ps, label, sampler, n, 1),
         "divergence_probe": lambda: divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1.0)],
@@ -674,28 +674,34 @@ def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 22 << 20, (name, peak / 2**20)
+        assert peak <= 14 << 20, (name, peak / 2**20)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="glibc's dynamic mmap threshold")
-def test_point_arrays_keep_page_faults_low():
-    # mc_sum's caller-allocated point arrays are freed as mmapped chunks,
-    # which raises glibc's mmap threshold above the tasks' temporaries, so
-    # those are reused from the heap.  Measured per default-config run after
-    # a warm-up: C06 1.7k-2.7k and C09 3.5k-4.5k minor faults; without the
-    # arrays 36k and 73k-89k.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_claims_run_without_page_faults(monkeypatch, workers):
+    # the first pass of the process frees one untouched 8 MiB array, which
+    # raises glibc's mmap threshold above the tasks' multi-MB temporaries,
+    # so later passes reuse them from the heap.  Measured per default-config
+    # run after one unmeasured run, at one and at two workers: 0-2 minor
+    # faults for each of C04, C06 and C09.  Point arrays allocated per pass
+    # took 2,048 faults each time (C04 5.2k, C06 2.6k, C09 3.4k per run);
+    # without the 8 MiB array, a C04 run here took 0.7k-17k, depending on
+    # what earlier tests had freed.
     import resource
 
     from u22lab.claims import SuiteConfig, run_claims
 
+    monkeypatch.setattr(measures, "WORKERS", workers)
     config = SuiteConfig()
-    run_claims(config, ["C06", "C09"])
-    for claim_id in ("C06", "C09"):
+    claim_ids = ["C04", "C06", "C09"]
+    run_claims(config, claim_ids)
+    for claim_id in claim_ids:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         run_claims(config, [claim_id])
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults < 15_000, (claim_id, faults)
+        assert faults < 200, (claim_id, faults)
 
 
 class TestBoxTranslation:
@@ -717,14 +723,17 @@ class TestBoxTranslation:
         assert all(part["expected"] == modulus_pi(s0) for part in parts)
         assert sum(abs(part["mass"] - part["expected"]) > 3 * part["sigma"] for part in parts) <= 3
 
-    def test_box_part_does_not_depend_on_the_batch_size(self, monkeypatch):
-        # the same block streams and an exact count: bit for bit
+    def test_box_part_does_not_depend_on_the_worker_count(self, monkeypatch):
+        # the same block streams and an exact count: bit for bit (30_000
+        # points in 16 one-block replicates, in runs of 16, 8 or 5 and 6)
         from u22lab import claims
 
         s0 = TriangularS(1.4, 0.7, 0.3 + 0.2j)
-        whole = claims._box_translation_part(s0, 30_000, np.random.default_rng(8))
-        monkeypatch.setattr(measures, "BATCH_SIZE", measures.BLOCK)
-        assert claims._box_translation_part(s0, 30_000, np.random.default_rng(8)) == whole
+        monkeypatch.setattr(measures, "WORKERS", 1)
+        alone = claims._box_translation_part(s0, 30_000, np.random.default_rng(8))
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(measures, "WORKERS", workers)
+            assert claims._box_translation_part(s0, 30_000, np.random.default_rng(8)) == alone, workers
 
     def test_haar_right_invariance(self, rng):
         bump = GroupFunction(
