@@ -434,7 +434,7 @@ class TestIntegration:
             integrate_mc(GroupFunction(evaluate), nu_measure(), sampler, 1_000, rng)
 
     def test_minimum_sample_count(self, rng):
-        # one guard in the shared batch loop serves all three engines
+        # one guard in the one Monte-Carlo pass serves all three engines
         sampler = PolarShellSampler()
         for n in (999, 0, -3):
             engines = [
