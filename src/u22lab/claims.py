@@ -37,6 +37,7 @@ from .groups import (
     is_in_u22,
     iwasawa_decompose,
     nested_q_commutator,
+    q_join,
     q_multiply,
     random_k,
     random_n,
@@ -214,6 +215,11 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
 
 
 def _claim_measure_laws(config: SuiteConfig, rng):
+    """C04, the worst part residual over its tolerance.  Two parts are 3-sigma
+    gates on Monte-Carlo estimates, which fail by chance at a design rate of
+    about 1.43 % per seed: the box deviation follows t with 15 degrees of
+    freedom (0.90 % beyond 3), the Haar difference about t with 30 (0.54 %).
+    Measured: 9 failures in seeds 1-1000, 3 of the box part and 6 of Haar."""
     parts = {}
     # (a) pi multiplicativity
     s1, s2 = random_s(rng, size=10_000), random_s(rng, size=10_000)
@@ -362,14 +368,11 @@ def _claim_extension(config: SuiteConfig, rng):
     parts["sigma_involution"] = {"residual": float(np.max(_relative_distance(back, p))), "tolerance": 1e-10}
 
     pts = reference_points(config.sample_points)
-    label = config.label
-    worst_cocycle = 0.0
     g = random_u22(rng, size=100)
-    for i in range(0, 100, 2):
-        g1, g2 = g[i], g[i + 1]
-        lhs = extend_cocycle(g1.multiply(g2), label)
-        rhs = apply_extended(g1, extend_cocycle(g2, label)) + extend_cocycle(g1, label)
-        worst_cocycle = max(worst_cocycle, float(np.max(np.abs(lhs.evaluate(pts) - rhs.evaluate(pts)))))
+    g1, g2 = g[0::2], g[1::2]
+    lhs = extend_cocycle(g1.multiply(g2), config.label)
+    rhs = apply_extended(g1, extend_cocycle(g2, config.label)) + extend_cocycle(g1, config.label)
+    worst_cocycle = float(np.max(np.abs(lhs.evaluate(pts) - rhs.evaluate(pts))))
     parts["extended_cocycle_identity"] = {"residual": worst_cocycle, "tolerance": 1e-8}
 
     return max(p["residual"] / p["tolerance"] for p in parts.values()), parts
@@ -389,7 +392,7 @@ def _claim_gram(config: SuiteConfig, rng):
     # honest error for the eigenvalue: estimate the squared norm of the
     # least-independent combination with a fresh sample stream; the norm of
     # sum c_i b(p_i) is conj(c)* G conj(c), so the coefficients are conjugated
-    combo = CocycleVector(config.label, tuple((complex(np.conj(c)), p) for c, p in zip(v, p_list)))
+    combo = CocycleVector(config.label, np.conj(v), q_join(np.stack, p_list))
     proj = integrate_mc(combo.as_group_function(), nu_measure(), sampler, config.mc_samples, rng)
     measured = 3.0 * proj.std_error / proj.real if proj.real > 0 else float("inf")
     return measured, {
@@ -457,14 +460,10 @@ def _claim_rank1(config: SuiteConfig, rng):
 
 
 def _claim_derived_length(config: SuiteConfig, rng):
-    worst_triple = 0.0
-    best_double = 0.0
-    for _ in range(50):
-        qs = [random_q(rng) for _ in range(8)]
-        triple = nested_q_commutator(qs)
-        worst_triple = max(worst_triple, frob(triple.matrix() - E4))
-        double = nested_q_commutator(qs[:4])
-        best_double = max(best_double, frob(double.matrix() - E4))
+    # 50 commutators at once: element i of each of the 8 stacks enters the i-th
+    qs = [random_q(rng, size=50) for _ in range(8)]
+    worst_triple = float(np.max(frob(nested_q_commutator(qs).matrix() - E4)))
+    best_double = float(np.max(frob(nested_q_commutator(qs[:4]).matrix() - E4)))
     return worst_triple if best_double > 1e-2 else 1.0, {
         "max_triple_distance": worst_triple,
         "max_double_distance": best_double,

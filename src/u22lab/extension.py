@@ -14,6 +14,10 @@ g = p k, and the extended cocycle is b(g) = b(p), constant on right cosets
 of the compact part.  The swap operator exists only on this span; it is
 never applied to general functions.  ``unboundedness_experiment`` probes its
 growth on the fixed ladder ``UNBOUNDEDNESS_SCALES``.
+
+Every operator maps stacks: g, k and p0 hold one element per vector of a
+``CocycleVector`` and act on all its terms in one call.  Nothing is merged
+or dropped: T(p0) appends the term -(sum c_i) b(p0).
 """
 
 from __future__ import annotations
@@ -52,31 +56,31 @@ UNBOUNDEDNESS_R_MAX = 120.0
 
 
 def act_k(k: KElement, p: QElement) -> QElement:
-    """The triangular part p' of k p = p' k'."""
+    """The triangular part p' of k p = p' k', for k and p that broadcast."""
     return p_part(k.m @ p.matrix())
 
 
 def extend_cocycle(g: U22Element, label: OrbitLabel) -> CocycleVector:
-    """b(g) = b(p) for g = p k; zero when g lies in the compact part."""
+    """b(g) = b(p) for g = p k, one vector per member of g; ~0 on the compact part."""
     p, _ = iwasawa_decompose(g)
     return coboundary(p, label)
 
 
 def apply_k_on_vector(k: KElement, v: CocycleVector) -> CocycleVector:
-    terms = tuple((c, act_k(k, p)) for c, p in v.terms)
-    return CocycleVector(v.label, terms).canonical()
+    """T(k) sum c_i b(p_i) = sum c_i b(k p_i), one k per vector."""
+    on_terms = KElement(k.m[..., None, :, :], tol=k.tol)  # the same k for every term
+    return CocycleVector(v.label, v.coefficients, act_k(on_terms, v.elements))
 
 
 def apply_p_on_vector(p0: QElement, v: CocycleVector) -> CocycleVector:
-    """T(p0) sum c_i b(p_i) = sum c_i b(p0 p_i) - (sum c_i) b(p0)."""
-    terms = [(c, q_multiply(p0, p)) for c, p in v.terms]
-    total = sum(c for c, _ in v.terms)
-    terms.append((-total, p0))
-    return CocycleVector(v.label, tuple(terms)).canonical()
+    """T(p0) sum c_i b(p_i) = sum c_i b(p0 p_i) - (sum c_i) b(p0), one p0 per vector."""
+    b0 = coboundary(p0, v.label)
+    moved = CocycleVector(v.label, v.coefficients, q_multiply(b0.elements, v.elements))
+    return moved + CocycleVector(v.label, -v.coefficients.sum(axis=-1, keepdims=True), b0.elements)
 
 
 def apply_extended(g: U22Element, v: CocycleVector) -> CocycleVector:
-    """T(g) = T(p) T(k) through the factorization g = p k."""
+    """T(g) = T(p) T(k) through the factorization g = p k, one g per vector."""
     p, k = iwasawa_decompose(g)
     return apply_p_on_vector(p, apply_k_on_vector(k, v))
 

@@ -76,6 +76,7 @@ __all__ = [
     "KElement",
     "U22Element",
     "is_in_u22",
+    "q_join",
     "q_multiply",
     "q_inverse",
     "structured_p_factor",
@@ -100,7 +101,7 @@ __all__ = [
 CONSTRUCTION_TOL = 1e-12
 PRODUCT_TOL = 1e-10
 CHAIN_TOL = 1e-9
-IDENTITY_TOL = 1e-13  # QElement.is_identity, is_translation, is_character_direction
+IDENTITY_TOL = 1e-13  # QElement.is_identity
 
 # Scale-invariant cutoff for positivity of the leading minors in
 # ``structured_p_factor``.
@@ -428,12 +429,6 @@ class QElement:
     def is_identity(self) -> bool:
         return self.distance(QElement.identity()) <= IDENTITY_TOL
 
-    def is_translation(self) -> bool:
-        return self.n.norm() <= IDENTITY_TOL
-
-    def is_character_direction(self) -> bool:
-        return self.s.distance(TriangularS.identity()) <= IDENTITY_TOL
-
 
 def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
     """Membership test: each block relation relative to the size of its terms.
@@ -528,6 +523,13 @@ class KElement:
 
 # ---------------------------------------------------------------------------
 # the group law
+
+
+def q_join(join, members) -> QElement:
+    """The element whose every field is ``join`` of the list of that field
+    over ``members``: ``q_join(np.stack, qs)`` stacks them on a new axis."""
+    s = TriangularS(*(join([getattr(q.s, name) for q in members]) for name in ("r1", "r2", "r")))
+    return QElement(s, SkewHermitian2(*(join([getattr(q.n, name) for q in members]) for name in ("a", "b", "z"))))
 
 
 def q_multiply(q1: QElement, q2: QElement) -> QElement:

@@ -27,6 +27,11 @@ both linear in five monomials of the chart point
 elementwise exponentials.  The pointwise evaluator and the Gram matrix
 read its coboundary rows (``CocycleVector.rows``), and the specialness
 probe reads all of them.
+
+A ``CocycleVector`` is a coefficient array over one ``QElement`` stack of
+its shape: terms on the last axis, independent vectors on any leading axes.
+Nothing is merged: a sum concatenates terms, and an identity term's row is
+exactly 0.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import orbits
-from .groups import QElement, SkewHermitian2, TriangularS
+from .groups import QElement, SkewHermitian2, TriangularS, q_join
 from .matrices import U22Error
 from .measures import (
     DivergenceVerdict,
@@ -66,8 +71,8 @@ __all__ = [
     "default_test_set",
 ]
 
-# Near-duplicate merge cutoff for formal combinations of basis vectors.
-CANONICAL_TOL = 1e-12
+# Relative distance at or below which gram_matrix rejects two basis elements.
+DISTINCT_TOL = 1e-12
 # The radius below which specialness_report's control measure drops nu.
 CONTROL_CUTOFF = 1.0
 
@@ -95,14 +100,14 @@ def inverse_norm() -> GroupFunction:
     return GroupFunction(lambda pts: 1.0 / pts.norm())
 
 
-def _moves(s: TriangularS) -> bool:
-    """Whether any member of s differs from the identity translation."""
-    return bool(np.any((s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0)))
+def _moves(s: TriangularS):
+    """Which members of s differ from the identity translation."""
+    return (s.r1 != 1.0) | (s.r2 != 1.0) | (s.r != 0.0)
 
 
-def _turns(n: SkewHermitian2) -> bool:
-    """Whether any member of n differs from the zero character."""
-    return bool(np.any((n.a != 0.0) | (n.b != 0.0) | (n.z != 0.0)))
+def _turns(n: SkewHermitian2):
+    """Which members of n differ from the zero character."""
+    return (n.a != 0.0) | (n.b != 0.0) | (n.z != 0.0)
 
 
 def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
@@ -123,7 +128,7 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     by exactly 1.
     """
     s, n = q.s, q.n
-    moves, turns = _moves(s), _turns(n)
+    moves, turns = np.any(_moves(s)), np.any(_turns(n))
     if not (moves or turns):
         return fn
 
@@ -137,36 +142,26 @@ def apply_T(q: QElement, label: OrbitLabel, fn: GroupFunction) -> GroupFunction:
     return GroupFunction(evaluate)
 
 
-def _norm_coefficients(s0: TriangularS) -> np.ndarray:
-    """|s s0|^2 as coefficients of ``orbits.chart_monomials``, for one s0 =
-    (p1, p2, p): (p1^2, p1^2, p2^2 + |p|^2, 2 p1 Re p, 2 p1 Im p)."""
-    p1, p2, p = s0.r1, s0.r2, s0.r
-    return np.array([p1 * p1, p1 * p1, p2 * p2 + (p.real * p.real + p.imag * p.imag),
-                     2.0 * p1 * p.real, 2.0 * p1 * p.imag])
-
-
 # ---------------------------------------------------------------------------
-# cocycle vectors: formal combinations of b(p) with a derived evaluator
+# cocycle vectors: coefficient arrays over element stacks, with a derived evaluator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CocycleVector:
-    """Formal combination sum_i c_i b(p_i) with a consistent pointwise evaluator.
-
-    b(p) = T(p) f - f with f the vacuum; the evaluator is always derived
-    from the stored terms, so the two views cannot drift apart.
-    """
+    """Combinations sum_i c_i b(p_i), b(p) = T(p) f - f with f the vacuum; the
+    evaluator is derived from the two fields, so the views cannot drift apart."""
 
     label: OrbitLabel
-    terms: tuple  # tuple of (complex coefficient, QElement)
+    coefficients: np.ndarray  # terms on the last axis, vectors on any leading axes
+    elements: QElement  # a stack of the coefficients' shape
 
     def rows(self, pts: TriangularS) -> np.ndarray:
-        """T(p_i) f - f at the points for every term, in term order and
-        without its coefficient: one row per term, with f evaluated once."""
-        return self.vacuum_and_rows(pts)[1:]
+        """T(p_i) f - f at the points for every term, without its coefficient:
+        shape ``coefficients.shape + pts.shape``, with f evaluated once."""
+        return self.vacuum_and_rows(pts)[1:].reshape(self.coefficients.shape + np.shape(pts.r))
 
     def vacuum_and_rows(self, pts: TriangularS) -> np.ndarray:
-        """The vacuum f at the points, then ``rows(pts)``, on one leading axis.
+        """The vacuum f at the points, then every term's row in C order, on one axis.
 
         Each row exp(i phase) exp(-|s s0| / 2) - f comes from one matmul of
         the term's coefficient block with the ``orbits.chart_monomials`` of
@@ -178,11 +173,9 @@ class CocycleVector:
         and exp(-|s s0| / 2) can lose more than the few ulps of ``apply_T``:
         at most about 18 u cond(s0)^2 absolutely, u the unit roundoff.
         """
-        out = np.empty((1 + len(self.terms),) + np.shape(pts.r), dtype=complex)
+        out = np.empty((1 + self.coefficients.size,) + np.shape(pts.r), dtype=complex)
         f = np.exp(-pts.norm() / 2.0)
         out[0] = f
-        if not self.terms:
-            return out
         # one flat row per entry: 0-d points become one column, so a point
         # and a length-1 batch take the same path
         rows, f = out.reshape(len(out), -1)[1:], np.reshape(f, -1)
@@ -204,23 +197,28 @@ class CocycleVector:
         return out
 
     @functools.cached_property
-    def _exponent_blocks(self) -> tuple:
-        """Per term, (moves, turns, block): the rows of the block are the
-        ``orbits.chart_monomials`` coefficients of |s s0|^2 when s0 moves,
-        then of the phase when n turns; None for the identity."""
-        out = []
-        for _, p in self.terms:
-            moves, turns = _moves(p.s), _turns(p.n)
-            block = [_norm_coefficients(p.s)] if moves else []
-            if turns:
-                block.append(orbits.phase_coefficients(self.label, p.n))
-            out.append((moves, turns, np.stack(block) if block else None))
-        return tuple(out)
+    def _exponent_blocks(self) -> list:
+        """Per term, in the C order of ``coefficients``, (moves, turns,
+        block): the rows of the block are the ``orbits.chart_monomials``
+        coefficients of |s s0|^2 when s0 = (p1, p2, p) moves, (p1^2, p1^2,
+        p2^2 + |p|^2, 2 p1 Re p, 2 p1 Im p), then of the phase when n turns;
+        None for the identity."""
+        shape = self.coefficients.shape
+        flat = q_join(lambda fields: np.broadcast_to(fields[0], shape).ravel(), [self.elements])
+        p1, p2, p = flat.s.r1, flat.s.r2, flat.s.r
+        norm = [p1 * p1, p1 * p1, p2 * p2 + (p.real * p.real + p.imag * p.imag),
+                2.0 * p1 * p.real, 2.0 * p1 * p.imag]
+        blocks = np.stack((np.stack(norm, axis=-1), orbits.phase_coefficients(self.label, flat.n)), axis=1)
+        return [(moves, turns, block[[moves, turns]] if moves or turns else None)
+                for moves, turns, block in zip(_moves(flat.s), _turns(flat.n), blocks)]
 
     def evaluate(self, pts: TriangularS) -> np.ndarray:
-        """sum_i c_i (T(p_i) f - f) at the points: the rows added in term order."""
-        out = np.zeros(np.shape(pts.r), dtype=complex)
-        for (c, _), row in zip(self.terms, self.rows(pts)):
+        """sum_i c_i (T(p_i) f - f) at the points, one value array per
+        vector: the rows added in term order."""
+        lead = self.coefficients.ndim - 1
+        out = np.zeros(self.coefficients.shape[:-1] + np.shape(pts.r), dtype=complex)
+        coefficients = self.coefficients.reshape(self.coefficients.shape + (1,) * np.ndim(pts.r))
+        for c, row in zip(np.moveaxis(coefficients, lead, 0), np.moveaxis(self.rows(pts), lead, 0)):
             out += c * row
         return out
 
@@ -228,30 +226,19 @@ class CocycleVector:
         return GroupFunction(self.evaluate)
 
     def __add__(self, other: "CocycleVector") -> "CocycleVector":
+        """The terms of both vectors, concatenated on the last axis."""
         if other.label is not self.label:
             raise ValueError("cannot mix orbit labels in one combination")
-        return CocycleVector(self.label, self.terms + other.terms).canonical()
-
-    def canonical(self) -> "CocycleVector":
-        """Merge coincident basis labels, drop identities and zero coefficients."""
-        kept: list[list] = []
-        for c, p in self.terms:
-            if p.is_identity():
-                continue
-            scale = max(1.0, p.s.norm())
-            for entry in kept:
-                if entry[1].distance(p) <= CANONICAL_TOL * scale:
-                    entry[0] += c
-                    break
-            else:
-                kept.append([complex(c), p])
-        terms = tuple((c, p) for c, p in kept if abs(c) > CANONICAL_TOL)
-        return CocycleVector(self.label, terms)
+        join = functools.partial(np.concatenate, axis=-1)
+        return CocycleVector(self.label, join([self.coefficients, other.coefficients]),
+                             q_join(join, [self.elements, other.elements]))
 
 
 def coboundary(q: QElement, label: OrbitLabel) -> CocycleVector:
-    """b(q) = T(q) f - f as a basis cocycle vector; zero for the identity."""
-    return CocycleVector(label, () if q.is_identity() else ((1.0 + 0.0j, q),))
+    """b(q) = T(q) f - f as a one-term cocycle vector, one per member of q;
+    an identity member's row is exactly 0."""
+    shape = np.broadcast_shapes(np.shape(q.s.r), np.shape(q.n.z)) + (1,)
+    return CocycleVector(label, np.ones(shape, dtype=complex), q_join(functools.partial(np.stack, axis=-1), [q]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +257,23 @@ def gram_matrix(
 
     All entries share one sample stream, which keeps the estimated matrix
     exactly positive semidefinite.  Requires pairwise-distinct, nonidentity
-    basis labels.  One ``CocycleVector.rows`` call gives a block's k rows
-    b_i, and each block of points gives the k x k sums of w b_i conj(b_j)
-    as one small matmul; the entries below the diagonal are the conjugates
-    of those above, and each entry's error comes from its replicate sums.
+    basis labels (no two within relative ``DISTINCT_TOL``).  One
+    ``CocycleVector.rows`` call gives a block's k rows b_i, and each block of
+    points gives the k x k sums of w b_i conj(b_j) as one small matmul; the
+    entries below the diagonal are the conjugates of those above, and each
+    entry's error comes from its replicate sums.
     """
     k = len(p_list)
     if k == 0:
         raise U22Error("need at least one basis element")
-    for i, p in enumerate(p_list):
-        if p.is_identity():
-            raise U22Error("identity element has a zero coboundary")
-        for other in p_list[i + 1 :]:
-            if p.distance(other) <= CANONICAL_TOL * max(1.0, p.s.norm()):
-                raise U22Error("basis elements must be pairwise distinct")
-    vector = CocycleVector(label, tuple((1.0 + 0.0j, p) for p in p_list))
+    basis = q_join(np.stack, p_list)
+    if np.any(basis.is_identity()):
+        raise U22Error("identity element has a zero coboundary")
+    column = q_join(lambda fields: np.stack(fields)[:, None], p_list)
+    close = column.distance(basis) <= DISTINCT_TOL * np.maximum(1.0, column.s.norm())
+    if np.any(np.triu(close, 1)):
+        raise U22Error("basis elements must be pairwise distinct")
+    vector = CocycleVector(label, np.ones(k, dtype=complex), basis)
     nu = nu_measure()
 
     def partial(view: TriangularS) -> np.ndarray:
@@ -337,11 +326,10 @@ def default_test_set() -> list[QElement]:
 
 
 def _describe(q: QElement) -> str:
-    if q.is_translation():
-        s = q.s
+    s, n = q.s, q.n
+    if not _turns(n):
         return f"translate(r1={s.r1:g}, r2={s.r2:g}, r={s.r:g})"
-    if q.is_character_direction():
-        n = q.n
+    if not _moves(s):
         return f"character(a={n.a:g}, b={n.b:g}, z={n.z:g})"
     return "mixed"
 
@@ -360,7 +348,7 @@ def specialness_report(
     """
     test_set = default_test_set()
     measures = (nu_measure(), truncated_nu(CONTROL_CUTOFF))
-    vector = CocycleVector(label, tuple((1.0 + 0.0j, q) for q in test_set))
+    vector = CocycleVector(label, np.ones(len(test_set), dtype=complex), q_join(np.stack, test_set))
     # the vacuum row, then b(q) per element
     rows = divergence_probe(vector.vacuum_and_rows, measures, eps_ladder, r_max, samples, rng)
     descriptions = [_describe(q) for q in test_set]

@@ -6,16 +6,19 @@ replicates of 2^14 shifted Halton points) and prints a pass/fail line.  Runtime 
 """
 
 import ast
+import collections
 import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core import _multiarray_umath as umath
 from scipy.special import exp1
 
-from u22lab import claims, measures
+from u22lab import claims, extension, measures
 from u22lab.claims import SuiteConfig, records_to_json, run_claims
 
 CONFIG = SuiteConfig()
@@ -241,8 +244,27 @@ MC_REPORT_DIGEST = "d64fd1613c3c1229a5fbd84f07d05694071b2aab3e62328c94faf35ce0d1
 # and its detail gained the skipped-draw count and the chart condition
 # numbers.  n_conjugate came to take |r| by np.hypot on a stack too; the
 # other eight records did not change by a byte.
+# Re-pinned when C12 came to draw its 8 x 50 elements as eight stacks of 50:
+# its elements and values moved with the new draw order.  C08, which came to
+# check its 50 pairs as stacked calls over stacked cocycle vectors, did not
+# change by a byte, nor did the other seven records.
 OTHER_CLAIMS = ["C01", "C02", "C03", "C05", "C07", "C08", "C10", "C11", "C12"]
-OTHER_REPORT_DIGEST = "5d49e02ce68d1a4bfe68a6f43a31d8b1328ea01370b6b0a0bdc112c6404a8e1d"
+OTHER_REPORT_DIGEST = "a43fbfb59a6d6f733127272252bf3f85ee5323b52a865024cf0c8da59deb4b0e"
+
+# The arithmetic both digests were pinned under: the NumPy version and the
+# highest CPU dispatch target it enables on the machine.  A digest pins the
+# bits of that arithmetic; elsewhere it can fail with every verdict intact.
+PINNED_ARITHMETIC = {"numpy": "2.4.6", "cpu_dispatch": "AVX512_SPR"}
+
+
+def running_arithmetic() -> dict:
+    enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return {"numpy": np.__version__, "cpu_dispatch": (enabled or umath.__cpu_baseline__)[-1]}
+
+
+def digest_mismatch(pinned: str, running: str) -> str:
+    return (f"report digest {running} is not the pinned {pinned}; pinned under "
+            f"{PINNED_ARITHMETIC}, running under {running_arithmetic()}")
 
 
 def report_digest(config: SuiteConfig, claim_ids) -> str:
@@ -255,11 +277,34 @@ def report_digest(config: SuiteConfig, claim_ids) -> str:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_reports_match_the_pinned_digest(monkeypatch, workers):
     monkeypatch.setattr(measures, "WORKERS", workers)
-    assert report_digest(SuiteConfig(mc_samples=20_000), ["C04", "C06", "C09"]) == MC_REPORT_DIGEST
+    digest = report_digest(SuiteConfig(mc_samples=20_000), ["C04", "C06", "C09"])
+    assert digest == MC_REPORT_DIGEST, digest_mismatch(MC_REPORT_DIGEST, digest)
 
 
 def test_other_reports_match_the_pinned_digest():
-    assert report_digest(dataclasses.replace(CONFIG, mc_samples=1_000_000), OTHER_CLAIMS) == OTHER_REPORT_DIGEST
+    digest = report_digest(dataclasses.replace(CONFIG, mc_samples=1_000_000), OTHER_CLAIMS)
+    assert digest == OTHER_REPORT_DIGEST, digest_mismatch(OTHER_REPORT_DIGEST, digest)
+
+
+def test_a_digest_mismatch_names_both_arithmetics():
+    message = digest_mismatch("a" * 64, "b" * 64)
+    assert str(PINNED_ARITHMETIC) in message and str(running_arithmetic()) in message
+    assert set(running_arithmetic()) == set(PINNED_ARITHMETIC)
+
+
+def test_c08_and_c12_run_on_stacks(monkeypatch):
+    # C08 factors its 50 pairs in four stacked calls (was one call per
+    # element, 200), and C12 draws its 8 x 50 elements as eight stacks (was
+    # 400 one-element draws)
+    calls = collections.Counter()
+    for module, name in ((claims, "iwasawa_decompose"), (extension, "iwasawa_decompose"), (claims, "random_q")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _name=name, **kwargs: calls.update([_name]) or _f(*args, **kwargs))
+    run_claims(CONFIG, ["C08"])
+    assert 0 < calls["iwasawa_decompose"] <= 4
+    calls.clear()
+    run_claims(CONFIG, ["C12"])
+    assert 0 < calls["random_q"] <= 8
 
 
 # The battery's contract: one tolerance per claim, pinned in the registry.

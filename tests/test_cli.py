@@ -619,7 +619,7 @@ def test_non_finite_gram_sample_in_a_worker_is_exit_2(monkeypatch, capsys):
     caller = threading.get_ident()
 
     def rows(self, pts):
-        return np.full((len(self.terms), pts.size), np.inf if threading.get_ident() != caller else 0.0, complex)
+        return np.full((self.coefficients.size, pts.size), np.inf if threading.get_ident() != caller else 0.0, complex)
 
     monkeypatch.setattr(measures, "WORKERS", 2)
     monkeypatch.setattr(CocycleVector, "rows", rows)

@@ -15,6 +15,7 @@ from u22lab.groups import (
     SkewHermitian2,
     TriangularS,
     U22Element,
+    q_join,
     random_k,
     random_q,
     random_u22,
@@ -85,8 +86,10 @@ class TestActSigma:
 
 class TestExtendCocycle:
     def test_compact_element_gives_zero(self, rng):
+        # the one term is b(p) with p the identity to rounding
         v = extend_cocycle(U22Element(random_k(rng).m), LABEL)
-        assert v.terms == ()
+        assert v.coefficients.shape == (1,)
+        assert np.all(v.elements.is_identity())
 
     def test_triangular_element_matches_module(self, pts, rng):
         p = random_q(rng)
@@ -107,8 +110,9 @@ class TestExtendCocycle:
         k = random_k(rng)
         v1 = extend_cocycle(g, LABEL)
         v2 = extend_cocycle(g.multiply(U22Element(k.m)), LABEL)
-        assert len(v1.terms) == len(v2.terms) == 1
-        assert v1.terms[0][1].distance(v2.terms[0][1]) < 1e-10 * rel_scale(v1.terms[0][1])
+        assert v1.coefficients.shape == v2.coefficients.shape == (1,)
+        (distance,), (scale,) = v1.elements.distance(v2.elements), v1.elements.s.norm() + frob(v1.elements.x)
+        assert distance < 1e-10 * max(1.0, scale)
 
 
 class TestApplyExtended:
@@ -141,12 +145,25 @@ class TestApplyExtended:
             worst = max(worst, float(np.max(np.abs(lhs.evaluate(pts) - rhs.evaluate(pts)))))
         assert worst < 1e-8
 
+    def test_a_stack_acts_member_by_member(self, pts, rng):
+        # one g per vector of a stacked two-term vector: each vector of the
+        # result is that member's own action, to rounding
+        g, q1, q2 = random_u22(rng, size=4), random_q(rng, size=4), random_q(rng, size=4)
+        stacked = apply_extended(g, coboundary(q1, LABEL) + coboundary(q2, LABEL))
+        assert stacked.coefficients.shape == (4, 3)
+        values = stacked.evaluate(pts)
+        for i in range(4):
+            member = [q_join(lambda fields: fields[0][i], [q]) for q in (q1, q2)]
+            alone = apply_extended(g[i], coboundary(member[0], LABEL) + coboundary(member[1], LABEL))
+            np.testing.assert_allclose(values[i], alone.evaluate(pts), rtol=0, atol=1e-13)
+
     def test_result_stays_in_span(self, rng):
         g = random_u22(rng)
         v = coboundary(random_q(rng), LABEL) + coboundary(random_q(rng), LABEL)
         out = apply_extended(g, v)
-        assert all(isinstance(p, QElement) for _, p in out.terms)
-        assert len(out.terms) <= 3
+        assert isinstance(out.elements, QElement)
+        assert np.shape(out.elements.s.r) == out.coefficients.shape
+        assert out.coefficients.shape[-1] <= 3
 
 
 class TestExtendedOperator:

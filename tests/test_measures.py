@@ -40,7 +40,7 @@ from u22lab.representation import (
     inverse_norm,
     vacuum,
 )
-from u22lab.groups import QElement, SkewHermitian2, random_q
+from u22lab.groups import QElement, SkewHermitian2, q_join, random_q
 from u22lab.orbits import OrbitLabel
 from u22lab.points import reference_points
 
@@ -548,11 +548,12 @@ class TestSharedStream:
         # CocycleVector.rows as the integrand: one row of verdicts per term,
         # each that of the term's own coboundary probed alone on the seed
         label = OrbitLabel.PLUS_PLUS
-        vector = CocycleVector(label, tuple((1.0, q) for q in default_test_set()))
+        test_set = default_test_set()
+        vector = CocycleVector(label, np.ones(len(test_set)), q_join(np.stack, test_set))
         measures = [nu_measure(), truncated_nu(1.0)]
         rows = divergence_probe(vector.rows, measures, LADDER, 30.0, 100_000, 5)
-        assert len(rows) == len(vector.terms)
-        for (_, q), row in zip(vector.terms, rows):
+        assert len(rows) == vector.coefficients.size
+        for q, row in zip(test_set, rows):
             alone = coboundary(q, label).as_group_function()
             assert (row,) == divergence_probe(alone, measures, LADDER, 30.0, 100_000, 5)
         assert {v.classification for row in rows for v in row} == {"convergent"}

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from u22lab.groups import (
     QElement,
     SkewHermitian2,
     TriangularS,
+    q_join,
     q_multiply,
     random_q,
     random_s,
@@ -31,6 +33,11 @@ LABEL = OrbitLabel.PLUS_PLUS
 LADDER = tuple(np.logspace(-1, -4, 7))
 EPS = np.finfo(float).eps
 ONE = GroupFunction(lambda pts: np.ones(np.shape(pts.r)))
+
+
+def combination(label, coefficients, members):
+    """The vector sum_i c_i b(p_i) over a list of elements."""
+    return CocycleVector(label, np.asarray(coefficients, dtype=complex), q_join(np.stack, members))
 
 
 def multiplier(label, n):
@@ -154,7 +161,7 @@ class TestStackedOperator:
 class TestCombinators:
     def test_linear_combination(self, pts, rng):
         p1, p2 = random_q(rng), random_q(rng)
-        combo = CocycleVector(LABEL, ((1.0, p1), (-0.5j, p2)))
+        combo = combination(LABEL, [1.0, -0.5j], [p1, p2])
         expected = coboundary(p1, LABEL).evaluate(pts) - 0.5j * coboundary(p2, LABEL).evaluate(pts)
         np.testing.assert_allclose(combo.evaluate(pts), expected, atol=1e-14)
 
@@ -162,10 +169,10 @@ class TestCombinators:
         # b(p1) - b(p2) = T(p1) f - T(p2) f: the vacuum cancels
         p1, p2 = random_q(rng), random_q(rng)
         f = vacuum()
-        diff = CocycleVector(LABEL, ((1.0, p1), (-1.0, p2)))
+        diff = combination(LABEL, [1.0, -1.0], [p1, p2])
         expected = apply_T(p1, LABEL, f)(pts) - apply_T(p2, LABEL, f)(pts)
         np.testing.assert_allclose(diff.evaluate(pts), expected, atol=1e-14)
-        same = CocycleVector(LABEL, ((1.0, p1), (-1.0, p1)))
+        same = combination(LABEL, [1.0, -1.0], [p1, p1])
         assert np.max(np.abs(same.evaluate(pts))) == 0.0
 
     def test_character_factor_modulus(self, pts, rng):
@@ -191,10 +198,12 @@ def rounding_bound(p, pts):
 class TestRows:
     # CocycleVector.rows is the one evaluator of T(p) f - f, in closed form
     @staticmethod
-    def vector(rng):
-        terms = [QElement.identity(), QElement(random_s(rng), SkewHermitian2.zero()),
-                 QElement(TriangularS.identity(), random_q(rng).n), random_q(rng), random_q(rng)]
-        return CocycleVector(LABEL, tuple((0.5 - 2.0j, p) for p in terms))
+    def members(rng):
+        return [QElement.identity(), QElement(random_s(rng), SkewHermitian2.zero()),
+                QElement(TriangularS.identity(), random_q(rng).n), random_q(rng), random_q(rng)]
+
+    def vector(self, rng):
+        return combination(LABEL, np.full(5, 0.5 - 2.0j), self.members(rng))
 
     @staticmethod
     def ill_conditioned(rng):
@@ -228,10 +237,10 @@ class TestRows:
         # pointwise form is checked.  Points: the reference points, polar
         # draws on [1e-4, 30], one point, and for each ill-conditioned s0
         # points that s0 nearly annihilates, where X / x is largest.
-        terms = [p for _, p in self.vector(rng).terms] + self.ill_conditioned(rng)
+        terms = self.members(rng) + self.ill_conditioned(rng)
         draws = PolarShellSampler(1e-4, 30.0).sample(4096, rng.uniform(2.0**-53, 1.0, (4, 4096)))
         for label in OrbitLabel:
-            v = CocycleVector(label, tuple((1.0, p) for p in terms))
+            v = combination(label, np.ones(len(terms)), terms)
             for points in (pts, draws, random_s(rng)):
                 values = v.vacuum_and_rows(points)
                 assert values.shape == (1 + len(terms),) + np.shape(points.r)
@@ -245,7 +254,7 @@ class TestRows:
             r2 = rng.uniform(1e-3, 30.0 * min(s0.r1, 1.0 / abs(s0.r)), 4096)
             corner = -r2 * s0.r / s0.r1 * (1.0 + rng.normal(0.0, 1e-3, r2.size))  # r s0.r1 + r2 s0.r near 0
             near = TriangularS(np.full(r2.size, 1e-3), r2, corner)
-            row = CocycleVector(LABEL, ((1.0, p),)).rows(near)[0]
+            row = coboundary(p, LABEL).rows(near)[0]
             expected = apply_T(p, LABEL, vacuum())(near) - vacuum()(near)
             assert np.all(np.abs(row - expected) <= rounding_bound(p, near)), p
 
@@ -257,7 +266,7 @@ class TestRows:
         q = QElement(TriangularS(t, t, np.exp(0.7j)), SkewHermitian2.zero())
         r2 = rng.uniform(3 * t, 30 * t, 1000)
         near = TriangularS(np.full(r2.size, 1e-3 * t), r2, -r2 * np.exp(0.7j) / t)
-        row = CocycleVector(LABEL, ((1.0, q),)).rows(near)[0]
+        row = coboundary(q, LABEL).rows(near)[0]
         assert np.all(np.isfinite(row.real)) and np.all(row.imag == 0.0)
 
     def test_a_point_gives_the_rows_of_a_length_one_batch(self, rng):
@@ -267,16 +276,32 @@ class TestRows:
             s = random_s(rng)
             batch = TriangularS(np.array([s.r1]), np.array([s.r2]), np.array([s.r]))
             one, many = v.vacuum_and_rows(s), v.vacuum_and_rows(batch)
-            assert one.shape == (1 + len(v.terms),) and many.shape == (1 + len(v.terms), 1)
+            assert one.shape == (1 + v.coefficients.size,) and many.shape == (1 + v.coefficients.size, 1)
             np.testing.assert_allclose(one, many[:, 0], rtol=4 * EPS, atol=0)
 
     def test_evaluate_adds_the_rows_in_term_order(self, pts, rng):
         v = self.vector(rng)
         expected = np.zeros(pts.size, complex)
-        for (c, _), row in zip(v.terms, v.rows(pts)):
+        for c, row in zip(v.coefficients, v.rows(pts)):
             expected += c * row
         assert np.array_equal(v.evaluate(pts), expected)
-        assert CocycleVector(LABEL, ()).rows(pts).shape == (0, pts.size)
+        nothing = QElement(TriangularS(np.ones(0), np.ones(0), np.zeros(0)),
+                           SkewHermitian2(np.zeros(0), np.zeros(0), np.zeros(0)))
+        assert CocycleVector(LABEL, np.zeros(0), nothing).rows(pts).shape == (0, pts.size)
+
+    def test_leading_axes_index_independent_vectors(self, pts, rng):
+        # a (3, 2) coefficient array over a (3, 2) stack is three two-term
+        # vectors, each evaluated as it is alone, bit for bit
+        firsts, seconds = random_q(rng, size=(3, 1)), random_q(rng, size=(3, 1))
+        coefficients = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        elements = q_join(functools.partial(np.concatenate, axis=-1), [firsts, seconds])
+        stacked = CocycleVector(LABEL, coefficients, elements)
+        assert stacked.rows(pts).shape == (3, 2, pts.size)
+        values = stacked.evaluate(pts)
+        assert values.shape == (3, pts.size)
+        for i in range(3):
+            alone = combination(LABEL, coefficients[i], [member(firsts, i), member(seconds, i)])
+            assert np.array_equal(values[i], alone.evaluate(pts))
 
     def test_passes_translate_no_point_and_share_one_norm_per_view(self, monkeypatch):
         # the rows come from the monomials of the points, so neither a
@@ -300,7 +325,8 @@ class TestRows:
         rng = np.random.default_rng(3)
         gram_matrix([random_q(rng) for _ in range(6)], LABEL, PolarShellSampler(), n, rng)
         assert products == []
-        assert [size for size in norms if size > 1] == [n // views] * views  # scalar norms: the distinctness check
+        # the distinctness check takes one norm of the six-element stack
+        assert [size for size in norms if size > 1] == [6] + [n // views] * views
         norms.clear()
         specialness_report(LABEL, LADDER, 30.0, n, rng)
         assert products == []
@@ -309,8 +335,9 @@ class TestRows:
 
 class TestCoboundary:
     def test_identity_gives_zero(self, pts):
+        # the one term's row is exactly 0
         b = coboundary(QElement.identity(), LABEL)
-        assert b.terms == ()
+        assert b.coefficients.shape == (1,)
         assert np.max(np.abs(b.evaluate(pts))) == 0.0
 
     def test_cocycle_identity_pointwise(self, pts, rng):
@@ -352,16 +379,29 @@ class TestCoboundary:
 
 
 class TestCocycleVectorAlgebra:
-    def test_canonical_merges_duplicates(self, rng):
+    def test_an_identity_member_evaluates_to_exactly_zero(self, pts, rng):
+        # no merge drops the identity: its row is exactly 0, so the vector
+        # evaluates bit for bit as the one without it
         p = random_q(rng)
-        v = CocycleVector(LABEL, ((1.0, p), (2.0, p)))
-        merged = v.canonical()
-        assert len(merged.terms) == 1
-        assert merged.terms[0][0] == 3.0
+        v = combination(LABEL, [1.0, 2.0], [QElement.identity(), p])
+        assert not np.any(v.rows(pts)[0])
+        assert np.array_equal(v.evaluate(pts), combination(LABEL, [2.0], [p]).evaluate(pts))
 
-    def test_canonical_drops_identity(self):
-        v = CocycleVector(LABEL, ((1.0, QElement.identity()),))
-        assert v.canonical().terms == ()
+    def test_a_vector_plus_itself_is_twice_the_vector(self, pts, rng):
+        v = coboundary(random_q(rng), LABEL) + coboundary(random_q(rng), LABEL)
+        twice = v + v
+        assert twice.coefficients.shape == (4,)
+        np.testing.assert_allclose(twice.evaluate(pts), 2.0 * v.evaluate(pts), rtol=4 * EPS, atol=0)
+
+    def test_a_vector_plus_its_negation_is_exactly_zero(self, rng):
+        # three one-term vectors, on a leading axis: the repeated element is
+        # not merged, and its row meets its negation at every point
+        b = coboundary(q_join(np.stack, [random_q(rng), QElement.identity(), random_q(rng)]), LABEL)
+        v = CocycleVector(LABEL, b.coefficients * np.array([[1.0], [-0.5j], [3.0 + 1.0j]]), b.elements)
+        negation = CocycleVector(LABEL, -v.coefficients, v.elements)
+        points = PolarShellSampler(1e-4, 30.0).sample(4096, rng.uniform(2.0**-53, 1.0, (4, 4096)))
+        for where in (reference_points(100), points, random_s(rng)):
+            assert not np.any((v + negation).evaluate(where))
 
     def test_add_and_subtract(self, pts, rng):
         v1 = coboundary(random_q(rng), LABEL)
@@ -370,7 +410,7 @@ class TestCocycleVectorAlgebra:
         np.testing.assert_allclose(
             total.evaluate(pts), v1.evaluate(pts) + v2.evaluate(pts), atol=1e-14
         )
-        assert (v1 + CocycleVector(LABEL, tuple((-c, p) for c, p in v1.terms))).terms == ()
+        assert not np.any((v1 + CocycleVector(LABEL, -v1.coefficients, v1.elements)).evaluate(pts))
 
     def test_label_mixing_rejected(self, rng):
         v1 = coboundary(random_q(rng), OrbitLabel.PLUS_PLUS)
