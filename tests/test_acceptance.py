@@ -15,8 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy._core import _multiarray_umath as umath
 from scipy.special import exp1
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # NumPy 1.x
+    from numpy.core import _multiarray_umath as umath
 
 from u22lab import claims, extension, measures
 from u22lab.claims import SuiteConfig, records_to_json, run_claims
