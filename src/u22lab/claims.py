@@ -22,7 +22,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,7 @@ from .groups import (
 )
 from .matrices import E4, U22Error, adjoint, blocks, frob
 from .measures import (
+    MAX_SAMPLES,
     REPLICATES,
     BoxSampler,
     LogNormalSampler,
@@ -97,6 +98,8 @@ class SuiteConfig:
             raise U22Error(f"seed must be nonnegative, got {self.seed}")
         if self.mc_samples < 1000:
             raise U22Error(f"need at least 1000 samples, got {self.mc_samples}")
+        if self.mc_samples > MAX_SAMPLES:
+            raise U22Error(f"need at most {MAX_SAMPLES} samples (2^28), got {self.mc_samples}")
         if self.sample_points <= 0:
             raise U22Error("sample_points must be positive")
         if len(self.eps_ladder) < 5:
@@ -555,15 +558,7 @@ def to_json(doc, sort_keys: bool = False) -> str:
 
 def records_to_json(records, config: SuiteConfig, timestamp: str | None = None) -> str:
     doc = {
-        "config": {
-            "seed": config.seed,
-            "mc_samples": config.mc_samples,
-            "sample_points": config.sample_points,
-            "eps_ladder": [float(e) for e in config.eps_ladder],
-            "r_max": config.r_max,
-            "label": str(config.label),
-            "tol_override": config.tol_override,
-        },
+        "config": asdict(config) | {"label": str(config.label)},
         "claims": [
             {
                 "claim_id": r.claim_id,

@@ -26,6 +26,7 @@ from .groups import (
     SkewHermitian2,
     TriangularS,
     U22Element,
+    _s_to_json,
     element_to_json,
     iwasawa_decompose,
     random_q,
@@ -38,6 +39,9 @@ from .representation import coboundary, gram_matrix, inverse_norm, vacuum
 __all__ = ["main", "build_parser"]
 
 PROBE_FUNCTIONS = ("vacuum", "coboundary-translation", "coboundary-character", "inverse-norm")
+# gram's most basis elements: each block of the pass then holds 64 rows of
+# 2^14 complex values, 16 MiB
+GRAM_MAX_SIZE = 64
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gram = sub.add_parser("gram", help="Gram matrix of random basis coboundaries")
     gram.set_defaults(run=_cmd_gram)
-    gram.add_argument("--size", type=int, default=6)
+    gram.add_argument("--size", type=int, default=6,
+                      help=f"number of random basis elements (default 6, at most {GRAM_MAX_SIZE})")
     _common_flags(gram)
 
     unbounded = sub.add_parser(
@@ -92,7 +97,7 @@ def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--samples", type=int, default=None,
                      help="Monte-Carlo samples per integral, in 16 replicates of shifted Halton points "
-                          "(default 262144, at least 1000)")
+                          "(default 262144, at least 1000, at most 2^28)")
     sub.add_argument("--label", default=None, help="orbit label: ++, +-, -+, -- or 1..4")
     if with_format:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -238,14 +243,7 @@ def _cmd_orbit(args) -> int:
         _emit_json({"label": "degenerate"}, args.out)
         return 0
     label, s = OrbitLabel((int(e1), int(e2))), TriangularS(r1, r2, r)
-    _emit_json(
-        {
-            "label": str(label),
-            "index": label.index,
-            "coordinates": {"r1": s.r1, "r2": s.r2, "r": [s.r.real, s.r.imag]},
-        },
-        args.out,
-    )
+    _emit_json({"label": str(label), "index": label.index, "coordinates": _s_to_json(s)}, args.out)
     return 0
 
 
@@ -283,6 +281,8 @@ def _cmd_measure_probe(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    if args.size > GRAM_MAX_SIZE:
+        raise U22Error(f"--size must be at most {GRAM_MAX_SIZE}, got {args.size}")
     config = _suite_config(args)
     rng = np.random.default_rng(config.seed)
     p_list = [random_q(rng) for _ in range(args.size)]

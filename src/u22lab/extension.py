@@ -15,9 +15,10 @@ of the compact part.  The swap operator exists only on this span; it is
 never applied to general functions.  ``unboundedness_experiment`` probes its
 growth on the fixed ladder ``UNBOUNDEDNESS_SCALES``.
 
-Every operator maps stacks: g, k and p0 hold one element per vector of a
-``CocycleVector`` and act on all its terms in one call.  Nothing is merged
-or dropped: T(p0) appends the term -(sum c_i) b(p0).
+``apply_extended`` maps stacks: g holds one element per vector of a
+``CocycleVector``, and its factors k and p act on all the vector's terms
+in one call each.  Nothing is merged or dropped: T(p) appends the term
+-(sum c_i) b(p).
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "act_k",
     "extend_cocycle",
     "apply_extended",
-    "apply_k_on_vector",
-    "apply_p_on_vector",
     "unboundedness_experiment",
 ]
 
@@ -66,23 +65,15 @@ def extend_cocycle(g: U22Element, label: OrbitLabel) -> CocycleVector:
     return coboundary(p, label)
 
 
-def apply_k_on_vector(k: KElement, v: CocycleVector) -> CocycleVector:
-    """T(k) sum c_i b(p_i) = sum c_i b(k p_i), one k per vector."""
-    on_terms = KElement(k.m[..., None, :, :], tol=k.tol)  # the same k for every term
-    return CocycleVector(v.label, v.coefficients, act_k(on_terms, v.elements))
-
-
-def apply_p_on_vector(p0: QElement, v: CocycleVector) -> CocycleVector:
-    """T(p0) sum c_i b(p_i) = sum c_i b(p0 p_i) - (sum c_i) b(p0), one p0 per vector."""
-    b0 = coboundary(p0, v.label)
-    moved = CocycleVector(v.label, v.coefficients, q_multiply(b0.elements, v.elements))
-    return moved + CocycleVector(v.label, -v.coefficients.sum(axis=-1, keepdims=True), b0.elements)
-
-
 def apply_extended(g: U22Element, v: CocycleVector) -> CocycleVector:
-    """T(g) = T(p) T(k) through the factorization g = p k, one g per vector."""
+    """T(g) = T(p) T(k) through the factorization g = p k, one g per vector:
+    T(k) sum c_i b(p_i) = sum c_i b(k p_i), then
+    T(p) sum c_i b(p_i) = sum c_i b(p p_i) - (sum c_i) b(p)."""
     p, k = iwasawa_decompose(g)
-    return apply_p_on_vector(p, apply_k_on_vector(k, v))
+    moved = act_k(KElement(k.m[..., None, :, :], tol=k.tol), v.elements)  # the same k for every term
+    b0 = coboundary(p, v.label)
+    translated = CocycleVector(v.label, v.coefficients, q_multiply(b0.elements, moved))
+    return translated + CocycleVector(v.label, -v.coefficients.sum(axis=-1, keepdims=True), b0.elements)
 
 
 def unboundedness_experiment(label: OrbitLabel, samples: int, rng) -> list[dict]:

@@ -31,11 +31,13 @@ a stack (..., n, n).  Every method and the membership test work on both,
 and a batch is validated member by member at the tolerance of the scalar
 constructor; a failing batch raises the error of its first failing member.
 ``TriangularS`` is the package's only chart type: the Monte-Carlo samplers,
-the test points and the functions of ``representation`` all use it.  The
-closed forms on chart components (``s_product``, ``s_inverse``,
-``n_conjugate``) exist once.  All samplers, ``random_k`` too, draw a batch
-in one call when given ``size``.  The factors p and k of a decomposition are
-written to JSON (``element_to_json``, for the CLI); nothing reads them back.
+the test points and the functions of ``representation`` all use it.  Each
+closed form on chart components is written once, as the method that uses
+it: ``TriangularS.multiply``, ``TriangularS.inverse`` and
+``SkewHermitian2.conjugate_by`` (s n s*).  All samplers, ``random_k`` too,
+draw a batch in one call when given ``size``.  The factors p and k of a
+decomposition are written to JSON (``element_to_json``, for the CLI);
+nothing reads them back.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ __all__ = [
     "DecompositionFailed",
     "NotInGroup",
     "MembershipReport",
-    "s_product",
-    "s_inverse",
-    "n_conjugate",
     "TriangularS",
     "SkewHermitian2",
     "QElement",
@@ -83,7 +82,6 @@ __all__ = [
     "iwasawa_decompose",
     "p_part",
     "sigma_hat",
-    "q_commutator",
     "nested_q_commutator",
     "as_generator",
     "random_s",
@@ -196,43 +194,6 @@ def _components(x, y, w):
     return np.broadcast_arrays(x, y, w)
 
 
-# ---------------------------------------------------------------------------
-# closed forms on chart components: scalars or arrays (which broadcast) in,
-# the same kind out
-
-
-def s_product(r1, r2, r, p1, p2, p):
-    """[[r1, 0], [r, r2]] [[p1, 0], [p, p2]] = [[r1 p1, 0], [r p1 + r2 p, r2 p2]]."""
-    return r1 * p1, r2 * p2, r * p1 + r2 * p
-
-
-def s_inverse(r1, r2, r):
-    """[[r1, 0], [r, r2]]^-1 = [[1/r1, 0], [-r/(r1 r2), 1/r2]].
-
-    Where r1 r2 under- or overflows (is not a normal float), the corner is
-    computed as (r/r1)/r2 instead.
-    """
-    if type(r1) is float:
-        d = r1 * r2
-        return 1.0 / r1, 1.0 / r2, -r / d if _NORMAL_MIN <= d <= _NORMAL_MAX else -(r / r1) / r2
-    with np.errstate(all="ignore"):  # the lanes that under- or overflow are replaced
-        d = r1 * r2
-        corner = np.where((d >= _NORMAL_MIN) & (d <= _NORMAL_MAX), -r / d, -(r / r1) / r2)
-    return 1.0 / r1, 1.0 / r2, corner
-
-
-def n_conjugate(a, b, z, r1, r2, r):
-    """s n s* for n = [[i a, z], [-conj(z), i b]]; the image is again of that
-    form, so it stays exactly skew-Hermitian.  |r| is hypot on a point and a
-    stack alike, as in the orbit chart; NumPy's complex abs on a stack is not."""
-    modulus = np.hypot(r.real, r.imag)
-    return (
-        a * r1 * r1,
-        a * (modulus * modulus) + b * r2 * r2 + 2.0 * r2 * (r * z).imag,
-        r1 * (1j * a * r.conjugate() + r2 * z),
-    )
-
-
 @dataclass(frozen=True)
 class TriangularS:
     """Lower-triangular 2x2 matrix [[r1, 0], [r, r2]] with r1, r2 > 0.
@@ -284,10 +245,23 @@ class TriangularS:
         return out
 
     def multiply(self, other: "TriangularS") -> "TriangularS":
-        return TriangularS(*s_product(self.r1, self.r2, self.r, other.r1, other.r2, other.r))
+        """[[r1, 0], [r, r2]] [[p1, 0], [p, p2]] = [[r1 p1, 0], [r p1 + r2 p, r2 p2]]."""
+        return TriangularS(self.r1 * other.r1, self.r2 * other.r2, self.r * other.r1 + self.r2 * other.r)
 
     def inverse(self) -> "TriangularS":
-        return TriangularS(*s_inverse(self.r1, self.r2, self.r))
+        """[[r1, 0], [r, r2]]^-1 = [[1/r1, 0], [-r/(r1 r2), 1/r2]].
+
+        Where r1 r2 under- or overflows (is not a normal float), the corner is
+        computed as (r/r1)/r2 instead.
+        """
+        r1, r2, r = self.r1, self.r2, self.r
+        if type(r1) is float:
+            d = r1 * r2
+            return TriangularS(1.0 / r1, 1.0 / r2, -r / d if _NORMAL_MIN <= d <= _NORMAL_MAX else -(r / r1) / r2)
+        with np.errstate(all="ignore"):  # the lanes that under- or overflow are replaced
+            d = r1 * r2
+            corner = np.where((d >= _NORMAL_MIN) & (d <= _NORMAL_MAX), -r / d, -(r / r1) / r2)
+        return TriangularS(1.0 / r1, 1.0 / r2, corner)
 
     @property
     def size(self) -> int:
@@ -365,8 +339,16 @@ class SkewHermitian2:
         return SkewHermitian2(-self.a, -self.b, -self.z)
 
     def conjugate_by(self, s: TriangularS) -> "SkewHermitian2":
-        """Closed form of s n s*, staying exactly skew-Hermitian."""
-        return SkewHermitian2(*n_conjugate(self.a, self.b, self.z, s.r1, s.r2, s.r))
+        """Closed form of s n s*: the image is again of this form, so it
+        stays exactly skew-Hermitian.  |r| is hypot on a point and a stack
+        alike, as in the orbit chart; NumPy's complex abs on a stack is not."""
+        a, r1, r2, r = self.a, s.r1, s.r2, s.r
+        modulus = np.hypot(r.real, r.imag)
+        return SkewHermitian2(
+            a * r1 * r1,
+            a * (modulus * modulus) + self.b * r2 * r2 + 2.0 * r2 * (r * self.z).imag,
+            r1 * (1j * a * r.conjugate() + r2 * self.z),
+        )
 
     def norm(self):
         """Frobenius norm sqrt(a^2 + b^2 + 2 |z|^2), by ``np.hypot``: no overflow."""
@@ -694,20 +676,16 @@ def sigma_hat(p: QElement) -> QElement:
 # commutators
 
 
-def q_commutator(q1: QElement, q2: QElement) -> QElement:
-    """Group commutator in semidirect coordinates (closed form throughout)."""
-    return q_multiply(q_multiply(q_multiply(q1, q2), q_inverse(q1)), q_inverse(q2))
-
-
 def nested_q_commutator(qs: list[QElement]) -> QElement:
-    """Balanced nested commutator of 2^d semidirect pairs."""
+    """Balanced nested commutator of 2^d semidirect pairs; each commutator
+    [q1, q2] = q1 q2 q1^-1 q2^-1 is taken in closed form throughout."""
     n = len(qs)
     if n == 1:
         return qs[0]
     if n % 2 != 0:
         raise ValueError("need a power-of-two number of elements")
-    half = n // 2
-    return q_commutator(nested_q_commutator(qs[:half]), nested_q_commutator(qs[half:]))
+    q1, q2 = nested_q_commutator(qs[: n // 2]), nested_q_commutator(qs[n // 2 :])
+    return q_multiply(q_multiply(q_multiply(q1, q2), q_inverse(q1)), q_inverse(q2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,55 +23,28 @@ __all__ = [
     "generated_subalgebra_dimension",
 ]
 
-_Z2 = np.zeros((2, 2), dtype=complex)
 RANK_TOL = 1e-8  # singular-value cutoff of every real rank
 CLOSURE_ROUNDS = 6  # most bracket rounds of a closure
 
+_Z2 = np.zeros((2, 2), dtype=complex)
+_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)  # E00, E01, E10, E11
+# real bases of the 2x2 blocks: skew-Hermitian; all (E_jk, i E_jk); and
+# lower triangular with real diagonal (E00, E11, E10, i E10)
+_SKEW = np.array([[[1j, 0], [0, 0]], [[0, 0], [0, 1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+_GENERAL = (_UNITS[:, None] * np.array([1.0, 1j])[:, None, None]).reshape(8, 2, 2)
+_TRIANGULAR = np.concatenate([_UNITS[[0, 3, 2]], 1j * _UNITS[2:3]])
 
-def _unit(j: int, k: int) -> np.ndarray:
-    e = np.zeros((2, 2), dtype=complex)
-    e[j, k] = 1.0
-    return e
-
-
-def _skew_hermitian_basis() -> list[np.ndarray]:
-    return [
-        1j * _unit(0, 0),
-        1j * _unit(1, 1),
-        _unit(0, 1) - _unit(1, 0),
-        1j * (_unit(0, 1) + _unit(1, 0)),
-    ]
-
-
-def _lower_real_diag_basis() -> list[np.ndarray]:
-    return [_unit(0, 0), _unit(1, 1), _unit(1, 0), 1j * _unit(1, 0)]
-
-
-def _u22_basis() -> np.ndarray:
-    out = []
-    for j in range(2):
-        for k in range(2):
-            for unit in (1.0, 1j):
-                a = unit * _unit(j, k)
-                out.append(assemble(a, _Z2, _Z2, -adjoint(a)))
-    for y in _skew_hermitian_basis():
-        out.append(assemble(_Z2, y, _Z2, _Z2))
-    for y in _skew_hermitian_basis():
-        out.append(assemble(_Z2, _Z2, y, _Z2))
-    return freeze(out)
-
-
-def _p_basis() -> np.ndarray:
-    out = []
-    for t in _lower_real_diag_basis():
-        out.append(assemble(-adjoint(t), _Z2, _Z2, t))
-    for y in _skew_hermitian_basis():
-        out.append(assemble(_Z2, _Z2, y, _Z2))
-    return freeze(out)
-
-
-U22_BASIS = _u22_basis()  # 16 real-basis elements of the ambient algebra
-P_BASIS = _p_basis()  # 8 real-basis elements of the triangular subalgebra
+# 16 real-basis elements of the ambient algebra
+U22_BASIS = freeze(np.concatenate([
+    assemble(_GENERAL, _Z2, _Z2, -adjoint(_GENERAL)),
+    assemble(_Z2, _SKEW, _Z2, _Z2),
+    assemble(_Z2, _Z2, _SKEW, _Z2),
+]))
+# 8 real-basis elements of the triangular subalgebra
+P_BASIS = freeze(np.concatenate([
+    assemble(-adjoint(_TRIANGULAR), _Z2, _Z2, _TRIANGULAR),
+    assemble(_Z2, _Z2, _SKEW, _Z2),
+]))
 
 
 def sigma_conjugate(xi: np.ndarray) -> np.ndarray:
@@ -83,40 +56,32 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def _to_real_columns(mats) -> np.ndarray:
-    cols = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    return np.array(cols).T
-
-
-def _from_real_columns(cols: np.ndarray) -> list[np.ndarray]:
-    out = []
-    for j in range(cols.shape[1]):
-        v = cols[:, j]
-        out.append((v[:16] + 1j * v[16:]).reshape(4, 4))
-    return out
+def _real_rows(mats) -> np.ndarray:
+    """The (k, 32) real view of k complex 4x4 matrices, a stack or a sequence."""
+    return np.ascontiguousarray(mats, dtype=complex).reshape(-1, 16).view(float)
 
 
 def real_span_rank(mats) -> int:
-    """Rank of the real span of a list of complex matrices."""
-    return int(np.linalg.matrix_rank(_to_real_columns(list(mats)), tol=RANK_TOL))
+    """Rank of the real span of complex 4x4 matrices, a stack or a sequence."""
+    return int(np.linalg.matrix_rank(_real_rows(mats), tol=RANK_TOL))
 
 
 def generated_subalgebra_dimension(generators) -> int:
     """Dimension of the Lie subalgebra generated by the given matrices.
 
-    Iterates bracket closure, compressing the spanning set to an orthonormal
-    real basis between rounds, until the rank stabilizes.
+    Iterates bracket closure until the rank stabilizes.  Each round
+    compresses the spanning set to an orthonormal real basis (the right
+    singular vectors of its real view) and adds all brackets of that basis
+    in one broadcast.
     """
-    basis = list(np.asarray(g, dtype=complex) for g in generators)
-    dim = real_span_rank(basis)
+    mats = np.asarray(generators, dtype=complex)
+    dim = real_span_rank(mats)
     for _ in range(CLOSURE_ROUNDS):
-        u, sing, _ = np.linalg.svd(_to_real_columns(basis), full_matrices=False)
-        keep = sing > RANK_TOL * max(1.0, sing[0])
-        compressed = _from_real_columns(u[:, keep])
-        candidates = compressed + [bracket(x, y) for x in compressed for y in compressed]
-        new_dim = real_span_rank(candidates)
+        _, sing, vt = np.linalg.svd(_real_rows(mats), full_matrices=False)
+        basis = np.ascontiguousarray(vt[sing > RANK_TOL * max(1.0, sing[0])]).view(complex).reshape(-1, 4, 4)
+        mats = np.concatenate([basis, bracket(basis[:, None], basis[None]).reshape(-1, 4, 4)])
+        new_dim = real_span_rank(mats)
         if new_dim == dim:
             return dim
         dim = new_dim
-        basis = candidates
     return dim

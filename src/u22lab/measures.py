@@ -13,7 +13,8 @@ of F * density_ratio over the points.  Points are ``TriangularS`` batches,
 and every density, sampler and chart function here takes one element or a
 batch.  All three engines (``integrate_mc``, ``divergence_probe`` and
 ``representation.gram_matrix``) and C04's translated-box count run one
-Monte-Carlo pass, ``mc_sum``, which rejects fewer than 1000 samples.
+Monte-Carlo pass, ``mc_sum``, which rejects fewer than 1000 samples and
+more than ``MAX_SAMPLES``.
 
 The pass is randomized quasi-Monte Carlo: its n points form ``REPLICATES``
 replicates of sizes that differ by at most one, and each replicate is the
@@ -75,6 +76,7 @@ __all__ = [
     "mc_estimate",
     "BLOCK",
     "REPLICATES",
+    "MAX_SAMPLES",
     "half_angle_cis",
     "run_blocks",
     "mc_sum",
@@ -104,6 +106,10 @@ BLOCK = 1 << 14
 # Independent replicates of every Monte-Carlo pass: its standard error has
 # REPLICATES - 1 degrees of freedom, and P(|t| > 3) is 0.90 % at 16.
 REPLICATES = 16
+# Points per pass at most: the Halton table of a pass has one column per
+# point of its largest replicate, so 2^28 points make a table of 2^24
+# columns, 512 MiB.
+MAX_SAMPLES = 1 << 28
 # run_blocks threads, the caller included; no result depends on it
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -181,20 +187,15 @@ def nu_derivative_band(s0: TriangularS) -> tuple[float, float]:
 
 
 def right_translation_jacobian_fd(s: TriangularS, s0: TriangularS) -> float:
-    """Jacobian determinant of s -> s s0 by central differences (oracle use)."""
-
-    def chart(v: np.ndarray) -> np.ndarray:
-        el = TriangularS(v[0], v[1], complex(v[2], v[3]))
-        out = el.multiply(s0)
-        return np.array([out.r1, out.r2, out.r.real, out.r.imag])
-
+    """Jacobian determinant of s -> s s0 by central differences (oracle use):
+    the eight points s +- h e_j of the chart (r1, r2, Re r, Im r) are one
+    stack, translated by one ``multiply``."""
     base = np.array([s.r1, s.r2, s.r.real, s.r.imag])
-    jac = np.zeros((4, 4))
-    for j in range(4):
-        dv = np.zeros(4)
-        dv[j] = FD_STEP
-        jac[:, j] = (chart(base + dv) - chart(base - dv)) / (2.0 * FD_STEP)
-    return float(np.linalg.det(jac))
+    step = FD_STEP * np.eye(4)
+    chart = np.concatenate([base + step, base - step])
+    out = TriangularS(chart[:, 0], chart[:, 1], np.ascontiguousarray(chart[:, 2:]).view(complex)[:, 0]).multiply(s0)
+    moved = np.stack([out.r1, out.r2, out.r.real, out.r.imag], axis=-1)
+    return float(np.linalg.det(((moved[:4] - moved[4:]) / (2.0 * FD_STEP)).T))
 
 
 def half_angle_cis(t) -> np.ndarray:
@@ -442,11 +443,13 @@ def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np
     straight to ``partial``, and one ``run_blocks`` call runs every block of
     the pass.  The first pass of the process warms the heap
     (``_warm_heap``).  The one sample-count guard of every Monte-Carlo
-    pass: fewer than 1000 points is a ``U22Error``, raised before anything
-    is drawn.
+    pass: fewer than 1000 points, or more than ``MAX_SAMPLES``, is a
+    ``U22Error``, raised before anything is drawn.
     """
     if n < 1000:
         raise U22Error(f"need at least 1000 samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise U22Error(f"need at most {MAX_SAMPLES} samples (2^28), got {n}")
     _warm_heap()
     entropy = as_generator(rng).integers(1 << 32, size=4).tolist()
     sizes = _replicate_sizes(n).tolist()

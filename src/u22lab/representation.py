@@ -17,12 +17,12 @@ discretization error.  A function takes the chart points as one
 multiplier itself.  T(q) takes one pair or a stack: the fields of q
 broadcast against the chart points, so a stack with fields of shape (m, 1)
 on n points gives (m, n) values in one call, through the closed forms
-``s_product`` and ``orbits.character_phase``.
+``TriangularS.multiply`` and ``orbits.character_phase``.
 
 ``CocycleVector.vacuum_and_rows`` is the one place where T(p) f - f is
 written: the vacuum row, then one row per term.  It does not go through
-``apply_T`` or ``s_product``: for the vacuum, |s s0|^2 and the phase are
-both linear in five monomials of the chart point
+``apply_T`` or ``TriangularS.multiply``: for the vacuum, |s s0|^2 and the
+phase are both linear in five monomials of the chart point
 (``orbits.chart_monomials``), so each row is one small matmul followed by
 elementwise exponentials.  The pointwise evaluator and the Gram matrix
 read its coboundary rows (``CocycleVector.rows``), and the specialness

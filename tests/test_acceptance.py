@@ -11,6 +11,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -221,10 +224,10 @@ def test_c12_derived_length():
     assert record.detail["max_double_distance"] > 1e-2
 
 
-# SHA-256 of the C04, C06 and C09 records (runtime_s dropped) at 20_000
-# samples: 16 replicates of 1250 points, one block each, so at two workers
-# each worker draws and reduces eight.  Re-pinned when each block came to draw its points from a
-# stream of its own, with Hopf-coordinate directions in the polar sampler
+# The MC digest: SHA-256 of the C04, C06 and C09 records (runtime_s
+# dropped) at 20_000 samples: 16 replicates of 1250 points, one block each,
+# so at two workers each worker draws and reduces eight.  Re-pinned when
+# each block came to draw its points from a stream of its own, with Hopf-coordinate directions in the polar sampler
 # and the half-angle multiplier in apply_T: every Monte-Carlo value moved,
 # with every verdict and tolerance unchanged on the pinned seed and on
 # seeds 1-3, and the same digest at one and two workers.  Re-pinned when
@@ -236,29 +239,40 @@ def test_c12_derived_length():
 # the details gained the replicate and sample counts and C04's Haar errors,
 # with every verdict unchanged on the pinned seed and on seeds 1-3, and the
 # same digest at one, two and three workers.
-MC_REPORT_DIGEST = "d64fd1613c3c1229a5fbd84f07d05694071b2aab3e62328c94faf35ce0d14599"
-
-# SHA-256 of the records of the nine claims outside the Monte-Carlo layer
-# (runtime_s dropped) at the default config, C10's honest failure included,
+# The OTHER digest: SHA-256 of the records of the nine claims outside the
+# Monte-Carlo layer (runtime_s dropped) at the default config, C10's honest failure included,
 # with mc_samples at 10^6, its default when the digest was pinned: these
 # claims draw no Monte-Carlo sample, and the count shows only in the
 # report's config.
 # Re-pinned when C03 came to run as one stacked pass: it draws its 10,000
 # points and their moves as stacks, so its points and measured value moved,
 # and its detail gained the skipped-draw count and the chart condition
-# numbers.  n_conjugate came to take |r| by np.hypot on a stack too; the
-# other eight records did not change by a byte.
+# numbers.  The conjugation s n s* came to take |r| by np.hypot on a stack
+# too; the other eight records did not change by a byte.
 # Re-pinned when C12 came to draw its 8 x 50 elements as eight stacks of 50:
 # its elements and values moved with the new draw order.  C08, which came to
 # check its 50 pairs as stacked calls over stacked cocycle vectors, did not
 # change by a byte, nor did the other seven records.
 OTHER_CLAIMS = ["C01", "C02", "C03", "C05", "C07", "C08", "C10", "C11", "C12"]
-OTHER_REPORT_DIGEST = "a43fbfb59a6d6f733127272252bf3f85ee5323b52a865024cf0c8da59deb4b0e"
 
-# The arithmetic both digests were pinned under: the NumPy version and the
-# highest CPU dispatch target it enables on the machine.  A digest pins the
-# bits of that arithmetic; elsewhere it can fail with every verdict intact.
-PINNED_ARITHMETIC = {"numpy": "2.4.6", "cpu_dispatch": "AVX512_SPR"}
+# Both digests, one (MC, OTHER) pair per arithmetic they were pinned under:
+# the NumPy version and the highest CPU dispatch target it enables.  NumPy's
+# AVX-512 and AVX2 (X86_V3) kernels of exp, log, tan, arctan2 and powers
+# differ in their last bits, so the details of C04, C06, C09 and C12 differ
+# between the two with every verdict the same.  An arithmetic with no pair
+# fails the digest tests.  The X86_V3 pair is computed on an AVX-512 machine
+# with X86_V3_ENV, which acts on the one process it is given to.
+PINNED_DIGESTS = {
+    ("2.4.6", "AVX512_SPR"): (
+        "d64fd1613c3c1229a5fbd84f07d05694071b2aab3e62328c94faf35ce0d14599",
+        "a43fbfb59a6d6f733127272252bf3f85ee5323b52a865024cf0c8da59deb4b0e",
+    ),
+    ("2.4.6", "X86_V3"): (
+        "eaee559e0cb47a1ae98e1d8fada85385bc183e2005ec0d52c9c84f70205c7866",
+        "461a9dbf32ca0a3f0bee6f3709e91e61512b93a55075da74db1cdc6571097c66",
+    ),
+}
+X86_V3_ENV = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL AVX512_SKX AVX512F X86_V4"}
 
 
 def running_arithmetic() -> dict:
@@ -266,9 +280,17 @@ def running_arithmetic() -> dict:
     return {"numpy": np.__version__, "cpu_dispatch": (enabled or umath.__cpu_baseline__)[-1]}
 
 
-def digest_mismatch(pinned: str, running: str) -> str:
-    return (f"report digest {running} is not the pinned {pinned}; pinned under "
-            f"{PINNED_ARITHMETIC}, running under {running_arithmetic()}")
+def pinned_digests(arithmetic: dict) -> tuple[str, str]:
+    """The (MC, OTHER) digests pinned under ``arithmetic``; none is a failure."""
+    key = (arithmetic["numpy"], arithmetic["cpu_dispatch"])
+    if key not in PINNED_DIGESTS:
+        pytest.fail(f"no report digests pinned under {arithmetic}; pinned under {sorted(PINNED_DIGESTS)}")
+    return PINNED_DIGESTS[key]
+
+
+def digest_mismatch(pinned: str, running: str, arithmetic: dict) -> str:
+    return (f"report digest {running} under {arithmetic} is not the pinned {pinned}; "
+            f"digests are pinned under {sorted(PINNED_DIGESTS)}")
 
 
 def report_digest(config: SuiteConfig, claim_ids) -> str:
@@ -278,22 +300,54 @@ def report_digest(config: SuiteConfig, claim_ids) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def mc_digest() -> str:
+    return report_digest(SuiteConfig(mc_samples=20_000), ["C04", "C06", "C09"])
+
+
+def other_digest() -> str:
+    return report_digest(dataclasses.replace(CONFIG, mc_samples=1_000_000), OTHER_CLAIMS)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_reports_match_the_pinned_digest(monkeypatch, workers):
     monkeypatch.setattr(measures, "WORKERS", workers)
-    digest = report_digest(SuiteConfig(mc_samples=20_000), ["C04", "C06", "C09"])
-    assert digest == MC_REPORT_DIGEST, digest_mismatch(MC_REPORT_DIGEST, digest)
+    arithmetic = running_arithmetic()
+    pinned, digest = pinned_digests(arithmetic)[0], mc_digest()
+    assert digest == pinned, digest_mismatch(pinned, digest, arithmetic)
 
 
 def test_other_reports_match_the_pinned_digest():
-    digest = report_digest(dataclasses.replace(CONFIG, mc_samples=1_000_000), OTHER_CLAIMS)
-    assert digest == OTHER_REPORT_DIGEST, digest_mismatch(OTHER_REPORT_DIGEST, digest)
+    arithmetic = running_arithmetic()
+    pinned, digest = pinned_digests(arithmetic)[1], other_digest()
+    assert digest == pinned, digest_mismatch(pinned, digest, arithmetic)
+
+
+def test_reports_match_the_pinned_digests_under_x86_v3():
+    # a second process with NumPy's AVX-512 targets disabled runs the
+    # AVX2 kernels, so a machine with both checks the pins of both
+    src = Path(claims.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(src), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    code = ("import json, test_acceptance as t; "
+            "print(json.dumps([t.running_arithmetic(), t.mc_digest(), t.other_digest()]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath, **X86_V3_ENV))
+    assert proc.returncode == 0, proc.stderr
+    arithmetic, *digests = json.loads(proc.stdout)
+    assert arithmetic["cpu_dispatch"] == "X86_V3", arithmetic
+    for pinned, digest in zip(pinned_digests(arithmetic), digests):
+        assert digest == pinned, digest_mismatch(pinned, digest, arithmetic)
 
 
 def test_a_digest_mismatch_names_both_arithmetics():
-    message = digest_mismatch("a" * 64, "b" * 64)
-    assert str(PINNED_ARITHMETIC) in message and str(running_arithmetic()) in message
-    assert set(running_arithmetic()) == set(PINNED_ARITHMETIC)
+    arithmetic = running_arithmetic()
+    message = digest_mismatch("a" * 64, "b" * 64, arithmetic)
+    assert str(arithmetic) in message and str(sorted(PINNED_DIGESTS)) in message
+    assert set(arithmetic) == {"numpy", "cpu_dispatch"}
+
+
+def test_an_unpinned_arithmetic_fails():
+    with pytest.raises(pytest.fail.Exception, match="no report digests pinned"):
+        pinned_digests({"numpy": "0.0", "cpu_dispatch": "NONE"})
 
 
 def test_c08_and_c12_run_on_stacks(monkeypatch):

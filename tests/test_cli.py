@@ -393,6 +393,7 @@ _PAIRS = "matrix JSON must be nested arrays of [re, im] pairs"
 _NOT_JSON = "not valid UTF-8 JSON"
 _BAD_SEED = "seed must be nonnegative, got -1"
 _BAD_TOL = "tolerance override must be positive and finite"
+_TOO_MANY = "need at most 268435456 samples (2^28), got 100000000000"
 _CONFIG = ["verify", "--config", "{file}", "--claims", "C01"]
 _DEEP = "[" * 100_000 + "]" * 100_000  # nested past the decoder's recursion limit
 _BAD_LABEL = "bad orbit label string"
@@ -420,6 +421,10 @@ MALFORMED_INPUTS = {
     "gram-seed-negative": (["gram", "--size", "2", "--seed", "-1"], None, _BAD_SEED),
     "unbounded-seed-negative": (["unboundedness-experiment", "--seed", "-1"], None, _BAD_SEED),
     "gram-bad-label": (["gram", "--label", "5"], None, "orbit index must be 1..4, got 5"),
+    "verify-samples-above-max": (["verify", "--claims", "C06", "--samples", "100000000000"], None, _TOO_MANY),
+    "probe-samples-above-max": (["measure-probe", "--function", "vacuum", "--samples", "100000000000"], None,
+                                _TOO_MANY),
+    "gram-size-above-max": (["gram", "--size", "100000", "--samples", "1000"], None, "--size must be at most 64"),
     "gram-superscript-label": (["gram", "--label", "\u00b2"], None, f"{_BAD_LABEL}: '\u00b2'"),
     "gram-long-index-label": (["gram", "--label", "9" * 5000], None, _BAD_LABEL),
     "decompose-deep-json": (["decompose", "--input", "{file}"], _DEEP, _NOT_JSON),

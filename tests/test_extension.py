@@ -5,7 +5,6 @@ from u22lab.extension import (
     UNBOUNDEDNESS_SCALES,
     act_k,
     apply_extended,
-    apply_p_on_vector,
     extend_cocycle,
     unboundedness_experiment,
 )
@@ -122,10 +121,11 @@ class TestApplyExtended:
         np.testing.assert_allclose(out.evaluate(pts), v.evaluate(pts), atol=1e-12)
 
     def test_triangular_action_formula(self, pts, rng):
-        # T(p0) b(q) = b(p0 q) - b(p0), checked against the operator route
+        # T(p0) b(q) = b(p0 q) - b(p0) through the factorization of g = p0,
+        # checked against the operator route
         for _ in range(20):
             p0, q = random_q(rng), random_q(rng)
-            formal = apply_p_on_vector(p0, coboundary(q, LABEL))
+            formal = apply_extended(U22Element(p0.matrix()), coboundary(q, LABEL))
             operator = apply_T(p0, LABEL, coboundary(q, LABEL).as_group_function())
             np.testing.assert_allclose(formal.evaluate(pts), operator(pts), atol=1e-11)
 

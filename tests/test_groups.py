@@ -21,7 +21,6 @@ from u22lab.groups import (
     element_to_json,
     is_in_u22,
     iwasawa_decompose,
-    n_conjugate,
     nested_q_commutator,
     p_part,
     q_inverse,
@@ -32,8 +31,6 @@ from u22lab.groups import (
     random_q,
     random_s,
     random_u22,
-    s_inverse,
-    s_product,
     sigma_hat,
     structured_p_factor,
 )
@@ -223,19 +220,25 @@ class TestComponentForms:
     def test_floats_and_length_one_arrays_agree(self, rng):
         # NumPy's array loops may fuse a multiply-add that Python's complex
         # arithmetic rounds twice, so agreement is to rounding, not bits
+        def fields(x):
+            return (x.r1, x.r2, x.r) if isinstance(x, TriangularS) else (x.a, x.b, x.z)
+
+        def length_one(x):
+            return type(x)(*(np.array([v]) for v in fields(x)))
+
         for _ in range(20):
             s, t, n = random_s(rng), random_s(rng), random_n(rng)
             cases = [
-                (s_product, (s.r1, s.r2, s.r, t.r1, t.r2, t.r)),
-                (s_inverse, (s.r1, s.r2, s.r)),
-                (n_conjugate, (n.a, n.b, n.z, s.r1, s.r2, s.r)),
+                (TriangularS.multiply, (s, t)),
+                (TriangularS.inverse, (s,)),
+                (SkewHermitian2.conjugate_by, (n, s)),
             ]
-            for form, args in cases:
-                on_floats = form(*args)
-                on_arrays = form(*(np.array([v]) for v in args))
-                scale = max(1.0, *(abs(v) for v in args)) ** 3
+            for method, args in cases:
+                on_floats = fields(method(*args))
+                on_arrays = fields(method(*map(length_one, args)))
+                scale = max(1.0, *(abs(v) for arg in args for v in fields(arg))) ** 3
                 for x, y in zip(on_floats, on_arrays):
-                    assert y.shape == (1,)
+                    assert np.ndim(x) == 0 and y.shape == (1,)
                     assert abs(x - y[0]) <= 1e-15 * scale
 
     def test_batched_elements_match_single_elements(self, rng):

@@ -10,7 +10,9 @@ from scipy.special import exp1, ndtri
 
 from u22lab import measures
 from u22lab.groups import InvariantViolation, TriangularS, random_s
+from u22lab.matrices import U22Error
 from u22lab.measures import (
+    MAX_SAMPLES,
     BoxSampler,
     LogNormalSampler,
     MeasureSpec,
@@ -444,6 +446,20 @@ class TestIntegration:
             ]
             for engine in engines:
                 with pytest.raises(ValueError, match=f"need at least 1000 samples, got {n}"):
+                    engine()
+
+    def test_maximum_sample_count(self, rng):
+        # the same guard bounds the Halton table of a pass: 2^28 points take
+        # 512 MiB, and one point more is rejected before anything is drawn
+        sampler = PolarShellSampler()
+        for n in (MAX_SAMPLES + 1, 10**11):
+            engines = [
+                lambda: integrate_mc(ONE, nu_measure(), sampler, n, rng),
+                lambda: divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, n, rng),
+                lambda: gram_matrix([random_q(rng)], OrbitLabel.PLUS_PLUS, sampler, n, rng),
+            ]
+            for engine in engines:
+                with pytest.raises(U22Error, match=f"need at most {MAX_SAMPLES} samples \\(2\\^28\\), got {n}"):
                     engine()
 
 

@@ -226,8 +226,8 @@ class TestRows:
         #   each path is within 7u Phi of it, where Phi >= |phase| is that sum
         #   taken in moduli; each half-angle multiplier adds 4u;
         # - |s s0|^2 is a five-term sum of absolute size X in the closed form
-        #   (within 11u X) and within 13u X through s_product and the norm,
-        #   so x differs by at most 12u X / x, and exp(-x / 2) by
+        #   (within 11u X) and within 13u X through TriangularS.multiply and
+        #   the norm, so x differs by at most 12u X / x, and exp(-x / 2) by
         #   6u (X / x) exp(-x / 2), plus 3u for sqrt and exp;
         # - the product and the subtraction of f add 6u.
         # Total: u (14 Phi + 6 (X / x) exp(-x / 2) + 17).  With
@@ -308,10 +308,10 @@ class TestRows:
         # 6-pair gram_matrix nor C06's probe translates a point, and each
         # view computes its norm once, in the sampler's density; the
         # measures and the vacuum row read that cached norm
-        from u22lab import groups, measures
+        from u22lab import measures
 
         products, norms = [], []
-        original_norm, original_multiply, original_product = TriangularS.norm, TriangularS.multiply, groups.s_product
+        original_norm, original_multiply = TriangularS.norm, TriangularS.multiply
 
         def counting_norm(self):
             if "_norm" not in self.__dict__:
@@ -320,7 +320,6 @@ class TestRows:
 
         monkeypatch.setattr(TriangularS, "norm", counting_norm)
         monkeypatch.setattr(TriangularS, "multiply", lambda *args: products.append("multiply") or original_multiply(*args))
-        monkeypatch.setattr(groups, "s_product", lambda *args: products.append("s_product") or original_product(*args))
         n, views = 4 * measures.BLOCK, measures.REPLICATES  # one block per replicate
         rng = np.random.default_rng(3)
         gram_matrix([random_q(rng) for _ in range(6)], LABEL, PolarShellSampler(), n, rng)
