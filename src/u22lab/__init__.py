@@ -22,7 +22,6 @@ from .groups import (
 from .orbits import OrbitLabel, classify_orbit, orbit_coordinates
 from .points import reference_points
 from .measures import (
-    MeasureSpec,
     IntegralEstimate,
     DivergenceVerdict,
     haar_measure,

@@ -22,7 +22,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,7 @@ from .groups import (
     random_u22,
     sigma_hat,
 )
-from .matrices import E4, U22Error, adjoint, blocks, frob
+from .matrices import E4, U22Error, adjoint, blocks, frob, is_json_number
 from .measures import (
     MAX_SAMPLES,
     REPLICATES,
@@ -80,6 +80,17 @@ __all__ = ["SuiteConfig", "ClaimRecord", "CLAIM_IDS", "run_claims", "to_json", "
 DEFAULT_EPS_LADDER = tuple(np.logspace(-1, -4, 7))
 
 
+# The values each annotation of a SuiteConfig field admits: an int is not a
+# bool, and a float is a float or an int that a float holds.
+_KNOB_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": is_json_number,
+    "float | None": lambda v: v is None or is_json_number(v),
+    "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(map(is_json_number, v)),
+    "OrbitLabel": lambda v: isinstance(v, OrbitLabel),
+}
+
+
 @dataclass
 class SuiteConfig:
     """Knobs for the verification battery."""
@@ -87,13 +98,18 @@ class SuiteConfig:
     seed: int = 20240801
     mc_samples: int = 262_144  # REPLICATES replicates of 2^14 points, one block each
     sample_points: int = 100
-    eps_ladder: tuple = DEFAULT_EPS_LADDER
+    eps_ladder: tuple[float, ...] = DEFAULT_EPS_LADDER
     r_max: float = 30.0
     label: OrbitLabel = OrbitLabel.PLUS_PLUS
     tol_override: float | None = None
 
     def __post_init__(self):
-        """Every command's knobs enter here; a bad value is a ``U22Error``."""
+        """Every command's knobs enter here: a value of the wrong type, then
+        one out of range, is a ``U22Error``."""
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if not _KNOB_TYPES[knob.type](value):
+                raise U22Error(f"config field {knob.name!r} has a bad value: {value!r}")
         if self.seed < 0:
             raise U22Error(f"seed must be nonnegative, got {self.seed}")
         if self.mc_samples < 1000:
@@ -200,14 +216,13 @@ def _box_translation_part(s0: TriangularS, n: int, rng) -> dict:
     # bounding box of its image, pull the points back by s0^-1 and count
     # those that land in the unit box, block by block in the one Monte-Carlo
     # pass: exact integer counts, whose replicate spread gives sigma.
-    # The image of (r1, r2, r) is (r1 p1, r2 p2, r p1 + r2 p), for s0 =
-    # (p1, p2, p) with p1, p2 > 0.
+    # The map is linear in the chart coordinates, so the images of the 16
+    # corners bound the image of the box.
     unit = BoxSampler((1.0, 1.0, -0.5, -0.5), (2.0, 2.0, 0.5, 0.5))
-    (r1_lo, r2_lo, re_lo, im_lo), (r1_hi, r2_hi, re_hi, im_hi) = unit.lo, unit.hi
-    re_parts = [c * s0.r1 + s0.r.real * t for c in (re_lo, re_hi) for t in (r2_lo, r2_hi)]
-    im_parts = [c * s0.r1 + s0.r.imag * t for c in (im_lo, im_hi) for t in (r2_lo, r2_hi)]
-    box = BoxSampler((r1_lo * s0.r1, r2_lo * s0.r2, min(re_parts), min(im_parts)),
-                     (r1_hi * s0.r1, r2_hi * s0.r2, max(re_parts), max(im_parts)))
+    corners = np.stack(np.meshgrid(*zip(unit.lo, unit.hi), indexing="ij")).reshape(4, -1)
+    image = TriangularS(corners[0], corners[1], corners[2] + 1j * corners[3]).multiply(s0)
+    image = np.stack([image.r1, image.r2, image.r.real, image.r.imag])
+    box = BoxSampler(tuple(image.min(axis=1).tolist()), tuple(image.max(axis=1).tolist()))
     inverse = s0.inverse()
     inside = mc_sum(box, n, rng, lambda view: np.count_nonzero(unit.contains(view.multiply(inverse))))
     fraction, spread = mc_estimate(inside, n)
@@ -247,9 +262,9 @@ def _claim_measure_laws(config: SuiteConfig, rng):
     sampler = LogNormalSampler()
     # n = 0: apply_T only right-translates the bump, with no multiplier
     shift = QElement(TriangularS(1.3, 0.8, 0.2 + 0.1j), SkewHermitian2.zero())
-    est_base = integrate_mc(bump, haar_measure(), sampler, config.mc_samples, rng, mode="plain")
+    est_base = integrate_mc(bump, haar_measure, sampler, config.mc_samples, rng, mode="plain")
     est_moved = integrate_mc(
-        apply_T(shift, config.label, bump), haar_measure(), sampler, config.mc_samples, rng, mode="plain"
+        apply_T(shift, config.label, bump), haar_measure, sampler, config.mc_samples, rng, mode="plain"
     )
     sigma = math.hypot(est_base.std_error, est_moved.std_error)
     dev = abs(est_base.real - est_moved.real) / sigma
@@ -269,7 +284,7 @@ def _claim_measure_laws(config: SuiteConfig, rng):
     slack = 1.0 + 1e-12
     for s_trans in (s0, TriangularS(0.6, 1.8, 1.0 - 0.5j)):
         lo, hi = nu_derivative_band(s_trans)
-        val = rn_derivative_right(nu_measure(), random_s(rng, size=5_000), s_trans)
+        val = rn_derivative_right(nu_measure, random_s(rng, size=5_000), s_trans)
         out = (val > hi * slack) | (val < lo / slack)
         worst = np.max(np.maximum(val / hi, lo / val), where=out, initial=0.0)
         worst_band = max(worst_band, float(worst))
@@ -396,7 +411,7 @@ def _claim_gram(config: SuiteConfig, rng):
     # least-independent combination with a fresh sample stream; the norm of
     # sum c_i b(p_i) is conj(c)* G conj(c), so the coefficients are conjugated
     combo = CocycleVector(config.label, np.conj(v), q_join(np.stack, p_list))
-    proj = integrate_mc(combo.as_group_function(), nu_measure(), sampler, config.mc_samples, rng)
+    proj = integrate_mc(combo.evaluate, nu_measure, sampler, config.mc_samples, rng)
     measured = 3.0 * proj.std_error / proj.real if proj.real > 0 else float("inf")
     return measured, {
         "smallest_eigenvalue": eigmin,

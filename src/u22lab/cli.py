@@ -11,6 +11,7 @@ is a bug and keeps its traceback.  Every JSON written goes through
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -127,50 +128,35 @@ def _emit_json(doc, out: str | None):
     _emit(to_json(doc), out)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# the JSON value each SuiteConfig field takes in a --config file
-_CONFIG_CHECKS = {
-    "seed": _is_integer,
-    "mc_samples": _is_integer,
-    "sample_points": _is_integer,
-    "eps_ladder": lambda v: isinstance(v, list) and all(map(is_json_number, v)),
-    "r_max": is_json_number,
-    "label": lambda v: isinstance(v, str),
-    "tol_override": lambda v: v is None or is_json_number(v),
-}
-
-
 def _read_config(path: str) -> dict:
-    """SuiteConfig fields from a JSON config file; a file that is not an
-    object of known fields with values of the right JSON type is a
-    ``U22Error``; ``SuiteConfig`` checks the values."""
+    """SuiteConfig fields from a JSON config file: a file that is not an
+    object of known fields is a ``U22Error``.  A label string is parsed and
+    a ladder of numbers becomes a tuple of floats; ``SuiteConfig`` checks
+    every value."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise U22Error("config file must hold a JSON object")
-    for name, value in doc.items():
-        if name not in _CONFIG_CHECKS:
+    known = {knob.name for knob in dataclasses.fields(SuiteConfig)}
+    for name in doc:
+        if name not in known:
             raise U22Error(f"unknown config field {name!r}")
-        if not _CONFIG_CHECKS[name](value):
-            raise U22Error(f"config field {name!r} has a bad value: {value!r}")
-    if "label" in doc:
+    if isinstance(doc.get("label"), str):
         doc["label"] = OrbitLabel.parse(doc["label"])
-    if "eps_ladder" in doc:
-        doc["eps_ladder"] = tuple(float(e) for e in doc["eps_ladder"])
+    ladder = doc.get("eps_ladder")
+    if isinstance(ladder, list) and all(map(is_json_number, ladder)):
+        doc["eps_ladder"] = tuple(map(float, ladder))
     return doc
 
 
 def _suite_config(args) -> SuiteConfig:
     """The one ``SuiteConfig`` of a command: verify's --config file, if
     any, with the flags that are set over it and the battery's defaults
-    for the rest."""
-    fields = _read_config(args.config) if args.config else {}
+    for the rest.  The file's values are checked on their own, then again
+    with the flags."""
+    config = SuiteConfig(**_read_config(args.config)) if args.config else SuiteConfig()
     flags = {"seed": args.seed, "mc_samples": args.samples, "tol_override": args.tol,
              "label": None if args.label is None else OrbitLabel.parse(args.label)}
-    fields.update((name, value) for name, value in flags.items() if value is not None)
-    return SuiteConfig(**fields)
+    return dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _cmd_verify(args) -> int:
@@ -254,16 +240,16 @@ def _probe_target(name: str, label: OrbitLabel):
         return inverse_norm()
     if name == "coboundary-translation":
         q = QElement(TriangularS(2.0, 1.0, 0.0), SkewHermitian2.zero())
-        return coboundary(q, label).as_group_function()
+        return coboundary(q, label).evaluate
     q = QElement(TriangularS.identity(), SkewHermitian2(1.0, 0.5, 0.3 + 0.2j))
-    return coboundary(q, label).as_group_function()
+    return coboundary(q, label).evaluate
 
 
 def _cmd_measure_probe(args) -> int:
     config = _suite_config(args)
     target = _probe_target(args.function, config.label)
     verdict = divergence_probe(
-        target, [nu_measure()], config.eps_ladder, config.r_max, config.mc_samples, config.seed
+        target, [nu_measure], config.eps_ladder, config.r_max, config.mc_samples, config.seed
     )[0][0]
     doc = {
         "function": args.function,

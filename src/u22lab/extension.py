@@ -85,13 +85,13 @@ def unboundedness_experiment(label: OrbitLabel, samples: int, rng) -> list[dict]
     growth probe.  No verdict is attached.
     """
     rng = as_generator(rng)
-    measure, sampler = nu_measure(), PolarShellSampler(r_max=UNBOUNDEDNESS_R_MAX)
+    sampler = PolarShellSampler(r_max=UNBOUNDEDNESS_R_MAX)
     rows = []
     for c in UNBOUNDEDNESS_SCALES:
         p = QElement(TriangularS(float(c), 1.0, 0.0), SkewHermitian2.zero())
         p_hat = sigma_hat(p)
-        num = integrate_mc(coboundary(p_hat, label).as_group_function(), measure, sampler, samples, rng)
-        den = integrate_mc(coboundary(p, label).as_group_function(), measure, sampler, samples, rng)
+        num = integrate_mc(coboundary(p_hat, label).evaluate, nu_measure, sampler, samples, rng)
+        den = integrate_mc(coboundary(p, label).evaluate, nu_measure, sampler, samples, rng)
         ratio = math.sqrt(num.real / den.real)
         # first-order error propagation for sqrt(a/b)
         rel = 0.5 * math.sqrt(

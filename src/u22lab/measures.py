@@ -6,13 +6,14 @@ Jacobian pi(s0) = r1(s0)^3 r2(s0), so the right Haar measure is
 pi(s)^-1 ds.  The working almost-invariant measure is |s|^-4 ds, which in
 polar coordinates s = r w (|w| = 1) reads r^-1 dr dw.
 
-Monte-Carlo integrals are importance sampled: a sampler maps a (4, n) array
-of uniforms to n points and gives its own density relative to ds, and the
-estimate of  integral F d(measure)  over the sampler's support is the mean
-of F * density_ratio over the points.  Points are ``TriangularS`` batches,
-and every density, sampler and chart function here takes one element or a
-batch.  All three engines (``integrate_mc``, ``divergence_probe`` and
-``representation.gram_matrix``) and C04's translated-box count run one
+A measure is its density against ds, a function of the points, as an
+integrand F is.  Monte-Carlo integrals are importance sampled: a sampler
+maps a (4, n) array of uniforms to n points and gives its own density
+relative to ds, and the estimate of  integral F d(measure)  over the
+sampler's support is the mean of F * measure / density over the points.
+Points are ``TriangularS`` batches, and every density, sampler and chart
+function here takes one element or a batch.  All three engines
+(``integrate_mc``, ``divergence_probe`` and ``representation.gram_matrix``) and C04's translated-box count run one
 Monte-Carlo pass, ``mc_sum``, which rejects fewer than 1000 samples and
 more than ``MAX_SAMPLES``.
 
@@ -59,7 +60,6 @@ from .points import _halton
 
 __all__ = [
     "NonFinite",
-    "MeasureSpec",
     "haar_measure",
     "nu_measure",
     "truncated_nu",
@@ -124,32 +124,24 @@ class NonFinite(U22Error):
     """A Monte-Carlo sample evaluated to NaN or infinity."""
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    """A measure on the open chart given by its density against Lebesgue."""
-
-    name: str
-    density: Callable[[TriangularS], np.ndarray]
+def haar_measure(pts: TriangularS) -> np.ndarray:
+    """The density of the right-invariant measure pi(s)^-1 ds, pi(s) = r1^3 r2."""
+    return 1.0 / (pts.r1**3 * pts.r2)
 
 
-def haar_measure() -> MeasureSpec:
-    """Right-invariant measure pi(s)^-1 ds with pi(s) = r1^3 r2."""
-    return MeasureSpec("haar", lambda pts: 1.0 / (pts.r1**3 * pts.r2))
+def nu_measure(pts: TriangularS) -> np.ndarray:
+    """The density of the almost-invariant measure |s|^-4 ds."""
+    return pts.norm() ** -4.0
 
 
-def nu_measure() -> MeasureSpec:
-    """The almost-invariant measure |s|^-4 ds."""
-    return MeasureSpec("nu", lambda pts: pts.norm() ** -4.0)
-
-
-def truncated_nu(r_min: float) -> MeasureSpec:
-    """Control measure: |s|^-4 ds cut off below radius r_min."""
+def truncated_nu(r_min: float) -> Callable[[TriangularS], np.ndarray]:
+    """The density of the control measure: |s|^-4 ds cut off below radius r_min."""
 
     def density(pts: TriangularS) -> np.ndarray:
         norms = pts.norm()
         return np.where(norms >= r_min, norms**-4.0, 0.0)
 
-    return MeasureSpec(f"nu-truncated-{r_min:g}", density)
+    return density
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +159,7 @@ def singular_values(s: TriangularS) -> tuple[float, float]:
     return float(vals[-1]), float(vals[0])
 
 
-def rn_derivative_right(measure: MeasureSpec, s: TriangularS, s0: TriangularS):
+def rn_derivative_right(measure, s: TriangularS, s0: TriangularS):
     """Density of the right-translated measure against the original at s
     (one element or a batch).
 
@@ -176,7 +168,7 @@ def rn_derivative_right(measure: MeasureSpec, s: TriangularS, s0: TriangularS):
     density(s) = 0, as for ``truncated_nu`` inside its cutoff, the ratio is
     undefined and NumPy gives inf or nan with a ``RuntimeWarning``.
     """
-    return measure.density(s.multiply(s0)) * modulus_pi(s0) / measure.density(s)
+    return measure(s.multiply(s0)) * modulus_pi(s0) / measure(s)
 
 
 def nu_derivative_band(s0: TriangularS) -> tuple[float, float]:
@@ -213,7 +205,8 @@ def half_angle_cis(t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# samplers: each provides points plus its own density against Lebesgue ds
+# samplers: each maps uniforms to points; the two that importance sample
+# also give their own density against Lebesgue ds
 
 
 @dataclass(frozen=True)
@@ -318,9 +311,6 @@ class BoxSampler:
         for x, lo, hi in zip((pts.r1, pts.r2, pts.r.real, pts.r.imag), self.lo, self.hi):
             inside = inside & (x >= lo) & (x <= hi)
         return inside
-
-    def density(self, pts: TriangularS) -> np.ndarray:
-        return np.where(self.contains(pts), 1.0 / self.volume, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +467,14 @@ def require_finite(contrib: np.ndarray) -> np.ndarray:
 
 def integrate_mc(
     integrand,
-    measure: MeasureSpec,
+    measure,
     sampler,
     n: int,
     rng,
     mode: str = "square",
 ) -> IntegralEstimate:
-    """Importance-sampled integral over the sampler's support.
+    """Importance-sampled integral over the sampler's support of
+    ``integrand``, a function of the points, against ``measure``, a density.
 
     ``mode="square"`` estimates the squared-modulus integral of the
     integrand; ``mode="plain"`` integrates the (possibly complex) values.
@@ -496,7 +487,7 @@ def integrate_mc(
         values = integrand(view)
         if mode == "square":
             values = np.abs(values) ** 2
-        return require_finite(values * (measure.density(view) / sampler.density(view))).sum()
+        return require_finite(values * (measure(view) / sampler.density(view))).sum()
 
     mean, std_error = mc_estimate(mc_sum(sampler, n, rng, partial), n)
     mean = complex(mean)
@@ -545,7 +536,7 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
 
     ``integrand`` gives the values of F at a batch of points, optionally
     with a leading axis of one entry per integrand; every integrand is
-    probed under every one of the sequence ``measures`` on one shared
+    probed under every one of the sequence ``measures`` (densities) on one shared
     sample stream.  The result holds one row of verdicts (one per measure)
     per integrand, a single row when the values have no leading axis.
 
@@ -574,7 +565,7 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
 
     def partial(view: TriangularS) -> np.ndarray:
         density = sampler.density(view)
-        weights = [m.density(view) / density for m in measures]
+        weights = [measure(view) / density for measure in measures]
         shell = np.count_nonzero(ascending[:, None] <= view.norm(), axis=0)
         values = np.reshape(integrand(view), (-1, view.size))
         out = np.empty((len(values), len(measures), shells))

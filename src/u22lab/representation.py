@@ -11,7 +11,9 @@ b(q) = T(q) f - f is; that membership gap is what ``specialness_report``
 verifies.  Functions are closed-form evaluators on point batches, never
 grids, so algebraic identities can be tested pointwise with no
 discretization error.  A function takes the chart points as one
-``TriangularS``, a single element or a batch.
+``TriangularS``, a single element or a batch, and returns complex values:
+a ``GroupFunction`` or a plain function such as ``CocycleVector.evaluate``,
+which the Monte-Carlo engines of ``measures`` take as they are.
 
 ``apply_T`` is the one operator on general functions; it builds the
 multiplier itself.  T(q) takes one pair or a stack: the fields of q
@@ -222,9 +224,6 @@ class CocycleVector:
             out += c * row
         return out
 
-    def as_group_function(self) -> GroupFunction:
-        return GroupFunction(self.evaluate)
-
     def __add__(self, other: "CocycleVector") -> "CocycleVector":
         """The terms of both vectors, concatenated on the last axis."""
         if other.label is not self.label:
@@ -274,10 +273,9 @@ def gram_matrix(
     if np.any(np.triu(close, 1)):
         raise U22Error("basis elements must be pairwise distinct")
     vector = CocycleVector(label, np.ones(k, dtype=complex), basis)
-    nu = nu_measure()
 
     def partial(view: TriangularS) -> np.ndarray:
-        weights = nu.density(view) / sampler.density(view)
+        weights = nu_measure(view) / sampler.density(view)
         values = require_finite(vector.rows(view))
         weighted = values.conj()
         weighted *= weights
@@ -296,10 +294,8 @@ def gram_matrix(
 
 @dataclass(frozen=True)
 class SpecialnessReport:
-    """Outcome of the witness check for one measure and orbit label."""
+    """Outcome of the witness check for one measure."""
 
-    measure_name: str
-    label: OrbitLabel
     vacuum_verdict: DivergenceVerdict
     element_verdicts: tuple  # (description, DivergenceVerdict) per test element
     confirmed: bool
@@ -347,18 +343,17 @@ def specialness_report(
     not confirm; both measures are judged on one shared sample stream.
     """
     test_set = default_test_set()
-    measures = (nu_measure(), truncated_nu(CONTROL_CUTOFF))
+    measures = (nu_measure, truncated_nu(CONTROL_CUTOFF))
     vector = CocycleVector(label, np.ones(len(test_set), dtype=complex), q_join(np.stack, test_set))
     # the vacuum row, then b(q) per element
     rows = divergence_probe(vector.vacuum_and_rows, measures, eps_ladder, r_max, samples, rng)
     descriptions = [_describe(q) for q in test_set]
-    return tuple(
-        _judge(m.name, label, rows[0][j], tuple((desc, row[j]) for desc, row in zip(descriptions, rows[1:])))
-        for j, m in enumerate(measures)
-    )
+    # one column of verdicts per measure
+    return tuple(_judge(vacuum_verdict, tuple(zip(descriptions, element_verdicts)))
+                 for vacuum_verdict, *element_verdicts in zip(*rows))
 
 
-def _judge(measure_name: str, label: OrbitLabel, vacuum_verdict, element_verdicts) -> SpecialnessReport:
+def _judge(vacuum_verdict, element_verdicts) -> SpecialnessReport:
     all_convergent = all(v.classification == "convergent" for _, v in element_verdicts)
     confirmed = vacuum_verdict.is_divergent and all_convergent
     if confirmed:
@@ -367,4 +362,4 @@ def _judge(measure_name: str, label: OrbitLabel, vacuum_verdict, element_verdict
         verdict = "not special (vacuum square-integrable)"
     else:
         verdict = "not special (a coboundary failed to converge)"
-    return SpecialnessReport(measure_name, label, vacuum_verdict, element_verdicts, confirmed, verdict)
+    return SpecialnessReport(vacuum_verdict, element_verdicts, confirmed, verdict)

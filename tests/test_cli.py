@@ -364,13 +364,32 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
-    def test_config_checks_cover_every_field(self):
-        from dataclasses import fields
 
-        from u22lab.claims import SuiteConfig
-        from u22lab.cli import _CONFIG_CHECKS
+# (field, a value of the wrong type): each would pass the range checks or
+# fail later with a TypeError, and each is a U22Error naming the field
+WRONG_TYPES = {
+    "seed-float": ("seed", 2.5),
+    "seed-bool": ("seed", True),
+    "samples-float": ("mc_samples", 262144.0),
+    "sample-points-float": ("sample_points", 10.0),
+    "r-max-string": ("r_max", "30"),
+    "r-max-huge-integer": ("r_max", 10**400),
+    "tol-bool": ("tol_override", True),
+    "ladder-list": ("eps_ladder", [0.1, 0.01, 0.001, 0.0001, 0.00001]),
+    "ladder-string-entry": ("eps_ladder", (0.1, 0.01, 0.001, 0.0001, "0.00001")),
+    "label-string": ("label", "++"),
+}
 
-        assert set(_CONFIG_CHECKS) == {f.name for f in fields(SuiteConfig)}
+
+@pytest.mark.parametrize("name, value", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_suite_config_refuses_a_wrong_type(name, value):
+    with pytest.raises(u22lab.U22Error, match=f"^config field '{name}' has a bad value: "):
+        claims.SuiteConfig(**{name: value})
+
+
+def test_suite_config_takes_a_numpy_float_and_an_integer_float():
+    config = claims.SuiteConfig(r_max=np.float64(25.0), tol_override=1, eps_ladder=(1, 0.1, 0.01, 0.001, 0.0001))
+    assert config.r_max == 25.0
 
 
 @pytest.mark.parametrize("command", [["measure-probe", "--function", "vacuum"], ["gram", "--size", "2"]])
@@ -438,6 +457,9 @@ MALFORMED_INPUTS = {
     "config-invalid-utf8": (_CONFIG, b'{"seed": 1, "\xff": 0}', _NOT_JSON),
     "config-superscript-label": (_CONFIG, '{"label": "\u00b2"}', f"{_BAD_LABEL}: '\u00b2'"),
     "config-deep-json": (_CONFIG, _DEEP, _NOT_JSON),
+    # the file's values are checked before the flags replace them
+    "config-bad-seed-under-flag": (_CONFIG + ["--seed", "5"], '{"seed": "x"}',
+                                   "config field 'seed' has a bad value: 'x'"),
 }
 
 

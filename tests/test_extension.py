@@ -126,14 +126,14 @@ class TestApplyExtended:
         for _ in range(20):
             p0, q = random_q(rng), random_q(rng)
             formal = apply_extended(U22Element(p0.matrix()), coboundary(q, LABEL))
-            operator = apply_T(p0, LABEL, coboundary(q, LABEL).as_group_function())
+            operator = apply_T(p0, LABEL, coboundary(q, LABEL).evaluate)
             np.testing.assert_allclose(formal.evaluate(pts), operator(pts), atol=1e-11)
 
     def test_extension_agrees_with_representation_on_p(self, pts, rng):
         p0 = random_q(rng)
         v = coboundary(random_q(rng), LABEL)
         via_extension = apply_extended(U22Element(p0.matrix()), v)
-        via_operator = apply_T(p0, LABEL, v.as_group_function())
+        via_operator = apply_T(p0, LABEL, v.evaluate)
         np.testing.assert_allclose(via_extension.evaluate(pts), via_operator(pts), atol=1e-10)
 
     def test_extended_cocycle_identity(self, pts, rng):

@@ -15,7 +15,6 @@ from u22lab.measures import (
     MAX_SAMPLES,
     BoxSampler,
     LogNormalSampler,
-    MeasureSpec,
     NonFinite,
     OMEGA_PATCH_MASS,
     PolarShellSampler,
@@ -85,10 +84,10 @@ def engine_results():
     rng = np.random.default_rng(7)
     ps = [random_q(rng) for _ in range(3)]
     label = OrbitLabel.PLUS_PLUS
-    functions = [vacuum()] + [coboundary(p, label).as_group_function() for p in ps[:2]]
+    functions = [vacuum()] + [coboundary(p, label).evaluate for p in ps[:2]]
     return (
-        integrate_mc(functions[1], nu_measure(), sampler, 85_000, 3),
-        divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
+        integrate_mc(functions[1], nu_measure, sampler, 85_000, 3),
+        divergence_probe(stacked(functions), [nu_measure, truncated_nu(1e-2)], LADDER, 30.0, 85_000, 4),
         *gram_matrix(ps, label, sampler, 85_000, 5),
         _box_translation_part(TriangularS(1.4, 0.7, 0.3 + 0.2j), 85_000, np.random.default_rng(6)),
     )
@@ -201,29 +200,29 @@ class TestChartFunctions:
 class TestRadonNikodym:
     def test_identity_translation(self, rng):
         s = random_s(rng)
-        assert rn_derivative_right(nu_measure(), s, TriangularS.identity()) == 1.0
+        assert rn_derivative_right(nu_measure, s, TriangularS.identity()) == 1.0
 
     def test_frozen_example(self):
         # pi(s0) = 8, |s s0|^2 = 5, |s|^2 = 2 at the identity chart point
         value = rn_derivative_right(
-            nu_measure(), TriangularS.identity(), TriangularS(2.0, 1.0, 0.0)
+            nu_measure, TriangularS.identity(), TriangularS(2.0, 1.0, 0.0)
         )
         assert abs(value - 1.28) < 1e-14
 
     def test_haar_derivative_is_one(self, rng):
         for _ in range(100):
             s, s0 = random_s(rng), random_s(rng)
-            assert abs(rn_derivative_right(haar_measure(), s, s0) - 1.0) < 1e-12
+            assert abs(rn_derivative_right(haar_measure, s, s0) - 1.0) < 1e-12
 
     def test_nu_band(self, rng):
         for _ in range(20):
             s0 = random_s(rng)
             lo, hi = nu_derivative_band(s0)
             for _ in range(100):
-                value = rn_derivative_right(nu_measure(), random_s(rng), s0)
+                value = rn_derivative_right(nu_measure, random_s(rng), s0)
                 assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-12)
 
-    @pytest.mark.parametrize("measure", [nu_measure(), haar_measure()], ids=["nu", "haar"])
+    @pytest.mark.parametrize("measure", [nu_measure, haar_measure], ids=["nu", "haar"])
     def test_batch_equals_per_element_calls(self, rng, measure):
         # scalar and array powers may round 1 ulp apart
         s, s0 = random_s(rng, size=1000), random_s(rng)
@@ -275,7 +274,7 @@ class TestPolar:
         # |s|^-4 times the radial volume element r^3 is r^-1
         radii = np.array([0.5, 2.0])
         pts = TriangularS(radii / math.sqrt(2.0), radii / math.sqrt(2.0), np.zeros(2, complex))
-        np.testing.assert_allclose(nu_measure().density(pts) * pts.norm() ** 3, [2.0, 0.5], rtol=1e-14)
+        np.testing.assert_allclose(nu_measure(pts) * pts.norm() ** 3, [2.0, 0.5], rtol=1e-14)
 
     def test_direction_moments(self):
         # uniform on the patch x1, x2 > 0 of the unit 3-sphere: |x1 + i x2|^2
@@ -324,19 +323,25 @@ class TestHalfAngleMultiplier:
         np.testing.assert_allclose(np.abs(got), 1.0, rtol=4 * self.EPS, atol=0)
 
 
+class UniformBox(BoxSampler):
+    """A box sampler that importance samples: its density is uniform on the box."""
+
+    def density(self, pts):
+        return np.where(self.contains(pts), 1.0 / self.volume, 0.0)
+
+
 class TestIntegration:
     def test_constant_on_box(self, rng):
         # uniform sampler against the Lebesgue measure: the estimate is exact
-        box = BoxSampler((1, 1, 1, 1), (2, 2, 2, 2))
-        lebesgue = MeasureSpec("lebesgue", lambda pts: np.ones(pts.size))
-        est = integrate_mc(ONE, lebesgue, box, 10_000, rng, mode="plain")
+        box = UniformBox((1, 1, 1, 1), (2, 2, 2, 2))
+        est = integrate_mc(ONE, lambda pts: np.ones(pts.size), box, 10_000, rng, mode="plain")
         assert est.value == 1.0
         assert est.std_error == 0.0
 
     def test_annulus_mass_closed_form(self, rng):
         # integral of 1 against |s|^-4 ds over the annulus is log(R/eps) * patch mass
         sampler = PolarShellSampler(0.5, 8.0)
-        est = integrate_mc(ONE, nu_measure(), sampler, 5_000, rng, mode="plain")
+        est = integrate_mc(ONE, nu_measure, sampler, 5_000, rng, mode="plain")
         assert abs(est.value - math.log(16.0) * OMEGA_PATCH_MASS) < 1e-12
 
     def test_polar_cartesian_and_quadrature_agree(self, rng):
@@ -345,11 +350,11 @@ class TestIntegration:
         expected = OMEGA_PATCH_MASS * (exp1(lo) - exp1(hi))
         fn = GroupFunction(lambda pts: np.exp(-pts.norm()))
         polar = integrate_mc(
-            fn, nu_measure(), PolarShellSampler(lo, hi), 200_000, rng, mode="plain"
+            fn, nu_measure, PolarShellSampler(lo, hi), 200_000, rng, mode="plain"
         )
         cartesian = integrate_mc(
             annulus_indicator(fn, lo, hi),
-            nu_measure(),
+            nu_measure,
             HalfNormalSampler(1.5),
             400_000,
             rng,
@@ -372,9 +377,9 @@ class TestIntegration:
         polar_sampler = PolarShellSampler(lo, hi)
         cart_sampler = HalfNormalSampler(1.5)
         for fn in battery:
-            polar = integrate_mc(fn, nu_measure(), polar_sampler, 100_000, rng, mode="plain")
+            polar = integrate_mc(fn, nu_measure, polar_sampler, 100_000, rng, mode="plain")
             cart = integrate_mc(
-                annulus_indicator(fn, lo, hi), nu_measure(), cart_sampler, 300_000, rng, mode="plain"
+                annulus_indicator(fn, lo, hi), nu_measure, cart_sampler, 300_000, rng, mode="plain"
             )
             combined = math.hypot(polar.std_error, cart.std_error)
             assert abs(polar.value - cart.value) < 4 * max(combined, 1e-12)
@@ -384,8 +389,8 @@ class TestIntegration:
         # shifted Halton set cuts that of this radial integrand by about 4
         fn = GroupFunction(lambda pts: np.exp(-pts.norm()))
         sampler = PolarShellSampler(1e-3, 20.0)
-        small = integrate_mc(fn, nu_measure(), sampler, 50_000, np.random.default_rng(1))
-        large = integrate_mc(fn, nu_measure(), sampler, 200_000, np.random.default_rng(2))
+        small = integrate_mc(fn, nu_measure, sampler, 50_000, np.random.default_rng(1))
+        large = integrate_mc(fn, nu_measure, sampler, 200_000, np.random.default_rng(2))
         assert small.std_error / large.std_error > 2.0 * 1.2
 
     @pytest.mark.parametrize("offset, rel", [(1e6, 1e-6), (1e8, 1e-3)])
@@ -394,9 +399,9 @@ class TestIntegration:
         # squares to cancel; at 1e8 a unit in the last place of a replicate
         # mean (about 7e8 here) is 1e-7, about 1 % of their spread
         sampler = PolarShellSampler(0.5, 2.0)
-        plain = integrate_mc(GroupFunction(lambda pts: np.exp(-pts.norm())), nu_measure(), sampler, 262_144, 1,
+        plain = integrate_mc(GroupFunction(lambda pts: np.exp(-pts.norm())), nu_measure, sampler, 262_144, 1,
                              mode="plain")
-        moved = integrate_mc(GroupFunction(lambda pts: offset + np.exp(-pts.norm())), nu_measure(), sampler,
+        moved = integrate_mc(GroupFunction(lambda pts: offset + np.exp(-pts.norm())), nu_measure, sampler,
                              262_144, 1, mode="plain")
         assert moved.std_error == pytest.approx(plain.std_error, rel=rel, abs=0.0)
 
@@ -406,7 +411,7 @@ class TestIntegration:
         # multiple of 16, and a finite error on every count
         sizes = mc_sum(PolarShellSampler(), n, 1, lambda view: view.size)
         assert sizes.sum() == n and sizes.max() - sizes.min() == (n % measures.REPLICATES != 0)
-        estimate = integrate_mc(vacuum(), nu_measure(), PolarShellSampler(), n, 1)
+        estimate = integrate_mc(vacuum(), nu_measure, PolarShellSampler(), n, 1)
         assert estimate.sample_count == n and 0.0 < estimate.std_error < math.inf
 
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch):
@@ -433,15 +438,15 @@ class TestIntegration:
 
         sampler = PolarShellSampler(0.1, 5.0)
         with pytest.raises(NonFinite):
-            integrate_mc(GroupFunction(evaluate), nu_measure(), sampler, 1_000, rng)
+            integrate_mc(GroupFunction(evaluate), nu_measure, sampler, 1_000, rng)
 
     def test_minimum_sample_count(self, rng):
         # one guard in the one Monte-Carlo pass serves all three engines
         sampler = PolarShellSampler()
         for n in (999, 0, -3):
             engines = [
-                lambda: integrate_mc(ONE, nu_measure(), sampler, n, rng),
-                lambda: divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, n, rng),
+                lambda: integrate_mc(ONE, nu_measure, sampler, n, rng),
+                lambda: divergence_probe(vacuum(), [nu_measure], LADDER, 30.0, n, rng),
                 lambda: gram_matrix([random_q(rng)], OrbitLabel.PLUS_PLUS, sampler, n, rng),
             ]
             for engine in engines:
@@ -454,8 +459,8 @@ class TestIntegration:
         sampler = PolarShellSampler()
         for n in (MAX_SAMPLES + 1, 10**11):
             engines = [
-                lambda: integrate_mc(ONE, nu_measure(), sampler, n, rng),
-                lambda: divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, n, rng),
+                lambda: integrate_mc(ONE, nu_measure, sampler, n, rng),
+                lambda: divergence_probe(vacuum(), [nu_measure], LADDER, 30.0, n, rng),
                 lambda: gram_matrix([random_q(rng)], OrbitLabel.PLUS_PLUS, sampler, n, rng),
             ]
             for engine in engines:
@@ -476,39 +481,37 @@ class TestBoxSampler:
         assert np.array_equal(pts.r1, expected[0]) and np.array_equal(pts.r2, expected[1])
         assert np.array_equal(pts.r, expected[2] + 1j * expected[3])
 
-    def test_membership_and_density(self, rng):
+    def test_membership(self, rng):
         box = BoxSampler(*self.BOX)
         inside = box.sample(1000, uniforms(1000, rng))
         assert box.contains(inside).all()
         outside = TriangularS(inside.r1 + 2.0, inside.r2, inside.r)
         assert not box.contains(outside).any()
-        np.testing.assert_array_equal(box.density(inside), 1.0 / box.volume)
-        np.testing.assert_array_equal(box.density(outside), 0.0)
 
 
 class TestDivergenceProbe:
     def test_vacuum_is_log_divergent(self, rng):
-        verdict = divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, 100_000, rng)[0][0]
+        verdict = divergence_probe(vacuum(), [nu_measure], LADDER, 30.0, 100_000, rng)[0][0]
         assert verdict.classification == "log-divergent"
         assert verdict.slope > 5 * verdict.slope_stderr
         assert verdict.r_squared > 0.99
 
     def test_vacuum_slope_matches_quadrature(self, rng):
         # the exact value of I(eps) is patch_mass * (E1(eps) - E1(R))
-        verdict = divergence_probe(vacuum(), [nu_measure()], LADDER, 30.0, 400_000, rng)[0][0]
+        verdict = divergence_probe(vacuum(), [nu_measure], LADDER, 30.0, 400_000, rng)[0][0]
         for eps, (value, stderr) in zip(verdict.eps_ladder, verdict.estimates):
             exact = OMEGA_PATCH_MASS * (exp1(eps) - exp1(30.0))
             assert abs(value - exact) < 5 * stderr
 
     def test_translation_coboundary_converges(self, rng):
         q = QElement(TriangularS(2.0, 1.0, 0.0), SkewHermitian2.zero())
-        fn = coboundary(q, OrbitLabel.PLUS_PLUS).as_group_function()
-        verdict = divergence_probe(fn, [nu_measure()], LADDER, 30.0, 100_000, rng)[0][0]
+        fn = coboundary(q, OrbitLabel.PLUS_PLUS).evaluate
+        verdict = divergence_probe(fn, [nu_measure], LADDER, 30.0, 100_000, rng)[0][0]
         assert verdict.classification == "convergent"
 
     def test_synthetic_power_divergence(self, rng):
         # |F|^2 = |s|^-2 gives I(eps) ~ eps^-2 / 2; quadrature cross-check
-        verdict = divergence_probe(inverse_norm(), [nu_measure()], LADDER, 30.0, 400_000, rng)[0][0]
+        verdict = divergence_probe(inverse_norm(), [nu_measure], LADDER, 30.0, 400_000, rng)[0][0]
         assert verdict.classification == "power-divergent"
         for eps, (value, stderr) in zip(verdict.eps_ladder, verdict.estimates):
             exact = OMEGA_PATCH_MASS * 0.5 * (eps**-2 - 30.0**-2)
@@ -520,7 +523,7 @@ class TestDivergenceProbe:
 
     def test_ladder_length_precondition(self, rng):
         with pytest.raises(ValueError):
-            divergence_probe(vacuum(), [nu_measure()], (0.1, 0.01), 30.0, 10_000, rng)
+            divergence_probe(vacuum(), [nu_measure], (0.1, 0.01), 30.0, 10_000, rng)
 
 
 class TestSharedStream:
@@ -529,13 +532,13 @@ class TestSharedStream:
         # against one masked pass per rung over the same points
         n = 100_000
         eps = sorted(LADDER, reverse=True)
-        measures = [nu_measure(), truncated_nu(1.0)]
+        measures = [nu_measure, truncated_nu(1.0)]
         (row,) = divergence_probe(vacuum(), measures, LADDER, 30.0, n, np.random.default_rng(11))
         sampler = PolarShellSampler(eps[-1], 30.0)
         pts = joined(block_draws(sampler, n, 11))
         squared = np.abs(vacuum()(pts)) ** 2
         for measure, verdict in zip(measures, row):
-            contrib = squared * measure.density(pts) / sampler.density(pts)
+            contrib = squared * measure(pts) / sampler.density(pts)
             for cut, (value, stderr) in zip(eps, verdict.estimates):
                 masked = np.where(pts.norm() >= cut, contrib, 0.0)
                 assert value == pytest.approx(masked.sum() / n, rel=1e-12, abs=0.0)
@@ -551,7 +554,7 @@ class TestSharedStream:
         # common random numbers: each (integrand, measure) verdict of a joint
         # probe is the verdict of a single probe on the same seed
         functions = [vacuum(), inverse_norm()]
-        measures = [nu_measure(), truncated_nu(1.0)]
+        measures = [nu_measure, truncated_nu(1.0)]
         rows = divergence_probe(stacked(functions), measures, LADDER, 30.0, 300_000, 5)
         assert len(rows) == len(functions)
         for fn, row in zip(functions, rows):
@@ -566,11 +569,11 @@ class TestSharedStream:
         label = OrbitLabel.PLUS_PLUS
         test_set = default_test_set()
         vector = CocycleVector(label, np.ones(len(test_set)), q_join(np.stack, test_set))
-        measures = [nu_measure(), truncated_nu(1.0)]
+        measures = [nu_measure, truncated_nu(1.0)]
         rows = divergence_probe(vector.rows, measures, LADDER, 30.0, 100_000, 5)
         assert len(rows) == vector.coefficients.size
         for q, row in zip(test_set, rows):
-            alone = coboundary(q, label).as_group_function()
+            alone = coboundary(q, label).evaluate
             assert (row,) == divergence_probe(alone, measures, LADDER, 30.0, 100_000, 5)
         assert {v.classification for row in rows for v in row} == {"convergent"}
 
@@ -587,7 +590,7 @@ class TestPointwise:
 
     def test_values_are_those_of_one_call(self, rng):
         pts = PolarShellSampler().sample(4500, uniforms(4500, rng))
-        fns = [vacuum(), nu_measure().density, lambda view: view.r1 > 1.0]
+        fns = [vacuum(), nu_measure, lambda view: view.r1 > 1.0]
         expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
         for got, want in zip(pointwise(fns, pts), expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -598,19 +601,19 @@ class TestPointwise:
         # run, and a pass's shared point arrays give the bits of one worker
         sampler = PolarShellSampler()
         monkeypatch.setattr(measures, "WORKERS", 1)
-        estimate = integrate_mc(vacuum(), nu_measure(), sampler, 20_000, 9)
+        estimate = integrate_mc(vacuum(), nu_measure, sampler, 20_000, 9)
         monkeypatch.setattr(measures, "WORKERS", 4)
         measures._executor.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             pts = sampler.sample(20_000, uniforms(20_000, rng))
-            fns = [vacuum(), nu_measure().density]
+            fns = [vacuum(), nu_measure]
             expected = [fn(TriangularS(pts.r1, pts.r2, pts.r)) for fn in fns]
             for _ in range(5):
                 got = pointwise(fns, TriangularS(pts.r1, pts.r2, pts.r))
                 assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-                assert integrate_mc(vacuum(), nu_measure(), sampler, 20_000, 9) == estimate
+                assert integrate_mc(vacuum(), nu_measure, sampler, 20_000, 9) == estimate
         finally:
             sys.setswitchinterval(interval)
             measures._executor.cache_clear()
@@ -630,9 +633,9 @@ class TestPointwise:
         with pytest.raises(error, match="raised in a worker"):
             pointwise([in_pool(fail)], sampler.sample(4000, uniforms(4000, rng)))
         with pytest.raises(error, match="raised in a worker"):
-            integrate_mc(GroupFunction(in_pool(fail)), nu_measure(), sampler, 4000, rng)
+            integrate_mc(GroupFunction(in_pool(fail)), nu_measure, sampler, 4000, rng)
         with pytest.raises(error, match="raised in a worker"):
-            divergence_probe(GroupFunction(in_pool(fail)), [nu_measure()], LADDER, 30.0, 4000, rng)
+            divergence_probe(GroupFunction(in_pool(fail)), [nu_measure], LADDER, 30.0, 4000, rng)
         p, failing = random_q(rng), in_pool(fail)
         monkeypatch.setattr(CocycleVector, "rows", lambda self, pts: failing(pts)[None] + 0j)
         with pytest.raises(error, match="raised in a worker"):
@@ -658,7 +661,7 @@ class TestPointwise:
             return sample(self, n, u)
 
         monkeypatch.setattr(PolarShellSampler, "sample", recording)
-        integrate_mc(ONE, nu_measure(), PolarShellSampler(), 4000, 1)
+        integrate_mc(ONE, nu_measure, PolarShellSampler(), 4000, 1)
         assert len(threads) == measures.REPLICATES and len(set(threads)) == 2 and threading.get_ident() in threads
 
 
@@ -676,13 +679,13 @@ def test_one_batch_peaks_within_its_draws_and_points(monkeypatch):
     sampler = PolarShellSampler(1e-4, 30.0)
     rng = np.random.default_rng(1)
     ps = [random_q(rng) for _ in range(6)]
-    functions = [vacuum()] + [coboundary(q, label).as_group_function() for q in default_test_set()]
+    functions = [vacuum()] + [coboundary(q, label).evaluate for q in default_test_set()]
     n = 1 << 18
     engines = {
         "gram_matrix": lambda: gram_matrix(ps, label, sampler, n, 1),
-        "divergence_probe": lambda: divergence_probe(stacked(functions), [nu_measure(), truncated_nu(1.0)],
+        "divergence_probe": lambda: divergence_probe(stacked(functions), [nu_measure, truncated_nu(1.0)],
                                                      LADDER, 30.0, n, 2),
-        "integrate_mc": lambda: integrate_mc(functions[1], nu_measure(), sampler, n, 3),
+        "integrate_mc": lambda: integrate_mc(functions[1], nu_measure, sampler, n, 3),
     }
     for name, engine in engines.items():
         tracemalloc.start()
@@ -758,8 +761,8 @@ class TestBoxTranslation:
         )
         sampler = LogNormalSampler()
         shift = QElement(TriangularS(1.3, 0.8, 0.2 + 0.1j), SkewHermitian2.zero())
-        base = integrate_mc(bump, haar_measure(), sampler, 400_000, rng, mode="plain")
-        moved = integrate_mc(apply_T(shift, OrbitLabel.PLUS_PLUS, bump), haar_measure(), sampler, 400_000, rng,
+        base = integrate_mc(bump, haar_measure, sampler, 400_000, rng, mode="plain")
+        moved = integrate_mc(apply_T(shift, OrbitLabel.PLUS_PLUS, bump), haar_measure, sampler, 400_000, rng,
                              mode="plain")
         sigma = math.hypot(base.std_error, moved.std_error)
         assert abs(base.value - moved.value) < 3 * sigma

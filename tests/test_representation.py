@@ -96,8 +96,8 @@ class TestApplyT:
         s0 = TriangularS(1.7, 0.6, 0.4 - 0.2j)
         q = QElement(s0, SkewHermitian2.zero())
         sampler = PolarShellSampler(1e-3, 30.0)
-        base = integrate_mc(vacuum(), nu_measure(), sampler, 200_000, rng)
-        moved = integrate_mc(apply_T(q, LABEL, vacuum()), nu_measure(), sampler, 200_000, rng)
+        base = integrate_mc(vacuum(), nu_measure, sampler, 200_000, rng)
+        moved = integrate_mc(apply_T(q, LABEL, vacuum()), nu_measure, sampler, 200_000, rng)
         _, hi = nu_derivative_band(s0)
         assert moved.real <= hi * base.real * 1.05
 
@@ -107,8 +107,8 @@ class TestApplyT:
         )
         q = QElement(TriangularS(1.2, 0.9, 0.1 + 0.2j), SkewHermitian2.zero())
         sampler = LogNormalSampler()
-        base = integrate_mc(bump, haar_measure(), sampler, 300_000, rng, mode="square")
-        moved = integrate_mc(apply_T(q, LABEL, bump), haar_measure(), sampler, 300_000, rng, mode="square")
+        base = integrate_mc(bump, haar_measure, sampler, 300_000, rng, mode="square")
+        moved = integrate_mc(apply_T(q, LABEL, bump), haar_measure, sampler, 300_000, rng, mode="square")
         sigma = math.hypot(base.std_error, moved.std_error)
         assert abs(base.real - moved.real) < 3 * sigma
 
@@ -345,7 +345,7 @@ class TestCoboundary:
         for _ in range(50):
             q1, q2 = random_q(rng), random_q(rng)
             lhs = coboundary(q_multiply(q1, q2), LABEL).evaluate(pts)
-            rhs = apply_T(q1, LABEL, coboundary(q2, LABEL).as_group_function())(pts)
+            rhs = apply_T(q1, LABEL, coboundary(q2, LABEL).evaluate)(pts)
             rhs = rhs + coboundary(q1, LABEL).evaluate(pts)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst < 1e-11
@@ -422,15 +422,15 @@ class TestNorms:
     def test_zero_function(self, rng):
         sampler = PolarShellSampler(1e-3, 10.0)
         zero = GroupFunction(lambda pts: np.zeros(pts.size))
-        est = integrate_mc(zero, nu_measure(), sampler, 10_000, rng)
+        est = integrate_mc(zero, nu_measure, sampler, 10_000, rng)
         assert est.real == 0.0
 
     def test_translation_coboundary_is_square_integrable(self, rng):
         from u22lab.measures import divergence_probe
 
         q = QElement(TriangularS(2.0, 1.0, 0.0), SkewHermitian2.zero())
-        fn = coboundary(q, LABEL).as_group_function()
-        verdict = divergence_probe(fn, [nu_measure()], LADDER, 30.0, 100_000, rng)[0][0]
+        fn = coboundary(q, LABEL).evaluate
+        verdict = divergence_probe(fn, [nu_measure], LADDER, 30.0, 100_000, rng)[0][0]
         assert verdict.classification == "convergent"
 
     def test_vacuum_satisfies_membership_conditions(self, rng):
@@ -438,8 +438,8 @@ class TestNorms:
         from u22lab.measures import divergence_probe
 
         for q in default_test_set():
-            fn = coboundary(q, LABEL).as_group_function()
-            verdict = divergence_probe(fn, [nu_measure()], LADDER, 30.0, 50_000, rng)[0][0]
+            fn = coboundary(q, LABEL).evaluate
+            verdict = divergence_probe(fn, [nu_measure], LADDER, 30.0, 50_000, rng)[0][0]
             assert verdict.classification == "convergent"
 
 
@@ -458,10 +458,10 @@ class TestNorms:
             gram, stderr = gram_matrix([p, q], LABEL, sampler, 50_000, np.random.default_rng(7))
             # exact on one shared sample stream, up to rounding
             assert abs(gram[0, 1]) <= math.sqrt(gram[0, 0].real * gram[1, 1].real) * (1 + 1e-12)
-            f = coboundary(p, LABEL).as_group_function()
-            g = coboundary(q, LABEL).as_group_function()
-            ff = integrate_mc(f, nu_measure(), sampler, 50_000, np.random.default_rng(7))
-            gg = integrate_mc(g, nu_measure(), sampler, 50_000, np.random.default_rng(7))
+            f = coboundary(p, LABEL).evaluate
+            g = coboundary(q, LABEL).evaluate
+            ff = integrate_mc(f, nu_measure, sampler, 50_000, np.random.default_rng(7))
+            gg = integrate_mc(g, nu_measure, sampler, 50_000, np.random.default_rng(7))
             bound = math.sqrt(ff.real * gg.real)
             slack = 3 * (stderr[0, 1] + ff.std_error + gg.std_error)
             assert abs(gram[0, 1]) <= bound + slack
@@ -509,7 +509,6 @@ class TestSpecialness:
     # seed: TestSharedStream in test_measures.py checks that property
     def test_witness_confirmed(self, rng):
         report, _ = specialness_report(LABEL, LADDER, 30.0, 100_000, rng)
-        assert report.measure_name == "nu"
         assert report.confirmed
         assert report.verdict == "special witness confirmed"
         assert report.vacuum_verdict.classification == "log-divergent"
@@ -518,7 +517,6 @@ class TestSpecialness:
 
     def test_truncated_control_is_not_special(self, rng):
         _, control = specialness_report(LABEL, LADDER, 30.0, 50_000, rng)
-        assert control.measure_name == "nu-truncated-1"
         assert not control.confirmed
         assert control.verdict == "not special (vacuum square-integrable)"
 
@@ -534,7 +532,7 @@ class TestOneChartType:
             "translation": apply_T(QElement(q.s, SkewHermitian2.zero()), LABEL, vacuum()),
             "character": multiplier(LABEL, q.n),
             "operator": apply_T(q, LABEL, vacuum()),
-            "coboundary": coboundary(q, LABEL).as_group_function(),
+            "coboundary": coboundary(q, LABEL).evaluate,
         }
 
     def test_scalar_equals_length_one_batch(self, rng):
