@@ -48,13 +48,16 @@ from .groups import (
 )
 from .matrices import E4, U22Error, adjoint, blocks, frob, is_json_number
 from .measures import (
-    MAX_SAMPLES,
+    BLOCK,
+    DEFAULT_R_MAX,
     REPLICATES,
     BoxSampler,
     LogNormalSampler,
     PolarShellSampler,
+    check_samples,
     haar_measure,
     integrate_mc,
+    ladder_shell,
     mc_estimate,
     mc_sum,
     modulus_pi,
@@ -64,7 +67,7 @@ from .measures import (
     rn_derivative_right,
 )
 from .orbits import OrbitLabel, _orbit_chart
-from .points import reference_points
+from .points import MAX_REFERENCE_POINTS, reference_points
 from .rank1 import almost_invariant_check, gaussian_bump, left_indicator
 from .representation import (
     CocycleVector,
@@ -76,8 +79,6 @@ from .representation import (
 )
 
 __all__ = ["SuiteConfig", "ClaimRecord", "CLAIM_IDS", "run_claims", "to_json", "records_to_json", "records_to_csv"]
-
-DEFAULT_EPS_LADDER = tuple(np.logspace(-1, -4, 7))
 
 
 # The values each annotation of a SuiteConfig field admits: an int is not a
@@ -96,34 +97,27 @@ class SuiteConfig:
     """Knobs for the verification battery."""
 
     seed: int = 20240801
-    mc_samples: int = 262_144  # REPLICATES replicates of 2^14 points, one block each
+    mc_samples: int = REPLICATES * BLOCK  # one block per replicate
     sample_points: int = 100
-    eps_ladder: tuple[float, ...] = DEFAULT_EPS_LADDER
-    r_max: float = 30.0
+    eps_ladder: tuple[float, ...] = tuple(np.logspace(-1, -4, 7))
+    r_max: float = DEFAULT_R_MAX
     label: OrbitLabel = OrbitLabel.PLUS_PLUS
     tol_override: float | None = None
 
     def __post_init__(self):
         """Every command's knobs enter here: a value of the wrong type, then
-        one out of range, is a ``U22Error``."""
+        one out of range, is a ``U22Error``, from the owner of its bound."""
         for knob in fields(self):
             value = getattr(self, knob.name)
             if not _KNOB_TYPES[knob.type](value):
                 raise U22Error(f"config field {knob.name!r} has a bad value: {value!r}")
         if self.seed < 0:
             raise U22Error(f"seed must be nonnegative, got {self.seed}")
-        if self.mc_samples < 1000:
-            raise U22Error(f"need at least 1000 samples, got {self.mc_samples}")
-        if self.mc_samples > MAX_SAMPLES:
-            raise U22Error(f"need at most {MAX_SAMPLES} samples (2^28), got {self.mc_samples}")
-        if self.sample_points <= 0:
-            raise U22Error("sample_points must be positive")
-        if len(self.eps_ladder) < 5:
-            raise U22Error("eps ladder needs at least 5 rungs")
-        if not all(0 < e < math.inf for e in self.eps_ladder):
-            raise U22Error("eps ladder entries must be positive and finite")
-        if not max(self.eps_ladder) < self.r_max < math.inf:
-            raise U22Error("r_max must be finite and exceed the ladder")
+        check_samples(self.mc_samples)
+        if not 0 < self.sample_points <= MAX_REFERENCE_POINTS:
+            raise U22Error(f"sample_points must be positive and at most {MAX_REFERENCE_POINTS}, got {self.sample_points}")
+        ladder_shell(self.eps_ladder, self.r_max)  # C06's ladder and shell
+        PolarShellSampler(r_max=self.r_max)  # C09's shell
         if self.tol_override is not None and not 0 < self.tol_override < math.inf:
             raise U22Error("tolerance override must be positive and finite")
 
@@ -402,7 +396,7 @@ def _claim_extension(config: SuiteConfig, rng):
 
 def _claim_gram(config: SuiteConfig, rng):
     p_list = [random_q(rng) for _ in range(6)]
-    sampler = PolarShellSampler(1e-4, config.r_max)
+    sampler = PolarShellSampler(r_max=config.r_max)
     gram, stderr = gram_matrix(p_list, config.label, sampler, config.mc_samples, rng)
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigmin = float(eigvals[0])

@@ -22,6 +22,7 @@ import numpy as np
 from .claims import SuiteConfig, records_to_csv, records_to_json, run_claims, to_json
 from .extension import unboundedness_experiment
 from .groups import (
+    CHAIN_TOL,
     NotInGroup,
     QElement,
     SkewHermitian2,
@@ -33,7 +34,7 @@ from .groups import (
     random_q,
 )
 from .matrices import U22Error, is_json_number, matrix_from_json
-from .measures import PolarShellSampler, divergence_probe, nu_measure
+from .measures import MAX_SAMPLES, MIN_SAMPLES, REPLICATES, PolarShellSampler, divergence_probe, nu_measure
 from .orbits import OrbitLabel, _orbit_chart
 from .representation import coboundary, gram_matrix, inverse_norm, vacuum
 
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     decompose = sub.add_parser("decompose", help="factor a 4x4 matrix as p k")
     decompose.set_defaults(run=_cmd_decompose)
     decompose.add_argument("--input", default="-", help="matrix JSON file, or - for stdin")
-    decompose.add_argument("--tol", type=float, default=1e-9, help="membership tolerance")
+    decompose.add_argument("--tol", type=float, default=CHAIN_TOL, help="membership tolerance")
     decompose.add_argument("--out", help="output path (default: stdout)")
 
     orbit = sub.add_parser("orbit", help="classify a skew-Hermitian point")
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     gram = sub.add_parser("gram", help="Gram matrix of random basis coboundaries")
     gram.set_defaults(run=_cmd_gram)
     gram.add_argument("--size", type=int, default=6,
-                      help=f"number of random basis elements (default 6, at most {GRAM_MAX_SIZE})")
+                      help=f"number of random basis elements (default %(default)s, at most {GRAM_MAX_SIZE})")
     _common_flags(gram)
 
     unbounded = sub.add_parser(
@@ -97,8 +98,9 @@ def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
     sub.set_defaults(config=None, tol=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--samples", type=int, default=None,
-                     help="Monte-Carlo samples per integral, in 16 replicates of shifted Halton points "
-                          "(default 262144, at least 1000, at most 2^28)")
+                     help=f"Monte-Carlo samples per integral, in {REPLICATES} replicates of shifted Halton points "
+                          f"(default {SuiteConfig.mc_samples}, at least {MIN_SAMPLES}, "
+                          f"at most 2^{MAX_SAMPLES.bit_length() - 1})")
     sub.add_argument("--label", default=None, help="orbit label: ++, +-, -+, -- or 1..4")
     if with_format:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -176,20 +178,8 @@ def _cmd_decompose(args) -> int:
     try:
         g = U22Element(matrix, tol=args.tol)
     except NotInGroup as exc:
-        report = exc.report
-        _emit_json(
-            {
-                "error": "not a group member",
-                "residuals": {
-                    "sigma_relation": report.sigma_relation,
-                    "block_unit": report.block_unit,
-                    "block_upper": report.block_upper,
-                    "block_lower": report.block_lower,
-                },
-                "tolerance": args.tol,
-            },
-            args.out,
-        )
+        doc = {"error": "not a group member", "residuals": exc.report.named_residuals(), "tolerance": args.tol}
+        _emit_json(doc, args.out)
         return 2
     p, k = iwasawa_decompose(g)
     residual = float(np.linalg.norm(p.matrix() @ k.m - matrix))
@@ -217,9 +207,7 @@ def _parse_skew(doc) -> SkewHermitian2:
     if not all(map(is_json_number, values)):
         raise U22Error("point entries must be numbers")
     a, b, re, im = map(float, values)
-    if not all(math.isfinite(v) for v in (a, b, re, im)):
-        raise U22Error("point has a non-finite entry")
-    return SkewHermitian2(a, b, complex(re, im))
+    return SkewHermitian2(a, b, complex(re, im))  # _orbit_chart refuses a non-finite entry
 
 
 def _cmd_orbit(args) -> int:
@@ -272,7 +260,7 @@ def _cmd_gram(args) -> int:
     config = _suite_config(args)
     rng = np.random.default_rng(config.seed)
     p_list = [random_q(rng) for _ in range(args.size)]
-    gram, stderr = gram_matrix(p_list, config.label, PolarShellSampler(), config.mc_samples, rng)
+    gram, stderr = gram_matrix(p_list, config.label, PolarShellSampler(r_max=config.r_max), config.mc_samples, rng)
     eigmin = float(np.linalg.eigvalsh(gram)[0])
     err = float(np.linalg.norm(stderr))
     doc = {

@@ -149,6 +149,9 @@ class MembershipReport:
     def residuals(self) -> tuple[float, float, float, float]:
         return (self.sigma_relation, self.block_unit, self.block_upper, self.block_lower)
 
+    def named_residuals(self) -> dict[str, float]:
+        return dict(zip(("sigma_relation", "block_unit", "block_upper", "block_lower"), self.residuals()))
+
     def max_residual(self):
         return np.max(self.residuals(), axis=0)
 

@@ -14,8 +14,7 @@ sampler's support is the mean of F * measure / density over the points.
 Points are ``TriangularS`` batches, and every density, sampler and chart
 function here takes one element or a batch.  All three engines
 (``integrate_mc``, ``divergence_probe`` and ``representation.gram_matrix``) and C04's translated-box count run one
-Monte-Carlo pass, ``mc_sum``, which rejects fewer than 1000 samples and
-more than ``MAX_SAMPLES``.
+Monte-Carlo pass, ``mc_sum``, whose sample count ``check_samples`` bounds.
 
 The pass is randomized quasi-Monte Carlo: its n points form ``REPLICATES``
 replicates of sizes that differ by at most one, and each replicate is the
@@ -76,13 +75,16 @@ __all__ = [
     "mc_estimate",
     "BLOCK",
     "REPLICATES",
+    "MIN_SAMPLES",
     "MAX_SAMPLES",
+    "check_samples",
     "half_angle_cis",
     "run_blocks",
     "mc_sum",
     "require_finite",
     "integrate_mc",
     "DivergenceVerdict",
+    "ladder_shell",
     "divergence_probe",
 ]
 
@@ -94,6 +96,8 @@ OMEGA_PATCH_MASS = math.pi**2 / 2.0
 # in this package carry exp(-|s|) decay, so 30 is far past their support.
 DEFAULT_R_MIN = 1e-4
 DEFAULT_R_MAX = 30.0
+# The widest shell: its density r^-4 stays a normal float, 1e308 to 1e-304
+MIN_RADIUS, MAX_RADIUS = 1e-77, 1e76
 
 LOGNORMAL_TAU = 1.2  # LogNormalSampler: deviation of log r1 and log r2
 LOGNORMAL_SIGMA_R = 1.2  # and of Re r and Im r
@@ -106,6 +110,7 @@ BLOCK = 1 << 14
 # Independent replicates of every Monte-Carlo pass: its standard error has
 # REPLICATES - 1 degrees of freedom, and P(|t| > 3) is 0.90 % at 16.
 REPLICATES = 16
+MIN_SAMPLES = 1000  # points per pass at least: 62 or 63 per replicate
 # Points per pass at most: the Halton table of a pass has one column per
 # point of its largest replicate, so 2^28 points make a table of 2^24
 # columns, 512 MiB.
@@ -228,8 +233,8 @@ class PolarShellSampler:
     r_max: float = DEFAULT_R_MAX
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise U22Error("need 0 < r_min < r_max")
+        if not MIN_RADIUS <= self.r_min < self.r_max <= MAX_RADIUS:
+            raise U22Error(f"need {MIN_RADIUS} <= r_min < r_max <= {MAX_RADIUS}, got {self.r_min} and {self.r_max}")
 
     @property
     def log_ratio(self) -> float:
@@ -419,6 +424,14 @@ def _warm_heap() -> None:
     np.empty(1 << 20)
 
 
+def check_samples(n: int) -> None:
+    """The one sample-count guard of every Monte-Carlo pass."""
+    if n < MIN_SAMPLES:
+        raise U22Error(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise U22Error(f"need at most {MAX_SAMPLES} samples (2^{MAX_SAMPLES.bit_length() - 1}), got {n}")
+
+
 def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np.ndarray:
     """The Monte-Carlo pass: ``n`` points from ``sampler``, in ``REPLICATES``
     replicates of shifted Halton points, and per replicate the sum of
@@ -432,14 +445,10 @@ def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np
     as easy as 1, 2, 3" (SC 2011).  The task hands the points it drew
     straight to ``partial``, and one ``run_blocks`` call runs every block of
     the pass.  The first pass of the process warms the heap
-    (``_warm_heap``).  The one sample-count guard of every Monte-Carlo
-    pass: fewer than 1000 points, or more than ``MAX_SAMPLES``, is a
-    ``U22Error``, raised before anything is drawn.
+    (``_warm_heap``).  ``check_samples`` rejects the count before anything
+    is drawn.
     """
-    if n < 1000:
-        raise U22Error(f"need at least 1000 samples, got {n}")
-    if n > MAX_SAMPLES:
-        raise U22Error(f"need at most {MAX_SAMPLES} samples (2^28), got {n}")
+    check_samples(n)
     _warm_heap()
     entropy = as_generator(rng).integers(1 << 32, size=4).tolist()
     sizes = _replicate_sizes(n).tolist()
@@ -506,7 +515,6 @@ class DivergenceVerdict:
     slope: float
     slope_stderr: float
     r_squared: float
-    fit_rms: float
     eps_ladder: tuple
     estimates: tuple  # (value, stderr) per ladder rung
     reason: str | None = None
@@ -516,19 +524,17 @@ class DivergenceVerdict:
         return self.classification in ("log-divergent", "power-divergent")
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray):
-    n = len(x)
-    xbar, ybar = x.mean(), y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    intercept = ybar - slope * xbar
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - ybar) ** 2))
-    rms = math.sqrt(ss_res / max(n - 2, 1))
-    se_slope = rms / math.sqrt(sxx)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, se_slope, r2, rms
+def ladder_shell(eps_sequence, r_max: float) -> tuple[np.ndarray, PolarShellSampler]:
+    """The one check of a probe ladder: its distinct cutoffs, decreasing, at
+    least 5, positive, finite and below ``r_max``, and their polar shell."""
+    eps = np.array(sorted(set(map(float, eps_sequence)), reverse=True))
+    if not all(0 < e < math.inf for e in eps):
+        raise U22Error("eps ladder entries must be positive and finite")
+    if len(eps) < 5:
+        raise U22Error(f"eps ladder needs at least 5 distinct rungs, got {len(eps)}")
+    if not eps[0] < r_max < math.inf:
+        raise U22Error("r_max must be finite and exceed the ladder")
+    return eps, PolarShellSampler(float(eps[-1]), float(r_max))
 
 
 def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: int, rng) -> tuple:
@@ -554,12 +560,7 @@ def divergence_probe(integrand, measures, eps_sequence, r_max: float, samples: i
       -> power-divergent;
     * otherwise inconclusive (reason reported, never raised).
     """
-    eps = np.array(sorted(set(float(e) for e in eps_sequence), reverse=True))
-    if len(eps) < 5:
-        raise U22Error("need a decreasing ladder of at least 5 cutoffs")
-    if eps[0] >= r_max or eps[-1] <= 0:
-        raise U22Error("ladder must lie strictly inside (0, r_max)")
-    sampler = PolarShellSampler(float(eps[-1]), float(r_max))
+    eps, sampler = ladder_shell(eps_sequence, r_max)
     ascending = eps[::-1]
     shells = len(eps) + 1  # shell k holds radii in [ascending[k-1], ascending[k])
 
@@ -586,8 +587,15 @@ def _classify(eps: np.ndarray, values: np.ndarray, stderrs: np.ndarray) -> Diver
     """Verdict from the rung means of |F|^2 and their standard errors."""
     estimates = tuple((float(v), float(se)) for v, se in zip(values, stderrs))
 
+    # the least-squares line of the rung means against log(1/eps)
     x = np.log(1.0 / eps)
-    slope, se_slope, r2, rms = _linear_fit(x, values)
+    xbar, ybar = x.mean(), values.mean()
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (values - ybar)) / sxx)
+    ss_res = float(np.sum((values - (ybar - slope * xbar + slope * x)) ** 2))
+    ss_tot = float(np.sum((values - ybar) ** 2))
+    se_slope = math.sqrt(ss_res / max(len(x) - 2, 1)) / math.sqrt(sxx)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     increments = np.diff(values)
     tiny = 1e-300
     rel_tail = increments[-1] / max(abs(values[-1]), tiny)
@@ -605,6 +613,4 @@ def _classify(eps: np.ndarray, values: np.ndarray, stderrs: np.ndarray) -> Diver
             f"tail {rel_tail:.3g}, slope {slope:.3g} (se {se_slope:.3g}), "
             f"R2 {r2:.4f}, growth {growth:.3g}"
         )
-    return DivergenceVerdict(
-        cls, slope, se_slope, r2, rms, tuple(float(e) for e in eps), estimates, reason
-    )
+    return DivergenceVerdict(cls, slope, se_slope, r2, tuple(float(e) for e in eps), estimates, reason)

@@ -137,7 +137,7 @@ def _orbit_chart(m: SkewHermitian2):
     a, b, x, y = m.a, m.b, m.z.real, m.z.imag
     largest = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(x), abs(y)))  # NaN propagates
     if not np.isfinite(largest).all():
-        raise U22Error("orbit point has a non-finite entry")
+        raise U22Error("point has a non-finite entry")
     j = np.frexp(largest)[1] // 2  # divide by 4^j, exact: the chart is 2^j times that of m / 4^j
     a, b, x, y = (np.ldexp(f, -2 * j) for f in (a, b, x, y))
     modulus = np.hypot(x, y)

@@ -18,6 +18,9 @@ from .groups import TriangularS
 __all__ = ["reference_points"]
 
 REFERENCE_R_MIN, REFERENCE_R_MAX = 1e-3, 10.0  # the range of the radii
+# The most reference points a battery takes: C05 evaluates its 200 pairs on
+# every point, (200, 2^14) complex arrays of 50 MiB, and peaks near 440 MB.
+MAX_REFERENCE_POINTS = 1 << 14
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -44,7 +47,7 @@ def _halton(size: int) -> np.ndarray:
     return table
 
 
-def reference_points(n: int = 100) -> TriangularS:
+def reference_points(n: int) -> TriangularS:
     """Deterministic low-discrepancy test points with log-spaced radii.
 
     Directions come from the unscrambled Halton points of indices 1..n

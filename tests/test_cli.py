@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -387,6 +388,38 @@ def test_suite_config_refuses_a_wrong_type(name, value):
         claims.SuiteConfig(**{name: value})
 
 
+_SHELL = "need 1e-77 <= r_min < r_max <= 1e+76"
+
+# (fields, start of the message): configs whose field checks all passed
+# while a claim, run later, refused them or ran out of memory; each is
+# refused now by the owner of the bound, before any claim runs
+REFUSED_CONFIGS = {
+    "repeated-rung": ({"eps_ladder": (0.1, 0.1, 0.01, 0.001, 0.0001)}, "eps ladder needs at least 5 distinct rungs"),
+    "rung-below-shell": ({"eps_ladder": (0.1, 0.01, 0.001, 0.0001, 1e-300)}, _SHELL),
+    "r-max-above-shell": ({"r_max": 1e100}, _SHELL),
+    "r-max-below-gram-shell": ({"eps_ladder": (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), "r_max": 5e-5}, _SHELL),
+    "sample-points-huge": ({"sample_points": 10**12}, "sample_points must be positive and at most"),
+}
+
+
+@pytest.mark.parametrize("fields, message", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS)
+def test_a_config_suite_config_accepts_is_one_every_claim_accepts(fields, message):
+    with pytest.raises(u22lab.U22Error, match=f"^{re.escape(message)}"):
+        claims.SuiteConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [{"eps_ladder": (0.1, 0.01, 0.001, 0.0001, 1e-70)}, {"r_max": 1e70}],
+                         ids=["rung-1e-70", "r-max-1e70"])
+def test_an_accepted_extreme_runs_the_shell_claims(fields):
+    # C06 samples the ladder's shell and C09 the shell up to r_max: no
+    # density or weight over- or underflows, so no warning and no error
+    config = claims.SuiteConfig(mc_samples=20_000, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = claims.run_claims(config, ["C06", "C09"])
+    assert [r.claim_id for r in records] == ["C06", "C09"]
+
+
 def test_suite_config_takes_a_numpy_float_and_an_integer_float():
     config = claims.SuiteConfig(r_max=np.float64(25.0), tol_override=1, eps_ladder=(1, 0.1, 0.01, 0.001, 0.0001))
     assert config.r_max == 25.0
@@ -460,6 +493,15 @@ MALFORMED_INPUTS = {
     # the file's values are checked before the flags replace them
     "config-bad-seed-under-flag": (_CONFIG + ["--seed", "5"], '{"seed": "x"}',
                                    "config field 'seed' has a bad value: 'x'"),
+    # REFUSED_CONFIGS from a file
+    "config-repeated-rung": (_CONFIG, '{"eps_ladder": [0.1, 0.1, 0.01, 0.001, 0.0001]}',
+                             "eps ladder needs at least 5 distinct rungs, got 4"),
+    "config-rung-below-shell": (_CONFIG, '{"eps_ladder": [0.1, 0.01, 0.001, 0.0001, 1e-300]}', _SHELL),
+    "config-r-max-above-shell": (_CONFIG, '{"r_max": 1e100}', _SHELL),
+    "config-r-max-below-gram-shell": (_CONFIG, '{"eps_ladder": [1e-5, 1e-6, 1e-7, 1e-8, 1e-9], "r_max": 5e-5}',
+                                      _SHELL),
+    "config-sample-points-huge": (_CONFIG, '{"sample_points": 1000000000000}',
+                                  "sample_points must be positive and at most 16384"),
 }
 
 

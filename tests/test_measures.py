@@ -247,6 +247,14 @@ def polar(s: TriangularS):
 class TestPolar:
     # polar coordinates s = r w: the shell sampler draws in them, and the
     # |s|^-4 measure reads r^-1 dr dw in them
+    def test_shell_bounds(self):
+        # the widest shell keeps the density r^-4 a normal float at both ends
+        PolarShellSampler(measures.MIN_RADIUS, measures.MAX_RADIUS)
+        for r_min, r_max in ((0.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (measures.MIN_RADIUS / 10, 1.0),
+                             (1.0, measures.MAX_RADIUS * 10)):
+            with pytest.raises(U22Error):
+                PolarShellSampler(r_min, r_max)
+
     def test_identity_decomposition(self):
         r, omega = polar(TriangularS.identity())
         assert r == math.sqrt(2.0)
