@@ -78,7 +78,7 @@ from .representation import (
     vacuum,
 )
 
-__all__ = ["SuiteConfig", "ClaimRecord", "CLAIM_IDS", "run_claims", "to_json", "records_to_json", "records_to_csv"]
+__all__ = ["SuiteConfig", "ClaimRecord", "CLAIM_IDS", "run_claims", "to_json", "to_csv", "records_to_json", "records_to_csv"]
 
 
 # The values each annotation of a SuiteConfig field admits: an int is not a
@@ -256,19 +256,19 @@ def _claim_measure_laws(config: SuiteConfig, rng):
     sampler = LogNormalSampler()
     # n = 0: apply_T only right-translates the bump, with no multiplier
     shift = QElement(TriangularS(1.3, 0.8, 0.2 + 0.1j), SkewHermitian2.zero())
-    est_base = integrate_mc(bump, haar_measure, sampler, config.mc_samples, rng, mode="plain")
-    est_moved = integrate_mc(
+    base, base_stderr = integrate_mc(bump, haar_measure, sampler, config.mc_samples, rng, mode="plain")
+    moved, moved_stderr = integrate_mc(
         apply_T(shift, config.label, bump), haar_measure, sampler, config.mc_samples, rng, mode="plain"
     )
-    sigma = math.hypot(est_base.std_error, est_moved.std_error)
-    dev = abs(est_base.real - est_moved.real) / sigma
+    sigma = math.hypot(base_stderr, moved_stderr)
+    dev = abs(base - moved) / sigma
     parts["haar_invariance"] = {
         "residual": dev,
         "tolerance": 3.0,
-        "base": est_base.real,
-        "moved": est_moved.real,
-        "base_stderr": est_base.std_error,
-        "moved_stderr": est_moved.std_error,
+        "base": base,
+        "moved": moved,
+        "base_stderr": base_stderr,
+        "moved_stderr": moved_stderr,
         "replicates": REPLICATES,
         "sample_count": config.mc_samples,
     }
@@ -405,12 +405,12 @@ def _claim_gram(config: SuiteConfig, rng):
     # least-independent combination with a fresh sample stream; the norm of
     # sum c_i b(p_i) is conj(c)* G conj(c), so the coefficients are conjugated
     combo = CocycleVector(config.label, np.conj(v), q_join(np.stack, p_list))
-    proj = integrate_mc(combo.evaluate, nu_measure, sampler, config.mc_samples, rng)
-    measured = 3.0 * proj.std_error / proj.real if proj.real > 0 else float("inf")
+    proj, proj_stderr = integrate_mc(combo.evaluate, nu_measure, sampler, config.mc_samples, rng)
+    measured = 3.0 * proj_stderr / proj if proj > 0 else float("inf")
     return measured, {
         "smallest_eigenvalue": eigmin,
-        "projected_value": proj.real,
-        "projected_stderr": proj.std_error,
+        "projected_value": proj,
+        "projected_stderr": proj_stderr,
         "entry_stderr_frobenius": float(np.linalg.norm(stderr)),
         "hermiticity_residual": float(np.linalg.norm(gram - gram.conj().T)),
         "replicates": REPLICATES,
@@ -590,10 +590,20 @@ def records_to_json(records, config: SuiteConfig, timestamp: str | None = None) 
     return to_json(doc, sort_keys=True)
 
 
-def records_to_csv(records) -> str:
+def to_csv(header, rows) -> str:
+    """The package's one CSV writer: the header, then the rows, joined by
+    bare LFs; like ``to_json``'s text, it has no terminator after the last
+    line (printing adds one)."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["claim_id", "anchor", "verdict", "measured", "tolerance", "runtime_s"])
-    for r in records:
-        writer.writerow([r.claim_id, r.anchor, r.verdict, f"{r.measured:.12g}", f"{r.tolerance:.12g}", f"{r.runtime_s:.6f}"])
-    return buffer.getvalue()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().removesuffix("\n")
+
+
+def records_to_csv(records) -> str:
+    return to_csv(
+        ["claim_id", "anchor", "verdict", "measured", "tolerance", "runtime_s"],
+        ([r.claim_id, r.anchor, r.verdict, f"{r.measured:.12g}", f"{r.tolerance:.12g}", f"{r.runtime_s:.6f}"]
+         for r in records),
+    )

@@ -5,7 +5,7 @@ Exit codes: 0 all requested work passed, 1 at least one claim failed,
 2 usage or input error: a ``U22Error`` (input the library rejects) or an
 ``OSError``, printed as one `error:` line on stderr.  Any other exception
 is a bug and keeps its traceback.  Every JSON written goes through
-``claims.to_json``, so it is strict.
+``claims.to_json``, so it is strict, and every CSV through ``claims.to_csv``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .claims import SuiteConfig, records_to_csv, records_to_json, run_claims, to_json
+from .claims import SuiteConfig, records_to_csv, records_to_json, run_claims, to_csv, to_json
 from .extension import unboundedness_experiment
 from .groups import (
     CHAIN_TOL,
@@ -280,8 +280,7 @@ def _cmd_unboundedness(args) -> int:
     if args.format == "json":
         _emit_json(rows, args.out)
         return 0
-    lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
-    _emit("\n".join(lines), args.out)
+    _emit(to_csv(rows[0], (row.values() for row in rows)), args.out)
     return 0
 
 

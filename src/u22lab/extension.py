@@ -61,8 +61,7 @@ def act_k(k: KElement, p: QElement) -> QElement:
 
 def extend_cocycle(g: U22Element, label: OrbitLabel) -> CocycleVector:
     """b(g) = b(p) for g = p k, one vector per member of g; ~0 on the compact part."""
-    p, _ = iwasawa_decompose(g)
-    return coboundary(p, label)
+    return coboundary(p_part(g.m), label)
 
 
 def apply_extended(g: U22Element, v: CocycleVector) -> CocycleVector:
@@ -70,7 +69,7 @@ def apply_extended(g: U22Element, v: CocycleVector) -> CocycleVector:
     T(k) sum c_i b(p_i) = sum c_i b(k p_i), then
     T(p) sum c_i b(p_i) = sum c_i b(p p_i) - (sum c_i) b(p)."""
     p, k = iwasawa_decompose(g)
-    moved = act_k(KElement(k.m[..., None, :, :], tol=k.tol), v.elements)  # the same k for every term
+    moved = act_k(KElement(k.m[..., None, :, :]), v.elements)  # the same k for every term
     b0 = coboundary(p, v.label)
     translated = CocycleVector(v.label, v.coefficients, q_multiply(b0.elements, moved))
     return translated + CocycleVector(v.label, -v.coefficients.sum(axis=-1, keepdims=True), b0.elements)
@@ -90,20 +89,18 @@ def unboundedness_experiment(label: OrbitLabel, samples: int, rng) -> list[dict]
     for c in UNBOUNDEDNESS_SCALES:
         p = QElement(TriangularS(float(c), 1.0, 0.0), SkewHermitian2.zero())
         p_hat = sigma_hat(p)
-        num = integrate_mc(coboundary(p_hat, label).evaluate, nu_measure, sampler, samples, rng)
-        den = integrate_mc(coboundary(p, label).evaluate, nu_measure, sampler, samples, rng)
-        ratio = math.sqrt(num.real / den.real)
+        num, num_stderr = integrate_mc(coboundary(p_hat, label).evaluate, nu_measure, sampler, samples, rng)
+        den, den_stderr = integrate_mc(coboundary(p, label).evaluate, nu_measure, sampler, samples, rng)
+        ratio = math.sqrt(num / den)
         # first-order error propagation for sqrt(a/b)
-        rel = 0.5 * math.sqrt(
-            (num.std_error / num.real) ** 2 + (den.std_error / den.real) ** 2
-        )
+        rel = 0.5 * math.sqrt((num_stderr / num) ** 2 + (den_stderr / den) ** 2)
         rows.append(
             {
                 "s_norm": p.s.norm(),
                 "ratio": ratio,
                 "stderr": ratio * rel,
-                "numerator": num.real,
-                "denominator": den.real,
+                "numerator": num,
+                "denominator": den,
             }
         )
     return rows

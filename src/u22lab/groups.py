@@ -93,9 +93,10 @@ __all__ = [
     "element_to_json",
 ]
 
-# Tolerance ladder: construction, one product, long chains.  Type-level
-# validation uses the product rung, looser than construction, so that round
-# trips through ill-conditioned triangular factors never reject their output.
+# Tolerance ladder: construction, one product, long chains.  ``KElement``
+# is checked at the product rung, as are the gates of the p k factorization;
+# ``U22Element`` at the chain rung unless its maker passes another
+# (``random_u22`` the construction rung, ``decompose --tol`` its value).
 CONSTRUCTION_TOL = 1e-12
 PRODUCT_TOL = 1e-10
 CHAIN_TOL = 1e-9
@@ -482,11 +483,11 @@ class KElement:
     One matrix or a stack (..., 4, 4).  Validation reads the residuals off
     one product D = k k* - e: with the block shape in place, the relations
     alpha alpha* + beta beta* = e and alpha beta* + beta alpha* = 0 are D's
-    top-left and top-right blocks, so |D| bounds both.
+    top-left and top-right blocks, so |D| bounds both.  Both residuals are
+    checked at ``PRODUCT_TOL``.
     """
 
     m: np.ndarray = field(repr=False)
-    tol: float = CHAIN_TOL
 
     def __post_init__(self):
         m = freeze(self.m)
@@ -496,14 +497,14 @@ class KElement:
         r_unitary = frob(m @ adjoint(m) - E4) / np.maximum(1.0, size * size)
         r_shape = (frob(g11 - g22) + frob(g12 - g21)) / np.maximum(1.0, size)
         worst = np.maximum(r_unitary, r_shape)
-        bad = _first_failure(worst <= self.tol)
+        bad = _first_failure(worst <= PRODUCT_TOL)
         if bad is not None:
             raise InvariantViolation(
-                f"compact-part residual {np.asarray(worst)[bad]:.3e} above {self.tol:.1e}"
+                f"compact-part residual {np.asarray(worst)[bad]:.3e} above {PRODUCT_TOL:.1e}"
             )
 
     def multiply(self, other: "KElement") -> "KElement":
-        return KElement(self.m @ other.m, tol=max(self.tol, other.tol))
+        return KElement(self.m @ other.m)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +645,8 @@ def iwasawa_decompose(g: U22Element) -> tuple[QElement, KElement]:
     |k k* - e| stays at rounding level and the relative residual
     |p k - g| / |g| below u cond(s) (u = eps / 2, the unit roundoff),
     tested for cond(s) from 10 to 1e6 with unit-size n = X s*.  Gates: the
-    block shape of g k* and |p k - g| <= tol max(1, |g|) at tol =
-    ``PRODUCT_TOL``, and the compact part at ``KElement``'s ``CHAIN_TOL``.
+    block shape of g k* and |p k - g| <= tol max(1, |g|), and the compact
+    part (``KElement``), all at tol = ``PRODUCT_TOL``.
     A rejection, beyond the tested range or on a singular input, is a
     ``DecompositionFailed``.
     """
@@ -746,7 +747,7 @@ def random_k(seed, size: int | None = None) -> KElement:
     u, v = np.moveaxis(_haar_u2(as_generator(seed), (2,) if size is None else (size, 2)), -3, 0)
     alpha = (u + v) / 2.0
     beta = (u - v) / 2.0
-    return KElement(assemble(alpha, beta, beta, alpha), tol=PRODUCT_TOL)
+    return KElement(assemble(alpha, beta, beta, alpha))
 
 
 def random_u22(seed, size: int | None = None) -> U22Element:

@@ -15,6 +15,9 @@ Points are ``TriangularS`` batches, and every density, sampler and chart
 function here takes one element or a batch.  All three engines
 (``integrate_mc``, ``divergence_probe`` and ``representation.gram_matrix``) and C04's translated-box count run one
 Monte-Carlo pass, ``mc_sum``, whose sample count ``check_samples`` bounds.
+Each engine returns its estimate with its standard error: ``integrate_mc``
+the pair (value, standard error), ``gram_matrix`` a matrix of each, and
+``divergence_probe`` one (value, standard error) pair per ladder rung.
 
 The pass is randomized quasi-Monte Carlo: its n points form ``REPLICATES``
 replicates of sizes that differ by at most one, and each replicate is the
@@ -64,14 +67,12 @@ __all__ = [
     "truncated_nu",
     "OMEGA_PATCH_MASS",
     "modulus_pi",
-    "singular_values",
     "rn_derivative_right",
     "nu_derivative_band",
     "right_translation_jacobian_fd",
     "PolarShellSampler",
     "LogNormalSampler",
     "BoxSampler",
-    "IntegralEstimate",
     "mc_estimate",
     "BLOCK",
     "REPLICATES",
@@ -158,12 +159,6 @@ def modulus_pi(s: TriangularS) -> float:
     return s.r1**3 * s.r2
 
 
-def singular_values(s: TriangularS) -> tuple[float, float]:
-    """(smallest, largest) singular value of the 2x2 matrix of s."""
-    vals = np.linalg.svd(s.matrix(), compute_uv=False)
-    return float(vals[-1]), float(vals[0])
-
-
 def rn_derivative_right(measure, s: TriangularS, s0: TriangularS):
     """Density of the right-translated measure against the original at s
     (one element or a batch).
@@ -177,8 +172,9 @@ def rn_derivative_right(measure, s: TriangularS, s0: TriangularS):
 
 
 def nu_derivative_band(s0: TriangularS) -> tuple[float, float]:
-    """Analytic bounds [pi(s0)/smax^4, pi(s0)/smin^4] for the |s|^-4 measure."""
-    smin, smax = singular_values(s0)
+    """Analytic bounds [pi(s0)/smax^4, pi(s0)/smin^4] for the |s|^-4 measure,
+    smin and smax the extreme singular values of the 2x2 matrix of s0."""
+    smax, smin = map(float, np.linalg.svd(s0.matrix(), compute_uv=False))
     p = modulus_pi(s0)
     return p / smax**4, p / smin**4
 
@@ -320,23 +316,6 @@ class BoxSampler:
 
 # ---------------------------------------------------------------------------
 # estimates
-
-
-@dataclass(frozen=True)
-class IntegralEstimate:
-    """A Monte-Carlo estimate with its standard error."""
-
-    value: complex
-    std_error: float
-    sample_count: int
-
-    def __post_init__(self):
-        if self.std_error < 0:
-            raise ValueError("standard error must be nonnegative")
-
-    @property
-    def real(self) -> float:
-        return float(np.real(self.value))
 
 
 def _replicate_sizes(n: int) -> np.ndarray:
@@ -481,12 +460,14 @@ def integrate_mc(
     n: int,
     rng,
     mode: str = "square",
-) -> IntegralEstimate:
-    """Importance-sampled integral over the sampler's support of
-    ``integrand``, a function of the points, against ``measure``, a density.
+) -> tuple[float | complex, float]:
+    """(value, standard error) of the importance-sampled integral over the
+    sampler's support of ``integrand``, a function of the points, against
+    ``measure``, a density.
 
     ``mode="square"`` estimates the squared-modulus integral of the
     integrand; ``mode="plain"`` integrates the (possibly complex) values.
+    The value is a float when its imaginary part is 0, else a complex.
     Each block of points gives its sum.
     """
     if mode not in ("square", "plain"):
@@ -500,7 +481,7 @@ def integrate_mc(
 
     mean, std_error = mc_estimate(mc_sum(sampler, n, rng, partial), n)
     mean = complex(mean)
-    return IntegralEstimate(mean.real if mean.imag == 0.0 else mean, float(std_error), n)
+    return mean.real if mean.imag == 0.0 else mean, float(std_error)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,8 @@ def gaussian_bump() -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    name: str
     holds: bool | None  # None = inconclusive
     value: float | None
-    detail: str
     abserr: float | None = None  # summed quadrature error estimate of the integral
 
 
@@ -64,17 +62,10 @@ class AlmostInvariantReport:
     character_difference: ConditionReport
     shift_difference: ConditionReport
 
-    def conditions(self) -> tuple[ConditionReport, ...]:
-        return (
-            self.support,
-            self.not_square_integrable,
-            self.character_difference,
-            self.shift_difference,
-        )
-
     @property
     def all_hold(self) -> bool:
-        return all(c.holds is True for c in self.conditions())
+        conditions = (self.support, self.not_square_integrable, self.character_difference, self.shift_difference)
+        return all(c.holds is True for c in conditions)
 
 
 class QuadratureFailed(U22Error):
@@ -162,13 +153,13 @@ def _tail_integral(density_u, upper_u: float) -> tuple[str, float, float]:
     return "inconclusive", total, abserr
 
 
-def _ladder_condition(name: str, density_u, upper_u: float, expected: str) -> ConditionReport:
+def _ladder_condition(density_u, upper_u: float, expected: str) -> ConditionReport:
     """The condition that the integral of ``density_u`` over (0, upper_u]
     gets the ladder verdict ``expected``: it holds on that verdict, is
     inconclusive (None) on an inconclusive one, and fails otherwise."""
     verdict, value, abserr = _tail_integral(density_u, upper_u)
     holds = True if verdict == expected else (None if verdict == "inconclusive" else False)
-    return ConditionReport(name, holds, value, f"value {value:.9g} ({verdict})", abserr)
+    return ConditionReport(holds, value, abserr)
 
 
 def almost_invariant_check(
@@ -196,29 +187,24 @@ def almost_invariant_check(
     # (i) support
     grid = np.linspace(t + 1e-9, t + 40.0, 400)
     sup = float(np.max(np.abs(fn(grid))))
-    support = ConditionReport(
-        "support",
-        sup <= 1e-12,
-        sup,
-        f"max |f| on (t, t+40] is {sup:.3e}",
-    )
+    support = ConditionReport(sup <= 1e-12, sup)
 
     # (ii) squared norm diverges
     upper_u = math.exp(t)
-    not_l2 = _ladder_condition("not-square-integrable", lambda u: np.abs(f_of_u(u)) ** 2 / u, upper_u, "divergent")
+    not_l2 = _ladder_condition(lambda u: np.abs(f_of_u(u)) ** 2 / u, upper_u, "divergent")
 
     # (iii) character difference in L2:
     # |1 - exp(i b u)|^2 = 4 sin^2(b u / 2), integrand ~ b^2 u |f|^2 near 0
     def char_density(u):
         return 4.0 * np.sin(b * u / 2.0) ** 2 * np.abs(f_of_u(u)) ** 2 / u
 
-    char_diff = _ladder_condition("character-difference", char_density, upper_u, "convergent")
+    char_diff = _ladder_condition(char_density, upper_u, "convergent")
 
     # (iv) shift difference in L2; support of the difference reaches t + |a|
     def shift_density(u):
         z = np.log(u)
         return np.abs(fn(z) - fn(z + a)) ** 2 / u
 
-    shift_diff = _ladder_condition("shift-difference", shift_density, math.exp(t + abs(a)), "convergent")
+    shift_diff = _ladder_condition(shift_density, math.exp(t + abs(a)), "convergent")
 
     return AlmostInvariantReport(support, not_l2, char_diff, shift_diff)

@@ -315,6 +315,30 @@ class TestVerify:
         assert lines[0].startswith("claim_id,anchor,verdict")
         assert lines[1].startswith("C01,")
 
+    def test_csv_on_stdout_ends_every_line_in_one_line_feed(self, capsys):
+        # the csv module's default CRLF and print's LF made "\r\n\n": mixed
+        # line ends and an empty last row
+        assert run_cli(["verify", "--samples", "20000", "--claims", "C01,C10", "--format", "csv"]) == 1
+        out = capsys.readouterr().out
+        assert "\r" not in out
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        assert [line.split(",")[0] for line in out.splitlines()] == ["claim_id", "C01", "C10"]
+
+    def test_a_report_reruns_from_its_own_config(self, tmp_path):
+        # the report's config block, fed back through --config, gives the
+        # same report apart from the runtimes
+        first, cfg, second = tmp_path / "first.json", tmp_path / "config.json", tmp_path / "second.json"
+        claim_ids = ["--claims", "C10,C12"]
+        assert run_cli(["verify", "--seed", "7", "--samples", "5000", *claim_ids, "--out", str(first)]) == 1
+        cfg.write_text(json.dumps(read_json(first)["config"]))
+        assert run_cli(["verify", "--config", str(cfg), *claim_ids, "--out", str(second)]) == 1
+
+        def without_runtimes(path):
+            return re.sub(r'"runtime_s": [^,\n]*', "", path.read_text())
+
+        assert without_runtimes(second) == without_runtimes(first)
+        assert read_json(second)["config"]["seed"] == 7
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "config.json"
         out = tmp_path / "report.json"
