@@ -119,9 +119,11 @@ def _read_json(path: str):
 
 
 def _emit(text: str, out: str | None):
+    """Write ``text`` and a final newline to ``out``, or to stdout: the same
+    bytes either way."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
         print(text)
 

@@ -30,6 +30,8 @@ matrices of ``QElement``, ``KElement`` and ``U22Element`` are one matrix or
 a stack (..., n, n).  Every method and the membership test work on both,
 and a batch is validated member by member at the tolerance of the scalar
 constructor; a failing batch raises the error of its first failing member.
+A ``U22Element`` keeps the membership report of that validation, and a
+slice of a stack reuses its parent's report: members are validated once.
 ``TriangularS`` is the package's only chart type: the Monte-Carlo samplers,
 the test points and the functions of ``representation`` all use it.  Each
 closed form on chart components is written once, as the method that uses
@@ -157,7 +159,8 @@ class MembershipReport:
         return np.max(self.residuals(), axis=0)
 
     def at(self, index) -> "MembershipReport":
-        """The report of one stack member (index () for a single matrix)."""
+        """The report of the stack members at ``index``, as an index of the
+        stack axes reads them (index () for a single matrix)."""
         values = (np.asarray(v)[index] for v in (self.ok, *self.residuals()))
         return MembershipReport(*values, self.tol)
 
@@ -452,10 +455,12 @@ def is_in_u22(m: np.ndarray, tol: float = CHAIN_TOL) -> MembershipReport:
 
 @dataclass(frozen=True, eq=False)
 class U22Element:
-    """An ambient group element, validated on construction."""
+    """An ambient group element, one or a stack, validated on construction;
+    ``report`` is the membership report of that validation."""
 
     m: np.ndarray = field(repr=False)
     tol: float = CHAIN_TOL
+    report: MembershipReport = field(init=False, repr=False)
 
     def __post_init__(self):
         m = freeze(self.m)
@@ -464,10 +469,21 @@ class U22Element:
         bad = _first_failure(report.ok)
         if bad is not None:
             raise NotInGroup(report.at(bad))
+        object.__setattr__(self, "report", report)
 
     def __getitem__(self, index) -> "U22Element":
-        """Members of a stack, as a smaller stack or a single element."""
-        return U22Element(self.m[index], tol=self.tol)
+        """Members of a stack, as a smaller stack or a single element, with
+        their entries of this stack's report: no member is validated again.
+
+        ``index`` reads the stack axes only, as it reads the report's arrays.
+        """
+        stack_index = index if isinstance(index, tuple) else (index,)
+        m = self.m[stack_index + (slice(None), slice(None))]
+        m.setflags(write=False)  # a fancy index copies
+        members = object.__new__(U22Element)
+        for name, value in (("m", m), ("tol", self.tol), ("report", self.report.at(index))):
+            object.__setattr__(members, name, value)
+        return members
 
     def multiply(self, other: "U22Element") -> "U22Element":
         return U22Element(self.m @ other.m, tol=max(self.tol, other.tol))

@@ -43,6 +43,10 @@ points and reduces them to one partial row of first moments (a sum, a
 replicate in block order.  Apart from the Halton table, no array of more
 than one block is made.  So every estimate and report depends only on the
 seed and ``BLOCK``: it is bit-identical at any worker count.
+
+The heap is warmed once per process (``_warm_heap``), before the first
+claim of ``claims.run_claims`` and before the first pass of ``mc_sum``
+(for ``gram`` and direct use of an engine); nothing runs at import.
 """
 
 from __future__ import annotations
@@ -397,9 +401,11 @@ def _shifted(halton: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _warm_heap() -> None:
     """Free one untouched 8 MiB array, once per process.  glibc frees it as
     an mmapped chunk and raises its dynamic mmap threshold above that size,
-    so the passes' multi-MB temporaries come from the heap and are reused,
-    not mapped and faulted in anew on every pass.  Untouched, the array
-    costs one page fault, for the allocator's header."""
+    so multi-MB temporaries come from the heap and are reused, not mapped
+    and faulted in anew on every pass or claim.  Untouched, the array costs
+    one page fault, for the allocator's header.  ``claims.run_claims`` calls
+    it before its first claim, and ``mc_sum`` before its pass, for the
+    engines used outside the battery."""
     np.empty(1 << 20)
 
 
@@ -423,8 +429,8 @@ def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np
     streams keyed by block, as in Salmon et al., "Parallel random numbers:
     as easy as 1, 2, 3" (SC 2011).  The task hands the points it drew
     straight to ``partial``, and one ``run_blocks`` call runs every block of
-    the pass.  The first pass of the process warms the heap
-    (``_warm_heap``).  ``check_samples`` rejects the count before anything
+    the pass.  The pass warms the heap first, once per process
+    (``_warm_heap``), as ``claims.run_claims`` does before its first claim.  ``check_samples`` rejects the count before anything
     is drawn.
     """
     check_samples(n)

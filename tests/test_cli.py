@@ -598,6 +598,23 @@ def test_decompose_tests_membership_once(tmp_path, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["gram", "--size", "2", "--samples", "20000", "--seed", "5"],
+    ["verify", "--samples", "20000", "--claims", "C10,C12", "--format", "csv"],
+], ids=["gram", "verify-csv"])
+def test_an_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, command):
+    # print ends stdout in a newline; the --out files ended without one
+    out = tmp_path / "out"
+    assert run_cli(command) == run_cli(command + ["--out", str(out)])
+    stdout = capsys.readouterr().out.encode()
+
+    def without_runtimes(data: bytes) -> bytes:  # verify's last CSV field
+        return re.sub(rb",[0-9]+\.[0-9]{6}\n", b",\n", data)
+
+    assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n")
+    assert without_runtimes(out.read_bytes()) == without_runtimes(stdout)
+
+
 def test_reports_write_a_non_finite_value_as_null():
     # C09's measured value is infinite by design when its projected norm is not positive
     record = claims.ClaimRecord("C09", "anchor", "fail", math.inf, 1.0, 0.5, {"value": np.float64(np.nan)})

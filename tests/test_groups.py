@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from u22lab import groups
 from u22lab.extension import act_k
 from u22lab.groups import (
     CHAIN_TOL,
@@ -582,6 +583,73 @@ class TestSigmaHat:
             p = random_q(rng)
             back = sigma_hat(sigma_hat(p))
             assert back.distance(p) <= 1e-10 * max(1.0, p.s.norm() + frob(p.x))
+
+
+def count_membership_calls(monkeypatch) -> list[int]:
+    """Patch ``groups.is_in_u22`` to record the member count of each call."""
+    members = []
+    original = groups.is_in_u22
+
+    def counted(m, *args, **kwargs):
+        members.append(int(np.prod(np.shape(m)[:-2])))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "is_in_u22", counted)
+    return members
+
+
+STACK_INDICES = [3, slice(1, 7, 2), [0, 4, 9], np.arange(10) % 3 == 0]
+
+
+class TestStackReports:
+    @pytest.mark.parametrize("index", STACK_INDICES, ids=["int", "slice", "list", "mask"])
+    def test_slicing_a_validated_stack_validates_nothing(self, rng, monkeypatch, index):
+        g = random_u22(rng, size=10)
+        calls = count_membership_calls(monkeypatch)
+        members = g[index]
+        assert calls == []
+        assert np.array_equal(members.m, g.m[index]) and members.tol == g.tol
+
+    @pytest.mark.parametrize("index", STACK_INDICES, ids=["int", "slice", "list", "mask"])
+    def test_a_slice_reads_its_parents_report_and_stays_read_only(self, rng, index):
+        g = random_u22(rng, size=10)
+        members = g[index]
+        report, parent = members.report, g.report
+        for name in ("ok", "sigma_relation", "block_unit", "block_upper", "block_lower"):
+            assert np.array_equal(getattr(report, name), np.asarray(getattr(parent, name))[index]), name
+        assert report.tol == parent.tol
+        assert not members.m.flags.writeable
+        with pytest.raises(ValueError):
+            members.m[..., 0, 0] = 0.0
+
+    def test_one_member_reads_as_a_constructed_element_does(self, rng):
+        g = random_u22(rng, size=10)
+        single, constructed = g[3].report, U22Element(g.m[3], tol=g.tol).report
+        assert type(single.ok) is type(constructed.ok) and np.ndim(single.sigma_relation) == 0
+        assert single.residuals() == pytest.approx(constructed.residuals(), rel=0.0, abs=1e-15)
+
+    def test_an_index_past_the_stack_axes_raises(self, rng):
+        with pytest.raises(IndexError):
+            random_u22(rng)[0]
+        with pytest.raises(IndexError):
+            random_u22(rng, size=10)[0, 1]
+
+    def test_products_and_inverses_are_validated(self, rng, monkeypatch):
+        g = random_u22(rng, size=10)
+        calls = count_membership_calls(monkeypatch)
+        g[0::2].multiply(g[1::2]).inverse()
+        assert calls == [5, 5]
+
+    @pytest.mark.parametrize("claim_id, calls", [("C01", [1000, 500, 500]), ("C08", [100, 50])])
+    def test_claims_validate_each_member_once(self, monkeypatch, claim_id, calls):
+        # C01 made 9 membership calls over 5,500 members and C08 4 over 250,
+        # when each slice was validated again and C01 tested its stacks anew
+        from u22lab.claims import SuiteConfig, run_claims
+
+        members = count_membership_calls(monkeypatch)
+        (record,) = run_claims(SuiteConfig(), [claim_id])
+        assert record.verdict == "pass"
+        assert members == calls
 
 
 class TestGroupClosure:
