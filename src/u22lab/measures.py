@@ -430,8 +430,8 @@ def mc_sum(sampler, n: int, rng, partial: Callable[[TriangularS], object]) -> np
     as easy as 1, 2, 3" (SC 2011).  The task hands the points it drew
     straight to ``partial``, and one ``run_blocks`` call runs every block of
     the pass.  The pass warms the heap first, once per process
-    (``_warm_heap``), as ``claims.run_claims`` does before its first claim.  ``check_samples`` rejects the count before anything
-    is drawn.
+    (``_warm_heap``), as ``claims.run_claims`` does before its first claim.
+    ``check_samples`` rejects the count before anything is drawn.
     """
     check_samples(n)
     _warm_heap()
