@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=None, help="override claim tolerances")
     verify.add_argument("--config", help="JSON config file; flags override its fields")
     verify.add_argument("--claims", help="comma-separated claim ids (default: all)")
-    verify.add_argument("--timestamp", action="store_true", help="include a timestamp in the report")
+    verify.add_argument("--timestamp", action="store_true", help="include a timestamp in the JSON report")
 
     decompose = sub.add_parser("decompose", help="factor a 4x4 matrix as p k")
     decompose.set_defaults(run=_cmd_decompose)
@@ -164,6 +164,8 @@ def _suite_config(args) -> SuiteConfig:
 
 
 def _cmd_verify(args) -> int:
+    if args.timestamp and args.format == "csv":
+        raise U22Error("--timestamp needs the JSON format: a CSV report has no place for it")
     config = _suite_config(args)
     claim_ids = args.claims.split(",") if args.claims else None
     records = run_claims(config, claim_ids)

@@ -3,21 +3,19 @@
 The affine transformation x -> exp(beta) x + a acts on functions over the
 line by (U F)(z) = exp(i a e^z) F(z + beta).  A witness f must vanish to the
 right of some t, fail to be square integrable, and have square-integrable
-character and shift differences.  All four conditions reduce to 1-d
-integrals over (-inf, t]; after u = e^z they become finite-interval
-problems with at worst an endpoint singularity at u = 0.
+character and shift differences.  The last three conditions are 1-d
+integrals in z over (-inf, t], or (-inf, t + |a|] for the shift.
 
-Each integral is split at a ladder of cutoffs, and all six pieces go
-through one vectorized adaptive Gauss-Kronrod rule (G7-K15 with QUADPACK's
-QK15 error estimate) in a single call.  Each piece must reach its summed
-error estimate max(1e-12, 1e-9 |value|) within 400 subintervals; when one
-cannot, or the integrand is not finite at a node, the rule raises
-``QuadratureFailed``.
+Each integral is split at a ladder of cutoffs into six finite z-intervals,
+and all six pieces go through one vectorized adaptive Gauss-Kronrod rule
+(G7-K15 with QUADPACK's QK15 error estimate) in a single call.  Each piece
+must reach its summed error estimate max(1e-12, 1e-9 |value|) within 400
+subintervals; when one cannot, or the integrand is not finite at a node,
+the rule raises ``QuadratureFailed``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,11 +39,11 @@ _CONV_REL = 1e-6
 
 
 def left_indicator(t: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda z: (z < t).astype(complex)
+    return lambda z: (z < t).astype(float)
 
 
 def gaussian_bump() -> Callable[[np.ndarray], np.ndarray]:
-    return lambda z: np.exp(-(z**2)).astype(complex)
+    return lambda z: np.exp(-(z**2))
 
 
 @dataclass(frozen=True)
@@ -134,32 +132,28 @@ def gauss_kronrod(f, lo, hi):
         value, err = np.concatenate([value[keep], new_value]), np.concatenate([err[keep], new_err])
 
 
-def _tail_integral(density_u, upper_u: float) -> tuple[str, float, float]:
-    """Assess integral of density over u in (0, upper_u] via a cutoff ladder.
+def _ladder_condition(density, upper: float, expected: str) -> ConditionReport:
+    """The condition that the integral of ``density`` over z in (-inf, upper]
+    gets the cutoff-ladder verdict ``expected``.
 
-    Returns (verdict, value, summed error estimate); the verdict is
-    'convergent' when the increments become negligible relative to the
-    total, 'divergent' when they keep growing or stay level, otherwise
-    'inconclusive'.
+    The six pieces end at ``upper`` and at min(upper, 0) - cut for each
+    cut in ``_CUTOFFS``.  The verdict is 'convergent' when the increments
+    become negligible relative to the total, 'divergent' when they keep
+    growing or stay level, otherwise 'inconclusive'.  The condition holds
+    on the verdict ``expected``, is inconclusive (None) on an inconclusive
+    one, and fails otherwise; its value and error are the pieces' sums.
     """
-    edges = [upper_u] + [math.exp(-cut) * min(upper_u, 1.0) for cut in _CUTOFFS]
-    pieces, errors = gauss_kronrod(density_u, edges[1:], edges[:-1])
+    edges = [upper] + [min(upper, 0.0) - cut for cut in _CUTOFFS]
+    pieces, errors = gauss_kronrod(density, edges[1:], edges[:-1])
     increments = pieces[1:]
     total, abserr = float(pieces.sum()), float(errors.sum())
     if abs(increments[-1]) <= _CONV_REL * max(abs(total), 1e-300) + 1e-14:
-        return "convergent", total, abserr
-    if increments[-1] >= 0.5 * increments[0] > 0:
-        return "divergent", total, abserr
-    return "inconclusive", total, abserr
-
-
-def _ladder_condition(density_u, upper_u: float, expected: str) -> ConditionReport:
-    """The condition that the integral of ``density_u`` over (0, upper_u]
-    gets the ladder verdict ``expected``: it holds on that verdict, is
-    inconclusive (None) on an inconclusive one, and fails otherwise."""
-    verdict, value, abserr = _tail_integral(density_u, upper_u)
-    holds = True if verdict == expected else (None if verdict == "inconclusive" else False)
-    return ConditionReport(holds, value, abserr)
+        verdict = "convergent"
+    elif increments[-1] >= 0.5 * increments[0] > 0:
+        verdict = "divergent"
+    else:
+        return ConditionReport(None, total, abserr)
+    return ConditionReport(verdict == expected, total, abserr)
 
 
 def almost_invariant_check(
@@ -175,36 +169,22 @@ def almost_invariant_check(
     (ii)  the squared-norm integral over (-inf, t] diverges;
     (iii) the character difference (1 - exp(i b e^z)) f is square integrable;
     (iv)  the shift difference f(.) - f(. + a) is square integrable.
-
-    Integrals are computed after the substitution u = e^z, which maps the
-    half-line onto (0, e^t] and turns the divergence into an endpoint
-    singularity at u = 0.
     """
-
-    def f_of_u(u):
-        return fn(np.log(u))
-
     # (i) support
     grid = np.linspace(t + 1e-9, t + 40.0, 400)
     sup = float(np.max(np.abs(fn(grid))))
     support = ConditionReport(sup <= 1e-12, sup)
 
     # (ii) squared norm diverges
-    upper_u = math.exp(t)
-    not_l2 = _ladder_condition(lambda u: np.abs(f_of_u(u)) ** 2 / u, upper_u, "divergent")
+    not_l2 = _ladder_condition(lambda z: np.abs(fn(z)) ** 2, t, "divergent")
 
-    # (iii) character difference in L2:
-    # |1 - exp(i b u)|^2 = 4 sin^2(b u / 2), integrand ~ b^2 u |f|^2 near 0
-    def char_density(u):
-        return 4.0 * np.sin(b * u / 2.0) ** 2 * np.abs(f_of_u(u)) ** 2 / u
+    # (iii) character difference in L2: |1 - exp(i b e^z)|^2 = 4 sin^2(b e^z / 2)
+    def char_density(z):
+        return 4.0 * np.sin(b * np.exp(z) / 2.0) ** 2 * np.abs(fn(z)) ** 2
 
-    char_diff = _ladder_condition(char_density, upper_u, "convergent")
+    char_diff = _ladder_condition(char_density, t, "convergent")
 
     # (iv) shift difference in L2; support of the difference reaches t + |a|
-    def shift_density(u):
-        z = np.log(u)
-        return np.abs(fn(z) - fn(z + a)) ** 2 / u
-
-    shift_diff = _ladder_condition(shift_density, math.exp(t + abs(a)), "convergent")
+    shift_diff = _ladder_condition(lambda z: np.abs(fn(z) - fn(z + a)) ** 2, t + abs(a), "convergent")
 
     return AlmostInvariantReport(support, not_l2, char_diff, shift_diff)

@@ -506,6 +506,9 @@ MALFORMED_INPUTS = {
     "decompose-deep-json": (["decompose", "--input", "{file}"], _DEEP, _NOT_JSON),
     "verify-tol-nan": (["verify", "--tol", "nan", "--claims", "C01"], None, _BAD_TOL),
     "verify-tol-inf": (["verify", "--tol", "inf", "--claims", "C01"], None, _BAD_TOL),
+    # a CSV report has no timestamp field, so the flag is refused, not dropped
+    "verify-timestamp-csv": (["verify", "--timestamp", "--format", "csv", "--claims", "C01"], None,
+                             "--timestamp needs the JSON format"),
     "config-r-max-overflow": (_CONFIG, '{"r_max": 1e400}', "r_max must be finite and exceed the ladder"),
     "config-nan-ladder": (_CONFIG, '{"eps_ladder": [0.1, 0.01, 0.001, 0.0001, NaN]}',
                           "eps ladder entries must be positive and finite"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from u22lab import cli, claims
+from u22lab import cli, claims, rank1
 from u22lab.rank1 import (
     _CUTOFFS,
     _gk15,
@@ -72,15 +72,11 @@ class CountingIntegrand:
 
 
 def ladder_densities(fn, a, b):
-    """C11's three densities and their upper limits, as almost_invariant_check builds them."""
-
-    def f_of_u(u):
-        return fn(np.log(u))
-
+    """C11's three densities in z and their upper limits, as almost_invariant_check builds them."""
     return [
-        (lambda u: np.abs(f_of_u(u)) ** 2 / u, 1.0),
-        (lambda u: 4.0 * np.sin(b * u / 2.0) ** 2 * np.abs(f_of_u(u)) ** 2 / u, 1.0),
-        (lambda u: np.abs(fn(np.log(u)) - fn(np.log(u) + a)) ** 2 / u, math.exp(abs(a))),
+        (lambda z: np.abs(fn(z)) ** 2, 0.0),
+        (lambda z: 4.0 * np.sin(b * np.exp(z) / 2.0) ** 2 * np.abs(fn(z)) ** 2, 0.0),
+        (lambda z: np.abs(fn(z) - fn(z + a)) ** 2, abs(a)),
     ]
 
 
@@ -99,9 +95,9 @@ class TestGaussKronrod:
         assert (f.calls == 1) == (degree <= 13)
 
     def test_indicator_jump(self):
-        # condition (iv)'s difference for the indicator: 1 on [e^-a, 1), over a ladder piece
+        # condition (iv)'s density for the indicator: 1 on [-a, 0), over a ladder piece
         a = 0.75
-        value, err = gauss_kronrod(lambda u: ((u >= math.exp(-a)) & (u < 1.0)) / u, math.exp(-5.0), math.exp(a))
+        value, err = gauss_kronrod(lambda z: ((z >= -a) & (z < 0.0)).astype(float), -5.0, a)
         assert abs(value[0] - a) <= 1e-9 * a
         assert err[0] <= 1e-9 * a
 
@@ -124,17 +120,21 @@ class TestGaussKronrod:
     @pytest.mark.parametrize("fn", [left_indicator(0.0), gaussian_bump()], ids=["indicator", "gaussian"])
     def test_ladder_pieces_match_quadpack(self, fn):
         # QUADPACK is only an oracle here; both meet max(1e-12, 1e-9 |value|)
-        # per piece, so the pieces agree to that
+        # per piece, so the pieces agree to that.  The pieces sum to the
+        # check's values, so these are the densities it integrates.
         from scipy import integrate
 
-        for density, upper in ladder_densities(fn, 0.75, 2.0):
-            edges = [upper] + [math.exp(-cut) * min(upper, 1.0) for cut in _CUTOFFS]
+        report = almost_invariant_check(fn, 0.0, a=0.75, b=2.0)
+        conditions = (report.not_square_integrable, report.character_difference, report.shift_difference)
+        for (density, upper), condition in zip(ladder_densities(fn, 0.75, 2.0), conditions):
+            edges = [upper] + [min(upper, 0.0) - cut for cut in _CUTOFFS]
             values, errors = gauss_kronrod(density, edges[1:], edges[:-1])
+            assert float(values.sum()) == condition.value
             for i, value in enumerate(values):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", integrate.IntegrationWarning)
                     expected, _ = integrate.quad(
-                        lambda u: float(density(np.array(u))), edges[i + 1], edges[i],
+                        lambda z: float(density(np.array(z))), edges[i + 1], edges[i],
                         epsabs=1e-12, epsrel=1e-9, limit=400,
                     )
                 assert value == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -167,6 +167,40 @@ class TestGaussKronrod:
         assert cli.main(["verify", "--claims", "C11"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: no convergence") and "Traceback" not in err
+
+
+class TestPassCounts:
+    """In z every ladder piece of C11 is smooth or piecewise constant, so few
+    QK15 passes resolve it."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # one count of _gk15 passes per gauss_kronrod call, in call order
+        counts = []
+        gk15, integrate = rank1._gk15, rank1.gauss_kronrod
+
+        def counting_gk15(*args):
+            counts[-1] += 1
+            return gk15(*args)
+
+        def counting_integrate(*args):
+            counts.append(0)
+            return integrate(*args)
+
+        monkeypatch.setattr(rank1, "_gk15", counting_gk15)
+        monkeypatch.setattr(rank1, "gauss_kronrod", counting_integrate)
+        return counts
+
+    def test_the_indicator_norm_converges_in_one_pass(self, passes):
+        # the conditions integrate in the order (ii), (iii), (iv); (ii)'s
+        # density is constant on every piece
+        almost_invariant_check(left_indicator(0.0), 0.0, a=0.75, b=2.0)
+        assert len(passes) == 3 and passes[0] == 1
+
+    def test_a_c11_run_makes_at_most_50_passes(self, passes):
+        (record,) = claims.run_claims(claims.SuiteConfig(), ["C11"])
+        assert record.verdict == "pass"
+        assert len(passes) == 6 and sum(passes) <= 50
 
 
 class TestQuadratureErrorEstimates:
