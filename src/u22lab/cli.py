@@ -33,7 +33,7 @@ from .groups import (
     iwasawa_decompose,
     random_q,
 )
-from .matrices import U22Error, is_json_number, matrix_from_json
+from .matrices import U22Error, frob, is_json_number, matrix_from_json
 from .measures import MAX_SAMPLES, MIN_SAMPLES, REPLICATES, PolarShellSampler, divergence_probe, nu_measure
 from .orbits import OrbitLabel, _orbit_chart
 from .representation import coboundary, gram_matrix, inverse_norm, vacuum
@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification battery")
     verify.set_defaults(run=_cmd_verify)
     _common_flags(verify, with_format=True)
-    verify.add_argument("--tol", type=float, default=None, help="override claim tolerances")
     verify.add_argument("--config", help="JSON config file; flags override its fields")
     verify.add_argument("--claims", help="comma-separated claim ids (default: all)")
     verify.add_argument("--timestamp", action="store_true", help="include a timestamp in the JSON report")
@@ -94,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(sub: argparse.ArgumentParser, with_format: bool = False):
     # None means unset, so a config file's value or the battery's default
-    # holds; only verify offers --config and --tol
-    sub.set_defaults(config=None, tol=None)
+    # holds; only verify offers --config
+    sub.set_defaults(config=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--samples", type=int, default=None,
                      help=f"Monte-Carlo samples per integral, in {REPLICATES} replicates of shifted Halton points "
@@ -134,9 +133,8 @@ def _emit_json(doc, out: str | None):
 
 def _read_config(path: str) -> dict:
     """SuiteConfig fields from a JSON config file: a file that is not an
-    object of known fields is a ``U22Error``.  A label string is parsed and
-    a ladder of numbers becomes a tuple of floats; ``SuiteConfig`` checks
-    every value."""
+    object of known fields is a ``U22Error``.  A label string is parsed;
+    ``SuiteConfig`` checks every value."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise U22Error("config file must hold a JSON object")
@@ -146,9 +144,6 @@ def _read_config(path: str) -> dict:
             raise U22Error(f"unknown config field {name!r}")
     if isinstance(doc.get("label"), str):
         doc["label"] = OrbitLabel.parse(doc["label"])
-    ladder = doc.get("eps_ladder")
-    if isinstance(ladder, list) and all(map(is_json_number, ladder)):
-        doc["eps_ladder"] = tuple(map(float, ladder))
     return doc
 
 
@@ -158,7 +153,7 @@ def _suite_config(args) -> SuiteConfig:
     for the rest.  The file's values are checked on their own, then again
     with the flags."""
     config = SuiteConfig(**_read_config(args.config)) if args.config else SuiteConfig()
-    flags = {"seed": args.seed, "mc_samples": args.samples, "tol_override": args.tol,
+    flags = {"seed": args.seed, "mc_samples": args.samples,
              "label": None if args.label is None else OrbitLabel.parse(args.label)}
     return dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
 
@@ -186,7 +181,7 @@ def _cmd_decompose(args) -> int:
         _emit_json(doc, args.out)
         return 2
     p, k = iwasawa_decompose(g)
-    residual = float(np.linalg.norm(p.matrix() @ k.m - matrix))
+    residual = frob(p.matrix() @ k.m - matrix)  # scaled: the squares of huge entries would overflow
     _emit_json(
         {
             "p": element_to_json(p),

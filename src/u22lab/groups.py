@@ -320,15 +320,18 @@ class SkewHermitian2:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SkewHermitian2":
+        # halves first: the sum of two entries near the float limit would overflow
         m = np.asarray(m, dtype=complex)
-        if _first_failure(frob(m + adjoint(m)) <= PRODUCT_TOL * np.maximum(1.0, frob(m))) is not None:
+        half = m / 2.0
+        if _first_failure(frob(half + adjoint(half)) <= PRODUCT_TOL / 2.0 * np.maximum(1.0, frob(m))) is not None:
             raise InvariantViolation("matrix is not skew-Hermitian at tolerance")
         return cls.skew_part(m)
 
     @classmethod
     def skew_part(cls, m: np.ndarray) -> "SkewHermitian2":
-        """The skew-Hermitian part (m - m*) / 2 of any 2x2 m, unchecked."""
-        z = (m[..., 0, 1] - np.conj(m[..., 1, 0])) / 2.0
+        """The skew-Hermitian part (m - m*) / 2 of any 2x2 m, unchecked; the
+        halves are taken first, so no entry of a finite m overflows."""
+        z = m[..., 0, 1] / 2.0 - np.conj(m[..., 1, 0]) / 2.0
         return cls(m[..., 0, 0].imag, m[..., 1, 1].imag, z)
 
     def matrix(self) -> np.ndarray:

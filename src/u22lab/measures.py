@@ -135,8 +135,8 @@ class NonFinite(U22Error):
 
 
 def haar_measure(pts: TriangularS) -> np.ndarray:
-    """The density of the right-invariant measure pi(s)^-1 ds, pi(s) = r1^3 r2."""
-    return 1.0 / (pts.r1**3 * pts.r2)
+    """The density of the right-invariant measure pi(s)^-1 ds."""
+    return 1.0 / modulus_pi(pts)
 
 
 def nu_measure(pts: TriangularS) -> np.ndarray:

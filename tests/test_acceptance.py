@@ -267,14 +267,15 @@ OTHER_CLAIMS = ["C01", "C02", "C03", "C05", "C07", "C08", "C10", "C11", "C12"]
 # with X86_V3_ENV, which acts on the one process it is given to.  It names
 # only targets NumPy dispatches, so it raises no warning, and the process
 # imports NumPy under -W error too.
+# All four re-pinned when the config block shrank to seed, mc_samples and label; no record moved.
 PINNED_DIGESTS = {
     ("2.4.6", "AVX512_SPR"): (
-        "d64fd1613c3c1229a5fbd84f07d05694071b2aab3e62328c94faf35ce0d14599",
-        "7680cd9bdd4e0ba1b3821f44fd0f7431de0d0728a62dbce16ae7f4e9b14e94ad",
+        "4ead812fcbb36258881481fc7e1460ce5d3bdf166769b7fae9c2bb4b974e43a7",
+        "37e2c1183a82d0291d21f5dafbd85a514b61ed1fc00fd62346193fb4d5b6a061",
     ),
     ("2.4.6", "X86_V3"): (
-        "eaee559e0cb47a1ae98e1d8fada85385bc183e2005ec0d52c9c84f70205c7866",
-        "c589f4d38931e7c78126d9c83074009147613c973acdcc757b19939cfcfa17f5",
+        "bb829969b0a34f5e8cad2afca63c8f4f89d16f7280a5a0b2fb2d8769a0694279",
+        "5979f453ee8fe92c6c42ab4ce2ce5e9770b2877ed68ff813af37097a553b9aa5",
     ),
 }
 X86_V3_ENV = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
@@ -391,15 +392,14 @@ def test_claims_return_only_their_measured_value_and_detail():
         assert returns and all(isinstance(v, ast.Tuple) and len(v.elts) == 2 for v in returns), fn.name
 
 
-@pytest.mark.parametrize("override", [None, 10.0])
-def test_a_value_at_its_tolerance_fails(monkeypatch, override):
-    # the one rule, measured < tolerance, on every entry of the table: a loose
-    # override does not pass a value at its tolerance, and one ulp below passes
+def test_a_value_at_its_tolerance_fails(monkeypatch):
+    # the one rule, measured < tolerance, on every entry of the table: a value
+    # at its tolerance fails, and one ulp below passes
     def verdicts(value_of):
         for cid, spec in claims._REGISTRY.items():
             measure = lambda config, rng, value=value_of(spec.tolerance): (value, {})  # noqa: E731
             monkeypatch.setitem(claims._REGISTRY, cid, dataclasses.replace(spec, fn=measure))
-        return {r.verdict for r in run_claims(SuiteConfig(tol_override=override))}
+        return {r.verdict for r in run_claims(CONFIG)}
 
     assert verdicts(lambda tolerance: tolerance) == {"fail"}
     assert verdicts(lambda tolerance: math.nextafter(tolerance, 0.0)) == {"pass"}

@@ -16,7 +16,7 @@ from u22lab import claims, cli, groups, measures, orbits
 from u22lab.cli import main
 from u22lab.groups import InvariantViolation, random_k
 from u22lab.measures import NonFinite
-from u22lab.representation import GroupFunction
+from u22lab.representation import GroupFunction, gram_matrix, specialness_report
 from u22lab.matrices import SIGMA, adjoint, assemble, matrix_to_json
 
 
@@ -120,6 +120,20 @@ class TestDecompose:
         assert doc["error"] == "not a group member"
         assert doc["residuals"]["block_unit"] >= 0.125
 
+    def test_a_member_near_the_float_limit_has_a_finite_residual(self, tmp_path):
+        # p k - g has entries near 1.5e284, whose squares overflow: the
+        # residual is taken with frob's scaling, not np.linalg.norm's squares
+        src = tmp_path / "extreme.json"
+        src.write_text(json.dumps(matrix_to_json(np.diag([1e300, 1e300, 1e-300, 1e-300]))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "u22lab.cli", "decompose", "--input", str(src)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        residual = json.loads(proc.stdout)["reconstruction_residual"]
+        assert 0.0 <= residual <= 1e-15 * math.hypot(1e300, 1e300)
+
     def test_ill_conditioned_member_is_an_input_error(self, tmp_path, capsys):
         # c = 1e7 (cond(s) ~ 1e14) is far outside the tested range: the
         # factorization rejects it (DecompositionFailed), which is exit 2
@@ -177,6 +191,30 @@ class TestOrbit:
         doc = read_json(out)
         assert doc["label"] == label
         assert doc["coordinates"] == {"r1": diagonal, "r2": diagonal, "r": [0.0, 0.0]}
+
+    @pytest.mark.parametrize(
+        "point, code, stdout_label",
+        [
+            # i diag(1e308, -1e308) with z = 1e308: m01 - conj(m10) would overflow
+            ([[[0, 1e308], [1e308, 0]], [[-1e308, 0], [0, -1e308]]], 0, "+-"),
+            # m + m* would overflow on the diagonal; the halves refuse the point
+            ([[[0, 0], [0, 0]], [[0, 0], [1e308, 0]]], 2, None),
+        ],
+        ids=["skew-point", "not-skew"],
+    )
+    def test_a_matrix_near_the_float_limit_warns_nothing(self, tmp_path, point, code, stdout_label):
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps(point))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "u22lab.cli", "orbit", "--input", str(src)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        if stdout_label is None:
+            assert proc.stdout == "" and proc.stderr == "error: matrix is not skew-Hermitian at tolerance\n"
+        else:
+            assert proc.stderr == "" and json.loads(proc.stdout)["label"] == stdout_label
 
     @pytest.mark.parametrize(
         "text",
@@ -256,44 +294,14 @@ class TestVerify:
 
         assert stable(out1) == stable(out2)
 
-    def test_tolerance_override_fails(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = run_cli(
-            [
-                "verify",
-                "--samples",
-                "20000",
-                "--claims",
-                "C01,C02",
-                "--tol",
-                "1e-20",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 1
-        doc = read_json(out)
-        assert doc["summary"]["failed"] == 2
-        for claim in doc["claims"]:
-            assert claim["tolerance"] == 1e-20
-            assert claim["measured"] > 0
-
-    def test_loose_override_keeps_a_failure(self, tmp_path):
-        # C10 is the documented failure; --tol may force failures, never passes
-        out = tmp_path / "report.json"
-        code = run_cli(["verify", "--claims", "C10", "--tol", "5", "--out", str(out)])
-        assert code == 1
-        (claim,) = read_json(out)["claims"]
-        assert claim["verdict"] == "fail" and claim["tolerance"] == 5.0
-
-    def test_loose_override_keeps_own_conditions(self, monkeypatch):
+    def test_a_failed_condition_fails_at_the_registry_tolerance(self, monkeypatch):
         # a claim's own condition fails as a measured 1.0 (C11's witness, C12's
-        # double commutator), which the registry's tolerance fails however
-        # loose the override
+        # double commutator), at or above every tolerance the registry pins,
+        # and the record reports the registry's tolerance
         failing = claims._ClaimSpec("fails on its own terms", 1e-9, lambda config, rng: (1.0, {}))
         monkeypatch.setitem(claims._REGISTRY, "C01", failing)
-        (record,) = claims.run_claims(claims.SuiteConfig(tol_override=10.0), ["C01"])
-        assert record.verdict == "fail" and record.tolerance == 10.0 and record.measured == 1.0
+        (record,) = claims.run_claims(claims.SuiteConfig(), ["C01"])
+        assert record.verdict == "fail" and record.tolerance == 1e-9 and record.measured == 1.0
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -342,12 +350,14 @@ class TestVerify:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "config.json"
         out = tmp_path / "report.json"
-        cfg.write_text(json.dumps({"sample_points": 50, "label": "+-"}))
+        cfg.write_text(json.dumps({"seed": 7, "label": "+-"}))
         code = run_cli(
             [
                 "verify",
                 "--config",
                 str(cfg),
+                "--seed",
+                "11",
                 "--samples",
                 "20000",
                 "--claims",
@@ -358,9 +368,7 @@ class TestVerify:
         )
         assert code == 0
         doc = read_json(out)
-        assert doc["config"]["sample_points"] == 50
-        assert doc["config"]["label"] == "+-"
-        assert doc["config"]["mc_samples"] == 20000
+        assert doc["config"] == {"seed": 11, "mc_samples": 20000, "label": "+-"}
 
     def test_unknown_claim_id(self):
         assert run_cli(["verify", "--samples", "20000", "--claims", "C99"]) == 2
@@ -375,7 +383,7 @@ class TestVerify:
             ("[1, 2]", "config file must hold a JSON object"),
             ('{"bogus": 1}', "unknown config field 'bogus'"),
             ('{"mc_samples": "many"}', "config field 'mc_samples' has a bad value"),
-            ('{"eps_ladder": 5}', "config field 'eps_ladder' has a bad value"),
+            ('{"eps_ladder": 5}', "unknown config field 'eps_ladder'"),
             ('{"label": 5}', "config field 'label' has a bad value"),
         ],
         ids=["list", "unknown-field", "samples-not-a-number", "ladder-not-a-list", "label-not-a-string"],
@@ -396,12 +404,6 @@ WRONG_TYPES = {
     "seed-float": ("seed", 2.5),
     "seed-bool": ("seed", True),
     "samples-float": ("mc_samples", 262144.0),
-    "sample-points-float": ("sample_points", 10.0),
-    "r-max-string": ("r_max", "30"),
-    "r-max-huge-integer": ("r_max", 10**400),
-    "tol-bool": ("tol_override", True),
-    "ladder-list": ("eps_ladder", [0.1, 0.01, 0.001, 0.0001, 0.00001]),
-    "ladder-string-entry": ("eps_ladder", (0.1, 0.01, 0.001, 0.0001, "0.00001")),
     "label-string": ("label", "++"),
 }
 
@@ -412,41 +414,20 @@ def test_suite_config_refuses_a_wrong_type(name, value):
         claims.SuiteConfig(**{name: value})
 
 
-_SHELL = "need 1e-77 <= r_min < r_max <= 1e+76"
-
-# (fields, start of the message): configs whose field checks all passed
-# while a claim, run later, refused them or ran out of memory; each is
-# refused now by the owner of the bound, before any claim runs
-REFUSED_CONFIGS = {
-    "repeated-rung": ({"eps_ladder": (0.1, 0.1, 0.01, 0.001, 0.0001)}, "eps ladder needs at least 5 distinct rungs"),
-    "rung-below-shell": ({"eps_ladder": (0.1, 0.01, 0.001, 0.0001, 1e-300)}, _SHELL),
-    "r-max-above-shell": ({"r_max": 1e100}, _SHELL),
-    "r-max-below-gram-shell": ({"eps_ladder": (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), "r_max": 5e-5}, _SHELL),
-    "sample-points-huge": ({"sample_points": 10**12}, "sample_points must be positive and at most"),
-}
-
-
-@pytest.mark.parametrize("fields, message", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS)
-def test_a_config_suite_config_accepts_is_one_every_claim_accepts(fields, message):
-    with pytest.raises(u22lab.U22Error, match=f"^{re.escape(message)}"):
-        claims.SuiteConfig(**fields)
-
-
-@pytest.mark.parametrize("fields", [{"eps_ladder": (0.1, 0.01, 0.001, 0.0001, 1e-70)}, {"r_max": 1e70}],
-                         ids=["rung-1e-70", "r-max-1e70"])
-def test_an_accepted_extreme_runs_the_shell_claims(fields):
-    # C06 samples the ladder's shell and C09 the shell up to r_max: no
-    # density or weight over- or underflows, so no warning and no error
-    config = claims.SuiteConfig(mc_samples=20_000, **fields)
+@pytest.mark.parametrize("ladder, r_max", [((0.1, 0.01, 0.001, 0.0001, 1e-70), claims.SuiteConfig.r_max),
+                                           (claims.SuiteConfig.eps_ladder, 1e70)], ids=["rung-1e-70", "r-max-1e70"])
+def test_an_accepted_extreme_runs_the_shell_claims(ladder, r_max):
+    # C06's report samples the ladder's shell and C09's Gram matrix the shell
+    # up to r_max: no density or weight over- or underflows, so no warning
+    # and no error
+    rng = np.random.default_rng(5)
+    label = orbits.OrbitLabel.PLUS_PLUS
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = claims.run_claims(config, ["C06", "C09"])
-    assert [r.claim_id for r in records] == ["C06", "C09"]
-
-
-def test_suite_config_takes_a_numpy_float_and_an_integer_float():
-    config = claims.SuiteConfig(r_max=np.float64(25.0), tol_override=1, eps_ladder=(1, 0.1, 0.01, 0.001, 0.0001))
-    assert config.r_max == 25.0
+        specialness_report(label, ladder, r_max, 20_000, rng)
+        gram, _ = gram_matrix([groups.random_q(rng) for _ in range(2)], label,
+                              measures.PolarShellSampler(r_max=r_max), 20_000, rng)
+    assert np.all(np.isfinite(gram))
 
 
 @pytest.mark.parametrize("command", [["measure-probe", "--function", "vacuum"], ["gram", "--size", "2"]])
@@ -468,7 +449,6 @@ _HUGE_INT = "1" + "0" * 400  # a JSON integer no float can hold
 _PAIRS = "matrix JSON must be nested arrays of [re, im] pairs"
 _NOT_JSON = "not valid UTF-8 JSON"
 _BAD_SEED = "seed must be nonnegative, got -1"
-_BAD_TOL = "tolerance override must be positive and finite"
 _TOO_MANY = "need at most 268435456 samples (2^28), got 100000000000"
 _CONFIG = ["verify", "--config", "{file}", "--claims", "C01"]
 _DEEP = "[" * 100_000 + "]" * 100_000  # nested past the decoder's recursion limit
@@ -504,31 +484,32 @@ MALFORMED_INPUTS = {
     "gram-superscript-label": (["gram", "--label", "\u00b2"], None, f"{_BAD_LABEL}: '\u00b2'"),
     "gram-long-index-label": (["gram", "--label", "9" * 5000], None, _BAD_LABEL),
     "decompose-deep-json": (["decompose", "--input", "{file}"], _DEEP, _NOT_JSON),
-    "verify-tol-nan": (["verify", "--tol", "nan", "--claims", "C01"], None, _BAD_TOL),
-    "verify-tol-inf": (["verify", "--tol", "inf", "--claims", "C01"], None, _BAD_TOL),
     # a CSV report has no timestamp field, so the flag is refused, not dropped
     "verify-timestamp-csv": (["verify", "--timestamp", "--format", "csv", "--claims", "C01"], None,
                              "--timestamp needs the JSON format"),
-    "config-r-max-overflow": (_CONFIG, '{"r_max": 1e400}', "r_max must be finite and exceed the ladder"),
-    "config-nan-ladder": (_CONFIG, '{"eps_ladder": [0.1, 0.01, 0.001, 0.0001, NaN]}',
-                          "eps ladder entries must be positive and finite"),
-    "config-nan-token": (_CONFIG, '{"tol_override": NaN}', _BAD_TOL),
-    "config-huge-integer": (_CONFIG, f'{{"r_max": {_HUGE_INT}}}', "config field 'r_max' has a bad value"),
+    "config-nan-token": (_CONFIG, '{"seed": NaN}', "config field 'seed' has a bad value: nan"),
+    "config-huge-integer": (_CONFIG, f'{{"mc_samples": {_HUGE_INT}}}', "need at most 268435456 samples (2^28)"),
     "config-invalid-utf8": (_CONFIG, b'{"seed": 1, "\xff": 0}', _NOT_JSON),
     "config-superscript-label": (_CONFIG, '{"label": "\u00b2"}', f"{_BAD_LABEL}: '\u00b2'"),
     "config-deep-json": (_CONFIG, _DEEP, _NOT_JSON),
     # the file's values are checked before the flags replace them
     "config-bad-seed-under-flag": (_CONFIG + ["--seed", "5"], '{"seed": "x"}',
                                    "config field 'seed' has a bad value: 'x'"),
-    # REFUSED_CONFIGS from a file
+    # C05's test points, C06's ladder and the shells' outer radius are
+    # constants of the battery, and claims have no tolerance override: a
+    # file that names one of them names an unknown field
+    "config-r-max-overflow": (_CONFIG, '{"r_max": 1e400}', "unknown config field 'r_max'"),
+    "config-nan-ladder": (_CONFIG, '{"eps_ladder": [0.1, 0.01, 0.001, 0.0001, NaN]}',
+                          "unknown config field 'eps_ladder'"),
     "config-repeated-rung": (_CONFIG, '{"eps_ladder": [0.1, 0.1, 0.01, 0.001, 0.0001]}',
-                             "eps ladder needs at least 5 distinct rungs, got 4"),
-    "config-rung-below-shell": (_CONFIG, '{"eps_ladder": [0.1, 0.01, 0.001, 0.0001, 1e-300]}', _SHELL),
-    "config-r-max-above-shell": (_CONFIG, '{"r_max": 1e100}', _SHELL),
+                             "unknown config field 'eps_ladder'"),
+    "config-rung-below-shell": (_CONFIG, '{"eps_ladder": [0.1, 0.01, 0.001, 0.0001, 1e-300]}',
+                                "unknown config field 'eps_ladder'"),
+    "config-r-max-above-shell": (_CONFIG, '{"r_max": 1e100}', "unknown config field 'r_max'"),
     "config-r-max-below-gram-shell": (_CONFIG, '{"eps_ladder": [1e-5, 1e-6, 1e-7, 1e-8, 1e-9], "r_max": 5e-5}',
-                                      _SHELL),
-    "config-sample-points-huge": (_CONFIG, '{"sample_points": 1000000000000}',
-                                  "sample_points must be positive and at most 16384"),
+                                      "unknown config field 'eps_ladder'"),
+    "config-sample-points-huge": (_CONFIG, '{"sample_points": 1000000000000}', "unknown config field 'sample_points'"),
+    "config-tol-override": (_CONFIG, '{"tol_override": 0.5}', "unknown config field 'tol_override'"),
 }
 
 
@@ -638,12 +619,15 @@ class TestGramCommand:
 
 
 class TestToleranceFlag:
+    # decompose's --tol is its membership tolerance; a claim's tolerance is
+    # the registry's, so no battery command takes one
     @pytest.mark.parametrize("command", [
         ["gram", "--size", "2"],
         ["measure-probe", "--function", "vacuum"],
         ["unboundedness-experiment"],
+        ["verify", "--claims", "C01"],
     ])
-    def test_only_verify_offers_tol(self, command):
+    def test_only_decompose_offers_tol(self, command):
         with pytest.raises(SystemExit) as exc:
             run_cli(command + ["--tol", "1e-30"])
         assert exc.value.code == 2

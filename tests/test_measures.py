@@ -2,9 +2,11 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from u22lab.measures import (
     haar_measure,
     half_angle_cis,
     integrate_mc,
+    ladder_shell,
     mc_sum,
     modulus_pi,
     nu_derivative_band,
@@ -252,8 +255,8 @@ class TestPolar:
     def test_shell_bounds(self):
         # the widest shell keeps the density r^-4 a normal float at both ends
         PolarShellSampler(measures.MIN_RADIUS, measures.MAX_RADIUS)
-        for r_min, r_max in ((0.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (measures.MIN_RADIUS / 10, 1.0),
-                             (1.0, measures.MAX_RADIUS * 10)):
+        for r_min, r_max in ((0.0, 1.0), (2.0, 1.0), (measures.DEFAULT_R_MIN, 5e-5), (math.nan, 1.0),
+                             (measures.MIN_RADIUS / 10, 1.0), (1.0, measures.MAX_RADIUS * 10)):
             with pytest.raises(U22Error):
                 PolarShellSampler(r_min, r_max)
 
@@ -497,6 +500,19 @@ class TestBoxSampler:
         assert not box.contains(outside).any()
 
 
+_SHELL = "need 1e-77 <= r_min < r_max <= 1e+76"
+
+# (ladder, r_max, start of the message): ladders and shells that
+# ladder_shell refuses, each by the owner of the bound
+REFUSED_LADDERS = {
+    "repeated-rung": ((0.1, 0.1, 0.01, 0.001, 0.0001), 30.0, "eps ladder needs at least 5 distinct rungs, got 4"),
+    "nan-rung": ((0.1, 0.01, 0.001, 0.0001, math.nan), 30.0, "eps ladder entries must be positive and finite"),
+    "rung-below-shell": ((0.1, 0.01, 0.001, 0.0001, 1e-300), 30.0, _SHELL),
+    "r-max-above-shell": (LADDER, 1e100, _SHELL),
+    "r-max-overflow": (LADDER, float("1e400"), "r_max must be finite and exceed the ladder"),
+}
+
+
 class TestDivergenceProbe:
     def test_vacuum_is_log_divergent(self, rng):
         verdict = divergence_probe(vacuum(), [nu_measure], LADDER, 30.0, 100_000, rng)[0][0]
@@ -532,6 +548,22 @@ class TestDivergenceProbe:
     def test_ladder_length_precondition(self, rng):
         with pytest.raises(ValueError):
             divergence_probe(vacuum(), [nu_measure], (0.1, 0.01), 30.0, 10_000, rng)
+
+    @pytest.mark.parametrize("ladder, r_max, message", REFUSED_LADDERS.values(), ids=REFUSED_LADDERS)
+    def test_a_bad_ladder_or_shell_is_refused_before_any_draw(self, ladder, r_max, message):
+        # ladder_shell is the one check of a probe ladder and its shell; the
+        # probe asks it before it draws, so no warning comes first
+        with pytest.raises(U22Error, match=f"^{re.escape(message)}"):
+            ladder_shell(ladder, r_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(U22Error, match=f"^{re.escape(message)}"):
+                divergence_probe(vacuum(), [nu_measure], ladder, r_max, 20_000, 0)
+
+    def test_ladder_shell_takes_a_numpy_float_and_an_integer_rung(self):
+        eps, sampler = ladder_shell((1, 0.1, 0.01, 0.001, 0.0001), np.float64(25.0))
+        assert eps.tolist() == [1.0, 0.1, 0.01, 0.001, 0.0001]
+        assert (sampler.r_min, sampler.r_max) == (0.0001, 25.0)
 
 
 class TestSharedStream:
